@@ -6,8 +6,9 @@
 Run from the repository root.  The workload's scenario files are generated
 from ``--seed`` (untimed), then each pass plans all of them in a fresh
 interpreter, one pass at a time, until ``--seconds`` would be exceeded; at
-least one pass always runs.  A few set-up-only interpreters add samples of
-the set-up time.  Every pass's outputs are checked (see ``check.py``).
+least one pass always runs.  Set-up-only interpreters add samples of the
+set-up time.  Times are normalised to a fixed machine speed (see
+``speed.py``).  Every pass's outputs are checked (see ``check.py``).
 
 With ``--trace 0`` the last line of output reports the end-to-end metrics,
 medians over passes.  With ``--trace 1`` untraced and traced passes alternate
@@ -38,13 +39,16 @@ SRC = ROOT / "src"
 WORK = HERE / "_work"
 REFERENCE = HERE / "reference"
 SCHEMA = "perfbench/1"
-SETUP_ONLY_SAMPLES = 5
+SETUP_ONLY_SAMPLES = 15
 WORKER_TIMEOUT_S = 170
 
 END_TO_END = {"plan_s": "s", "setup_s": "s", "peak_rss_mb": "MB", "incumbent_cost": "time_units"}
 # printed beside the end-to-end metrics; the percentiles need enough scenarios
-PRINTED = {"scenario_p50_s": "s", "scenario_tail_s": "s", "failed_frac": "ratio"}
+PRINTED = {"scenario_p50_s": "s", "scenario_tail_s": "s", "failed_frac": "ratio",
+           "plan_wall_s": "s", "setup_wall_s": "s", "speed_scale": "ratio"}
 MIN_TAIL_SAMPLES = 20
+PASS_LOG_KEYS = ("plan_s", "plan_wall_s", "speed_scale", "probe_samples", "setup_s",
+                 "setup_wall_s", "peak_rss_mb")
 PER_LAYER = {
     "product.build_s": "s", "product.prune_s": "s", "product.build_calls": "count",
     "product.distinct_ratio": "ratio", "product.states": "count", "product.edges": "count",
@@ -71,6 +75,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", action="store_true")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be 0 or more, not {args.seed}")
 
     if not (SRC / "fleetplan" / "__init__.py").is_file():
         print(f"error: no planner sources under {SRC}; run from a repository checkout",
@@ -147,6 +153,7 @@ class Bench:
         self.out_root = work / "out"
         self.reference = reference
         self.setups: list[float] = []
+        self.setup_walls: list[float] = []
         self.plain: list[dict] = []
         self.traced: list[dict] = []
         self.pass_log: list[dict] = []
@@ -154,37 +161,38 @@ class Bench:
         self.first_outputs: dict = {}
         self.attempted = 0
 
-    def _worker(self, tag: str, hash_seed: int, *flags) -> dict:
-        # str and frozenset hashing orders the planner's sets; how long its
-        # searches take depends on that order, so each pass pins the hash seed
-        # to its position in the run and the same inputs repeat the same work
+    def _worker(self, tag: str, *flags) -> dict:
+        # str and frozenset hashing orders the planner's sets, and how long its
+        # searches take depends on that order: every interpreter gets the same
+        # hash seed, so every pass repeats the same work
         result_path = self.work / f"{tag}.json"
         proc = subprocess.run(
             [sys.executable, str(HERE / "worker.py"), str(self.manifest), str(result_path),
              *flags], capture_output=True, text=True, timeout=WORKER_TIMEOUT_S,
-            env={**os.environ, "PYTHONHASHSEED": str(hash_seed)})
+            env={**os.environ, "PYTHONHASHSEED": "0"})
         if proc.returncode != 0 or not result_path.exists():
             raise RuntimeError(f"worker {tag} exited with {proc.returncode}: "
                                f"{proc.stderr.strip()[-2000:]}")
         return json.loads(result_path.read_text(encoding="utf-8"))
 
     def setup_only(self):
-        index = len(self.setups)
-        self.setups.append(self._worker(f"setup{index}", index, "--setup-only")["setup_s"])
+        self._add_setup(self._worker(f"setup{len(self.setups)}", "--setup-only"))
+
+    def _add_setup(self, result: dict):
+        self.setups.append(result["setup_s"])
+        self.setup_walls.append(result["setup_wall_s"])
 
     def plan_pass(self, traced: bool):
         index = len(self.pass_log)
         tag = f"pass{index}"
         passes = self.traced if traced else self.plain
-        result = self._worker(tag, len(passes), *(("--trace",) if traced else ()))
+        result = self._worker(tag, *(("--trace",) if traced else ()))
         if traced:
             result["spans"] = json.loads(
                 (self.work / f"{tag}.spans.json").read_text(encoding="utf-8"))
-        self.setups.append(result["setup_s"])
+        self._add_setup(result)
         passes.append(result)
-        self.pass_log.append({"traced": traced, "plan_s": result["plan_s"],
-                              "setup_s": result["setup_s"],
-                              "peak_rss_mb": result["peak_rss_mb"]})
+        self.pass_log.append({key: result[key] for key in PASS_LOG_KEYS} | {"traced": traced})
         self._check(index, result)
 
     def _check(self, index: int, result: dict):
@@ -216,6 +224,9 @@ class Bench:
         out = {
             "plan_s": statistics.median(p["plan_s"] for p in self.plain),
             "setup_s": statistics.median(self.setups),
+            "plan_wall_s": statistics.median(p["plan_wall_s"] for p in self.plain),
+            "setup_wall_s": statistics.median(self.setup_walls),
+            "speed_scale": statistics.median(p["speed_scale"] for p in self.plain),
             "peak_rss_mb": statistics.median(p["peak_rss_mb"] for p in self.plain),
             "incumbent_cost": sum(self.first_outputs.get(r["name"], {}).get("incumbent_cost") or 0
                                   for r in first["scenarios"] if r["outcome"] == "planned"),
@@ -238,6 +249,9 @@ class Bench:
 
     def _traced_layers(self, result: dict) -> dict:
         total, own, calls = span_totals(result["spans"])
+        # span times in normalised seconds, like the pass's plan_s
+        total = {name: seconds * result["speed_scale"] for name, seconds in total.items()}
+        own = {name: seconds * result["speed_scale"] for name, seconds in own.items()}
         counters = result["counters"]
         builds = calls["product.build"]
         return {
@@ -282,10 +296,10 @@ class Bench:
         return layers
 
     def accounting(self) -> dict:
-        """Self time per span name of the median traced pass, and the pass time."""
+        """Self wall time per span name of the median traced pass, and its wall time."""
         result = sorted(self.traced, key=lambda p: p["plan_s"])[(len(self.traced) - 1) // 2]
         _total, own, calls = span_totals(result["spans"])
-        return {"plan_s": result["plan_s"], "self": own, "calls": calls}
+        return {"plan_wall_s": result["plan_wall_s"], "self": own, "calls": calls}
 
 
 def record(manifest: Path, work: Path, seed: int, reference_path: Path) -> int:
@@ -305,8 +319,8 @@ def print_layers(layers: dict, accounting: dict):
     for key, unit in PER_LAYER.items():
         print(f"    {key:<26} {format_value(layers[key])} {unit}")
     own = accounting["self"]
-    print(f"  self time by span in the median traced pass "
-          f"(plan_s {accounting['plan_s']:.3f} s, spans sum {sum(own.values()):.3f} s):")
+    print(f"  self wall time by span in the median traced pass "
+          f"(plan_wall_s {accounting['plan_wall_s']:.3f} s, spans sum {sum(own.values()):.3f} s):")
     for name, seconds in sorted(own.items(), key=lambda kv: -kv[1]):
         print(f"    {name:<26} {seconds:9.3f} s  {accounting['calls'][name]:>8} calls")
 
@@ -329,20 +343,13 @@ def environment() -> dict:
 
 
 def git_commit() -> str:
-    git = ROOT / ".git"
     try:
-        head = (git / "HEAD").read_text(encoding="utf-8").strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).exists():
-            return (git / ref).read_text(encoding="utf-8").strip()
-        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                              text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,10 +1,11 @@
-"""Fast self-test of the benchmark on a tiny workload (about half a minute).
+"""Fast self-test of the benchmark on a tiny workload (about ten seconds).
 
     python3 perfbench/selftest.py
 
 Checks that both modes print every metric named in BENCHMARK.json with its
-unit, that the printed summary names every end-to-end metric, and that a
-corrupted reference output is counted as a failure.
+unit, that the printed summary names every end-to-end metric, that only the
+held-out templates move with the seed, and that a corrupted reference output
+is counted as a failure.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import sys
 import run
 from workloads import WORKLOADS, Workload
 
-TINY = Workload(name="selftest-tiny", why="self-test only", template_seeds=(1000, 1001),
-                robots=3, collab=2, individual=1, template_grid=(5, 5), grid=(5, 5),
-                oracle=True, max_assignments=4)
+TINY = Workload(name="selftest-tiny", template_seeds=(1000, 1001), robots=3, collab=2,
+                individual=1, template_grid=(5, 5), grid=(5, 5), oracle=True,
+                max_assignments=4, held_out=1)
 SEED = 3
 
 
@@ -65,6 +66,10 @@ def main() -> int:
             expect(f" {name} " in out and f" {unit}\n" in out, f"{name} not printed")
 
     reference = json.loads(reference_path.read_text(encoding="utf-8"))
+    # the held-out template moves with the seed, the other one stays
+    expect(sorted(reference[str(SEED)]) == [f"{TINY.name}-t1000-s{SEED}",
+                                            f"{TINY.name}-t{1001 + SEED}-s{SEED}"],
+           f"unexpected scenarios {sorted(reference[str(SEED)])}")
     planned = [k for k, v in reference[str(SEED)].items() if v["outcome"] == "planned"]
     expect(planned, "the tiny workload planned nothing")
     reference[str(SEED)][planned[0]]["incumbent_cost"] += 1

@@ -7,6 +7,8 @@ scenario file.  The pass then plans each file the way ``fleetplan plan`` does
 (load, ``run_framework``, ``write_reports``) and writes per-scenario times,
 outcomes, the pass wall time and the process's peak resident memory to
 RESULT.  With ``--trace`` the spans go to RESULT's ``.spans.json`` sibling.
+Times are reported both as measured and normalised to the machine speed that
+``speed.py`` samples in this process.
 """
 
 from __future__ import annotations
@@ -18,19 +20,28 @@ import time
 import traceback
 from pathlib import Path
 
+from speed import Probe, kernel, scale
+
+SETUP_KERNEL_SLICES = 4
+
 
 def main(argv) -> int:
     manifest = json.loads(Path(argv[0]).read_text(encoding="utf-8"))
     result_path = Path(argv[1])
     flags = set(argv[2:])
 
+    # set-up is too short for the probe's timer; slices just before and just
+    # after it give its speed
+    slices = [kernel() for _ in range(SETUP_KERNEL_SLICES)]
     started = time.perf_counter()
     sys.path.insert(0, manifest["src"])
     from fleetplan import Scenario
 
     for path in manifest["scenarios"]:
         Scenario.load(path)
-    result = {"setup_s": time.perf_counter() - started}
+    setup_wall_s = time.perf_counter() - started
+    slices += [kernel() for _ in range(SETUP_KERNEL_SLICES)]
+    result = {"setup_wall_s": setup_wall_s, "setup_s": setup_wall_s * scale(slices)}
 
     if "--setup-only" not in flags:
         tracer = None
@@ -72,20 +83,30 @@ def plan_all(paths, out_root: Path, tracer=None) -> dict:
         plan_one = tracer.wrap("plan", plan_one)
 
     records = []
+    probe = Probe()
+    probe.start()
     pass_started = time.perf_counter()
     for index, path in enumerate(paths):
         name = Path(path).stem
         if tracer is not None:
             tracer.scenario = index
-        t0 = time.perf_counter()
+        t0, spent0 = time.perf_counter(), probe.spent
         error = ""
         try:
             outcome = plan_one(path, out_root / name)
         except Exception:  # a crash is a counted failure, not the end of the pass
             outcome, error = "error", traceback.format_exc()
-        records.append({"name": name, "outcome": outcome, "seconds": time.perf_counter() - t0,
+        records.append({"name": name, "outcome": outcome,
+                        "seconds": time.perf_counter() - t0 - (probe.spent - spent0),
                         "error": error})
-    return {"plan_s": time.perf_counter() - pass_started, "scenarios": records}
+    plan_wall_s = time.perf_counter() - pass_started
+    probe.stop()
+    factor = probe.scale()
+    for record in records:
+        record["seconds"] *= factor
+    return {"plan_wall_s": plan_wall_s, "plan_s": (plan_wall_s - probe.spent) * factor,
+            "probe_samples": len(probe.samples), "speed_scale": factor,
+            "scenarios": records}
 
 
 if __name__ == "__main__":
