@@ -5,6 +5,10 @@ its pruned layered automaton, optionally runs the distributed adjustment and
 the exact optimizer, and keeps the best adjusted plan as incumbent.
 Previously returned assignments dominate later supersets, which are filtered
 before any synthesis work.
+
+A robot's local synthesis depends only on the robot and its assigned
+occurrences, and nothing downstream mutates a product, so one cache per run
+keeps each such key's automaton and pruned product, or the error it raised.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
     InfeasibleMission,
     LevelDisconnected,
     NoAcceptingPath,
+    StateLimitExceeded,
 )
 from .ltl import Nfa, nfa_accepts, to_nfa
 from .milp import solve_exact
@@ -118,7 +123,7 @@ def run_framework(scenario: Scenario) -> RunReport:
     incumbent: Optional[PlanOutput] = None
     protocol_trace: List[str] = []
     history_vectors: List[Tuple[bool, ...]] = []
-    nfa_cache: Dict[str, Nfa] = {}
+    synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> (Nfa, PrunedPa) or error
     stopped = "unsat"
     index = 0
     while True:
@@ -141,9 +146,8 @@ def run_framework(scenario: Scenario) -> RunReport:
             continue
         history_vectors.append(assignment.vector)
         try:
-            plan = _evaluate_assignment(
-                scenario, mission, assignment, wts, collab_props, nfa_cache, row)
-        except (NoAcceptingPath, LevelDisconnected) as exc:
+            plan = _evaluate_assignment(scenario, mission, assignment, wts, collab_props, synthesis, row)
+        except SYNTHESIS_ERRORS as exc:
             row.status = "infeasible"
             row.detail = str(exc)
             continue
@@ -154,27 +158,39 @@ def run_framework(scenario: Scenario) -> RunReport:
     return RunReport(scenario.name, mission, rows, incumbent, stopped, protocol_trace)
 
 
+SYNTHESIS_ERRORS = (NoAcceptingPath, LevelDisconnected, StateLimitExceeded)
+
+
+def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthesis):
+    """Robot ``r``'s local automaton and pruned product, built once per key."""
+    key = (r, tuple(assigned))
+    if key not in synthesis:
+        try:
+            nfa = to_nfa(build_local_formula(scenario.parsed_individual(r), assigned),
+                         scenario.options.state_cap)
+            synthesis[key] = (nfa, prune_product(build_product(wts[r], nfa, assigned, collab_props)))
+        except SYNTHESIS_ERRORS as exc:
+            synthesis[key] = exc
+    if isinstance(synthesis[key], Exception):
+        # a fresh traceback each time: the stored one would keep frames alive
+        raise synthesis[key].with_traceback(None)
+    return synthesis[key]
+
+
 def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assignment,
-                         wts, collab_props, nfa_cache, row: AssignmentRow) -> PlanOutput:
+                         wts, collab_props, synthesis, row: AssignmentRow) -> PlanOutput:
     opts = scenario.options
     fleet = scenario.fleet
+    nfas: Dict[int, Nfa] = {}
     pruned_map: Dict[int, PrunedPa] = {}
     choices = {}
     prune_times = []
     for r in sorted(fleet.robot_ids()):
         assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
-        phi = build_local_formula(scenario.parsed_individual(r), assigned)
-        key = f"{r}|{phi!r}"
         t0 = time.perf_counter()
-        nfa = nfa_cache.get(key)
-        if nfa is None:
-            nfa = to_nfa(phi, opts.state_cap)
-            nfa_cache[key] = nfa
-        pa = build_product(wts[r], nfa, assigned, collab_props)
-        pruned = prune_product(pa)
+        nfas[r], pruned_map[r] = _synthesize(scenario, r, assigned, wts, collab_props, synthesis)
         prune_times.append(time.perf_counter() - t0)
-        pruned_map[r] = pruned
-        choices[r] = pruned.shortest_choice()
+        choices[r] = pruned_map[r].shortest_choice()
     row.wall_prune_avg = sum(prune_times) / len(prune_times)
     stats = [p.size_stats() for p in pruned_map.values()]
     row.product_states = max(s["product_states"] for s in stats)
@@ -224,10 +240,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     row.element_sync_ok = sim.element_sync_ok
     local_ok = True
     for r, strategy in strategies.items():
-        assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
-        phi = build_local_formula(scenario.parsed_individual(r), assigned)
-        key = f"{r}|{phi!r}"
-        if not nfa_accepts(nfa_cache[key], strategy.label_trace()):
+        if not nfa_accepts(nfas[r], strategy.label_trace()):
             local_ok = False
     row.locals_accepted = local_ok
     return PlanOutput(row.index, assignment, strategies, sim, final_report.total)

@@ -324,12 +324,12 @@ def emit_lp(model: MilpModel, path) -> None:
     """Write the model in LP text format (minimize; subject to; bounds; binaries)."""
     lines = []
     for r in sorted(model.big_m):
-        lines.append(f"\\ big-M robot {r}: {model.big_m[r]:g}")
+        lines.append(f"\\ big-M robot {r}: {_lp_num(model.big_m[r])}")
     lines.append("Minimize")
     lines.append(" obj: " + _terms_str(model.objective))
     lines.append("Subject To")
     for row in model.rows:
-        lines.append(f" {row.name}: " + _terms_str(row.terms) + f" {row.sense} {row.rhs:g}")
+        lines.append(f" {row.name}: " + _terms_str(row.terms) + f" {row.sense} {_lp_num(row.rhs)}")
     lines.append("Bounds")
     for name in model.continuous:
         lines.append(f" 0 <= {name}")
@@ -345,6 +345,12 @@ def emit_lp(model: MilpModel, path) -> None:
             fh.write(text)
 
 
+def _lp_num(x: float) -> str:
+    """Exact positional text for a number, integers bare (LP readers reject exponents)."""
+    from decimal import Decimal  # only LP export needs it; importing fleetplan stays lean
+    return str(int(x)) if float(x).is_integer() else format(Decimal(repr(float(x))), "f")
+
+
 def _terms_str(terms: Sequence[Tuple[float, str]]) -> str:
     if not terms:
         return "0"
@@ -352,6 +358,6 @@ def _terms_str(terms: Sequence[Tuple[float, str]]) -> str:
     for i, (coef, var) in enumerate(terms):
         sign = "-" if coef < 0 else ("+" if i else "")
         mag = abs(coef)
-        coef_str = "" if mag == 1 else f"{mag:g} "
+        coef_str = "" if mag == 1 else f"{_lp_num(mag)} "
         parts.append(f"{sign} {coef_str}{var}".strip())
     return " ".join(parts)

@@ -7,6 +7,9 @@ always fire) plus at most one assigned collaborative task when the crossing
 guard requires it.  A collaborative task therefore fires exactly at the run
 position whose incoming guard demands it, which is what makes the layered
 (pruned) view below exact.
+
+Edges are built from a table of moves per (automaton state, region label),
+the only inputs an edge's firing set, label and collaborative marks depend on.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import FleetplanError, LevelDisconnected, NoAcceptingPath, Unreacha
 from .guards import Guard
 from .ltl import And, Atom, Eventually, Formula, Nfa
 from .mission import Occurrence
-from .search import dijkstra, reconstruct, shortest_path
+from .search import dijkstra, reconstruct
 from .world import Wts
 
 State = Tuple[str, int]  # (region, automaton state)
@@ -65,14 +68,9 @@ class ProductPa:
         self.edge_info: Dict[Tuple[State, State], Tuple[float, FrozenSet[str], FrozenSet[str]]] = {}
         self.entry_info: Dict[State, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self.collab: Dict[str, frozenset] = {}
-        self._collab_sets: Dict[str, set] = {}
         self._build()
 
     # -- construction -----------------------------------------------------
-
-    def _split_label(self, region: str) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-        label = self.wts.label(region)
-        return label - self.collab_props, label & self._assigned_props
 
     def _select_emit(self, guard: Guard, base: FrozenSet[str], optional: FrozenSet[str]):
         """Cheapest firing set justifying the guard, or None.
@@ -94,24 +92,38 @@ class ProductPa:
             return None
         return best[1]
 
+    def _moves(self, f: int, label: FrozenSet[str]) -> tuple:
+        """``(f2, fired, emit, collab_props)`` per move out of ``f`` into a region
+        labelled ``label``, in successor order.  ``collab_props`` are the assigned
+        tasks that a state-changing guard requires and the region carries."""
+        base, optional = label - self.collab_props, label & self._assigned_props
+        moves = []
+        for f2 in self.nfa.successors(f):
+            guard = self.nfa.guard(f, f2)
+            fired = self._select_emit(guard, base, optional)
+            if fired is None:
+                continue
+            witnesses = guard.minimal_witnesses() if f2 != f else ()
+            required = frozenset.intersection(*witnesses) if witnesses else frozenset()
+            props = tuple(p for _o, p in self.assigned if p in required and p in label)
+            moves.append((f2, fired, base | fired, props))
+        return tuple(moves)
+
     def _build(self):
-        nfa = self.nfa
+        table: Dict[Tuple[int, FrozenSet[str]], tuple] = {}
+        collab_sets: Dict[str, set] = {}
+        label_of = self.wts.label
         start = self.wts.initial
-        base0, optional0 = self._split_label(start)
         initial_states = []
-        for f0 in sorted(nfa.initial):
-            for f in sorted(set(nfa.successors(f0)) | {f0}):
-                guard = nfa.guard(f0, f)
-                if guard is None:
-                    continue
-                fired = self._select_emit(guard, base0, optional0)
-                if fired is None:
-                    continue
+        for f0 in sorted(self.nfa.initial):
+            table[f0, label_of(start)] = moves = self._moves(f0, label_of(start))
+            for f, fired, emit, props in moves:
                 state = (start, f)
                 if state not in self.entry_info:
                     initial_states.append(state)
-                    self.entry_info[state] = (fired, base0 | fired)
-                    self._note_collab(state, nfa.guard(f0, f), f0, f)
+                    self.entry_info[state] = (fired, emit)
+                    for prop in props:
+                        collab_sets.setdefault(prop, set()).add(state)
         self.initial = tuple(sorted(initial_states))
         seen = set(self.initial)
         queue = deque(self.initial)
@@ -121,15 +133,15 @@ class ProductPa:
             region, f = state
             out = []
             for succ_region, weight in self.wts.adjacency[region]:
-                base, optional = self._split_label(succ_region)
-                for f2 in nfa.successors(f):
-                    guard = nfa.guard(f, f2)
-                    fired = self._select_emit(guard, base, optional)
-                    if fired is None:
-                        continue
+                key = (f, label_of(succ_region))
+                moves = table.get(key)
+                if moves is None:
+                    moves = table[key] = self._moves(*key)
+                for f2, fired, emit, props in moves:
                     target = (succ_region, f2)
-                    out.append((target, weight, fired, base | fired))
-                    self._note_collab(target, guard, f, f2)
+                    out.append((target, weight, fired, emit))
+                    for prop in props:
+                        collab_sets.setdefault(prop, set()).add(target)
                     if target not in seen:
                         seen.add(target)
                         queue.append(target)
@@ -137,24 +149,12 @@ class ProductPa:
             for target, weight, fired, emit in out:
                 self.edge_info[(state, target)] = (weight, fired, emit)
         self.adjacency = adjacency
-        self.accepting = frozenset(s for s in seen if s[1] in nfa.accepting)
+        self.accepting = frozenset(s for s in seen if s[1] in self.nfa.accepting)
         # collaborative states must be reachable product states
         self.collab = {
-            prop: frozenset(s for s in self._collab_sets.get(prop, ()) if s in seen)
+            prop: frozenset(s for s in collab_sets.get(prop, ()) if s in seen)
             for _occ, prop in self.assigned
         }
-
-    def _note_collab(self, state: State, guard: Guard, f_from: int, f_to: int):
-        if f_from == f_to:
-            return
-        witnesses = guard.minimal_witnesses()
-        if not witnesses:
-            return
-        required = frozenset.intersection(*witnesses)
-        region_label = self.wts.label(state[0])
-        for _occ, prop in self.assigned:
-            if prop in required and prop in region_label:
-                self._collab_sets.setdefault(prop, set()).add(state)
 
     # -- queries ----------------------------------------------------------
 
@@ -237,25 +237,6 @@ class Strategy:
     def label_trace(self) -> List[FrozenSet[str]]:
         """Per-position emitted labels, suitable for automaton acceptance checks."""
         return list(self.emits)
-
-
-def initial_run(pa: ProductPa) -> Strategy:
-    """Weight-minimal accepting run found by Dijkstra on the product."""
-    if not pa.accepting:
-        raise NoAcceptingPath(f"robot {pa.wts.robot_id}: empty accepting set")
-    try:
-        _cost, path = shortest_path(pa.plain_adjacency(), pa.initial, pa.accepting)
-    except Unreachable as exc:
-        raise NoAcceptingPath(str(exc)) from None
-    return Strategy(pa, path)
-
-
-def path_through(pa: ProductPa, anchor: State, via: State) -> List[State]:
-    """Shortest run suffix from ``anchor`` through ``via`` to an accepting state."""
-    adjacency = pa.plain_adjacency()
-    _c1, leg1 = shortest_path(adjacency, [anchor], [via])
-    _c2, leg2 = shortest_path(adjacency, [via], pa.accepting)
-    return leg1 + leg2[1:]
 
 
 class PrunedPa:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .alloc import Assignment
-from .errors import ProtocolStuck
+from .errors import LevelDisconnected, ProtocolStuck
 from .mission import Mission, Occurrence
 from .product import PrunedPa, State, Strategy
 from .schedule import CostReport, Timeline, compute_time_cost
@@ -219,7 +219,7 @@ def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
                 continue
         try:
             tail = pruned.best_chain_from(level, candidate)
-        except Exception:
+        except LevelDisconnected:
             continue
         new_choice = list(choice[:level]) + tail
         new_timeline = choice_timeline(pruned, new_choice)

@@ -3,14 +3,20 @@
 Everything here deliberately avoids the production code paths: trace
 satisfaction is evaluated directly on the formula tree, shortest paths use
 Bellman-Ford, and combinatorial questions are settled by exhaustive
-enumeration.
+enumeration.  The exceptions are the test-only product helpers at the end,
+which build on the production product automaton: ``ReferenceProductPa``
+keeps its original edge-by-edge construction as a reference for the
+table-driven one.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import chain, combinations, product
+from typing import List
 
+from fleetplan.errors import NoAcceptingPath, Unreachable
 from fleetplan.ltl import (
     And,
     Atom,
@@ -23,6 +29,8 @@ from fleetplan.ltl import (
     TrueF,
     Until,
 )
+from fleetplan.product import ProductPa, State, Strategy
+from fleetplan.search import shortest_path
 
 
 def eval_trace(f: Formula, trace) -> bool:
@@ -152,3 +160,97 @@ def interleavings(left, right, cap=None):
 
     rec([], tuple(left), tuple(right))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Product helpers (test-only)
+# ---------------------------------------------------------------------------
+
+
+def initial_run(pa: ProductPa) -> Strategy:
+    """Weight-minimal accepting run found by Dijkstra on the product."""
+    if not pa.accepting:
+        raise NoAcceptingPath(f"robot {pa.wts.robot_id}: empty accepting set")
+    try:
+        _cost, path = shortest_path(pa.plain_adjacency(), pa.initial, pa.accepting)
+    except Unreachable as exc:
+        raise NoAcceptingPath(str(exc)) from None
+    return Strategy(pa, path)
+
+
+def path_through(pa: ProductPa, anchor: State, via: State) -> List[State]:
+    """Shortest run suffix from ``anchor`` through ``via`` to an accepting state."""
+    adjacency = pa.plain_adjacency()
+    _c1, leg1 = shortest_path(adjacency, [anchor], [via])
+    _c2, leg2 = shortest_path(adjacency, [via], pa.accepting)
+    return leg1 + leg2[1:]
+
+
+class ReferenceProductPa(ProductPa):
+    """The product built edge by edge: guard, label split and firing set per edge."""
+
+    def _split_label(self, region: str):
+        label = self.wts.label(region)
+        return label - self.collab_props, label & self._assigned_props
+
+    def _build(self):
+        self._collab_sets = {}
+        nfa = self.nfa
+        start = self.wts.initial
+        base0, optional0 = self._split_label(start)
+        initial_states = []
+        for f0 in sorted(nfa.initial):
+            for f in sorted(set(nfa.successors(f0)) | {f0}):
+                guard = nfa.guard(f0, f)
+                if guard is None:
+                    continue
+                fired = self._select_emit(guard, base0, optional0)
+                if fired is None:
+                    continue
+                state = (start, f)
+                if state not in self.entry_info:
+                    initial_states.append(state)
+                    self.entry_info[state] = (fired, base0 | fired)
+                    self._note_collab(state, nfa.guard(f0, f), f0, f)
+        self.initial = tuple(sorted(initial_states))
+        seen = set(self.initial)
+        queue = deque(self.initial)
+        adjacency = {}
+        while queue:
+            state = queue.popleft()
+            region, f = state
+            out = []
+            for succ_region, weight in self.wts.adjacency[region]:
+                base, optional = self._split_label(succ_region)
+                for f2 in nfa.successors(f):
+                    guard = nfa.guard(f, f2)
+                    fired = self._select_emit(guard, base, optional)
+                    if fired is None:
+                        continue
+                    target = (succ_region, f2)
+                    out.append((target, weight, fired, base | fired))
+                    self._note_collab(target, guard, f, f2)
+                    if target not in seen:
+                        seen.add(target)
+                        queue.append(target)
+            adjacency[state] = tuple(sorted(out))
+            for target, weight, fired, emit in out:
+                self.edge_info[(state, target)] = (weight, fired, emit)
+        self.adjacency = adjacency
+        self.accepting = frozenset(s for s in seen if s[1] in nfa.accepting)
+        self.collab = {
+            prop: frozenset(s for s in self._collab_sets.get(prop, ()) if s in seen)
+            for _occ, prop in self.assigned
+        }
+
+    def _note_collab(self, state, guard, f_from: int, f_to: int):
+        if f_from == f_to:
+            return
+        witnesses = guard.minimal_witnesses()
+        if not witnesses:
+            return
+        required = frozenset.intersection(*witnesses)
+        region_label = self.wts.label(state[0])
+        for _occ, prop in self.assigned:
+            if prop in required and prop in region_label:
+                self._collab_sets.setdefault(prop, set()).add(state)

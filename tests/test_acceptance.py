@@ -16,11 +16,11 @@ from fleetplan.errors import FleetplanError, InfeasibleMission
 from fleetplan.framework import run_framework
 from fleetplan.ltl import atoms_of, nfa_accepts, to_nfa
 from fleetplan.mission import Mission
-from fleetplan.product import build_local_formula, build_product, initial_run, prune_product
+from fleetplan.product import build_local_formula, build_product, prune_product
 from fleetplan.scenario import generate
 from fleetplan.world import build_wts
 
-from oracles import all_traces, eval_trace, random_formula
+from oracles import all_traces, eval_trace, initial_run, random_formula
 from test_alloc import brute_force_solutions, enumerate_all, make_fleet, make_tasks
 
 

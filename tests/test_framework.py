@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from fleetplan import framework
 from fleetplan.cli import main as cli_main
 from fleetplan.errors import InfeasibleMission, ScenarioError
-from fleetplan.framework import run_framework, write_reports
+from fleetplan.framework import WALL_COLUMNS, run_framework, write_reports
 from fleetplan.scenario import Scenario, generate
 
 
@@ -265,3 +266,64 @@ def test_cli_module_entry_point(tmp_path):
         env={**os.environ, "PYTHONPATH": pythonpath})
     assert result.returncode == 0
     assert '"schemaVersion": 1' in result.stdout
+
+
+def _plan_outputs(sc, out_dir):
+    """schedule.json and metrics.csv without the wall-clock columns."""
+    write_reports(run_framework(sc), out_dir)
+    with open(out_dir / "metrics.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, col in enumerate(rows[0]) if col not in WALL_COLUMNS]
+    return (out_dir / "schedule.json").read_text(), [[row[i] for i in keep] for row in rows]
+
+
+def test_synthesis_cache_builds_each_key_once(tmp_path, monkeypatch):
+    sc = generate(seed=1, robots=4, collab=3, grid=(6, 6), individual_per_robot=1)
+    sc.options.max_assignments = 30
+    keys = []
+    real_build = framework.build_product
+
+    def counting_build(wts, nfa, assigned, collab_props):
+        keys.append((wts.robot_id, tuple(assigned)))
+        return real_build(wts, nfa, assigned, collab_props)
+
+    monkeypatch.setattr(framework, "build_product", counting_build)
+    cached = _plan_outputs(sc, tmp_path / "cached")
+    cached_keys = list(keys)
+    assert cached_keys and len(cached_keys) == len(set(cached_keys))
+
+    # reference: every assignment synthesizes its robots from scratch
+    real_evaluate = framework._evaluate_assignment
+
+    def fresh_evaluate(scenario, mission, assignment, wts, collab_props, _cache, row):
+        return real_evaluate(scenario, mission, assignment, wts, collab_props, {}, row)
+
+    monkeypatch.setattr(framework, "_evaluate_assignment", fresh_evaluate)
+    keys.clear()
+    fresh = _plan_outputs(sc, tmp_path / "fresh")
+    assert len(keys) > len(cached_keys)
+    assert set(keys) == set(cached_keys)
+    assert cached == fresh
+
+
+def test_local_state_limit_becomes_infeasible_row(monkeypatch):
+    sc = generate(seed=1, robots=4, collab=3, grid=(6, 6), individual_per_robot=1)
+    sc.options.max_assignments = 12
+    real_to_nfa = framework.to_nfa
+    calls = []
+
+    def capped_to_nfa(phi, state_cap=20_000):
+        # the first call translates the collaborative formula, the rest are local
+        calls.append(phi)
+        return real_to_nfa(phi, state_cap if len(calls) == 1 else 1)
+
+    monkeypatch.setattr(framework, "to_nfa", capped_to_nfa)
+    report = run_framework(sc)
+    synthesized = [r for r in report.rows if r.status != "filtered"]
+    assert len(synthesized) > 1
+    for row in synthesized:
+        assert row.status == "infeasible"
+        assert "exceeds 1 states" in row.detail
+    assert report.incumbent is None
+    # a key whose synthesis failed is remembered, not translated again
+    assert len(calls) - 1 < len(synthesized)

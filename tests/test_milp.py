@@ -9,7 +9,7 @@ import pytest
 from fleetplan.alloc import Assignment
 from fleetplan.errors import BudgetExceeded
 from fleetplan.ltl import parse_formula, to_nfa
-from fleetplan.milp import build_milp, emit_lp, solve_exact
+from fleetplan.milp import MilpModel, Row, build_milp, emit_lp, solve_exact
 from fleetplan.mission import Mission
 from fleetplan.product import build_local_formula, build_product, prune_product
 from fleetplan.protocol import ProtocolContext, choice_timeline, run_protocol
@@ -221,6 +221,25 @@ def test_lp_round_trip_preserves_model():
         assert terms == expected, row.name
         assert sense == row.sense
         assert rhs == row.rhs
+
+
+def test_lp_round_trip_is_exact_for_non_unit_weights():
+    weights = [0.1234567, 1234567.0, 2.5e-07, 98765432.125]
+    rows = [
+        Row(f"w{i}", ((w, "y_a"), (-w, "t_b"), (1.0, "z")), sense, -w if i % 2 else w)
+        for i, (w, sense) in enumerate(zip(weights, ["<=", ">=", "=", "<="]))
+    ]
+    model = MilpModel(tuple((w, f"t_{i}") for i, w in enumerate(weights)), rows,
+                      ("y_a",), ("t_b", "z"), {0: 1234567.0})
+    buf = io.StringIO()
+    emit_lp(model, buf)
+    assert "e+" not in buf.getvalue() and "e-" not in buf.getvalue()
+    objective, parsed, binaries = parse_lp(buf.getvalue())
+    assert objective == {f"t_{i}": w for i, w in enumerate(weights)}
+    assert binaries == {"y_a"}
+    for row in rows:
+        assert parsed[row.name] == ({"y_a": row.terms[0][0], "t_b": row.terms[1][0], "z": 1.0},
+                                    row.sense, row.rhs)
 
 
 def test_empty_model_emits_trivial_objective():

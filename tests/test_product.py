@@ -8,14 +8,13 @@ from fleetplan.errors import NoAcceptingPath
 from fleetplan.ltl import format_formula, nfa_accepts, parse_formula, to_nfa
 from fleetplan.product import (
     build_local_formula,
+    ProductPa,
     build_product,
-    initial_run,
-    path_through,
     prune_product,
 )
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import bellman_ford
+from oracles import ReferenceProductPa, bellman_ford, initial_run, path_through, random_formula
 
 
 def corridor_setup(length=5, tasks=(), formula="true", start="q0_0", collab_props=()):
@@ -188,3 +187,34 @@ def test_path_through_matches_two_leg_oracle():
         weight = sum(pa.edge_info[(a, b)][0] for a, b in zip(suffix, suffix[1:]))
         expected = oracle_dist(anchor, [via]) + oracle_dist(via, pa.accepting)
         assert weight == expected
+
+
+def test_table_product_matches_edge_by_edge_reference():
+    # ts1 and ct1 share a region; the start region carries ts2 on some grids
+    rng = random.Random(31)
+    collab_props = frozenset({"ct1", "ct2"})
+    initial_self_loop = []  # per non-empty product
+    for trial in range(40):
+        start = rng.choice(["q0_0", "q1_1"])
+        fleet = Fleet(("c1",), (Robot(0, frozenset({"c1"}), start),))
+        tasks = [
+            TaskReq("ts1", "q2_2", {"c1": 1}, owner=0),
+            TaskReq("ct1", "q2_2", {"c1": 1}),
+            TaskReq("ct2", "q0_2", {"c1": 1}),
+            TaskReq("ts2", rng.choice(["q1_1", "q2_0"]), {"c1": 1}, owner=0),
+        ]
+        wts = build_wts(grid_world(3, 3), fleet, tasks, 0)
+        assigned = [((1, 1), "ct1"), ((1, 2), "ct2")][:rng.randint(0, 2)]
+        nfa = to_nfa(build_local_formula(random_formula(rng, ["ts1", "ts2"], 3), assigned))
+        pa = ProductPa(wts, nfa, assigned, collab_props)
+        ref = ReferenceProductPa(wts, nfa, assigned, collab_props)
+        assert pa.initial == ref.initial, trial
+        assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
+        assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
+        assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
+        assert pa.collab == ref.collab, trial
+        assert pa.accepting == ref.accepting, trial
+        if pa.edge_info:
+            initial_self_loop += [(f0, f0) in nfa.transitions for f0 in nfa.initial]
+    assert len(initial_self_loop) >= 15
+    assert set(initial_self_loop) == {True, False}
