@@ -1,18 +1,29 @@
-"""Collaborative task allocation: all-solutions enumeration with blocking clauses.
+"""Collaborative task allocation: every solution once, in lexicographic order.
 
-The allocation constraints are purely Boolean plus cardinality, so a small
-dedicated DPLL solver keeps enumeration deterministic and dependency-free:
-branching picks the lowest-index unassigned variable, trying false before
-true, and every returned assignment is immediately blocked.
+The assignment variables are robot-major, ``x[r_i * n_occ + o_i]``.  A
+depth-first search decides them in index order, false before true, and keeps
+its stack between calls, so successive calls return the satisfying vectors in
+increasing lexicographic order (false < true), each exactly once.
+
+A branch is cut as soon as one synchronized element can no longer be staffed:
+each undecided robot serves at most one occurrence of it and counts toward
+every required capability it holds.  The test is exact and memoised on the
+element's residual demand and first undecided robot; elements share no
+variables, so without coordinator pairs no surviving branch is a dead end.
+A coordinator pair is cut once no robot can still be in both elements, and
+every leaf re-checks the pairs exactly.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .errors import FleetplanError
+from .errors import BudgetExceeded, FleetplanError
 from .mission import Mission, Occurrence
 from .world import Fleet, TaskReq
+
+DEADLINE_EVERY = 256  # search nodes between deadline checks
 
 
 class Assignment:
@@ -34,11 +45,6 @@ class Assignment:
                     self._by_occ[occ].add(robot)
             self._by_robot[robot] = tuple(sorted(mine))
 
-    def value(self, robot: int, occ: Occurrence) -> bool:
-        i = self.robots.index(robot)
-        j = self.occurrences.index(occ)
-        return self.vector[i * len(self.occurrences) + j]
-
     def tasks_of(self, robot: int) -> Tuple[Occurrence, ...]:
         """The robot's occurrences in increasing (k, l) order."""
         return self._by_robot.get(robot, ())
@@ -58,12 +64,7 @@ class Assignment:
 
 
 class AllocModel:
-    """Clause store over assignment variables plus enumeration state.
-
-    Variables are robot-major: ``x[r_i * n_occ + o_i]``.  Auxiliary variables
-    introduced for the coordination constraint sit after the assignment
-    block and are excluded from blocking and enumeration.
-    """
+    """The allocation constraints and the state of their resumable enumeration."""
 
     def __init__(self, mission: Mission, fleet: Fleet, tasks: Sequence[TaskReq],
                  comm_pairs: Iterable[Tuple[int, int]] = ()):
@@ -74,160 +75,157 @@ class AllocModel:
         self.robots = tuple(sorted(fleet.robot_ids()))
         self.occurrences = mission.sorted_occurrences
         self.n_x = len(self.robots) * len(self.occurrences)
-        self.n_vars = self.n_x
-        self.clauses: list[Tuple[int, ...]] = []
-        self.atleasts: list[Tuple[int, Tuple[int, ...]]] = []
-        self.blocked: list[Tuple[bool, ...]] = []
-        self._encode()
+        self.deadline: Optional[float] = None
+        elements = list(mission.elements())
+        index = {occ: j for j, occ in enumerate(self.occurrences)}
+        fleet_robots = sorted(fleet.robots, key=lambda rb: rb.robot_id)
+        # per element: demand slots (one per required capability of each
+        # occurrence), which slots robot i fills at its a-th occurrence, how
+        # many robots from i on hold each slot's capability, each
+        # occurrence's slot range, and the index of its last occurrence
+        self._demand, self._hits, self._supply, self._spans, self._last = [], [], [], [], []
+        self._where = [None] * len(self.occurrences)  # occurrence -> (element, local index)
+        for e, elem in enumerate(elements):
+            occs = mission.element_occurrences(elem)
+            demand, slots = [], []
+            for a, occ in enumerate(occs):
+                self._where[index[occ]] = (e, a)
+                reqs = self.tasks[mission.task_of(occ)].requirements
+                slots.append([(len(demand) + s, cap) for s, cap in enumerate(sorted(reqs))])
+                demand.extend(reqs[cap] for cap in sorted(reqs))
+            self._demand.append(tuple(demand))
+            self._hits.append([
+                [tuple(s for s, cap in occ_slots if cap in robot.capabilities)
+                 for occ_slots in slots]
+                for robot in fleet_robots])
+            self._supply.append([
+                [sum(cap in rb.capabilities for rb in fleet_robots[i:])
+                 for i in range(len(fleet_robots) + 1)]
+                for occ_slots in slots for _s, cap in occ_slots])
+            self._spans.append([(occ_slots[0][0], occ_slots[-1][0] + 1)
+                                for occ_slots in slots if occ_slots])
+            self._last.append(index[occs[-1]])
+        position = {elem: e for e, elem in enumerate(elements)}
+        self._pairs = [(position[(k, m)], position[(k, m + 1)]) for k, m in self.comm_pairs]
+        self._pairs_of = [[pair for pair in self._pairs if e in pair]
+                          for e in range(len(elements))]
+        self._memo: Dict[tuple, bool] = {}
+        self._solutions = self._search()
 
-    def var(self, robot: int, occ: Occurrence) -> int:
-        return self.robots.index(robot) * len(self.occurrences) + self.occurrences.index(occ)
+    def _feasible(self, e: int, resid: Tuple[int, ...], i: int, a: int) -> bool:
+        """Whether robots ``i..`` can still meet element ``e``'s residual demand.
 
-    def _new_aux(self) -> int:
-        v = self.n_vars
-        self.n_vars += 1
-        return v
-
-    def _encode(self):
-        # (1) staffing: each occurrence gets the required robots per capability
-        for occ in self.occurrences:
-            task = self.tasks[self.mission.task_of(occ)]
-            for cap in sorted(task.requirements):
-                count = task.requirements[cap]
-                holders = sorted(self.fleet.with_capability(cap))
-                lits = tuple(self.var(r, occ) + 1 for r in holders)
-                if len(lits) < count:
-                    self.clauses.append(())  # unsatisfiable requirement
-                else:
-                    self.atleasts.append((count, lits))
-        # (2) one task per robot within a synchronized element
-        for elem in self.mission.elements():
-            occs = self.mission.element_occurrences(elem)
-            for a in range(len(occs)):
-                for b in range(a + 1, len(occs)):
-                    for r in self.robots:
-                        self.clauses.append((-(self.var(r, occs[a]) + 1),
-                                             -(self.var(r, occs[b]) + 1)))
-        # (3) coordinator overlap between selected consecutive elements
-        for k, m in self.comm_pairs:
-            first = self.mission.element_occurrences((k, m))
-            second = self.mission.element_occurrences((k, m + 1))
-            aux_lits = []
-            for r in self.robots:
-                a = self._new_aux()
-                b = self._new_aux()
-                both = self._new_aux()
-                self._define_or(a, [self.var(r, occ) for occ in first])
-                self._define_or(b, [self.var(r, occ) for occ in second])
-                self.clauses.append((-(both + 1), a + 1))
-                self.clauses.append((-(both + 1), b + 1))
-                self.clauses.append((both + 1, -(a + 1), -(b + 1)))
-                aux_lits.append(both + 1)
-            self.clauses.append(tuple(aux_lits))
-
-    def _define_or(self, var: int, members: Sequence[int]):
-        self.clauses.append((-(var + 1),) + tuple(m + 1 for m in members))
-        for m in members:
-            self.clauses.append((var + 1, -(m + 1)))
-
-    def block(self, vector: Sequence[bool]):
-        self.blocked.append(tuple(vector))
-
-    def blocking_clauses(self) -> list[Tuple[int, ...]]:
-        out = []
-        for vector in self.blocked:
-            out.append(tuple((-(v + 1) if value else v + 1) for v, value in enumerate(vector)))
-        return out
-
-    def dump(self) -> str:
-        """Debug text form: header, then one clause or cardinality row per line.
-
-        Clauses are DIMACS-style literal lists terminated by 0; cardinality
-        rows are ``>= <k>`` followed by their literals and the terminator.
+        Robot ``i`` may take only the element's occurrences from local index
+        ``a`` on; later robots may take any.  Each takes at most one.
         """
-        lines = [f"p alloc {self.n_vars}"]
-        for k, lits in self.atleasts:
-            lines.append(f">= {k} " + " ".join(map(str, lits)) + " 0")
-        for clause in self.clauses + self.blocking_clauses():
-            lines.append(" ".join(map(str, clause)) + " 0")
-        return "\n".join(lines) + "\n"
+        key = (e, resid, i, a)
+        known = self._memo.get(key)
+        if known is None:
+            known = not any(resid)
+            # necessary: enough holders per capability, and enough robots
+            # to give every occurrence its largest residual count
+            if not known and all(need <= supply[i] for need, supply in
+                                 zip(resid, self._supply[e])) \
+                    and sum(max(resid[lo:hi]) for lo, hi in self._spans[e]) \
+                    <= len(self.robots) - i:
+                for hits in self._hits[e][i][a:]:
+                    useful = [s for s in hits if resid[s]]
+                    if useful:
+                        left = list(resid)
+                        for s in useful:
+                            left[s] -= 1
+                        if self._feasible(e, tuple(left), i + 1, 0):
+                            known = True
+                            break
+                else:
+                    known = self._feasible(e, resid, i + 1, 0)
+            self._memo[key] = known
+        return known
 
+    def _search(self):
+        """Generator of the satisfying vectors in lexicographic order."""
+        n_occ, n_robots = len(self.occurrences), len(self.robots)
+        resid = [list(d) for d in self._demand]
+        booked = [[False] * n_robots for _ in self._demand]
+        undo = [()] * self.n_x  # demand slots filled by each true decision
+        x = [False] * self.n_x
+        if not all(self._feasible(e, tuple(d), 0, 0) for e, d in enumerate(self._demand)):
+            return
 
-def _propagate(n_vars, clauses, atleasts, assign) -> bool:
-    changed = True
-    while changed:
-        changed = False
-        for clause in clauses:
-            unassigned = None
-            satisfied = False
-            count = 0
-            for lit in clause:
-                v = abs(lit) - 1
-                val = assign[v]
-                if val is None:
-                    unassigned = lit
-                    count += 1
-                elif val == (lit > 0):
-                    satisfied = True
+        def unbook(q):  # undo the true decision at position q
+            r, j = divmod(q, n_occ)
+            e = self._where[j][0]
+            booked[e][r] = False
+            for s in undo[q]:
+                resid[e][s] += 1
+
+        p, value, nodes = 0, False, 0
+        while True:
+            if p == self.n_x:  # a leaf: some robot must be booked in both elements of each pair
+                if all(any(map(min, booked[e1], booked[e2])) for e1, e2 in self._pairs):
+                    yield tuple(x)
+            else:
+                nodes += 1
+                if nodes % DEADLINE_EVERY == 0 and self.deadline is not None \
+                        and time.perf_counter() > self.deadline:
+                    raise BudgetExceeded("allocation search ran past the deadline")
+                r, j = divmod(p, n_occ)
+                e, a = self._where[j]
+                if not (value and booked[e][r]):  # one occurrence per element
+                    if value:
+                        booked[e][r] = True
+                        undo[p] = tuple(s for s in self._hits[e][r][a] if resid[e][s])
+                        for s in undo[p]:
+                            resid[e][s] -= 1
+                    done = booked[e][r] or j == self._last[e]  # r is through with e
+                    if self._feasible(e, tuple(resid[e]), r + done, 0 if done else a + 1) \
+                            and (r < n_robots - 1 or self._pairs_open(e, booked, r, j)):
+                        x[p] = value
+                        p, value = p + 1, False
+                        continue
+                    if value:
+                        unbook(p)
+                if not value:
+                    value = True
+                    continue
+            # back up to the deepest false decision and flip it
+            while True:
+                if p == 0:
+                    return
+                p -= 1
+                if not x[p]:
+                    value = True
                     break
-            if satisfied:
-                continue
-            if count == 0:
+                x[p] = False
+                unbook(p)
+
+    def _pairs_open(self, e, booked, r, j) -> bool:
+        """Whether each coordinator pair of element ``e`` can still share a robot.
+
+        Called while the last robot ``r`` decides position ``j``: earlier
+        robots are fixed, and ``r`` can still join an element it has not
+        decided to its end.
+        """
+        for pair in self._pairs_of[e]:
+            if not any(all(booked[f][s] or (s == r and j < self._last[f]) for f in pair)
+                       for s in range(len(self.robots))):
                 return False
-            if count == 1:
-                v = abs(unassigned) - 1
-                assign[v] = unassigned > 0
-                changed = True
-        for k, lits in atleasts:
-            true_count = 0
-            open_lits = []
-            for lit in lits:
-                v = abs(lit) - 1
-                val = assign[v]
-                if val is None:
-                    open_lits.append(lit)
-                elif val == (lit > 0):
-                    true_count += 1
-            if true_count >= k:
-                continue
-            if true_count + len(open_lits) < k:
-                return False
-            if true_count + len(open_lits) == k:
-                for lit in open_lits:
-                    assign[abs(lit) - 1] = lit > 0
-                changed = True
-    return True
+        return True
 
 
-def _search(n_vars, clauses, atleasts, assign) -> Optional[list]:
-    if not _propagate(n_vars, clauses, atleasts, assign):
-        return None
-    try:
-        v = assign.index(None)
-    except ValueError:
-        return list(assign)
-    for value in (False, True):
-        trial = list(assign)
-        trial[v] = value
-        result = _search(n_vars, clauses, atleasts, trial)
-        if result is not None:
-            return result
-    return None
+def next_assignment(model: AllocModel, deadline: Optional[float] = None) -> Optional[Assignment]:
+    """The next satisfying assignment in lexicographic order, or None when exhausted.
 
-
-def next_assignment(model: AllocModel) -> Optional[Assignment]:
-    """The next satisfying assignment in enumeration order, or None when exhausted.
-
-    The returned assignment is blocked immediately, so repeated calls walk
-    the full solution set exactly once.
+    ``deadline`` is a ``time.perf_counter()`` value.  Once it has passed, on
+    entry or during the search, ``BudgetExceeded`` is raised; a raise from
+    inside the search ends the model's enumeration.
     """
-    clauses = model.clauses + model.blocking_clauses()
-    assign = [None] * model.n_vars
-    solution = _search(model.n_vars, clauses, model.atleasts, assign)
-    if solution is None:
+    if deadline is not None and time.perf_counter() > deadline:
+        raise BudgetExceeded("allocation deadline passed")
+    model.deadline = deadline
+    vector = next(model._solutions, None)
+    if vector is None:
         return None
-    vector = tuple(bool(v) for v in solution[: model.n_x])
-    model.block(vector)
     assignment = Assignment(model.robots, model.occurrences, vector)
     problems = check_assignment(model, assignment)
     if problems:

@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--adjust", type=_onoff, default=None, metavar="on|off")
     plan.add_argument("--oracle", type=_onoff, default=None, metavar="on|off")
     plan.add_argument("--emit-lp", metavar="DIR", default=None,
-                      help="write one LP file per evaluated assignment")
+                      help="write the incumbent assignment's LP file")
     plan.add_argument("--budget", type=float, default=None, metavar="SECS")
     plan.add_argument("--max-assignments", type=int, default=None, metavar="K")
     plan.add_argument("--seed", type=int, default=None, metavar="S")

@@ -62,7 +62,7 @@ class ProtocolStuck(FleetplanError):
 
 
 class BudgetExceeded(FleetplanError):
-    """The exact optimizer's combination count exceeds the configured cap."""
+    """A configured cap or the time budget is exhausted (oracle or allocation)."""
 
 
 class InfeasibleMission(FleetplanError):

@@ -35,7 +35,7 @@ from .mission import Mission, build_mission, decomposition_states, prune_nfa, sh
 from .product import PrunedPa, Strategy, build_local_formula, build_product, prune_product
 from .protocol import NetSim, ProtocolContext, choice_timeline, run_protocol
 from .scenario import Scenario
-from .schedule import SimResult, compute_time_cost, simulate
+from .schedule import SimResult, compute_time_cost, local_traces_accepted, simulate
 from .world import build_wts
 
 
@@ -61,6 +61,7 @@ class AssignmentRow:
     collab_accepted: Optional[bool] = None
     locals_accepted: Optional[bool] = None
     element_sync_ok: Optional[bool] = None
+    element_order_ok: Optional[bool] = None
     trace_lines: List[str] = field(default_factory=list)
 
 
@@ -124,16 +125,18 @@ def run_framework(scenario: Scenario) -> RunReport:
     protocol_trace: List[str] = []
     history_vectors: List[Tuple[bool, ...]] = []
     synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> (Nfa, PrunedPa) or error
+    deadline = None if opts.budget_seconds is None else started + opts.budget_seconds
     stopped = "unsat"
     index = 0
     while True:
         if opts.max_assignments is not None and index >= opts.max_assignments:
             stopped = "assignment-cap"
             break
-        if opts.budget_seconds is not None and time.perf_counter() - started > opts.budget_seconds:
+        try:
+            assignment = next_assignment(model, deadline)
+        except BudgetExceeded:
             stopped = "budget"
             break
-        assignment = next_assignment(model)
         if assignment is None:
             stopped = "unsat"
             break
@@ -238,11 +241,8 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
                 for o in final_report.task_times)
     )
     row.element_sync_ok = sim.element_sync_ok
-    local_ok = True
-    for r, strategy in strategies.items():
-        if not nfa_accepts(nfas[r], strategy.label_trace()):
-            local_ok = False
-    row.locals_accepted = local_ok
+    row.element_order_ok = sim.element_order_ok
+    row.locals_accepted = all(local_traces_accepted(strategies, nfas).values())
     return PlanOutput(row.index, assignment, strategies, sim, final_report.total)
 
 
@@ -254,7 +254,7 @@ METRIC_COLUMNS = [
     "assignment", "status", "detail", "t_init", "t_adjusted", "oracle_j",
     "cycles", "messages", "product_states", "max_level_width", "product_edges",
     "sim_matches", "collab_accepted", "locals_accepted", "element_sync_ok",
-    "wall_prune_avg", "wall_adjust", "wall_oracle",
+    "element_order_ok", "wall_prune_avg", "wall_adjust", "wall_oracle",
 ]
 
 WALL_COLUMNS = {"wall_prune_avg", "wall_adjust", "wall_oracle"}
@@ -272,6 +272,7 @@ def write_metrics_csv(report: RunReport, path):
                 row.max_level_width, row.product_edges,
                 _flag(row.sim_matches), _flag(row.collab_accepted),
                 _flag(row.locals_accepted), _flag(row.element_sync_ok),
+                _flag(row.element_order_ok),
                 f"{row.wall_prune_avg:.6f}", f"{row.wall_adjust:.6f}",
                 f"{row.wall_oracle:.6f}",
             ])

@@ -387,44 +387,6 @@ def simplify(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def progress(f: Formula, labels: FrozenSet[str]) -> Formula:
-    """One-step syntactic derivative: the obligation left after reading a label set."""
-    if isinstance(f, (TrueF, FalseF)):
-        return f
-    if isinstance(f, Atom):
-        return TRUE if f.name in labels else FALSE
-    if isinstance(f, Not):
-        return Not(progress(f.child, labels))
-    if isinstance(f, And):
-        return And(*[progress(c, labels) for c in f.children])
-    if isinstance(f, Or):
-        return Or(*[progress(c, labels) for c in f.children])
-    if isinstance(f, Eventually):
-        return Or(progress(f.child, labels), f)
-    if isinstance(f, Always):
-        return And(progress(f.child, labels), f)
-    if isinstance(f, Until):
-        return Or(progress(f.right, labels), And(progress(f.left, labels), f))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def eval_empty(f: Formula) -> bool:
-    """Whether the empty trace satisfies ``f``."""
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, (FalseF, Atom, Eventually, Until)):
-        return False
-    if isinstance(f, Not):
-        return not eval_empty(f.child)
-    if isinstance(f, And):
-        return all(eval_empty(c) for c in f.children)
-    if isinstance(f, Or):
-        return any(eval_empty(c) for c in f.children)
-    if isinstance(f, Always):
-        return True
-    raise TypeError(f"not a formula: {f!r}")
-
-
 class Nfa:
     """Finite automaton with guard-labeled transitions.
 

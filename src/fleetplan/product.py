@@ -167,9 +167,6 @@ class ProductPa:
             out[state] = tuple((t, w) for t, w, fired, _e in edges if not fired)
         return out
 
-    def plain_adjacency(self) -> Dict[State, Tuple[Tuple[State, float], ...]]:
-        return {s: tuple((t, w) for t, w, _f, _e in edges) for s, edges in self.adjacency.items()}
-
 
 def build_product(wts: Wts, nfa: Nfa, assigned: Sequence[Tuple[Occurrence, str]],
                   collab_props: FrozenSet[str]) -> ProductPa:
@@ -365,15 +362,6 @@ class PrunedPa:
             raise LevelDisconnected("no initial state reaches the accepting level")
         return self.best_chain_from(0, best[1])
 
-    def choice_weight(self, choice: Sequence[State]) -> float:
-        total = 0.0
-        for li, (a, b) in enumerate(zip(choice, choice[1:])):
-            w = self.edge_weight(li, a, b)
-            if w is None:
-                raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
-            total += w
-        return total
-
     def expand(self, choice: Sequence[State]) -> Strategy:
         """Expand a level choice into a concrete strategy via edge witnesses."""
         if len(choice) != len(self.levels):
@@ -386,10 +374,6 @@ class PrunedPa:
                 raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
             run.extend(edge[1][1:])
         return Strategy(self.pa, run)
-
-    def initial_strategy(self) -> Tuple[List[State], Strategy]:
-        choice = self.shortest_choice()
-        return choice, self.expand(choice)
 
     def size_stats(self) -> Dict[str, int]:
         return {

@@ -77,9 +77,6 @@ class Scenario:
     def collaborative_tasks(self) -> Tuple[TaskReq, ...]:
         return tuple(t for t in self.tasks if t.collaborative)
 
-    def individual_tasks(self, robot: int) -> Tuple[TaskReq, ...]:
-        return tuple(t for t in self.tasks if t.owner == robot)
-
     def parsed_individual(self, robot: int) -> Formula:
         return parse_formula(self.individual_formulas.get(robot, "true"))
 

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the production code paths: trace
 satisfaction is evaluated directly on the formula tree, shortest paths use
 Bellman-Ford, and combinatorial questions are settled by exhaustive
-enumeration.  The exceptions are the test-only product helpers at the end,
-which build on the production product automaton: ``ReferenceProductPa``
-keeps its original edge-by-edge construction as a reference for the
-table-driven one.
+enumeration.  ``ReferenceAllocator`` keeps the clause-store DPLL that the
+lexicographic allocator replaced, as a reference for its solution order.
+The exceptions are the test-only product helpers at the end, which build on
+the production product automaton: ``ReferenceProductPa`` keeps its original
+edge-by-edge construction as a reference for the table-driven one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import chain, combinations, product
-from typing import List
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from fleetplan.errors import NoAcceptingPath, Unreachable
 from fleetplan.ltl import (
@@ -29,7 +30,7 @@ from fleetplan.ltl import (
     TrueF,
     Until,
 )
-from fleetplan.product import ProductPa, State, Strategy
+from fleetplan.product import ProductPa, PrunedPa, State, Strategy
 from fleetplan.search import shortest_path
 
 
@@ -163,8 +164,182 @@ def interleavings(left, right, cap=None):
 
 
 # ---------------------------------------------------------------------------
+# Allocation: the clause-store DPLL (reference for the enumeration order)
+# ---------------------------------------------------------------------------
+
+
+class ReferenceAllocator:
+    """All-solutions DPLL over the allocation clauses, blocking each solution.
+
+    Variables are robot-major, ``x[r_i * n_occ + o_i]``; auxiliary variables
+    for the coordination constraint sit after the assignment block.  Branching
+    picks the lowest-index unassigned variable, false before true, and every
+    call re-solves from scratch against all blocking clauses so far.
+    """
+
+    def __init__(self, mission, fleet, tasks, comm_pairs=()):
+        self.mission = mission
+        self.fleet = fleet
+        self.tasks = {t.prop: t for t in tasks}
+        self.comm_pairs = tuple(sorted(comm_pairs))
+        self.robots = tuple(sorted(fleet.robot_ids()))
+        self.occurrences = mission.sorted_occurrences
+        self.n_x = len(self.robots) * len(self.occurrences)
+        self.n_vars = self.n_x
+        self.clauses: list = []
+        self.atleasts: list = []
+        self.blocked: list = []
+        self._encode()
+
+    def var(self, robot, occ) -> int:
+        return self.robots.index(robot) * len(self.occurrences) + self.occurrences.index(occ)
+
+    def _new_aux(self) -> int:
+        v = self.n_vars
+        self.n_vars += 1
+        return v
+
+    def _encode(self):
+        # (1) staffing: each occurrence gets the required robots per capability
+        for occ in self.occurrences:
+            task = self.tasks[self.mission.task_of(occ)]
+            for cap in sorted(task.requirements):
+                count = task.requirements[cap]
+                holders = sorted(self.fleet.with_capability(cap))
+                lits = tuple(self.var(r, occ) + 1 for r in holders)
+                if len(lits) < count:
+                    self.clauses.append(())  # unsatisfiable requirement
+                else:
+                    self.atleasts.append((count, lits))
+        # (2) one task per robot within a synchronized element
+        for elem in self.mission.elements():
+            occs = self.mission.element_occurrences(elem)
+            for a in range(len(occs)):
+                for b in range(a + 1, len(occs)):
+                    for r in self.robots:
+                        self.clauses.append((-(self.var(r, occs[a]) + 1),
+                                             -(self.var(r, occs[b]) + 1)))
+        # (3) coordinator overlap between selected consecutive elements
+        for k, m in self.comm_pairs:
+            first = self.mission.element_occurrences((k, m))
+            second = self.mission.element_occurrences((k, m + 1))
+            aux_lits = []
+            for r in self.robots:
+                a = self._new_aux()
+                b = self._new_aux()
+                both = self._new_aux()
+                self._define_or(a, [self.var(r, occ) for occ in first])
+                self._define_or(b, [self.var(r, occ) for occ in second])
+                self.clauses.append((-(both + 1), a + 1))
+                self.clauses.append((-(both + 1), b + 1))
+                self.clauses.append((both + 1, -(a + 1), -(b + 1)))
+                aux_lits.append(both + 1)
+            self.clauses.append(tuple(aux_lits))
+
+    def _define_or(self, var: int, members):
+        self.clauses.append((-(var + 1),) + tuple(m + 1 for m in members))
+        for m in members:
+            self.clauses.append((var + 1, -(m + 1)))
+
+    def blocking_clauses(self) -> list:
+        return [tuple((-(v + 1) if value else v + 1) for v, value in enumerate(vector))
+                for vector in self.blocked]
+
+    def next_vector(self) -> Optional[Tuple[bool, ...]]:
+        """The next solution's assignment vector, blocked at once; None when exhausted."""
+        clauses = self.clauses + self.blocking_clauses()
+        solution = _dpll_search(clauses, self.atleasts, [None] * self.n_vars)
+        if solution is None:
+            return None
+        vector = tuple(bool(v) for v in solution[: self.n_x])
+        self.blocked.append(vector)
+        return vector
+
+
+def _dpll_propagate(clauses, atleasts, assign) -> bool:
+    changed = True
+    while changed:
+        changed = False
+        for clause in clauses:
+            unassigned = None
+            satisfied = False
+            count = 0
+            for lit in clause:
+                val = assign[abs(lit) - 1]
+                if val is None:
+                    unassigned = lit
+                    count += 1
+                elif val == (lit > 0):
+                    satisfied = True
+                    break
+            if satisfied:
+                continue
+            if count == 0:
+                return False
+            if count == 1:
+                assign[abs(unassigned) - 1] = unassigned > 0
+                changed = True
+        for k, lits in atleasts:
+            true_count = 0
+            open_lits = []
+            for lit in lits:
+                val = assign[abs(lit) - 1]
+                if val is None:
+                    open_lits.append(lit)
+                elif val == (lit > 0):
+                    true_count += 1
+            if true_count >= k:
+                continue
+            if true_count + len(open_lits) < k:
+                return False
+            if true_count + len(open_lits) == k:
+                for lit in open_lits:
+                    assign[abs(lit) - 1] = lit > 0
+                changed = True
+    return True
+
+
+def _dpll_search(clauses, atleasts, assign) -> Optional[list]:
+    if not _dpll_propagate(clauses, atleasts, assign):
+        return None
+    try:
+        v = assign.index(None)
+    except ValueError:
+        return list(assign)
+    for value in (False, True):
+        trial = list(assign)
+        trial[v] = value
+        result = _dpll_search(clauses, atleasts, trial)
+        if result is not None:
+            return result
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Product helpers (test-only)
 # ---------------------------------------------------------------------------
+
+
+def plain_adjacency(pa: ProductPa) -> Dict[State, Tuple[Tuple[State, float], ...]]:
+    """The product's edges with their weights only."""
+    return {s: tuple((t, w) for t, w, _f, _e in edges) for s, edges in pa.adjacency.items()}
+
+
+def choice_weight(pruned: PrunedPa, choice: Sequence[State]) -> float:
+    """Sum of the pruned edge weights along a level choice."""
+    total = 0.0
+    for li, (a, b) in enumerate(zip(choice, choice[1:])):
+        w = pruned.edge_weight(li, a, b)
+        if w is None:
+            raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
+        total += w
+    return total
+
+
+def initial_strategy(pruned: PrunedPa) -> Tuple[List[State], Strategy]:
+    """The shortest level choice and its expanded strategy."""
+    choice = pruned.shortest_choice()
+    return choice, pruned.expand(choice)
 
 
 def initial_run(pa: ProductPa) -> Strategy:
@@ -172,7 +347,7 @@ def initial_run(pa: ProductPa) -> Strategy:
     if not pa.accepting:
         raise NoAcceptingPath(f"robot {pa.wts.robot_id}: empty accepting set")
     try:
-        _cost, path = shortest_path(pa.plain_adjacency(), pa.initial, pa.accepting)
+        _cost, path = shortest_path(plain_adjacency(pa), pa.initial, pa.accepting)
     except Unreachable as exc:
         raise NoAcceptingPath(str(exc)) from None
     return Strategy(pa, path)
@@ -180,7 +355,7 @@ def initial_run(pa: ProductPa) -> Strategy:
 
 def path_through(pa: ProductPa, anchor: State, via: State) -> List[State]:
     """Shortest run suffix from ``anchor`` through ``via`` to an accepting state."""
-    adjacency = pa.plain_adjacency()
+    adjacency = plain_adjacency(pa)
     _c1, leg1 = shortest_path(adjacency, [anchor], [via])
     _c2, leg2 = shortest_path(adjacency, [via], pa.accepting)
     return leg1 + leg2[1:]

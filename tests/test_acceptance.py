@@ -20,7 +20,7 @@ from fleetplan.product import build_local_formula, build_product, prune_product
 from fleetplan.scenario import generate
 from fleetplan.world import build_wts
 
-from oracles import all_traces, eval_trace, initial_run, random_formula
+from oracles import all_traces, choice_weight, eval_trace, initial_run, random_formula
 from test_alloc import brute_force_solutions, enumerate_all, make_fleet, make_tasks
 
 
@@ -167,7 +167,7 @@ def test_criterion_5_pruned_automaton_fidelity():
             choice = pruned.shortest_choice()
             strategy = pruned.expand(choice)
             direct = initial_run(pa)
-            if strategy.weight != pruned.choice_weight(choice):
+            if strategy.weight != choice_weight(pruned, choice):
                 mismatched.append((seed, r, "expansion weight"))
             if strategy.weight != direct.weight:
                 mismatched.append((seed, r, "pruned vs product optimum",
@@ -177,7 +177,7 @@ def test_criterion_5_pruned_automaton_fidelity():
             # alternative placements expand to runs of exactly their edge-sum weight
             for alt in _alternative_choices(pruned, choice, limit=3):
                 expanded = pruned.expand(alt)
-                if expanded.weight != pruned.choice_weight(alt):
+                if expanded.weight != choice_weight(pruned, alt):
                     mismatched.append((seed, r, "alt expansion weight"))
     announce(5, "pruned-automaton-fidelity",
              not mismatched and instances > 0,

@@ -1,11 +1,25 @@
-"""Allocation model encoding, enumeration completeness, and the dominance filter."""
+"""Allocation constraints, enumeration order and completeness, and the dominance filter."""
 
 import random
+import time
 from itertools import product
 
+import pytest
+
 from fleetplan.alloc import AllocModel, check_assignment, dominated, next_assignment
-from fleetplan.mission import Mission
+from fleetplan.errors import BudgetExceeded
+from fleetplan.ltl import to_nfa
+from fleetplan.mission import (
+    Mission,
+    build_mission,
+    decomposition_states,
+    prune_nfa,
+    shortest_accepting_run,
+)
+from fleetplan.scenario import generate
 from fleetplan.world import Fleet, Robot, TaskReq
+
+from oracles import ReferenceAllocator
 
 
 def make_fleet(*capability_sets):
@@ -148,12 +162,75 @@ def test_dominance_filter_matches_componentwise_oracle():
         assert dominated(cand, history) == oracle
 
 
-def test_dump_format():
+def random_model(rng):
+    """A small model with multi-capability tasks and, sometimes, coordinator pairs."""
+    shapes = [((("ct1",), ("ct2",)),), ((("ct1", "ct2"),),), ((("ct1",),), (("ct2",),)),
+              ((("ct1",), ("ct2", "ct3")),), ((("ct1", "ct2"), ("ct3",)),)]
+    mission = Mission(rng.choice(shapes))
+    caps = [frozenset(rng.sample(["c1", "c2"], rng.choice([1, 2])))
+            for _ in range(rng.choice([2, 3]))]
+    reqs = [{"c1": 1}, {"c1": 2}, {"c2": 1}, {"c1": 1, "c2": 1}]
+    props = [p for sub in mission.subsequences for elem in sub for p in elem]
+    tasks = make_tasks({p: rng.choice(reqs) for p in props})
+    pairs = mission.consecutive_element_pairs()
+    comm = pairs if pairs and rng.random() < 0.5 else ()
+    return AllocModel(mission, make_fleet(*caps), tasks, comm_pairs=comm)
+
+
+def test_enumeration_is_lexicographic():
+    rng = random.Random(41)
+    checked = 0
+    while checked < 30:
+        model = random_model(rng)
+        if model.n_x > 12:
+            continue
+        checked += 1
+        got = [a.vector for a in enumerate_all(model)]
+        assert got == sorted(brute_force_solutions(model))
+
+
+def _mission_of(scenario):
+    nfa = prune_nfa(to_nfa(scenario.parsed_collaborative()), scenario.fleet,
+                    scenario.collaborative_tasks())
+    run = shortest_accepting_run(nfa)
+    return build_mission(nfa, run, decomposition_states(nfa, run))
+
+
+def _sequences(scenario, comm_pairs, limit):
+    mission = _mission_of(scenario)
+    tasks = scenario.collaborative_tasks()
+    model = AllocModel(mission, scenario.fleet, tasks, comm_pairs)
+    reference = ReferenceAllocator(mission, scenario.fleet, tasks, comm_pairs)
+    got, expected = [], []
+    for _ in range(limit):
+        a = next_assignment(model)
+        got.append(None if a is None else a.vector)
+        expected.append(reference.next_vector())
+        if a is None:
+            break
+    return got, expected
+
+
+def test_sequence_matches_reference_dpll_on_generated_fleets():
+    for seed in range(1000, 1020):
+        scenario = generate(seed=seed, robots=4, collab=3, grid=(6, 6),
+                            individual_per_robot=1)
+        comm = _mission_of(scenario).consecutive_element_pairs() if seed % 2 else ()
+        got, expected = _sequences(scenario, comm, 96)
+        assert got == expected, seed
+
+
+def test_first_solution_matches_reference_dpll_on_large_fleets():
+    # criterion-7 structures: 10 robots, 6 collaborative tasks, 60 variables
+    for seed in (6005, 6006, 6007):
+        scenario = generate(seed=seed, robots=10, collab=6, grid=(20, 20),
+                            individual_per_robot=2)
+        got, expected = _sequences(scenario, (), 1)
+        assert got[0] is not None and got == expected, seed
+
+
+def test_expired_deadline_raises():
     mission = Mission(((("ct1",),),))
-    fleet = make_fleet({"c1"}, {"c1"})
-    model = AllocModel(mission, fleet, make_tasks({"ct1": {"c1": 1}}))
-    text = model.dump()
-    lines = text.strip().splitlines()
-    assert lines[0] == f"p alloc {model.n_vars}"
-    assert any(line.startswith(">= 1 ") for line in lines)
-    assert all(line.endswith(" 0") for line in lines[1:])
+    model = AllocModel(mission, make_fleet({"c1"}, {"c1"}), make_tasks({"ct1": {"c1": 1}}))
+    with pytest.raises(BudgetExceeded):
+        next_assignment(model, deadline=time.perf_counter() - 1.0)

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from fleetplan import framework
 from fleetplan.cli import main as cli_main
-from fleetplan.errors import InfeasibleMission, ScenarioError
+from fleetplan.errors import BudgetExceeded, InfeasibleMission, ScenarioError
 from fleetplan.framework import WALL_COLUMNS, run_framework, write_reports
 from fleetplan.scenario import Scenario, generate
 
@@ -129,6 +130,37 @@ def test_report_files_round_trip(tmp_path):
         assert set(schedule["robots"]) == {str(r) for r in sc.fleet.robot_ids()}
     series_lines = (tmp_path / "tcolla_series.csv").read_text().strip().splitlines()
     assert series_lines[0] == "assignment,step,total_cost"
+
+
+def test_metrics_report_element_order(tmp_path):
+    sc = small_scenario(seed=3)
+    sc.options.max_assignments = 6
+    report = run_framework(sc)
+    write_reports(report, tmp_path)
+    with open(tmp_path / "metrics.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        rows = [row for row in reader if row["status"] == "evaluated"]
+    assert header.index("element_order_ok") == header.index("element_sync_ok") + 1
+    assert rows and all(row["element_order_ok"] == "yes" for row in rows)
+
+
+def test_budget_hit_inside_allocation_keeps_rows(monkeypatch):
+    sc = small_scenario(seed=3)
+    sc.options.budget_seconds = 1000.0
+    deadlines = []
+    real_next = framework.next_assignment
+
+    def next_then_expire(model, deadline=None):
+        deadlines.append(deadline)
+        if len(deadlines) > 2:
+            raise BudgetExceeded("allocation search ran past the deadline")
+        return real_next(model, deadline)
+
+    monkeypatch.setattr(framework, "next_assignment", next_then_expire)
+    report = run_framework(sc)
+    assert report.stopped_because == "budget" and len(report.rows) == 2
+    assert all(d is not None and d > time.perf_counter() for d in deadlines)
 
 
 def test_empty_report_writes_header_only_csv(tmp_path):

@@ -14,7 +14,16 @@ from fleetplan.product import (
 )
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import ReferenceProductPa, bellman_ford, initial_run, path_through, random_formula
+from oracles import (
+    ReferenceProductPa,
+    bellman_ford,
+    choice_weight,
+    initial_run,
+    initial_strategy,
+    path_through,
+    plain_adjacency,
+    random_formula,
+)
 
 
 def corridor_setup(length=5, tasks=(), formula="true", start="q0_0", collab_props=()):
@@ -104,7 +113,7 @@ def test_pruned_levels_and_edges():
     pa, _ = synth(wts, "true", [((1, 1), "ct1")], ("ct1",))
     pruned = prune_product(pa)
     assert len(pruned.levels) == 3
-    choice, strategy = pruned.initial_strategy()
+    choice, strategy = initial_strategy(pruned)
     assert strategy.weight == initial_run(pa).weight
 
 
@@ -129,8 +138,8 @@ def test_pruned_expansion_reproduces_weight_and_acceptance():
     assigned = [((1, 1), "ct1"), ((1, 2), "ct2")]
     pa, nfa = synth(wts, "F ts1", assigned, ("ct1", "ct2"))
     pruned = prune_product(pa)
-    choice, strategy = pruned.initial_strategy()
-    assert strategy.weight == pruned.choice_weight(choice)
+    choice, strategy = initial_strategy(pruned)
+    assert strategy.weight == choice_weight(pruned, choice)
     assert strategy.weight == initial_run(pa).weight
     assert nfa_accepts(nfa, strategy.label_trace())
 
@@ -140,7 +149,7 @@ def test_empty_assignment_prunes_to_two_levels():
     pa, _ = synth(wts, "F ts1", [], ())
     pruned = prune_product(pa)
     assert len(pruned.levels) == 2
-    _choice, strategy = pruned.initial_strategy()
+    _choice, strategy = initial_strategy(pruned)
     assert strategy.weight == 3
 
 
@@ -163,7 +172,7 @@ def test_path_through_matches_two_leg_oracle():
     wts = corridor_setup(
         6, tasks=[("ct1", "q3_0"), ("ts1", "q5_0")], collab_props=("ct1",))
     pa, _ = synth(wts, "F ts1", [((1, 1), "ct1")], ("ct1",))
-    adjacency = pa.plain_adjacency()
+    adjacency = plain_adjacency(pa)
     edges = [(a, b, w) for a, nbrs in adjacency.items() for b, w in nbrs]
 
     def oracle_dist(src, dsts):
