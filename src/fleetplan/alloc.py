@@ -36,21 +36,27 @@ class Assignment:
         self.vector = tuple(vector)
         n_occ = len(self.occurrences)
         self._by_robot: Dict[int, Tuple[Occurrence, ...]] = {}
-        self._by_occ: Dict[Occurrence, set] = {occ: set() for occ in self.occurrences}
+        self._previous: Dict[Tuple[int, Occurrence], Optional[Occurrence]] = {}
+        by_occ: Dict[Occurrence, list] = {occ: [] for occ in self.occurrences}
         for i, robot in enumerate(self.robots):
-            mine = []
-            for j, occ in enumerate(self.occurrences):
-                if self.vector[i * n_occ + j]:
-                    mine.append(occ)
-                    self._by_occ[occ].add(robot)
-            self._by_robot[robot] = tuple(sorted(mine))
+            mine = tuple(sorted(occ for j, occ in enumerate(self.occurrences)
+                                if self.vector[i * n_occ + j]))
+            self._by_robot[robot] = mine
+            for prev, occ in zip((None,) + mine, mine):
+                by_occ[occ].append(robot)
+                self._previous[(robot, occ)] = prev
+        self._by_occ = {occ: frozenset(rs) for occ, rs in by_occ.items()}
 
     def tasks_of(self, robot: int) -> Tuple[Occurrence, ...]:
         """The robot's occurrences in increasing (k, l) order."""
         return self._by_robot.get(robot, ())
 
     def robots_for(self, occ: Occurrence) -> FrozenSet[int]:
-        return frozenset(self._by_occ[occ])
+        return self._by_occ[occ]
+
+    def previous(self, robot: int, occ: Occurrence) -> Optional[Occurrence]:
+        """The robot's occurrence just before ``occ`` (which it serves), or None."""
+        return self._previous[(robot, occ)]
 
     def __eq__(self, other):
         return isinstance(other, Assignment) and self.vector == other.vector
@@ -166,9 +172,8 @@ class AllocModel:
                     yield tuple(x)
             else:
                 nodes += 1
-                if nodes % DEADLINE_EVERY == 0 and self.deadline is not None \
-                        and time.perf_counter() > self.deadline:
-                    raise BudgetExceeded("allocation search ran past the deadline")
+                if nodes % DEADLINE_EVERY == 0:
+                    check_deadline(self.deadline)
                 r, j = divmod(p, n_occ)
                 e, a = self._where[j]
                 if not (value and booked[e][r]):  # one occurrence per element
@@ -213,15 +218,20 @@ class AllocModel:
         return True
 
 
+def check_deadline(deadline: Optional[float]) -> None:
+    """Raise ``BudgetExceeded("budget")`` once a ``time.perf_counter()`` deadline has passed."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise BudgetExceeded("budget")
+
+
 def next_assignment(model: AllocModel, deadline: Optional[float] = None) -> Optional[Assignment]:
     """The next satisfying assignment in lexicographic order, or None when exhausted.
 
-    ``deadline`` is a ``time.perf_counter()`` value.  Once it has passed, on
-    entry or during the search, ``BudgetExceeded`` is raised; a raise from
-    inside the search ends the model's enumeration.
+    ``deadline`` is checked on entry and every ``DEADLINE_EVERY`` search
+    nodes (see ``check_deadline``); a raise from inside the search ends the
+    model's enumeration.
     """
-    if deadline is not None and time.perf_counter() > deadline:
-        raise BudgetExceeded("allocation deadline passed")
+    check_deadline(deadline)
     model.deadline = deadline
     vector = next(model._solutions, None)
     if vector is None:

@@ -71,7 +71,11 @@ def cmd_plan(args) -> int:
         return 2
     write_reports(report, args.out)
     if args.emit_lp and report.incumbent is not None:
-        _emit_incumbent_lp(scenario, report, args.emit_lp)
+        plan = report.incumbent
+        os.makedirs(args.emit_lp, exist_ok=True)
+        path = os.path.join(args.emit_lp, f"assignment_{plan.assignment_index}.lp")
+        emit_lp(build_milp(plan.pruned_map, report.mission, plan.assignment), path)
+        print(f"LP model written to {path}")
     evaluated = [r for r in report.rows if r.status == "evaluated"]
     if report.incumbent is None:
         print(f"no feasible assignment ({report.stopped_because}); "
@@ -82,30 +86,6 @@ def cmd_plan(args) -> int:
           f"{len(evaluated)} evaluated, stopped: {report.stopped_because})")
     print(f"reports in {args.out}/")
     return 0
-
-
-def _emit_incumbent_lp(scenario: Scenario, report, out_dir: str):
-    # rebuild the incumbent's pruned automatons to emit its model
-    from .ltl import to_nfa
-    from .product import build_local_formula, build_product, prune_product
-    from .world import build_wts
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    mission = report.mission
-    assignment = report.incumbent.assignment
-    collab_props = frozenset(t.prop for t in scenario.collaborative_tasks())
-    pruned = {}
-    for r in sorted(scenario.fleet.robot_ids()):
-        assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
-        phi = build_local_formula(scenario.parsed_individual(r), assigned)
-        wts = build_wts(scenario.world, scenario.fleet, list(scenario.tasks), r)
-        pa = build_product(wts, to_nfa(phi, scenario.options.state_cap), assigned, collab_props)
-        pruned[r] = prune_product(pa)
-    model = build_milp(pruned, mission, assignment)
-    path = os.path.join(out_dir, f"assignment_{report.incumbent.assignment_index}.lp")
-    emit_lp(model, path)
-    print(f"LP model written to {path}")
 
 
 def cmd_generate(args) -> int:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .alloc import AllocModel, Assignment, dominated, next_assignment
+from .alloc import AllocModel, Assignment, check_deadline, dominated, next_assignment
 from .errors import (
     BudgetExceeded,
     EmptyLanguage,
@@ -33,9 +33,9 @@ from .ltl import Nfa, nfa_accepts, to_nfa
 from .milp import solve_exact
 from .mission import Mission, build_mission, decomposition_states, prune_nfa, shortest_accepting_run
 from .product import PrunedPa, Strategy, build_local_formula, build_product, prune_product
-from .protocol import NetSim, ProtocolContext, choice_timeline, run_protocol
+from .protocol import NetSim, ProtocolContext, run_protocol
 from .scenario import Scenario
-from .schedule import SimResult, compute_time_cost, local_traces_accepted, simulate
+from .schedule import SimResult, choice_timeline, compute_time_cost, local_traces_accepted, simulate
 from .world import build_wts
 
 
@@ -74,6 +74,7 @@ class PlanOutput:
     strategies: Dict[int, Strategy]
     sim: SimResult
     total: float
+    pruned_map: Dict[int, PrunedPa]
 
 
 @dataclass
@@ -149,11 +150,16 @@ def run_framework(scenario: Scenario) -> RunReport:
             continue
         history_vectors.append(assignment.vector)
         try:
-            plan = _evaluate_assignment(scenario, mission, assignment, wts, collab_props, synthesis, row)
+            plan = _evaluate_assignment(scenario, mission, assignment, wts, collab_props,
+                                        synthesis, row, deadline)
         except SYNTHESIS_ERRORS as exc:
             row.status = "infeasible"
             row.detail = str(exc)
             continue
+        except BudgetExceeded:
+            rows.pop()  # the budget ran out between robots: no partial row
+            stopped = "budget"
+            break
         row.collab_accepted = nfa_accepts(collab_nfa, plan.sim.global_sequence)
         if incumbent is None or plan.total < incumbent.total:
             incumbent = plan
@@ -181,7 +187,8 @@ def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthes
 
 
 def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assignment,
-                         wts, collab_props, synthesis, row: AssignmentRow) -> PlanOutput:
+                         wts, collab_props, synthesis, row: AssignmentRow,
+                         deadline: Optional[float]) -> PlanOutput:
     opts = scenario.options
     fleet = scenario.fleet
     nfas: Dict[int, Nfa] = {}
@@ -189,6 +196,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     choices = {}
     prune_times = []
     for r in sorted(fleet.robot_ids()):
+        check_deadline(deadline)
         assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
         t0 = time.perf_counter()
         nfas[r], pruned_map[r] = _synthesize(scenario, r, assigned, wts, collab_props, synthesis)
@@ -228,7 +236,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     if opts.oracle:
         t0 = time.perf_counter()
         try:
-            exact = solve_exact(pruned_map, mission, assignment, opts.combination_cap)
+            exact = solve_exact(pruned_map, mission, assignment, opts.combination_cap, deadline)
             row.oracle_j = exact.objective
         except BudgetExceeded as exc:
             row.detail = f"oracle skipped: {exc}"
@@ -243,7 +251,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     row.element_sync_ok = sim.element_sync_ok
     row.element_order_ok = sim.element_order_ok
     row.locals_accepted = all(local_traces_accepted(strategies, nfas).values())
-    return PlanOutput(row.index, assignment, strategies, sim, final_report.total)
+    return PlanOutput(row.index, assignment, strategies, sim, final_report.total, pruned_map)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .alloc import Assignment
+from .alloc import DEADLINE_EVERY, Assignment, check_deadline
 from .errors import BudgetExceeded, LevelDisconnected
 from .mission import Mission, Occurrence
 from .product import PrunedPa, State, Strategy
-from .schedule import CostReport, Timeline, compute_time_cost
+from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
 
 DEFAULT_COMBINATION_CAP = 10_000_000
 
@@ -36,57 +36,32 @@ class RobotChoice:
 
 
 def enumerate_robot_choices(pruned: PrunedPa) -> List[RobotChoice]:
-    """All per-level collaborative placements with their cheapest endpoints."""
+    """All per-level collaborative placements with their cheapest endpoints.
+
+    The initial state takes the cheapest edge into the first collaborative
+    state (with none, the least initial state that reaches the accepting
+    level), the accepting state the cheapest edge out of the last one; ties
+    go to the lesser state.
+    """
     robot = pruned.pa.wts.robot_id
-    inner_levels = pruned.levels[1:-1]
+    last = len(pruned.levels) - 2
     choices: List[RobotChoice] = []
-    for combo in iter_product(*inner_levels) if inner_levels else [()]:
-        # cheapest initial edge into the first inner state (or straight to accepting)
-        first_target = combo[0] if combo else None
-        best_init = None
-        for init in pruned.levels[0]:
-            target = first_target if first_target is not None else None
-            if target is None:
-                cost = pruned.suffix_cost(0, init)
-                if cost is None:
-                    continue
-                cand = (0.0, init)
-            else:
-                w = pruned.edge_weight(0, init, target)
-                if w is None:
-                    continue
-                cand = (w, init)
-            if best_init is None or cand < best_init:
-                best_init = cand
-        if best_init is None:
+    for combo in iter_product(*pruned.levels[1:-1]):
+        if combo:
+            inits = [(w, s) for s in pruned.levels[0]
+                     if (w := pruned.edge_weight(0, s, combo[0])) is not None]
+        else:
+            inits = [(0.0, s) for s in pruned.levels[0] if pruned.suffix_cost(0, s) is not None]
+        if not inits or any(pruned.edge_weight(li, a, b) is None
+                            for li, (a, b) in enumerate(zip(combo, combo[1:]), start=1)):
             continue
-        arrivals: Dict[Occurrence, float] = {}
-        total = best_init[0]
-        feasible = True
-        for li in range(len(combo)):
-            if li > 0:
-                w = pruned.edge_weight(li, combo[li - 1], combo[li])
-                if w is None:
-                    feasible = False
-                    break
-                total += w
-            arrivals[pruned.assigned[li][0]] = total
-        if not feasible:
-            continue
-        last_level = len(pruned.levels) - 2
-        last_state = combo[-1] if combo else best_init[1]
-        best_acc = None
-        for acc in pruned.levels[-1]:
-            w = pruned.edge_weight(last_level, last_state, acc)
-            if w is not None:
-                cand = (w, acc)
-                if best_acc is None or cand < best_acc:
-                    best_acc = cand
-        if best_acc is None:
-            continue
-        completion = total + best_acc[0]
-        timeline = Timeline(robot, arrivals, completion)
-        choices.append(RobotChoice(tuple(combo), best_init[1], best_acc[1], timeline))
+        init = min(inits)[1]
+        tail = combo[-1] if combo else init
+        accs = [(w, s) for s in pruned.levels[-1]
+                if (w := pruned.edge_weight(last, tail, s)) is not None]
+        if accs:
+            choice = [init, *combo, min(accs)[1]]
+            choices.append(RobotChoice(combo, init, choice[-1], choice_timeline(pruned, choice)))
     if not choices:
         raise LevelDisconnected(f"robot {robot}: no feasible level placement")
     return choices
@@ -103,12 +78,14 @@ class ExactResult:
 
 def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
                 assignment: Assignment,
-                combination_cap: int = DEFAULT_COMBINATION_CAP) -> ExactResult:
+                combination_cap: int = DEFAULT_COMBINATION_CAP,
+                deadline: Optional[float] = None) -> ExactResult:
     """Optimal total time cost over all joint collaborative placements.
 
     Depth-first over robots with branch-and-bound: a partial tuple is pruned
     when its ideal completions (a valid lower bound on the synchronized
-    total) cannot beat the incumbent.
+    total) cannot beat the incumbent.  ``deadline`` is checked on entry and
+    every ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).
     """
     robots = sorted(pruned_map)
     per_robot = {r: enumerate_robot_choices(pruned_map[r]) for r in robots}
@@ -122,11 +99,14 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         r: min(c.timeline.completion for c in per_robot[r]) for r in robots
     }
     best: Optional[Tuple[float, Dict[int, RobotChoice], CostReport]] = None
-    explored = 0
+    explored = nodes = 0
     stack_choice: Dict[int, RobotChoice] = {}
 
     def dfs(idx: int, partial_sum: float):
-        nonlocal best, explored
+        nonlocal best, explored, nodes
+        if nodes % DEADLINE_EVERY == 0:
+            check_deadline(deadline)
+        nodes += 1
         bound = partial_sum + sum(min_completion[r] for r in robots[idx:])
         if best is not None and bound >= best[0]:
             return
@@ -305,19 +285,13 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
             d_name = f"d_{r}_{k}_{l}"
             rows.append(Row(f"delay_{r}_{k}_{l}",
                             ((1.0, t_name), (1.0, d_name), (-1.0, z)), "=", 0.0))
-            prev = _previous(assignment, r, occ)
+            prev = assignment.previous(r, occ)
             terms = [(1.0, z), (-1.0, t_name)]
             if prev is not None:
                 terms.append((-1.0, f"d_{r}_{prev[0]}_{prev[1]}"))
             rows.append(Row(f"zmax_{r}_{k}_{l}", tuple(terms), ">=", 0.0))
 
     return MilpModel(tuple(objective), rows, tuple(binaries), tuple(continuous), big_m)
-
-
-def _previous(assignment: Assignment, robot: int, occ: Occurrence):
-    mine = assignment.tasks_of(robot)
-    idx = mine.index(occ)
-    return mine[idx - 1] if idx > 0 else None
 
 
 def emit_lp(model: MilpModel, path) -> None:

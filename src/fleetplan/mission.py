@@ -173,79 +173,61 @@ class Mission:
     ``subsequences[k-1][m-1]`` is the m-th element of subsequence k: a tuple
     of task propositions that must execute synchronously.  Occurrences are
     (k, l) pairs with l flat within the subsequence; ``sorted_occurrences``
-    orders all of them by (k, l).
+    orders all of them by (k, l).  The occurrence and element indexes are
+    built once, here, and stay out of equality and repr.
     """
 
     subsequences: Tuple[Tuple[Tuple[str, ...], ...], ...]
     negative_obligations: Mapping[Tuple[int, int], FrozenSet[str]] = field(default_factory=dict)
+    sorted_occurrences: Tuple[Occurrence, ...] = field(init=False, repr=False, compare=False)
+    _task: Dict[Occurrence, str] = field(init=False, repr=False, compare=False)
+    _element: Dict[Occurrence, Tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _members: Dict[Tuple[int, int], Tuple[Occurrence, ...]] = field(
+        init=False, repr=False, compare=False)
+    _elements: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = {}
+        seen, task, element, members = {}, {}, {}, {}
         for k, sub in enumerate(self.subsequences, start=1):
-            for m, element in enumerate(sub, start=1):
-                for prop in element:
+            l = 0
+            for m, props in enumerate(sub, start=1):
+                group = []
+                for prop in props:
                     if not isinstance(prop, str):
                         raise MissionError(f"element entries must be proposition ids, got {prop!r}")
                     if prop in seen:
                         raise MissionError(
                             f"task {prop!r} occurs in elements {seen[prop]} and ({k},{m})")
                     seen[prop] = (k, m)
-
-    @property
-    def occurrences(self) -> Tuple[Occurrence, ...]:
-        return self.sorted_occurrences
-
-    @property
-    def sorted_occurrences(self) -> Tuple[Occurrence, ...]:
-        out = []
-        for k, sub in enumerate(self.subsequences, start=1):
-            l = 0
-            for element in sub:
-                for _ in element:
                     l += 1
-                    out.append((k, l))
-        return tuple(out)
+                    task[(k, l)], element[(k, l)] = prop, (k, m)
+                    group.append((k, l))
+                members[(k, m)] = tuple(group)
+        object.__setattr__(self, "sorted_occurrences", tuple(task))
+        object.__setattr__(self, "_task", task)
+        object.__setattr__(self, "_element", element)
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_elements", tuple(members))
 
     def task_of(self, occ: Occurrence) -> str:
-        k, l = occ
-        i = 0
-        for element in self.subsequences[k - 1]:
-            for prop in element:
-                i += 1
-                if i == l:
-                    return prop
-        raise MissionError(f"no occurrence {occ}")
-
-    def occurrence_of(self, prop: str) -> Occurrence:
-        for k, sub in enumerate(self.subsequences, start=1):
-            l = 0
-            for element in sub:
-                for p in element:
-                    l += 1
-                    if p == prop:
-                        return (k, l)
-        raise MissionError(f"task {prop!r} not in mission")
+        try:
+            return self._task[occ]
+        except KeyError:
+            raise MissionError(f"no occurrence {occ}") from None
 
     def element_of(self, occ: Occurrence) -> Tuple[int, int]:
-        k, l = occ
-        i = 0
-        for m, element in enumerate(self.subsequences[k - 1], start=1):
-            i += len(element)
-            if l <= i:
-                return (k, m)
-        raise MissionError(f"no occurrence {occ}")
+        try:
+            return self._element[occ]
+        except KeyError:
+            raise MissionError(f"no occurrence {occ}") from None
 
     def element_tasks(self, elem: Tuple[int, int]) -> Tuple[str, ...]:
         k, m = elem
         return self.subsequences[k - 1][m - 1]
 
-    def sync_group(self, occ: Occurrence) -> FrozenSet[str]:
-        return frozenset(self.element_tasks(self.element_of(occ)))
-
-    def elements(self):
-        for k, sub in enumerate(self.subsequences, start=1):
-            for m, _ in enumerate(sub, start=1):
-                yield (k, m)
+    def elements(self) -> Tuple[Tuple[int, int], ...]:
+        """Every element (k, m) in (k, m) order."""
+        return self._elements
 
     def consecutive_element_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """All (k, m) pairs naming the boundary between elements m and m+1 of σ^k."""
@@ -255,10 +237,7 @@ class Mission:
         return tuple(out)
 
     def element_occurrences(self, elem: Tuple[int, int]) -> Tuple[Occurrence, ...]:
-        k, m = elem
-        sub = self.subsequences[k - 1]
-        start = sum(len(e) for e in sub[: m - 1])
-        return tuple((k, start + j + 1) for j in range(len(sub[m - 1])))
+        return self._members[elem]
 
     def forbidden_at(self, elem: Tuple[int, int]) -> FrozenSet[str]:
         return self.negative_obligations.get(elem, frozenset())

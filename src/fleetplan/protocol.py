@@ -18,7 +18,7 @@ from .alloc import Assignment
 from .errors import LevelDisconnected, ProtocolStuck
 from .mission import Mission, Occurrence
 from .product import PrunedPa, State, Strategy
-from .schedule import CostReport, Timeline, compute_time_cost
+from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
 from .search import bfs_layers
 
 
@@ -120,16 +120,10 @@ def _occ_str(occ) -> str:
     return f"ct({occ[0]},{occ[1]})"
 
 
-def previous_occurrence(assignment: Assignment, robot: int, occ: Occurrence) -> Optional[Occurrence]:
-    mine = assignment.tasks_of(robot)
-    idx = mine.index(occ)
-    return mine[idx - 1] if idx > 0 else None
-
-
 def _score(robot: int, occ: Occurrence, assignment: Assignment,
            timelines: Mapping[int, Timeline], report: CostReport) -> float:
     """Actual arrival estimate: prior synchronization slack plus ideal arrival."""
-    prev = previous_occurrence(assignment, robot, occ)
+    prev = assignment.previous(robot, occ)
     base = 0.0
     if prev is not None:
         base = report.task_time(prev) - timelines[robot].arrival(prev)
@@ -148,18 +142,6 @@ def find_earliest(occ: Occurrence, assignment: Assignment,
     robots = sorted(assignment.robots_for(occ))
     scores = [(_score(r, occ, assignment, timelines, report), r) for r in robots]
     return min(scores)[1]
-
-
-def choice_timeline(pruned: PrunedPa, choice: Sequence[State]) -> Timeline:
-    """Ideal arrivals induced by a level choice (prefix sums of pruned edges)."""
-    arrivals = {}
-    total = 0.0
-    for li, (a, b) in enumerate(zip(choice, choice[1:])):
-        w = pruned.edge_weight(li, a, b)
-        total += w
-        if li < len(pruned.assigned):
-            arrivals[pruned.assigned[li][0]] = total
-    return Timeline(pruned.pa.wts.robot_id, arrivals, total)
 
 
 @dataclass
@@ -193,7 +175,7 @@ def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
     current_state = choice[level]
     anchor = choice[level - 1]
     timeline = ctx.timelines[robot]
-    prev = previous_occurrence(ctx.assignment, robot, occ)
+    prev = ctx.assignment.previous(robot, occ)
     if prev is not None:
         slack = report.task_time(prev) - timeline.arrival(prev)
         prefix_ideal = timeline.arrival(prev)
@@ -256,7 +238,7 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None,
     """
     if net is None:
         net = NetSim(sorted(ctx.timelines))
-    order = [occ for occ in ctx.mission.sorted_occurrences]
+    order = ctx.mission.sorted_occurrences
     report = ctx.report()
     history = [report.total]
     initial_total = report.total

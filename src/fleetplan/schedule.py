@@ -4,19 +4,21 @@ Two independent implementations of the same timing semantics live here: the
 closed-form pass (`compute_time_cost`) that folds waits into per-robot delays
 task by task, and the event simulation (`simulate`) that moves robots along
 their walks and blocks them at collaborations.  Valid plans must get the
-same total cost from both.
+same total cost from both.  The protocol and the exact oracle both take
+their timelines from `choice_timeline` and their costs from
+`compute_time_cost`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .alloc import Assignment
 from .errors import DeadlockDetected, NegativeObligationViolated
 from .ltl import Nfa, nfa_accepts
 from .mission import Mission, Occurrence
-from .product import Strategy
+from .product import PrunedPa, State, Strategy
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,16 @@ class CostReport:
         return self.task_times[occ]
 
 
-def compute_timeline(strategy: Strategy) -> Timeline:
-    """Prefix-sum arrival times along the strategy's run."""
-    arrivals = {occ: strategy.arrival(occ) for occ in strategy.collab_positions}
-    return Timeline(strategy.robot_id, arrivals, strategy.weight)
+def choice_timeline(pruned: PrunedPa, choice: Sequence[State]) -> Timeline:
+    """Ideal arrivals induced by a level choice (prefix sums of pruned edges)."""
+    arrivals = {}
+    total = 0.0
+    for li, (a, b) in enumerate(zip(choice, choice[1:])):
+        w = pruned.edge_weight(li, a, b)
+        total += w
+        if li < len(pruned.assigned):
+            arrivals[pruned.assigned[li][0]] = total
+    return Timeline(pruned.pa.wts.robot_id, arrivals, total)
 
 
 def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
@@ -62,17 +70,14 @@ def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     """
     delays: Dict[int, float] = {r: 0.0 for r in timelines}
     task_times: Dict[Occurrence, float] = {}
+    robots_for = assignment.robots_for
     for elem in mission.elements():
         occs = mission.element_occurrences(elem)
-        actual = []
-        for occ in occs:
-            for r in sorted(assignment.robots_for(occ)):
-                actual.append(timelines[r].arrival(occ) + delays[r])
-        t = max(actual)
+        t = max(timelines[r].arrivals[occ] + delays[r] for occ in occs for r in robots_for(occ))
         for occ in occs:
             task_times[occ] = t
-            for r in assignment.robots_for(occ):
-                delays[r] = t - timelines[r].arrival(occ)
+            for r in robots_for(occ):
+                delays[r] = t - timelines[r].arrivals[occ]
     per_robot = {r: timelines[r].completion + delays[r] for r in timelines}
     total = sum(per_robot.values())
     return CostReport(task_times, delays, per_robot, total)
@@ -128,7 +133,7 @@ def simulate(strategies: Mapping[int, Strategy], mission: Mission,
     waiting: Dict[int, Occurrence] = {}
     fire_times: Dict[Occurrence, float] = {}
     events: List[SimEvent] = []
-    elements = list(mission.elements())
+    elements = mission.elements()
     members = {
         elem: sorted(
             (r, occ)
@@ -212,12 +217,11 @@ def simulate(strategies: Mapping[int, Strategy], mission: Mission,
         times = [fire_times[occ] for occ in mission.element_occurrences(elem)]
         if max(times) != min(times):
             sync_ok = False
-    for k, sub in enumerate(mission.subsequences, start=1):
-        for m in range(1, len(sub)):
-            before = max(fire_times[o] for o in mission.element_occurrences((k, m)))
-            after = min(fire_times[o] for o in mission.element_occurrences((k, m + 1)))
-            if after < before:
-                order_ok = False
+    for k, m in mission.consecutive_element_pairs():
+        before = max(fire_times[o] for o in mission.element_occurrences((k, m)))
+        after = min(fire_times[o] for o in mission.element_occurrences((k, m + 1)))
+        if after < before:
+            order_ok = False
 
     global_sequence = [
         frozenset(by_time[t]) for t in sorted(by_time)

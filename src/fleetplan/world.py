@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
@@ -23,6 +24,12 @@ class World:
         for a, b in self.edges:
             if a not in region_set or b not in region_set:
                 raise ScenarioError(f"edge ({a}, {b}) references unknown region")
+        edge_set = set(self.edges)
+        for key, w in self.weights.items():
+            if key not in edge_set:
+                raise ScenarioError(f"weight key {key} names no edge")
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 < w < math.inf:
+                raise ScenarioError(f"edge {key} has weight {w!r}; weights must be finite and > 0")
         if not self._connected():
             raise ScenarioError("world graph is not connected")
 
@@ -49,7 +56,10 @@ class World:
 
 
 def grid_world(width: int, height: int, weights: Mapping | None = None) -> World:
-    """4-connected grid with unit weights unless overridden."""
+    """4-connected grid with unit weights unless overridden.
+
+    An override may name an edge in either orientation.
+    """
     regions = tuple(f"q{x}_{y}" for y in range(height) for x in range(width))
     edges = []
     for y in range(height):
@@ -60,8 +70,8 @@ def grid_world(width: int, height: int, weights: Mapping | None = None) -> World
                 edges.append((f"q{x}_{y}", f"q{x}_{y + 1}"))
     wmap = {e: 1 for e in edges}
     if weights:
-        for key, value in weights.items():
-            wmap[key] = value
+        for (a, b), value in weights.items():
+            wmap[(b, a) if (b, a) in wmap else (a, b)] = value
     coords = {f"q{x}_{y}": (x, y) for y in range(height) for x in range(width)}
     return World(regions, tuple(edges), wmap, coords)
 

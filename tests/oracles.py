@@ -31,6 +31,7 @@ from fleetplan.ltl import (
     Until,
 )
 from fleetplan.product import ProductPa, PrunedPa, State, Strategy
+from fleetplan.schedule import Timeline
 from fleetplan.search import shortest_path
 
 
@@ -334,6 +335,13 @@ def choice_weight(pruned: PrunedPa, choice: Sequence[State]) -> float:
             raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
         total += w
     return total
+
+
+def compute_timeline(strategy: Strategy) -> Timeline:
+    """Arrival times read off an expanded strategy's run; the reference for
+    ``schedule.choice_timeline``, which derives them from pruned edges."""
+    arrivals = {occ: strategy.arrival(occ) for occ in strategy.collab_positions}
+    return Timeline(strategy.robot_id, arrivals, strategy.weight)
 
 
 def initial_strategy(pruned: PrunedPa) -> Tuple[List[State], Strategy]:

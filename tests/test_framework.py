@@ -163,6 +163,49 @@ def test_budget_hit_inside_allocation_keeps_rows(monkeypatch):
     assert all(d is not None and d > time.perf_counter() for d in deadlines)
 
 
+def enumerating_scenario():
+    sc = generate(seed=1, robots=4, collab=3, grid=(6, 6), individual_per_robot=1)
+    sc.options.max_assignments = 12
+    return sc
+
+
+def test_budget_hit_between_robots_drops_partial_row(monkeypatch):
+    full = run_framework(enumerating_scenario())
+    evaluated = [r.index for r in full.rows if r.status == "evaluated"]
+    assert len(evaluated) >= 3
+    sc = enumerating_scenario()
+    sc.options.budget_seconds = 1000.0
+    calls = []
+    real_check = framework.check_deadline
+
+    def expire_on_third_assignment(deadline):
+        # four robots per evaluated assignment: call 10 is the third one's second robot
+        calls.append(deadline)
+        real_check(time.perf_counter() - 1.0 if len(calls) == 10 else deadline)
+
+    monkeypatch.setattr(framework, "check_deadline", expire_on_third_assignment)
+    report = run_framework(sc)
+    assert report.stopped_because == "budget"
+    assert [(r.index, r.status, r.t_adjusted) for r in report.rows] == \
+        [(r.index, r.status, r.t_adjusted) for r in full.rows[:evaluated[2]]]
+    assert report.incumbent is not None and report.incumbent.assignment_index in evaluated[:2]
+
+
+def test_oracle_budget_hit_is_row_detail(monkeypatch):
+    sc = enumerating_scenario()
+    sc.options.max_assignments = 1
+    sc.options.oracle = True
+    real_solve = framework.solve_exact
+
+    def solve_expired(pruned_map, mission, assignment, cap, deadline):
+        return real_solve(pruned_map, mission, assignment, cap, time.perf_counter() - 1.0)
+
+    monkeypatch.setattr(framework, "solve_exact", solve_expired)
+    row, = run_framework(sc).rows
+    assert (row.status, row.detail, row.oracle_j) == ("evaluated", "oracle skipped: budget", None)
+    assert row.t_adjusted is not None and row.sim_matches
+
+
 def test_empty_report_writes_header_only_csv(tmp_path):
     from fleetplan.framework import RunReport, write_metrics_csv
 
@@ -286,6 +329,63 @@ def test_cli_emit_lp(tmp_path):
     assert text.startswith("\\ big-M") and text.rstrip().endswith("End")
 
 
+def test_cli_emit_lp_reuses_the_incumbent_synthesis(tmp_path, monkeypatch):
+    import fleetplan.cli
+    import fleetplan.product
+    from fleetplan.ltl import to_nfa
+    from fleetplan.milp import build_milp, emit_lp
+    from fleetplan.product import build_local_formula, build_product, prune_product
+    from fleetplan.world import build_wts
+
+    scenario_path = tmp_path / "sc.json"
+    cli_main(["generate", "--robots", "2", "--collab", "1", "--grid", "5", "5",
+              "--seed", "4", "--out", str(scenario_path)])
+    reports = []
+
+    def run_then_forbid_synthesis(scenario):
+        reports.append(run_framework(scenario))
+
+        def no_build(*_args):
+            raise AssertionError("build_product called after run_framework returned")
+
+        monkeypatch.setattr(framework, "build_product", no_build)
+        monkeypatch.setattr(fleetplan.product, "build_product", no_build)
+        return reports[0]
+
+    monkeypatch.setattr(fleetplan.cli, "run_framework", run_then_forbid_synthesis)
+    lp_dir = tmp_path / "lp"
+    assert cli_main(["plan", str(scenario_path), "--max-assignments", "4",
+                     "--out", str(tmp_path / "out"), "--emit-lp", str(lp_dir)]) == 0
+    monkeypatch.undo()
+
+    # reference: the incumbent's automatons synthesized afresh
+    sc = Scenario.load(scenario_path)
+    report, = reports
+    mission, assignment = report.mission, report.incumbent.assignment
+    collab = frozenset(t.prop for t in sc.collaborative_tasks())
+    pruned = {}
+    for r in sorted(sc.fleet.robot_ids()):
+        assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
+        phi = build_local_formula(sc.parsed_individual(r), assigned)
+        wts = build_wts(sc.world, sc.fleet, list(sc.tasks), r)
+        pa = build_product(wts, to_nfa(phi, sc.options.state_cap), assigned, collab)
+        pruned[r] = prune_product(pa)
+    expected = tmp_path / "expected.lp"
+    emit_lp(build_milp(pruned, mission, assignment), expected)
+    emitted = lp_dir / f"assignment_{report.incumbent.assignment_index}.lp"
+    assert os.listdir(lp_dir) == [emitted.name]
+    assert emitted.read_bytes() == expected.read_bytes()
+
+
+def test_cli_rejects_zero_weight_with_exit_1(tmp_path, capsys):
+    data = json.loads(small_scenario().dumps())
+    data["world"]["weights"] = [["q0_0", "q1_0", 0]]
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "weight" in capsys.readouterr().err
+
+
 def test_cli_module_entry_point(tmp_path):
     # run from an unrelated directory, with this checkout's sources on the path
     src = Path(__file__).resolve().parents[1] / "src"
@@ -327,8 +427,8 @@ def test_synthesis_cache_builds_each_key_once(tmp_path, monkeypatch):
     # reference: every assignment synthesizes its robots from scratch
     real_evaluate = framework._evaluate_assignment
 
-    def fresh_evaluate(scenario, mission, assignment, wts, collab_props, _cache, row):
-        return real_evaluate(scenario, mission, assignment, wts, collab_props, {}, row)
+    def fresh_evaluate(scenario, mission, assignment, wts, collab_props, _cache, *rest):
+        return real_evaluate(scenario, mission, assignment, wts, collab_props, {}, *rest)
 
     monkeypatch.setattr(framework, "_evaluate_assignment", fresh_evaluate)
     keys.clear()

@@ -2,6 +2,7 @@
 
 import io
 import re
+import time
 from itertools import product as iter_product
 
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from fleetplan.alloc import Assignment
 from fleetplan.errors import BudgetExceeded
 from fleetplan.ltl import parse_formula, to_nfa
+from fleetplan import milp
 from fleetplan.milp import MilpModel, Row, build_milp, emit_lp, solve_exact
 from fleetplan.mission import Mission
 from fleetplan.product import build_local_formula, build_product, prune_product
-from fleetplan.protocol import ProtocolContext, choice_timeline, run_protocol
-from fleetplan.schedule import Timeline, compute_time_cost
+from fleetplan.protocol import ProtocolContext, run_protocol
+from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
 
@@ -151,6 +153,32 @@ def test_budget_cap_raises():
         individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
     with pytest.raises(BudgetExceeded):
         solve_exact(pruned, mission, assignment, combination_cap=1)
+
+
+def test_expired_deadline_raises_budget():
+    mission, assignment, pruned = build_instance(
+        6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
+        individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
+    assert solve_exact(pruned, mission, assignment, deadline=time.perf_counter() + 1000)
+    with pytest.raises(BudgetExceeded, match="^budget$"):
+        solve_exact(pruned, mission, assignment, deadline=time.perf_counter() - 1.0)
+
+
+def test_deadline_checked_on_entry_and_every_deadline_every_nodes(monkeypatch):
+    mission, assignment, pruned = build_instance(
+        6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
+        individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
+    calls = []
+    monkeypatch.setattr(milp, "check_deadline", calls.append)
+    counts = {}
+    for every in (1, 3):
+        monkeypatch.setattr(milp, "DEADLINE_EVERY", every)
+        calls.clear()
+        solve_exact(pruned, mission, assignment, deadline=123.0)
+        assert set(calls) == {123.0}
+        counts[every] = len(calls)
+    nodes = counts[1]  # one check per search node
+    assert nodes > 3 and counts[3] == -(-nodes // 3)
 
 
 def parse_lp(text):

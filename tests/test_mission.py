@@ -181,9 +181,9 @@ def test_mission_indexing_and_sync_groups():
     mission = Mission(((("ct1", "ct2"), ("ct3",)),))
     assert mission.sorted_occurrences == ((1, 1), (1, 2), (1, 3))
     assert mission.task_of((1, 3)) == "ct3"
-    assert mission.occurrence_of("ct2") == (1, 2)
+    assert mission.task_of((1, 2)) == "ct2"
     assert mission.element_of((1, 2)) == (1, 1)
-    assert mission.sync_group((1, 1)) == frozenset({"ct1", "ct2"})
+    assert frozenset(mission.element_tasks(mission.element_of((1, 1)))) == frozenset({"ct1", "ct2"})
     assert mission.consecutive_element_pairs() == ((1, 1),)
 
 

@@ -11,12 +11,11 @@ from fleetplan.protocol import (
     NetSim,
     ProtocolContext,
     adjust_strategy,
-    choice_timeline,
     find_earliest,
     find_latest,
     run_protocol,
 )
-from fleetplan.schedule import Timeline, compute_time_cost, simulate
+from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost, simulate
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
 
@@ -179,7 +178,7 @@ def test_netsim_flood_and_route_count_messages():
 
 def test_protocol_timelines_match_expanded_strategies():
     """Pruned-edge arithmetic must agree with the expanded runs it stands for."""
-    from fleetplan.schedule import compute_timeline
+    from oracles import compute_timeline
 
     ctx = two_robot_corridor(
         {"ct1": 4, "ct2": 6},

@@ -7,10 +7,10 @@ from fleetplan.errors import DeadlockDetected, NegativeObligationViolated
 from fleetplan.ltl import parse_formula, to_nfa
 from fleetplan.mission import Mission
 from fleetplan.product import build_local_formula, build_product
-from fleetplan.schedule import Timeline, compute_time_cost, compute_timeline, simulate
+from fleetplan.schedule import Timeline, compute_time_cost, simulate
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import initial_run
+from oracles import compute_timeline, initial_run
 
 
 def make_assignment(mission, robot_occ_pairs, robots):

@@ -32,6 +32,29 @@ def test_world_requires_connectivity():
         World(("a", "b", "c"), (("a", "b"),), {("a", "b"): 1})
 
 
+@pytest.mark.parametrize("weight", [0, -1, 0.0, float("nan"), float("inf"), "2", True])
+def test_world_rejects_weights_that_are_not_finite_and_positive(weight):
+    with pytest.raises(ScenarioError):
+        World(("a", "b"), (("a", "b"),), {("a", "b"): weight})
+    with pytest.raises(ScenarioError):
+        grid_world(5, 5, {("q0_0", "q1_0"): weight})
+
+
+def test_world_rejects_weight_keys_that_name_no_edge():
+    with pytest.raises(ScenarioError):
+        World(("a", "b", "c"), (("a", "b"), ("b", "c")), {("a", "b"): 1, ("b", "c"): 1,
+                                                          ("a", "c"): 1})
+    with pytest.raises(ScenarioError):
+        grid_world(3, 3, {("q0_0", "q2_2"): 4})
+
+
+def test_grid_override_in_reverse_orientation_maps_onto_its_edge():
+    world = grid_world(3, 3, {("q1_0", "q0_0"): 5, ("q1_1", "q1_2"): 3})
+    assert world.edge_weight("q0_0", "q1_0") == world.edge_weight("q1_0", "q0_0") == 5
+    assert world.edge_weight("q1_1", "q1_2") == 3
+    assert world.weights == grid_world(3, 3, {("q0_0", "q1_0"): 5, ("q1_1", "q1_2"): 3}).weights
+
+
 def test_collaborative_label_requires_capability():
     world = grid_world(3, 2)
     fleet = small_fleet()
