@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .errors import (
     InfeasibleMission,
     LevelDisconnected,
     NoAcceptingPath,
+    ScenarioError,
     StateLimitExceeded,
 )
 from .ltl import Nfa, nfa_accepts, to_nfa
@@ -86,9 +88,6 @@ class RunReport:
     stopped_because: str
     protocol_trace: List[str] = field(default_factory=list)
 
-    def incumbent_total(self) -> Optional[float]:
-        return None if self.incumbent is None else self.incumbent.total
-
 
 def _resolve_comm_pairs(option, mission: Mission):
     if option in (None, "none"):
@@ -104,6 +103,10 @@ def run_framework(scenario: Scenario) -> RunReport:
     """Execute the full pipeline on a scenario (the planner's main entry point)."""
     opts = scenario.options
     started = time.perf_counter()
+    budget = opts.budget_seconds
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
+                               or not 0 <= budget < math.inf):
+        raise ScenarioError(f"budget {budget!r} must be a finite number >= 0")
     fleet = scenario.fleet
     tasks = list(scenario.tasks)
     collab_tasks = scenario.collaborative_tasks()
@@ -126,7 +129,7 @@ def run_framework(scenario: Scenario) -> RunReport:
     protocol_trace: List[str] = []
     history_vectors: List[Tuple[bool, ...]] = []
     synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> (Nfa, PrunedPa) or error
-    deadline = None if opts.budget_seconds is None else started + opts.budget_seconds
+    deadline = None if budget is None else started + budget
     stopped = "unsat"
     index = 0
     while True:
@@ -218,6 +221,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
             mission, assignment, pruned_map, dict(choices), dict(timelines),
             rng=random.Random(opts.seed) if opts.shuffle_candidates else None)
         net = NetSim(sorted(pruned_map))
+        check_deadline(deadline)
         t0 = time.perf_counter()
         result = run_protocol(ctx, net)
         row.wall_adjust = time.perf_counter() - t0
@@ -233,15 +237,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
         row.history = [initial_report.total]
     row.t_adjusted = final_report.total
 
-    if opts.oracle:
-        t0 = time.perf_counter()
-        try:
-            exact = solve_exact(pruned_map, mission, assignment, opts.combination_cap, deadline)
-            row.oracle_j = exact.objective
-        except BudgetExceeded as exc:
-            row.detail = f"oracle skipped: {exc}"
-        row.wall_oracle = time.perf_counter() - t0
-
+    check_deadline(deadline)
     sim = simulate(strategies, mission, assignment)
     row.sim_matches = (
         abs(sim.report.total - final_report.total) < 1e-9
@@ -251,6 +247,15 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     row.element_sync_ok = sim.element_sync_ok
     row.element_order_ok = sim.element_order_ok
     row.locals_accepted = all(local_traces_accepted(strategies, nfas).values())
+
+    if opts.oracle:
+        t0 = time.perf_counter()
+        try:
+            exact = solve_exact(pruned_map, mission, assignment, opts.combination_cap, deadline)
+            row.oracle_j = exact.objective
+        except BudgetExceeded as exc:
+            row.detail = f"oracle skipped: {exc}"
+        row.wall_oracle = time.perf_counter() - t0
     return PlanOutput(row.index, assignment, strategies, sim, final_report.total, pruned_map)
 
 

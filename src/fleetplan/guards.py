@@ -29,13 +29,6 @@ class Guard:
     def is_unsatisfiable(self) -> bool:
         return not self.cubes
 
-    def mentions(self) -> FrozenSet[str]:
-        out: set[str] = set()
-        for pos, neg in self.cubes:
-            out |= pos
-            out |= neg
-        return frozenset(out)
-
     def minimal_witnesses(self) -> list[FrozenSet[str]]:
         """Inclusion-minimal positive label sets satisfying the guard."""
         candidates = [pos for pos, _neg in self.cubes]

@@ -414,10 +414,6 @@ class Nfa:
     def guard(self, a: int, b: int) -> Guard | None:
         return self.transitions.get((a, b))
 
-    def replaced(self, transitions) -> "Nfa":
-        return Nfa(self.n_states, self.initial, self.accepting, transitions,
-                   self.atom_order, self.state_names)
-
 
 # ---------------------------------------------------------------------------
 # Residual representation for the translation.
@@ -660,7 +656,3 @@ def essential_steps(nfa: Nfa, run: Sequence[int]) -> list[EssentialStep]:
         )
         steps.append(EssentialStep(chosen, negs[0]))
     return steps
-
-
-def essential_sequence(nfa: Nfa, run: Sequence[int]) -> list[FrozenSet[str]]:
-    return [step.labels for step in essential_steps(nfa, run)]

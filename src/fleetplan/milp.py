@@ -3,8 +3,10 @@
 The internal solver enumerates, per robot, one collaborative state per level
 of its layered automaton (initial and accepting endpoints are then forced to
 their cheapest edges), evaluates joint choices with the shared cost fold, and
-prunes with the ideal-completion lower bound.  The same model is exportable
-as LP text with the flow/arrival/delay constraints for external solvers.
+prunes with that fold run partially: robots not yet fixed enter it at their
+least ideal arrivals and carry no delay, so the bound sees the waits the
+fixed robots already incur.  The same model is exportable as LP text with
+the flow/arrival/delay constraints for external solvers.
 """
 
 from __future__ import annotations
@@ -76,16 +78,29 @@ class ExactResult:
     explored: int
 
 
+def least_timeline(choices: Sequence[RobotChoice]) -> Timeline:
+    """Each occurrence's least ideal arrival and the least completion over ``choices``."""
+    first = choices[0].timeline
+    return Timeline(first.robot_id,
+                    {occ: min(c.timeline.arrivals[occ] for c in choices) for occ in first.arrivals},
+                    min(c.timeline.completion for c in choices))
+
+
 def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
                 assignment: Assignment,
                 combination_cap: int = DEFAULT_COMBINATION_CAP,
                 deadline: Optional[float] = None) -> ExactResult:
     """Optimal total time cost over all joint collaborative placements.
 
-    Depth-first over robots with branch-and-bound: a partial tuple is pruned
-    when its ideal completions (a valid lower bound on the synchronized
-    total) cannot beat the incumbent.  ``deadline`` is checked on entry and
-    every ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).
+    Depth-first over robots with branch-and-bound.  A node with
+    ``robots[:idx]`` fixed is bounded by ``compute_time_cost`` over the fixed
+    timelines with each free robot's ``least_timeline`` as its floor: sync
+    times only rise as participants are added, so no completion of the node
+    costs less, and the node is pruned when the bound cannot beat the
+    incumbent.  At a leaf the bound is the exact fold, so ``explored`` counts
+    the leaves that improved the incumbent.  ``deadline`` is checked on
+    entry and every ``DEADLINE_EVERY`` search nodes (see
+    ``alloc.check_deadline``).
     """
     robots = sorted(pruned_map)
     per_robot = {r: enumerate_robot_choices(pruned_map[r]) for r in robots}
@@ -95,35 +110,33 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         if count > combination_cap:
             raise BudgetExceeded(
                 f"joint choice count exceeds cap ({combination_cap})")
-    min_completion = {
-        r: min(c.timeline.completion for c in per_robot[r]) for r in robots
-    }
+    floors = {r: least_timeline(per_robot[r]) for r in robots}
     best: Optional[Tuple[float, Dict[int, RobotChoice], CostReport]] = None
     explored = nodes = 0
     stack_choice: Dict[int, RobotChoice] = {}
 
-    def dfs(idx: int, partial_sum: float):
+    def dfs(idx: int):
         nonlocal best, explored, nodes
         if nodes % DEADLINE_EVERY == 0:
             check_deadline(deadline)
         nodes += 1
-        bound = partial_sum + sum(min_completion[r] for r in robots[idx:])
-        if best is not None and bound >= best[0]:
-            return
+        if best is not None or idx == len(robots):
+            # the free robots follow the fixed ones, so the bound sums in the leaf fold's order
+            report = compute_time_cost({r: stack_choice[r].timeline for r in robots[:idx]},
+                                       mission, assignment, {r: floors[r] for r in robots[idx:]})
+            if best is not None and report.total >= best[0]:
+                return
         if idx == len(robots):
             explored += 1
-            timelines = {r: stack_choice[r].timeline for r in robots}
-            report = compute_time_cost(timelines, mission, assignment)
-            if best is None or report.total < best[0]:
-                best = (report.total, dict(stack_choice), report)
+            best = (report.total, dict(stack_choice), report)
             return
         r = robots[idx]
         for choice in per_robot[r]:
             stack_choice[r] = choice
-            dfs(idx + 1, partial_sum + choice.timeline.completion)
+            dfs(idx + 1)
         del stack_choice[r]
 
-    dfs(0, 0.0)
+    dfs(0)
     if best is None:
         raise LevelDisconnected("no joint feasible placement")
     objective, choices, report = best
@@ -155,9 +168,6 @@ class MilpModel:
     binaries: Tuple[str, ...]
     continuous: Tuple[str, ...]
     big_m: Mapping[int, float]
-
-    def variable_names(self) -> Tuple[str, ...]:
-        return tuple(self.binaries) + tuple(self.continuous)
 
 
 def _state_index(pruned: PrunedPa) -> Dict[State, int]:

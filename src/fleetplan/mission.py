@@ -181,13 +181,12 @@ class Mission:
     negative_obligations: Mapping[Tuple[int, int], FrozenSet[str]] = field(default_factory=dict)
     sorted_occurrences: Tuple[Occurrence, ...] = field(init=False, repr=False, compare=False)
     _task: Dict[Occurrence, str] = field(init=False, repr=False, compare=False)
-    _element: Dict[Occurrence, Tuple[int, int]] = field(init=False, repr=False, compare=False)
     _members: Dict[Tuple[int, int], Tuple[Occurrence, ...]] = field(
         init=False, repr=False, compare=False)
     _elements: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen, task, element, members = {}, {}, {}, {}
+        seen, task, members = {}, {}, {}
         for k, sub in enumerate(self.subsequences, start=1):
             l = 0
             for m, props in enumerate(sub, start=1):
@@ -200,24 +199,17 @@ class Mission:
                             f"task {prop!r} occurs in elements {seen[prop]} and ({k},{m})")
                     seen[prop] = (k, m)
                     l += 1
-                    task[(k, l)], element[(k, l)] = prop, (k, m)
+                    task[(k, l)] = prop
                     group.append((k, l))
                 members[(k, m)] = tuple(group)
         object.__setattr__(self, "sorted_occurrences", tuple(task))
         object.__setattr__(self, "_task", task)
-        object.__setattr__(self, "_element", element)
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_elements", tuple(members))
 
     def task_of(self, occ: Occurrence) -> str:
         try:
             return self._task[occ]
-        except KeyError:
-            raise MissionError(f"no occurrence {occ}") from None
-
-    def element_of(self, occ: Occurrence) -> Tuple[int, int]:
-        try:
-            return self._element[occ]
         except KeyError:
             raise MissionError(f"no occurrence {occ}") from None
 

@@ -59,7 +59,8 @@ def choice_timeline(pruned: PrunedPa, choice: Sequence[State]) -> Timeline:
 
 
 def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
-                      assignment: Assignment) -> CostReport:
+                      assignment: Assignment,
+                      floors: Optional[Mapping[int, Timeline]] = None) -> CostReport:
     """Fold synchronization waits over the global task order.
 
     Walks the mission's elements in (k, m) order.  Tasks sharing an element
@@ -67,18 +68,27 @@ def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     the whole element arrives; every participant's delay is then overwritten
     with its accumulated wait.  On singleton elements this is exactly the
     per-task fold (arrival plus carried delay, max over the task's robots).
+
+    ``floors`` makes this a partial fold: it gives each robot missing from
+    ``timelines`` the least arrival per occurrence and least completion over
+    its choices.  Such a robot joins each max with that arrival and carries
+    no delay, so every task time and the total (summed in the same robot
+    order) bound from below those of any full fold agreeing with
+    ``timelines``.
     """
-    delays: Dict[int, float] = {r: 0.0 for r in timelines}
+    every = {**timelines, **floors} if floors else timelines
+    delays: Dict[int, float] = {r: 0.0 for r in every}
     task_times: Dict[Occurrence, float] = {}
     robots_for = assignment.robots_for
     for elem in mission.elements():
         occs = mission.element_occurrences(elem)
-        t = max(timelines[r].arrivals[occ] + delays[r] for occ in occs for r in robots_for(occ))
+        t = max(every[r].arrivals[occ] + delays[r] for occ in occs for r in robots_for(occ))
         for occ in occs:
             task_times[occ] = t
             for r in robots_for(occ):
-                delays[r] = t - timelines[r].arrivals[occ]
-    per_robot = {r: timelines[r].completion + delays[r] for r in timelines}
+                if r in timelines:
+                    delays[r] = t - timelines[r].arrivals[occ]
+    per_robot = {r: every[r].completion + delays[r] for r in every}
     total = sum(per_robot.values())
     return CostReport(task_times, delays, per_robot, total)
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .errors import Unreachable
-
 Node = Hashable
 
 
@@ -53,24 +51,6 @@ def reconstruct(parent: Mapping, node: Node) -> list:
         path.append(node)
     path.reverse()
     return path
-
-
-def shortest_path(adjacency: Mapping, sources: Iterable[Node], targets: Iterable[Node]):
-    """Cheapest path from any source to any target: ``(cost, path)``.
-
-    Among equal-cost targets the smallest node key wins.
-    """
-    targets = set(targets)
-    dist, parent = dijkstra(adjacency, sources, targets=targets)
-    reachable = [(dist[t], t) for t in targets if t in dist]
-    if not reachable:
-        raise Unreachable("no path from sources to targets")
-    cost, best = min(reachable, key=lambda item: (item[0], _order_key(item[1])))
-    return cost, reconstruct(parent, best)
-
-
-def _order_key(node):
-    return repr(node)
 
 
 def bfs_layers(successors: Callable[[Node], Sequence[Node]], sources: Iterable[Node]):

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import ScenarioError, Unreachable
-from .search import dijkstra
 
 
 @dataclass(frozen=True)
@@ -157,9 +156,6 @@ class Wts:
                 return w
         raise Unreachable(f"no edge {a}->{b} in robot {self.robot_id}'s transition system")
 
-    def run_weight(self, walk: Sequence[str]) -> float:
-        return sum(self.weight(a, b) for a, b in zip(walk, walk[1:]))
-
     def min_edge_weight(self) -> float:
         return min(w for succs in self.adjacency.values() for _, w in succs)
 
@@ -191,13 +187,3 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
     adjacency = {r: tuple(sorted(set(succs))) for r, succs in adjacency.items()}
     frozen_labels = {r: frozenset(props) for r, props in labels.items()}
     return Wts(robot_id, world.regions, robot.start, adjacency, frozen_labels)
-
-
-def shortest_travel(wts: Wts, origin: str, destination: str) -> float:
-    """Minimum travel duration between two regions; 0 when they coincide."""
-    if origin == destination:
-        return 0
-    dist, _ = dijkstra(wts.adjacency, [origin], targets={destination})
-    if destination not in dist:
-        raise Unreachable(f"{destination} unreachable from {origin}")
-    return dist[destination]

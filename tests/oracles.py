@@ -5,9 +5,11 @@ satisfaction is evaluated directly on the formula tree, shortest paths use
 Bellman-Ford, and combinatorial questions are settled by exhaustive
 enumeration.  ``ReferenceAllocator`` keeps the clause-store DPLL that the
 lexicographic allocator replaced, as a reference for its solution order.
-The exceptions are the test-only product helpers at the end, which build on
-the production product automaton: ``ReferenceProductPa`` keeps its original
-edge-by-edge construction as a reference for the table-driven one.
+The exceptions are the test-only helpers at the end, which build on the
+production code: ``ReferenceProductPa`` keeps the product's original
+edge-by-edge construction as a reference for the table-driven one, and
+``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
+sum of ideal completions as a reference for the wait-aware bound.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import chain, combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from fleetplan.errors import NoAcceptingPath, Unreachable
+from fleetplan.alloc import DEADLINE_EVERY, Assignment, check_deadline
+from fleetplan.errors import BudgetExceeded, LevelDisconnected, NoAcceptingPath, Unreachable
 from fleetplan.ltl import (
     And,
     Atom,
@@ -29,10 +32,20 @@ from fleetplan.ltl import (
     Or,
     TrueF,
     Until,
+    essential_steps,
 )
+from fleetplan.milp import (
+    DEFAULT_COMBINATION_CAP,
+    ExactResult,
+    MilpModel,
+    RobotChoice,
+    enumerate_robot_choices,
+)
+from fleetplan.mission import Mission
 from fleetplan.product import ProductPa, PrunedPa, State, Strategy
-from fleetplan.schedule import Timeline
-from fleetplan.search import shortest_path
+from fleetplan.schedule import CostReport, Timeline, compute_time_cost
+from fleetplan.search import dijkstra, reconstruct
+from fleetplan.world import Wts
 
 
 def eval_trace(f: Formula, trace) -> bool:
@@ -437,3 +450,104 @@ class ReferenceProductPa(ProductPa):
         for _occ, prop in self.assigned:
             if prop in required and prop in region_label:
                 self._collab_sets.setdefault(prop, set()).add(state)
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers over the production modules
+# ---------------------------------------------------------------------------
+
+
+def shortest_path(adjacency, sources, targets):
+    """Cheapest path from any source to any target: ``(cost, path)``.
+
+    Among equal-cost targets the smallest node key (by ``repr``) wins.
+    """
+    targets = set(targets)
+    dist, parent = dijkstra(adjacency, sources, targets=targets)
+    reachable = [(dist[t], t) for t in targets if t in dist]
+    if not reachable:
+        raise Unreachable("no path from sources to targets")
+    cost, best = min(reachable, key=lambda item: (item[0], repr(item[1])))
+    return cost, reconstruct(parent, best)
+
+
+def shortest_travel(wts: Wts, origin: str, destination: str) -> float:
+    """Minimum travel duration between two regions; 0 when they coincide."""
+    if origin == destination:
+        return 0
+    dist, _ = dijkstra(wts.adjacency, [origin], targets={destination})
+    if destination not in dist:
+        raise Unreachable(f"{destination} unreachable from {origin}")
+    return dist[destination]
+
+
+def essential_sequence(nfa, run: Sequence[int]) -> List[frozenset]:
+    """The positive label set of each essential step along ``run``."""
+    return [step.labels for step in essential_steps(nfa, run)]
+
+
+def element_of(mission: Mission, occ) -> Tuple[int, int]:
+    """The element (k, m) holding occurrence ``occ``."""
+    return next(elem for elem in mission.elements() if occ in mission.element_occurrences(elem))
+
+
+def variable_names(model: MilpModel) -> Tuple[str, ...]:
+    """Every variable of an LP model, binaries first."""
+    return tuple(model.binaries) + tuple(model.continuous)
+
+
+def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
+                          assignment: Assignment,
+                          combination_cap: int = DEFAULT_COMBINATION_CAP,
+                          deadline: Optional[float] = None) -> ExactResult:
+    """Optimal total time cost over all joint collaborative placements.
+
+    Depth-first over robots with branch-and-bound: a partial tuple is pruned
+    when its ideal completions (a valid lower bound on the synchronized
+    total) cannot beat the incumbent.  ``deadline`` is checked on entry and
+    every ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).
+    """
+    robots = sorted(pruned_map)
+    per_robot = {r: enumerate_robot_choices(pruned_map[r]) for r in robots}
+    count = 1
+    for r in robots:
+        count *= len(per_robot[r])
+        if count > combination_cap:
+            raise BudgetExceeded(
+                f"joint choice count exceeds cap ({combination_cap})")
+    min_completion = {
+        r: min(c.timeline.completion for c in per_robot[r]) for r in robots
+    }
+    best: Optional[Tuple[float, Dict[int, RobotChoice], CostReport]] = None
+    explored = nodes = 0
+    stack_choice: Dict[int, RobotChoice] = {}
+
+    def dfs(idx: int, partial_sum: float):
+        nonlocal best, explored, nodes
+        if nodes % DEADLINE_EVERY == 0:
+            check_deadline(deadline)
+        nodes += 1
+        bound = partial_sum + sum(min_completion[r] for r in robots[idx:])
+        if best is not None and bound >= best[0]:
+            return
+        if idx == len(robots):
+            explored += 1
+            timelines = {r: stack_choice[r].timeline for r in robots}
+            report = compute_time_cost(timelines, mission, assignment)
+            if best is None or report.total < best[0]:
+                best = (report.total, dict(stack_choice), report)
+            return
+        r = robots[idx]
+        for choice in per_robot[r]:
+            stack_choice[r] = choice
+            dfs(idx + 1, partial_sum + choice.timeline.completion)
+        del stack_choice[r]
+
+    dfs(0, 0.0)
+    if best is None:
+        raise LevelDisconnected("no joint feasible placement")
+    objective, choices, report = best
+    strategies = {
+        r: pruned_map[r].expand(choices[r].full_choice()) for r in robots
+    }
+    return ExactResult(objective, report, choices, strategies, explored)

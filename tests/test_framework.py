@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -179,9 +180,10 @@ def test_budget_hit_between_robots_drops_partial_row(monkeypatch):
     real_check = framework.check_deadline
 
     def expire_on_third_assignment(deadline):
-        # four robots per evaluated assignment: call 10 is the third one's second robot
+        # four robots, the protocol and the simulation per evaluated assignment:
+        # call 14 is the third one's second robot
         calls.append(deadline)
-        real_check(time.perf_counter() - 1.0 if len(calls) == 10 else deadline)
+        real_check(time.perf_counter() - 1.0 if len(calls) == 14 else deadline)
 
     monkeypatch.setattr(framework, "check_deadline", expire_on_third_assignment)
     report = run_framework(sc)
@@ -189,6 +191,64 @@ def test_budget_hit_between_robots_drops_partial_row(monkeypatch):
     assert [(r.index, r.status, r.t_adjusted) for r in report.rows] == \
         [(r.index, r.status, r.t_adjusted) for r in full.rows[:evaluated[2]]]
     assert report.incumbent is not None and report.incumbent.assignment_index in evaluated[:2]
+
+
+def test_protocol_overrun_drops_the_row_before_simulation(monkeypatch):
+    from types import SimpleNamespace
+
+    from fleetplan import alloc
+
+    full = run_framework(enumerating_scenario())
+    evaluated = [r.index for r in full.rows if r.status == "evaluated"]
+    sc = enumerating_scenario()
+    sc.options.budget_seconds = 1000.0
+    protocols, simulations = [], []
+    real_protocol, real_simulate = framework.run_protocol, framework.simulate
+
+    def overrunning_protocol(ctx, net):
+        protocols.append(ctx.assignment)
+        result = real_protocol(ctx, net)
+        if len(protocols) == 3:  # the third evaluated assignment's protocol overruns
+            monkeypatch.setattr(alloc, "time", SimpleNamespace(perf_counter=lambda: math.inf))
+        return result
+
+    def counting_simulate(*args):
+        simulations.append(args[2])
+        return real_simulate(*args)
+
+    monkeypatch.setattr(framework, "run_protocol", overrunning_protocol)
+    monkeypatch.setattr(framework, "simulate", counting_simulate)
+    report = run_framework(sc)
+    assert report.stopped_because == "budget"
+    assert [(r.index, r.status, r.t_adjusted) for r in report.rows] == \
+        [(r.index, r.status, r.t_adjusted) for r in full.rows[:evaluated[2]]]
+    assert len(protocols) == 3 and simulations == protocols[:2]
+    assert report.incumbent is not None and report.incumbent.assignment_index in evaluated[:2]
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf, -5.0])
+def test_budget_not_finite_and_nonnegative_is_rejected(tmp_path, capsys, budget):
+    path = tmp_path / "sc.json"
+    path.write_text(small_scenario().dumps())
+    assert cli_main(["plan", str(path), "--budget", str(budget), "--out", str(tmp_path / "o")]) == 1
+    assert "budget" in capsys.readouterr().err
+    data = json.loads(small_scenario().dumps())
+    data["options"]["budgetSeconds"] = budget
+    path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
+def test_zero_budget_stops_with_budget(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    path.write_text(small_scenario().dumps())
+    assert cli_main(["plan", str(path), "--budget", "0", "--out", str(tmp_path / "o")]) == 3
+    assert "(budget)" in capsys.readouterr().err
+    data = json.loads(small_scenario().dumps())
+    data["options"]["budgetSeconds"] = 0
+    path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(path), "--out", str(tmp_path / "o2")]) == 3
+    assert json.loads((tmp_path / "o2" / "schedule.json").read_text())["stopped"] == "budget"
 
 
 def test_oracle_budget_hit_is_row_detail(monkeypatch):

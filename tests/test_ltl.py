@@ -14,7 +14,6 @@ from fleetplan.ltl import (
     TrueF,
     Until,
     atoms_of,
-    essential_sequence,
     essential_steps,
     format_formula,
     nfa_accepts,
@@ -22,7 +21,7 @@ from fleetplan.ltl import (
     to_nfa,
 )
 
-from oracles import all_traces, eval_trace, random_formula
+from oracles import all_traces, essential_sequence, eval_trace, random_formula
 
 
 def lbl(*props):

@@ -1,5 +1,6 @@
 """Exact optimizer: enumeration correctness, dominance, LP emission."""
 
+import functools
 import io
 import re
 import time
@@ -17,6 +18,8 @@ from fleetplan.product import build_local_formula, build_product, prune_product
 from fleetplan.protocol import ProtocolContext, run_protocol
 from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
+
+from oracles import reference_solve_exact, variable_names
 
 
 def build_instance(width, height, ct_regions, starts, individual=None, formulas=None):
@@ -321,7 +324,7 @@ def test_external_milp_solver_agrees_with_exact():
     buf = io.StringIO()
     emit_lp(model, buf)
     objective, rows, binaries = parse_lp(buf.getvalue())
-    variables = sorted(set(model.variable_names()))
+    variables = sorted(set(variable_names(model)))
     index = {v: i for i, v in enumerate(variables)}
     c = np.zeros(len(variables))
     for var, coef in objective.items():
@@ -399,7 +402,7 @@ def _solve_lp_with_scipy(model):
     buf = io.StringIO()
     emit_lp(model, buf)
     objective, rows, binaries = parse_lp(buf.getvalue())
-    variables = sorted(set(model.variable_names()))
+    variables = sorted(set(variable_names(model)))
     index = {v: i for i, v in enumerate(variables)}
     c = np.zeros(len(variables))
     for var, coef in objective.items():
@@ -437,3 +440,163 @@ def _valuation_from_solution(model, pruned_map, exact):
     for occ, t in exact.report.task_times.items():
         values[f"z_{occ[0]}_{occ[1]}"] = t
     return values
+
+
+# ---------------------------------------------------------------------------
+# Wait-aware bound: same optimum as the reference oracle, fewer leaves
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_inputs(fixtures):
+    """``(pruned_map, mission, assignment)`` of every oracle call the planner
+    makes on the scenarios ``fixtures()`` yields, planned once and cached."""
+    from fleetplan import framework
+    from fleetplan.errors import InfeasibleMission
+
+    calls = []
+    real = framework.solve_exact
+
+    def record(pruned_map, mission, assignment, cap, deadline):
+        calls.append((pruned_map, mission, assignment))
+        return real(pruned_map, mission, assignment, cap, deadline)
+
+    framework.solve_exact = record
+    try:
+        for sc in fixtures():
+            sc.options.oracle = True
+            try:
+                framework.run_framework(sc)
+            except InfeasibleMission:
+                continue
+    finally:
+        framework.solve_exact = real
+    return tuple(calls)
+
+
+def criterion_4_fixtures():
+    from fleetplan.scenario import generate
+
+    for i in range(30):
+        sc = generate(seed=3000 + i, robots=[3, 4, 5][i % 3], collab=4, grid=(8, 8),
+                      individual_per_robot=2)
+        sc.options.max_assignments = 8
+        yield sc
+
+
+def float_weight_fixtures():
+    """Generated scenarios whose edges weigh 0.1–2.0, rounded to 1–7 decimals."""
+    import random
+
+    from fleetplan.scenario import Scenario, generate
+
+    for i in range(30):
+        rng = random.Random(7000 + i)
+        data = generate(seed=7000 + i, robots=4, collab=3, grid=(6, 6),
+                        individual_per_robot=2).to_json()
+        data["world"]["weights"] = [
+            [a, b, round(rng.uniform(0.1, 2.0), rng.randint(1, 7))]
+            for a, b in grid_world(6, 6).edges]
+        data["options"]["maxAssignments"] = 4
+        yield Scenario.from_json(data)
+
+
+def alloc_oracle_fixtures():
+    """The criterion-7 structures of seeds 6001–6010, placed on an 8×8 grid."""
+    import random
+
+    from fleetplan.scenario import Scenario, generate
+
+    for seed in range(6001, 6011):
+        data = generate(seed=seed, robots=10, collab=6, grid=(20, 20),
+                        individual_per_robot=2).to_json()
+        data["world"] = {"grid": {"width": 8, "height": 8}}
+        placed = data["robots"] + data["individualTasks"] + data["collaborativeTasks"]
+        cells = random.Random(seed).sample([f"q{x}_{y}" for y in range(8) for x in range(8)],
+                                           len(placed))
+        for item, cell in zip(placed, cells):
+            item["start" if "start" in item else "region"] = cell
+        data["options"]["maxAssignments"] = 1
+        yield Scenario.from_json(data)
+
+
+def assert_matches_reference(calls):
+    explored = reference_explored = 0
+    for pruned_map, mission, assignment in calls:
+        got = solve_exact(pruned_map, mission, assignment)
+        ref = reference_solve_exact(pruned_map, mission, assignment)
+        assert got.objective == ref.objective
+        assert got.report == ref.report
+        assert {r: c.full_choice() for r, c in got.choices.items()} == \
+            {r: c.full_choice() for r, c in ref.choices.items()}
+        assert {r: (s.run, s.step_weights) for r, s in got.strategies.items()} == \
+            {r: (s.run, s.step_weights) for r, s in ref.strategies.items()}
+        assert got.explored <= ref.explored
+        explored += got.explored
+        reference_explored += ref.explored
+    return explored, reference_explored
+
+
+def test_wait_aware_bound_matches_reference_on_criterion_4_fixtures():
+    calls = oracle_inputs(criterion_4_fixtures)
+    assert len(calls) >= 30
+    assert_matches_reference(calls)
+
+
+def test_wait_aware_bound_matches_reference_on_float_weights():
+    calls = oracle_inputs(float_weight_fixtures)
+    assert len(calls) >= 30
+    assert_matches_reference(calls)
+
+
+def test_wait_aware_bound_matches_reference_on_alloc_oracle_structures():
+    calls = oracle_inputs.__wrapped__(alloc_oracle_fixtures)  # too large to keep cached
+    assert len(calls) >= 5
+    explored, reference_explored = assert_matches_reference(calls)
+    assert explored * 10 < reference_explored
+
+
+def test_partial_fold_carries_no_delay_for_free_robots():
+    """A free robot's floor is not a timeline: it must not carry a wait forward."""
+    mission = Mission(((("a",), ("b",)),))
+    assignment = Assignment((0, 1), mission.sorted_occurrences, [True] * 4)
+    fixed = {0: Timeline(0, {(1, 1): 10.0, (1, 2): 11.0}, 12.0)}
+    choices = [Timeline(1, {(1, 1): 10.0, (1, 2): 11.0}, 12.0),
+               Timeline(1, {(1, 1): 0.0, (1, 2): 20.0}, 21.0)]
+    exact = min(compute_time_cost({**fixed, 1: c}, mission, assignment).total for c in choices)
+    floor = Timeline(1, {(1, 1): 0.0, (1, 2): 11.0}, 12.0)
+    bound = compute_time_cost(fixed, mission, assignment, {1: floor})
+    assert bound.total == exact == 24.0
+    assert bound.delays == {0: 0.0, 1: 0.0}
+    # folded as an ordinary timeline, the floor would carry a wait of 10 and overshoot
+    assert compute_time_cost({**fixed, 1: floor}, mission, assignment).total == 44.0
+
+
+def test_bound_at_every_node_is_below_its_completions():
+    """Brute force: each node's partial fold is at most its cheapest completion."""
+    nodes = 0
+    for pruned_map, mission, assignment in (oracle_inputs(criterion_4_fixtures)
+                                            + oracle_inputs(float_weight_fixtures)):
+        robots = sorted(pruned_map)
+        per_robot = [milp.enumerate_robot_choices(pruned_map[r]) for r in robots]
+        size = 1
+        for options in per_robot:
+            size *= len(options)
+        if size > 2000:
+            continue
+        floors = [milp.least_timeline(options) for options in per_robot]
+        best = {}  # choice-index prefix -> least exact total below it
+        for joint in iter_product(*(range(len(options)) for options in per_robot)):
+            timelines = {r: per_robot[i][j].timeline for i, (r, j) in enumerate(zip(robots, joint))}
+            total = compute_time_cost(timelines, mission, assignment).total
+            for idx in range(len(robots) + 1):
+                prefix = joint[:idx]
+                best[prefix] = min(best.get(prefix, total), total)
+        for prefix, least in best.items():
+            idx = len(prefix)
+            fixed = {r: per_robot[i][j].timeline for i, (r, j) in enumerate(zip(robots, prefix))}
+            free = {r: floors[i] for i, r in enumerate(robots) if i >= idx}
+            bound = compute_time_cost(fixed, mission, assignment, free).total
+            assert bound <= least if idx < len(robots) else bound == least
+            nodes += 1
+    assert nodes > 1000

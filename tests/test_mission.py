@@ -15,7 +15,7 @@ from fleetplan.mission import (
 )
 from fleetplan.world import Fleet, Robot, TaskReq
 
-from oracles import all_label_sets, random_formula
+from oracles import all_label_sets, element_of, random_formula
 
 
 def fleet_of(*capability_sets):
@@ -182,8 +182,8 @@ def test_mission_indexing_and_sync_groups():
     assert mission.sorted_occurrences == ((1, 1), (1, 2), (1, 3))
     assert mission.task_of((1, 3)) == "ct3"
     assert mission.task_of((1, 2)) == "ct2"
-    assert mission.element_of((1, 2)) == (1, 1)
-    assert frozenset(mission.element_tasks(mission.element_of((1, 1)))) == frozenset({"ct1", "ct2"})
+    assert element_of(mission, (1, 2)) == (1, 1)
+    assert frozenset(mission.element_tasks(element_of(mission, (1, 1)))) == frozenset({"ct1", "ct2"})
     assert mission.consecutive_element_pairs() == ((1, 1),)
 
 
@@ -208,8 +208,7 @@ def test_decomposition_positions_validated():
 
 def test_reported_decompositions_survive_oracle_interleaving():
     """Every interior split must keep all prefix/suffix merges in the language."""
-    from fleetplan.ltl import essential_sequence
-    from oracles import interleavings
+    from oracles import essential_sequence, interleavings
 
     rng = random.Random(31)
     corpus = [

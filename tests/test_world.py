@@ -5,9 +5,9 @@ import random
 import pytest
 
 from fleetplan.errors import ScenarioError
-from fleetplan.world import Fleet, Robot, TaskReq, World, build_wts, grid_world, shortest_travel
+from fleetplan.world import Fleet, Robot, TaskReq, World, build_wts, grid_world
 
-from oracles import bellman_ford
+from oracles import bellman_ford, shortest_travel
 
 
 def small_fleet():
