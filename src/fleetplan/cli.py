@@ -13,7 +13,7 @@ import sys
 from .errors import FleetplanError, InfeasibleMission
 from .framework import run_framework, write_reports
 from .milp import build_milp, emit_lp
-from .scenario import Options, Scenario, generate
+from .scenario import Scenario, generate
 
 
 def _onoff(value: str) -> bool:
@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write the incumbent assignment's LP file")
     plan.add_argument("--budget", type=float, default=None, metavar="SECS")
     plan.add_argument("--max-assignments", type=int, default=None, metavar="K")
-    plan.add_argument("--seed", type=int, default=None, metavar="S")
     plan.add_argument("--out", default="out", metavar="DIR")
 
     gen = sub.add_parser("generate", help="generate a random scenario")
@@ -62,8 +61,6 @@ def cmd_plan(args) -> int:
         scenario.options.budget_seconds = args.budget
     if args.max_assignments is not None:
         scenario.options.max_assignments = args.max_assignments
-    if args.seed is not None:
-        scenario.options.seed = args.seed
     try:
         report = run_framework(scenario)
     except InfeasibleMission as exc:
@@ -96,7 +93,6 @@ def cmd_generate(args) -> int:
         grid=tuple(args.grid),
         individual_per_robot=args.individual,
         template=args.template,
-        options=Options(seed=args.seed),
     )
     text = scenario.dumps()
     if args.out:
@@ -109,7 +105,11 @@ def cmd_generate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; a usage error is exit 1, --help exit 0
+        return 1 if exc.code else 0
     try:
         if args.command == "plan":
             return cmd_plan(args)

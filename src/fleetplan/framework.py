@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -28,7 +26,6 @@ from .errors import (
     InfeasibleMission,
     LevelDisconnected,
     NoAcceptingPath,
-    ScenarioError,
     StateLimitExceeded,
 )
 from .ltl import Nfa, nfa_accepts, to_nfa
@@ -103,10 +100,7 @@ def run_framework(scenario: Scenario) -> RunReport:
     """Execute the full pipeline on a scenario (the planner's main entry point)."""
     opts = scenario.options
     started = time.perf_counter()
-    budget = opts.budget_seconds
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))
-                               or not 0 <= budget < math.inf):
-        raise ScenarioError(f"budget {budget!r} must be a finite number >= 0")
+    opts.validate()
     fleet = scenario.fleet
     tasks = list(scenario.tasks)
     collab_tasks = scenario.collaborative_tasks()
@@ -129,7 +123,7 @@ def run_framework(scenario: Scenario) -> RunReport:
     protocol_trace: List[str] = []
     history_vectors: List[Tuple[bool, ...]] = []
     synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> (Nfa, PrunedPa) or error
-    deadline = None if budget is None else started + budget
+    deadline = None if opts.budget_seconds is None else started + opts.budget_seconds
     stopped = "unsat"
     index = 0
     while True:
@@ -217,9 +211,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     row.t_ideal = sum(tl.completion for tl in timelines.values())
 
     if opts.adjust:
-        ctx = ProtocolContext(
-            mission, assignment, pruned_map, dict(choices), dict(timelines),
-            rng=random.Random(opts.seed) if opts.shuffle_candidates else None)
+        ctx = ProtocolContext(mission, assignment, pruned_map, dict(choices), dict(timelines))
         net = NetSim(sorted(pruned_map))
         check_deadline(deadline)
         t0 = time.perf_counter()

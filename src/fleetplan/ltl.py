@@ -396,13 +396,11 @@ class Nfa:
     it partial).
     """
 
-    def __init__(self, n_states, initial, accepting, transitions, atom_order, state_names=()):
+    def __init__(self, n_states, initial, accepting, transitions):
         self.n_states = n_states
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
         self.transitions = dict(transitions)
-        self.atom_order = tuple(atom_order)
-        self.state_names = tuple(state_names)
         succ: dict[int, list[int]] = {}
         for (a, b) in sorted(self.transitions):
             succ.setdefault(a, []).append(b)
@@ -505,19 +503,8 @@ def _formula_dnf(f: Formula) -> frozenset:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _dnf_format(dnf: frozenset) -> str:
-    if not dnf:
-        return "false"
-    parts = []
-    for pos, neg in sorted(dnf, key=lambda c: (sorted(map(_key, c[0])), sorted(map(_key, c[1])))):
-        lits = sorted(map(_key, pos)) + ["!(%s)" % _key(u) for u in sorted(neg, key=_key)]
-        parts.append(" & ".join(lits) if lits else "true")
-    return " | ".join(parts)
-
-
 class _Translator:
-    def __init__(self, atoms: Sequence[str]):
-        self.atoms = tuple(atoms)
+    def __init__(self):
         self._unit_cache: dict[tuple[Formula, frozenset], frozenset] = {}
 
     def progress_unit(self, unit: Formula, labels: frozenset) -> frozenset:
@@ -563,12 +550,15 @@ class _Translator:
         return _dnf_or(*results) if results else _DNF_FALSE
 
 
-def to_nfa(f: Formula, state_cap: int = 20_000) -> Nfa:
+DEFAULT_STATE_CAP = 20_000
+
+
+def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
     """Translate a formula into an automaton accepting exactly its finite models."""
     root = simplify(f)
     atoms = sorted(atoms_of(root))
     n = len(atoms)
-    translator = _Translator(atoms)
+    translator = _Translator()
     root_dnf = _formula_dnf(root)
     index = {root_dnf: 0}
     order = [root_dnf]
@@ -596,8 +586,7 @@ def to_nfa(f: Formula, state_cap: int = 20_000) -> Nfa:
         pair: guard_from_minterms(atoms, masks) for pair, masks in sorted(minterms.items())
     }
     accepting = frozenset(i for s, i in index.items() if _dnf_eval_empty(s))
-    names = tuple(_dnf_format(s) for s in order)
-    return Nfa(len(order), frozenset((0,)), accepting, transitions, atoms, names)
+    return Nfa(len(order), frozenset((0,)), accepting, transitions)
 
 
 def nfa_accepts(nfa: Nfa, sequence: Sequence[FrozenSet[str]]) -> bool:

@@ -63,8 +63,7 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
                 reachable.add(q2)
                 queue.append(q2)
     transitions = {(a, b): g for (a, b), g in filtered.items() if a in reachable and b in reachable}
-    pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable),
-                 transitions, nfa.atom_order, nfa.state_names)
+    pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions)
     if not pruned.accepting:
         raise EmptyLanguage("no accepting state is reachable after capacity pruning")
     return pruned

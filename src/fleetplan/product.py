@@ -279,7 +279,6 @@ class PrunedPa:
                 for (a, b), (w, fired, _e) in pa.edge_info.items():
                     if prop in fired and b in targets:
                         firing_in.setdefault(b, []).append((a, w))
-            any_edge = {key for key in self.edges if key[0] == li}
             for source in sources:
                 dist, parent = dijkstra(nonfiring, [source])
                 if is_final:

@@ -10,7 +10,6 @@ improvement terminates the protocol.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -153,7 +152,6 @@ class ProtocolContext:
     pruned: Dict[int, PrunedPa]
     choices: Dict[int, List[State]]
     timelines: Dict[int, Timeline]
-    rng: Optional[random.Random] = None  # None = deterministic candidate order
 
     def report(self) -> CostReport:
         return compute_time_cost(self.timelines, self.mission, self.assignment)
@@ -184,10 +182,9 @@ def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
         prefix_ideal = 0.0
     t_ideal = timeline.arrival(occ)
     t_sync = report.task_time(occ)
-    candidates = [s for s in pruned.levels[level] if s != current_state]
-    if ctx.rng is not None:
-        ctx.rng.shuffle(candidates)
-    for candidate in candidates:
+    for candidate in pruned.levels[level]:
+        if candidate == current_state:
+            continue
         w = pruned.edge_weight(level - 1, anchor, candidate)
         if w is None:
             continue
@@ -226,8 +223,7 @@ class ProtocolResult:
     trace: List[str]
 
 
-def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None,
-                 max_cycles: Optional[int] = None) -> ProtocolResult:
+def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> ProtocolResult:
     """Execute the adjustment protocol to termination.
 
     Walks the mission's occurrences in global order; per occurrence the
@@ -249,8 +245,6 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None,
     ideal_total = sum(tl.completion for tl in ctx.timelines.values())
     min_edge = min(ctx.pruned[r].pa.wts.min_edge_weight() for r in ctx.pruned)
     bound = int((initial_total - ideal_total) / min_edge) + 2
-    if max_cycles is not None:
-        bound = min(bound, max_cycles)
 
     robots = sorted(ctx.timelines)
     for r in robots:

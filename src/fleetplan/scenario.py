@@ -9,55 +9,82 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
-from .ltl import Formula, atoms_of, parse_formula
+from .ltl import DEFAULT_STATE_CAP, Formula, atoms_of, parse_formula
+from .milp import DEFAULT_COMBINATION_CAP
 from .world import Fleet, Robot, TaskReq, World, grid_world
 
 SCHEMA_VERSION = 1
 
 
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_count_or_none(value) -> bool:
+    return value is None or _is_count(value)
+
+
+def _is_budget(value) -> bool:
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)
+                             and 0 <= value < math.inf)
+
+
+def _is_comm_pairs(value) -> bool:
+    return value in (None, "none", "all") or isinstance(value, (list, tuple)) and all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_count, pair))
+        for pair in value)
+
+
+# field -> (JSON key, rule, what the rule asks); defaults live on the fields
+OPTION_KEYS = {
+    "adjust": ("adjust", _is_bool, "true or false"),
+    "oracle": ("oracle", _is_bool, "true or false"),
+    "max_assignments": ("maxAssignments", _is_count_or_none, "null or an integer >= 1"),
+    "budget_seconds": ("budgetSeconds", _is_budget, "null or a finite number >= 0"),
+    "comm_pairs": ("commPairs", _is_comm_pairs,
+                   '"none", null, "all" or a list of [k, m] positive-integer pairs'),
+    "state_cap": ("stateCap", _is_count, "an integer >= 1"),
+    "combination_cap": ("combinationCap", _is_count, "an integer >= 1"),
+}
+
+
 @dataclass
 class Options:
-    seed: int = 0
     adjust: bool = True
     oracle: bool = False
     max_assignments: Optional[int] = None
     budget_seconds: Optional[float] = None
-    comm_pairs: object = "none"  # "none" | "all" | explicit [k, m] list
-    state_cap: int = 20_000
-    combination_cap: int = 10_000_000
-    shuffle_candidates: bool = False
+    comm_pairs: object = "none"  # "none" | None | "all" | explicit [k, m] list
+    state_cap: int = DEFAULT_STATE_CAP
+    combination_cap: int = DEFAULT_COMBINATION_CAP
+
+    def validate(self):
+        """Raise ``ScenarioError`` naming the key of the first malformed option."""
+        for name, (key, rule, wanted) in OPTION_KEYS.items():
+            value = getattr(self, name)
+            if not rule(value):
+                raise ScenarioError(f"option {key} must be {wanted}, not {value!r}")
 
     def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "adjust": self.adjust,
-            "oracle": self.oracle,
-            "maxAssignments": self.max_assignments,
-            "budgetSeconds": self.budget_seconds,
-            "commPairs": self.comm_pairs,
-            "stateCap": self.state_cap,
-            "combinationCap": self.combination_cap,
-            "shuffleCandidates": self.shuffle_candidates,
-        }
+        return {key: getattr(self, name) for name, (key, _rule, _wanted) in OPTION_KEYS.items()}
 
     @staticmethod
     def from_json(data: Mapping) -> "Options":
-        return Options(
-            seed=data.get("seed", 0),
-            adjust=data.get("adjust", True),
-            oracle=data.get("oracle", False),
-            max_assignments=data.get("maxAssignments"),
-            budget_seconds=data.get("budgetSeconds"),
-            comm_pairs=data.get("commPairs", "none"),
-            state_cap=data.get("stateCap", 20_000),
-            combination_cap=data.get("combinationCap", 10_000_000),
-            shuffle_candidates=data.get("shuffleCandidates", False),
-        )
+        if not isinstance(data, Mapping):
+            raise ScenarioError(f"options must be an object, not {data!r}")
+        # unknown keys are ignored, so files with retired options still load
+        return Options(**{name: data[key] for name, (key, _rule, _wanted) in OPTION_KEYS.items()
+                          if key in data})
 
 
 @dataclass
@@ -231,7 +258,7 @@ def _collab_formula(props: Sequence[str], template: str) -> str:
 
 def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 30),
              individual_per_robot: int = 4, capabilities: Sequence[str] = ("c1", "c2", "c3"),
-             template: str = "auto", options: Optional[Options] = None) -> Scenario:
+             template: str = "auto") -> Scenario:
     """Reproducible random scenario on a grid map.
 
     Starts and task regions occupy distinct cells; collaborative requirements
@@ -291,7 +318,6 @@ def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 3
         collab_props.append(prop)
 
     formula = _collab_formula(collab_props, template) if collab_props else "true"
-    opts = options or Options(seed=seed)
     return Scenario(
         name=f"random-{seed}-n{robots}-k{collab}-{width}x{height}",
         world=world,
@@ -299,6 +325,5 @@ def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 3
         tasks=tuple(tasks),
         individual_formulas=formulas,
         collaborative_formula=formula,
-        options=opts,
         grid=grid,
     )

@@ -6,17 +6,16 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
-from .errors import ScenarioError, Unreachable
+from .errors import ScenarioError
 
 
 @dataclass(frozen=True)
 class World:
-    """Shared region graph: regions, undirected weighted edges, optional grid coordinates."""
+    """Shared region graph: regions and undirected weighted edges."""
 
     regions: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
     weights: Mapping[Tuple[str, str], float]
-    coordinates: Optional[Mapping[str, Tuple[int, int]]] = None
 
     def __post_init__(self):
         region_set = set(self.regions)
@@ -71,8 +70,7 @@ def grid_world(width: int, height: int, weights: Mapping | None = None) -> World
     if weights:
         for (a, b), value in weights.items():
             wmap[(b, a) if (b, a) in wmap else (a, b)] = value
-    coords = {f"q{x}_{y}": (x, y) for y in range(height) for x in range(width)}
-    return World(regions, tuple(edges), wmap, coords)
+    return World(regions, tuple(edges), wmap)
 
 
 @dataclass(frozen=True)
@@ -142,19 +140,12 @@ class Wts:
     """A robot's weighted transition system over the shared region graph."""
 
     robot_id: int
-    states: Tuple[str, ...]
     initial: str
     adjacency: Mapping[str, Tuple[Tuple[str, float], ...]]
     labels: Mapping[str, FrozenSet[str]]
 
     def label(self, region: str) -> FrozenSet[str]:
         return self.labels.get(region, frozenset())
-
-    def weight(self, a: str, b: str) -> float:
-        for succ, w in self.adjacency[a]:
-            if succ == b:
-                return w
-        raise Unreachable(f"no edge {a}->{b} in robot {self.robot_id}'s transition system")
 
     def min_edge_weight(self) -> float:
         return min(w for succs in self.adjacency.values() for _, w in succs)
@@ -186,4 +177,4 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
         adjacency[b].append((a, w))
     adjacency = {r: tuple(sorted(set(succs))) for r, succs in adjacency.items()}
     frozen_labels = {r: frozenset(props) for r, props in labels.items()}
-    return Wts(robot_id, world.regions, robot.start, adjacency, frozen_labels)
+    return Wts(robot_id, robot.start, adjacency, frozen_labels)

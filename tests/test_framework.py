@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -291,6 +292,7 @@ def test_filter_safety_logged_not_asserted(capsys):
     the exact optimizer and logs the comparison instead of asserting it.
     """
     from fleetplan.alloc import Assignment
+    from fleetplan.errors import LevelDisconnected, NoAcceptingPath, StateLimitExceeded
     from fleetplan.ltl import to_nfa
     from fleetplan.milp import solve_exact
     from fleetplan.product import build_local_formula, build_product, prune_product
@@ -328,7 +330,7 @@ def test_filter_safety_logged_not_asserted(capsys):
                 phi = build_local_formula(sc.parsed_individual(r), assigned)
                 pruned[r] = prune_product(build_product(wts, to_nfa(phi), assigned, collab))
             filtered_js.append(solve_exact(pruned, mission, assignment).objective)
-        except Exception:
+        except (NoAcceptingPath, LevelDisconnected, StateLimitExceeded, BudgetExceeded):
             continue
     if filtered_js:
         safe = min(filtered_js) >= min(kept)
@@ -519,3 +521,183 @@ def test_local_state_limit_becomes_infeasible_row(monkeypatch):
     assert report.incumbent is None
     # a key whose synthesis failed is remembered, not translated again
     assert len(calls) - 1 < len(synthesized)
+
+
+MALFORMED_OPTIONS = [
+    ("maxAssignments", -1), ("maxAssignments", 0), ("maxAssignments", 1.5),
+    ("maxAssignments", True), ("stateCap", -5), ("stateCap", None), ("combinationCap", 0),
+    ("adjust", "no"), ("oracle", "no"), ("commPairs", "al"), ("commPairs", [[1]]),
+    ("commPairs", [[1, 0]]), ("budgetSeconds", "5"),
+]
+
+
+@pytest.mark.parametrize("key, value", MALFORMED_OPTIONS)
+def test_malformed_option_exits_1_naming_its_key(tmp_path, capsys, key, value):
+    data = json.loads(small_scenario().dumps())
+    data["options"][key] = value
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("options", [None, [], "all"])
+def test_options_that_are_not_an_object_exit_1(tmp_path, capsys, options):
+    data = json.loads(small_scenario().dumps())
+    data["options"] = options
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "options must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--max-assignments", "-1", "maxAssignments"),
+    ("--max-assignments", "0", "maxAssignments"),
+    ("--max-assignments", "1.5", "--max-assignments"),
+    ("--max-assignments", "true", "--max-assignments"),
+    ("--adjust", "no", "--adjust"),
+    ("--oracle", "no", "--oracle"),
+])
+def test_malformed_option_flag_exits_1_naming_it(tmp_path, capsys, flag, value, named):
+    path = tmp_path / "sc.json"
+    path.write_text(small_scenario().dumps())
+    assert cli_main(["plan", str(path), flag, value, "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [
+    {}, {"commPairs": None}, {"commPairs": "none"}, {"commPairs": "all"},
+    {"commPairs": [[1, 1], [2, 3]]}, {"maxAssignments": 1, "budgetSeconds": 1000},
+    {"adjust": False, "oracle": True, "stateCap": 5000, "combinationCap": 1000},
+])
+def test_valid_options_plan(tmp_path, options):
+    data = json.loads(small_scenario().dumps())
+    data["options"] = options
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_options_json_keys_defaults_and_round_trip():
+    from dataclasses import fields
+
+    from fleetplan.scenario import Options
+
+    assert len(fields(Options)) == 7
+    assert sorted(Options().to_json()) == sorted([
+        "adjust", "oracle", "maxAssignments", "budgetSeconds", "commPairs", "stateCap",
+        "combinationCap"])
+    assert Options.from_json({}) == Options()
+    changed = Options(adjust=False, oracle=True, max_assignments=3, budget_seconds=2.5,
+                      comm_pairs=[[1, 1]], state_cap=7, combination_cap=9)
+    assert Options.from_json(json.loads(json.dumps(changed.to_json()))) == changed
+
+
+def test_retired_option_keys_load_and_plan_identically(tmp_path):
+    sc = small_scenario()
+    current = tmp_path / "current.json"
+    current.write_text(sc.dumps())
+    data = json.loads(sc.dumps())
+    data["options"].update(seed=3, shuffleCandidates=False)
+    retired = tmp_path / "retired.json"
+    retired.write_text(json.dumps(data))
+    assert Scenario.load(retired).dumps() == sc.dumps()
+    outputs = []
+    for path in (current, retired):
+        out = tmp_path / path.stem
+        assert cli_main(["plan", str(path), "--max-assignments", "6", "--out", str(out)]) == 0
+        outputs.append([_strip_wall_columns(out / "metrics.csv")] + [
+            (out / name).read_text()
+            for name in ("tcolla_series.csv", "schedule.json", "protocol_trace.txt")])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_usage_error_exits_1_and_help_exits_0(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    path.write_text(small_scenario().dumps())
+    assert cli_main(["plan", str(path), "--seed", "1", "--out", str(tmp_path / "o")]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert cli_main(["frobnicate"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+    assert cli_main(["plan", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--max-assignments" in usage and "--seed" not in usage
+    assert cli_main(["--help"]) == 0
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+def test_adjust_off_keeps_the_initial_strategies():
+    adjusted = run_framework(enumerating_scenario())
+    sc = enumerating_scenario()
+    sc.options.adjust = False
+    report = run_framework(sc)
+    evaluated = [r for r in report.rows if r.status == "evaluated"]
+    assert evaluated
+    assert [r.t_init for r in evaluated] == \
+        [r.t_init for r in adjusted.rows if r.status == "evaluated"]
+    for row in evaluated:
+        assert row.t_adjusted == row.t_init and row.history == [row.t_init]
+        assert (row.cycles, row.messages, row.trace_lines) == (0, 0, [])
+        assert row.sim_matches
+    assert report.protocol_trace == []
+
+
+def _pairs_scenario(comm_pairs):
+    """Three single-capability robots and three strictly ordered collaborative tasks,
+    so the mission is one subsequence of three elements and pairs (1, 1), (1, 2)."""
+    from fleetplan.world import Fleet, Robot, TaskReq, grid_world
+
+    starts = ("q0_1", "q1_2", "q1_3")
+    fleet = Fleet(("c1",), tuple(Robot(r, frozenset({"c1"}), s) for r, s in enumerate(starts)))
+    tasks = tuple(TaskReq(prop, region, {"c1": 1})
+                  for prop, region in (("ct1", "q0_3"), ("ct2", "q1_0"), ("ct3", "q3_3")))
+    sc = Scenario("pairs", grid_world(4, 4), fleet, tasks, {},
+                  "(!ct2 U (ct1 & !ct2)) & (!ct3 U (ct2 & !ct3)) & F ct3")
+    sc.options.max_assignments = 12
+    sc.options.comm_pairs = comm_pairs
+    return sc
+
+
+def _staffed_pairs(comm_pairs, monkeypatch):
+    """Per evaluated assignment, the consecutive element pairs one robot staffs."""
+    evaluated = []
+    real_evaluate = framework._evaluate_assignment
+
+    def recording_evaluate(scenario, mission, assignment, *rest):
+        evaluated.append(assignment)
+        return real_evaluate(scenario, mission, assignment, *rest)
+
+    monkeypatch.setattr(framework, "_evaluate_assignment", recording_evaluate)
+    report = run_framework(_pairs_scenario(comm_pairs))
+    mission = report.mission
+    assert mission.consecutive_element_pairs() == ((1, 1), (1, 2))
+    assert len(evaluated) == sum(r.status == "evaluated" for r in report.rows) > 1
+
+    def robots_of(assignment, element):
+        return set().union(*(assignment.robots_for(o)
+                             for o in mission.element_occurrences(element)))
+
+    return [{(k, m) for k, m in mission.consecutive_element_pairs()
+             if robots_of(a, (k, m)) & robots_of(a, (k, m + 1))}
+            for a in evaluated]
+
+
+def test_comm_pairs_all_staff_every_consecutive_pair(monkeypatch):
+    assert any(staffed != {(1, 1), (1, 2)} for staffed in _staffed_pairs("none", monkeypatch))
+    assert all(staffed == {(1, 1), (1, 2)} for staffed in _staffed_pairs("all", monkeypatch))
+
+
+def test_comm_pairs_list_staffs_only_the_chosen_pairs(monkeypatch):
+    staffed = _staffed_pairs([[1, 2]], monkeypatch)
+    assert all((1, 2) in pairs for pairs in staffed)
+    assert any((1, 1) not in pairs for pairs in staffed)

@@ -314,39 +314,12 @@ def test_feasible_valuation_satisfies_all_rows_and_big_m_is_tight():
 def test_external_milp_solver_agrees_with_exact():
     """Cross-solver check: solve the emitted LP with scipy's HiGHS backend."""
     pytest.importorskip("scipy")
-    import numpy as np
-    from scipy.optimize import LinearConstraint, milp
-
     mission, assignment, pruned = build_instance(
         6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
         individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
-    model = build_milp(pruned, mission, assignment)
-    buf = io.StringIO()
-    emit_lp(model, buf)
-    objective, rows, binaries = parse_lp(buf.getvalue())
-    variables = sorted(set(variable_names(model)))
-    index = {v: i for i, v in enumerate(variables)}
-    c = np.zeros(len(variables))
-    for var, coef in objective.items():
-        c[index[var]] = coef
-    constraints = []
-    for terms, sense, rhs in rows.values():
-        a = np.zeros(len(variables))
-        for var, coef in terms.items():
-            a[index[var]] = coef
-        if sense == "=":
-            constraints.append(LinearConstraint(a, rhs, rhs))
-        elif sense == "<=":
-            constraints.append(LinearConstraint(a, -np.inf, rhs))
-        else:
-            constraints.append(LinearConstraint(a, rhs, np.inf))
-    integrality = np.array([1 if v in binaries else 0 for v in variables])
-    upper = np.array([1.0 if v in binaries else np.inf for v in variables])
-    result = milp(c, constraints=constraints, integrality=integrality,
-                  bounds=(np.zeros(len(variables)), upper))
-    assert result.success, result.message
+    external = _solve_lp_with_scipy(build_milp(pruned, mission, assignment))
     exact = solve_exact(pruned, mission, assignment)
-    assert abs(result.fun - exact.objective) < 1e-6
+    assert abs(external - exact.objective) < 1e-6
 
 
 def test_external_solver_agrees_on_generated_instances():
