@@ -13,7 +13,7 @@ import sys
 from .errors import FleetplanError, InfeasibleMission
 from .framework import run_framework, write_reports
 from .milp import build_milp, emit_lp
-from .scenario import Scenario, generate
+from .scenario import TEMPLATES, Scenario, generate
 
 
 def _onoff(value: str) -> bool:
@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--individual", type=int, default=4,
                      help="individual tasks per robot")
-    gen.add_argument("--template", default="auto",
-                     choices=["auto", "mixed", "plain"])
+    gen.add_argument("--template", default="auto", choices=TEMPLATES)
     gen.add_argument("--out", default=None, metavar="FILE",
                      help="output path (default: stdout)")
     return parser

@@ -25,6 +25,7 @@ from .errors import (
     EmptyLanguage,
     InfeasibleMission,
     LevelDisconnected,
+    NegativeObligationViolated,
     NoAcceptingPath,
     StateLimitExceeded,
 )
@@ -149,9 +150,8 @@ def run_framework(scenario: Scenario) -> RunReport:
         try:
             plan = _evaluate_assignment(scenario, mission, assignment, wts, collab_props,
                                         synthesis, row, deadline)
-        except SYNTHESIS_ERRORS as exc:
-            row.status = "infeasible"
-            row.detail = str(exc)
+        except (*SYNTHESIS_ERRORS, NegativeObligationViolated) as exc:
+            rows[-1] = AssignmentRow(index=row.index, status="infeasible", detail=str(exc))
             continue
         except BudgetExceeded:
             rows.pop()  # the budget ran out between robots: no partial row

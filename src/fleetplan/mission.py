@@ -8,13 +8,13 @@ synchronization (same element) and precedence (element order) structure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from .errors import EmptyLanguage, MissionError
 from .guards import Guard
 from .ltl import Nfa, essential_steps, nfa_accepts
+from .search import bfs
 from .world import Fleet, TaskReq
 
 Occurrence = Tuple[int, int]  # (subsequence index k, flat index l), both 1-based
@@ -51,17 +51,7 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
         cubes = tuple(c for c in guard.cubes if demand_feasible(c[0], fleet, by_prop))
         if cubes:
             filtered[pair] = Guard(cubes)
-    succ: Dict[int, list] = {}
-    for a, b in filtered:
-        succ.setdefault(a, []).append(b)
-    reachable = set(nfa.initial)
-    queue = deque(sorted(nfa.initial))
-    while queue:
-        q = queue.popleft()
-        for q2 in succ.get(q, ()):
-            if q2 not in reachable:
-                reachable.add(q2)
-                queue.append(q2)
+    reachable = set(bfs(Nfa(nfa.n_states, nfa.initial, (), filtered).successors, nfa.initial)[0])
     transitions = {(a, b): g for (a, b), g in filtered.items() if a in reachable and b in reachable}
     pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions)
     if not pruned.accepting:
@@ -77,8 +67,12 @@ def shortest_accepting_run(nfa: Nfa) -> list[int]:
     accepting_initial = sorted(nfa.initial & nfa.accepting)
     if accepting_initial:
         return [accepting_initial[0]]
-    dist_fwd = _bfs(nfa, sorted(nfa.initial), forward=True)
-    dist_back = _bfs(nfa, sorted(nfa.accepting), forward=False)
+    predecessors: Dict[int, list] = {}
+    for a, b in nfa.transitions:
+        predecessors.setdefault(b, []).append(a)
+    # hop distances; a self-loop never shortens one, so loops need no filtering
+    dist_fwd = bfs(nfa.successors, nfa.initial)[0]
+    dist_back = bfs(lambda q: predecessors.get(q, ()), nfa.accepting)[0]
     candidates = [
         (dist_fwd[q] + dist_back[q], q)
         for q in dist_fwd
@@ -100,26 +94,6 @@ def shortest_accepting_run(nfa: Nfa) -> list[int]:
         else:
             raise EmptyLanguage("backward distances are inconsistent")
     return run
-
-
-def _bfs(nfa: Nfa, sources, forward: bool) -> Dict[int, int]:
-    edges: Dict[int, list] = {}
-    for a, b in nfa.transitions:
-        if a == b:
-            continue
-        if forward:
-            edges.setdefault(a, []).append(b)
-        else:
-            edges.setdefault(b, []).append(a)
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        q = queue.popleft()
-        for q2 in sorted(edges.get(q, ())):
-            if q2 not in dist:
-                dist[q2] = dist[q] + 1
-                queue.append(q2)
-    return dist
 
 
 def decomposition_states(nfa: Nfa, run: Sequence[int]) -> set[int]:

@@ -112,11 +112,11 @@ class ProductPa:
     def _build(self):
         table: Dict[Tuple[int, FrozenSet[str]], tuple] = {}
         collab_sets: Dict[str, set] = {}
-        label_of = self.wts.label
+        labels = self.wts.labels
         start = self.wts.initial
         initial_states = []
         for f0 in sorted(self.nfa.initial):
-            table[f0, label_of(start)] = moves = self._moves(f0, label_of(start))
+            table[f0, labels[start]] = moves = self._moves(f0, labels[start])
             for f, fired, emit, props in moves:
                 state = (start, f)
                 if state not in self.entry_info:
@@ -133,7 +133,7 @@ class ProductPa:
             region, f = state
             out = []
             for succ_region, weight in self.wts.adjacency[region]:
-                key = (f, label_of(succ_region))
+                key = (f, labels[succ_region])
                 moves = table.get(key)
                 if moves is None:
                     moves = table[key] = self._moves(*key)
@@ -225,15 +225,6 @@ class Strategy:
     @property
     def weight(self) -> float:
         return sum(self.step_weights)
-
-    def arrival(self, occ: Occurrence) -> float:
-        """Ideal arrival time at the occurrence's firing position (no waits)."""
-        pos = self.collab_positions[occ]
-        return sum(self.step_weights[:pos])
-
-    def label_trace(self) -> List[FrozenSet[str]]:
-        """Per-position emitted labels, suitable for automaton acceptance checks."""
-        return list(self.emits)
 
 
 class PrunedPa:

@@ -3,8 +3,8 @@
 One broadcast message walks the global task order: the latest-arriving robot
 of the current task tries to shorten its own arrival; failing that, a token
 hands adjustment authority to the earliest robot, which may delay itself
-instead.  Every accepted adjustment floods the revised timeline before the
-next decision (timeline views stay consistent), and a full cycle without
+instead.  Every decision is flooded to the whole network before the next
+one, so all robots act on the same timelines, and a full cycle without
 improvement terminates the protocol.
 """
 
@@ -18,98 +18,48 @@ from .errors import LevelDisconnected, ProtocolStuck
 from .mission import Mission, Occurrence
 from .product import PrunedPa, State, Strategy
 from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
-from .search import bfs_layers
-
-
-@dataclass(frozen=True)
-class Msg:
-    """Broadcast protocol message."""
-
-    success: bool
-    sender: int
-    received: frozenset
-    timeline: Optional[Timeline]
-    current: Optional[Occurrence]
-    count: int
-
-
-@dataclass(frozen=True)
-class Token:
-    """Directed adjustment authority."""
-
-    source: int
-    target: int
-    payload: Msg
+from .search import bfs, reconstruct
 
 
 class NetSim:
-    """Connected robot network with deterministic flooding and relaying."""
+    """Connected robot network with deterministic flooding and relaying.
+
+    Messages are counted and traced, not delivered: every robot reads the
+    shared planning state, so a message needs only the fields its trace line
+    prints.
+    """
 
     def __init__(self, robot_ids: Sequence[int], topology: Optional[Mapping[int, Sequence[int]]] = None):
         self.robots = tuple(sorted(robot_ids))
         if topology is None:
             topology = {r: tuple(x for x in self.robots if x != r) for r in self.robots}
         self.topology = {r: tuple(sorted(topology[r])) for r in self.robots}
-        reached = bfs_layers(lambda r: self.topology[r], [self.robots[0]]) if self.robots else {}
+        reached, _parent = bfs(self.topology.__getitem__, self.robots[:1])
         if len(reached) != len(self.robots):
             raise ProtocolStuck("communication topology is not connected")
         self.messages = 0
         self.hops = 0
         self.trace: List[str] = []
 
-    def flood(self, msg: Msg, kind: str = "MSG"):
-        """Breadth-first flood from the sender; every robot is informed once.
+    def flood(self, sender: int, current: Optional[Occurrence], count: int, kind: str = "MSG"):
+        """Breadth-first flood from the sender; every robot is informed once,
+        by the first neighbor that reaches it."""
+        dist, parent = bfs(self.topology.__getitem__, [sender])
+        for receiver, via in parent.items():
+            if via is not None:
+                self.messages += 1
+                self.trace.append(f"{self.hops + dist[receiver]} {via}->{receiver} {kind} "
+                                  f"{_occ_str(current)} count={count}")
+        # the hop clock also ticks for the last round, which finds no receiver
+        self.hops += max(dist.values()) + 1
 
-        Each newly informed robot joins the message's received set and
-        forwards to neighbors not yet in it.
-        """
-        informed = {msg.sender}
-        frontier = [msg.sender]
-        hop = 0
-        while frontier:
-            hop += 1
-            nxt = []
-            for sender in frontier:
-                for receiver in self.topology[sender]:
-                    if receiver in informed:
-                        continue
-                    informed.add(receiver)
-                    nxt.append(receiver)
-                    self.messages += 1
-                    self.trace.append(
-                        f"{self.hops + hop} {sender}->{receiver} {kind} "
-                        f"{_occ_str(msg.current)} count={msg.count}")
-            frontier = sorted(nxt)
-        self.hops += hop
-        return informed
-
-    def route(self, token: Token) -> List[int]:
+    def route(self, source: int, target: int, current: Occurrence, count: int) -> List[int]:
         """Relay a token along a shortest hop path to its target."""
-        if token.source == token.target:
-            return [token.source]
-        parents = {token.source: None}
-        frontier = [token.source]
-        while frontier and token.target not in parents:
-            nxt = []
-            for node in frontier:
-                for nbr in self.topology[node]:
-                    if nbr not in parents:
-                        parents[nbr] = node
-                        nxt.append(nbr)
-            frontier = sorted(nxt)
-        if token.target not in parents:
-            raise ProtocolStuck(
-                f"token target {token.target} unreachable from {token.source}")
-        path = [token.target]
-        while parents[path[-1]] is not None:
-            path.append(parents[path[-1]])
-        path.reverse()
+        path = reconstruct(bfs(self.topology.__getitem__, [source])[1], target)
         for a, b in zip(path, path[1:]):
             self.messages += 1
             self.hops += 1
-            self.trace.append(
-                f"{self.hops} {a}->{b} TOKEN {_occ_str(token.payload.current)} "
-                f"count={token.payload.count}")
+            self.trace.append(f"{self.hops} {a}->{b} TOKEN {_occ_str(current)} count={count}")
         return path
 
 
@@ -248,9 +198,8 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
 
     robots = sorted(ctx.timelines)
     for r in robots:
-        # initialization: every robot propagates its timeline
-        net.flood(Msg(False, r, frozenset(), ctx.timelines[r], None, 0))
-    net.flood(Msg(False, robots[0], frozenset(), None, order[0], 0))  # kick-off
+        net.flood(r, None, 0)  # initialization: every robot announces its timeline
+    net.flood(robots[0], order[0], 0)  # kick-off
 
     count = 0
     cycles = 0
@@ -266,10 +215,7 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
             count += 1
         else:
             earliest = find_earliest(occ, ctx.assignment, ctx.timelines, report)
-            token = Token(latest, earliest,
-                          Msg(False, latest, frozenset({latest}),
-                              ctx.timelines[latest], occ, count))
-            net.route(token)
+            net.route(latest, earliest, occ, count)
             improved = adjust_strategy(ctx, earliest, occ, False, report)
             actor = earliest
             if improved:
@@ -289,10 +235,8 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
             if cycles > bound:
                 raise ProtocolStuck(
                     f"protocol exceeded its cycle bound ({bound}); cost history: {history}")
-        msg = Msg(improved, actor, frozenset({actor}),
-                  ctx.timelines[actor] if improved else None,
-                  None if terminate else order[position], count)
-        net.flood(msg, "TERM" if terminate else "MSG")
+        net.flood(actor, None if terminate else order[position], count,
+                  "TERM" if terminate else "MSG")
         if terminate:
             break
     strategies = {r: ctx.pruned[r].expand(ctx.choices[r]) for r in ctx.pruned}

@@ -39,10 +39,33 @@ def _is_budget(value) -> bool:
                              and 0 <= value < math.inf)
 
 
+def _is_list(value, item=lambda _v: True) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(item, value))
+
+
 def _is_comm_pairs(value) -> bool:
-    return value in (None, "none", "all") or isinstance(value, (list, tuple)) and all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_count, pair))
-        for pair in value)
+    return value in (None, "none", "all") or _is_list(
+        value, lambda pair: _is_list(pair, _is_count) and len(pair) == 2)
+
+
+# what a structural scenario key must be -> its rule
+KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, Mapping),
+    "a list of objects": lambda v: _is_list(v, lambda r: isinstance(r, Mapping)),
+    "a list of strings": lambda v: _is_list(v, lambda x: isinstance(x, str)),
+    "a list of [a, b, weight] lists": lambda v: _is_list(v, lambda e: _is_list(e) and len(e) == 3),
+}
+
+
+def _required(data: Mapping, key: str, kind: str, where: str = ""):
+    """``data[key]`` if it is ``kind``; otherwise a ``ScenarioError`` naming the key."""
+    if key not in data:
+        raise ScenarioError(f"scenario key {where}{key} is missing")
+    if not KINDS[kind](data[key]):
+        raise ScenarioError(f"scenario key {where}{key} must be {kind}, not {data[key]!r}")
+    return data[key]
 
 
 # field -> (JSON key, rule, what the rule asks); defaults live on the fields
@@ -188,27 +211,31 @@ class Scenario:
 
     @staticmethod
     def from_json(data: Mapping) -> "Scenario":
+        if not isinstance(data, Mapping):
+            raise ScenarioError(f"a scenario must be an object, not {data!r}")
         if data.get("schemaVersion") != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schemaVersion {data.get('schemaVersion')!r}")
-        wspec = data["world"]
+        wspec = _required(data, "world", "an object")
         grid = None
         if "grid" in wspec:
-            width = wspec["grid"]["width"]
-            height = wspec["grid"]["height"]
-            grid = (width, height)
+            gspec = _required(wspec, "grid", "an object", "world.")
+            grid = tuple(_required(gspec, key, "an integer", "world.grid.")
+                         for key in ("width", "height"))
             overrides = {(a, b): w for a, b, w in wspec.get("weights", [])}
-            world = grid_world(width, height, overrides)
+            world = grid_world(*grid, overrides)
         else:
-            weights = {(a, b): w for a, b, w in wspec["edges"]}
-            edges = tuple((a, b) for a, b, _w in wspec["edges"])
-            world = World(tuple(wspec["regions"]), edges, weights)
-        fleet = Fleet(
-            tuple(data["capabilities"]),
-            tuple(
-                Robot(r["id"], frozenset(r["capabilities"]), r["start"])
-                for r in data["robots"]
-            ),
-        )
+            edge_list = _required(wspec, "edges", "a list of [a, b, weight] lists", "world.")
+            weights = {(a, b): w for a, b, w in edge_list}
+            edges = tuple((a, b) for a, b, _w in edge_list)
+            world = World(tuple(_required(wspec, "regions", "a list of strings", "world.")),
+                          edges, weights)
+        robots = []
+        for i, r in enumerate(_required(data, "robots", "a list of objects")):
+            where = f"robots[{i}]."
+            caps = _required(r, "capabilities", "a list of strings", where)
+            robots.append(Robot(_required(r, "id", "an integer", where), frozenset(caps),
+                                _required(r, "start", "a string", where)))
+        fleet = Fleet(tuple(_required(data, "capabilities", "a list of strings")), tuple(robots))
         tasks: List[TaskReq] = []
         for t in data.get("individualTasks", []):
             cap = t.get("capability")
@@ -224,7 +251,7 @@ class Scenario:
             fleet=fleet,
             tasks=tuple(tasks),
             individual_formulas=formulas,
-            collaborative_formula=data["collaborativeFormula"],
+            collaborative_formula=_required(data, "collaborativeFormula", "a string"),
             options=Options.from_json(data.get("options", {})),
             grid=grid,
         )
@@ -235,17 +262,20 @@ class Scenario:
             return Scenario.from_json(json.load(fh))
 
 
+TEMPLATES = ("auto", "plain")
+
+
 def _collab_formula(props: Sequence[str], template: str) -> str:
     """Collaborative formula templates.
 
-    With four or more tasks the mixed template combines plain eventualities,
+    With four or more tasks the auto template combines plain eventualities,
     one until-ordering, and one nested chain; smaller task sets get the
     eventualities plus a single ordering constraint.
     """
     evs = [f"(F {p})" for p in props]
     if template == "plain" or len(props) == 1:
         return " & ".join(evs)
-    if len(props) >= 4 and template in ("auto", "mixed"):
+    if len(props) >= 4:
         parts = [f"(F {props[0]})", f"(F {props[1]})", f"(F {props[3]})",
                  f"(!{props[2]} U {props[1]})", f"(F ({props[3]} & F {props[2]}))"]
         parts.extend(f"(F {p})" for p in props[4:])
@@ -266,6 +296,8 @@ def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 3
     """
     if robots < 1 or collab < 0 or individual_per_robot < 0:
         raise ScenarioError("generator parameters must be positive")
+    if template not in TEMPLATES:
+        raise ScenarioError(f"template must be one of {TEMPLATES}, not {template!r}")
     rng = random.Random(seed)
     width, height = grid
     world = grid_world(width, height)

@@ -247,6 +247,6 @@ def local_traces_accepted(strategies: Mapping[int, Strategy],
                           local_nfas: Mapping[int, Nfa]) -> Dict[int, bool]:
     """Check each robot's emitted label trace against its own automaton."""
     return {
-        r: nfa_accepts(local_nfas[r], strategies[r].label_trace())
+        r: nfa_accepts(local_nfas[r], strategies[r].emits)
         for r in sorted(strategies)
     }

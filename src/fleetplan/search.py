@@ -1,14 +1,15 @@
-"""Deterministic shortest-path search over adjacency mappings.
+"""Deterministic shortest-path searches: weighted and by hop count.
 
-Graphs are ``{node: [(succ, weight), ...]}`` mappings with sortable node
-keys.  Ties are broken by expanding nodes in key order and keeping the
-first-found parent, so results are reproducible across runs.
+Dijkstra takes ``{node: [(succ, weight), ...]}`` mappings, the breadth-first
+search a successor function; node keys are sortable.  Ties are broken by
+expanding nodes in key order and keeping the first-found parent, so results
+are reproducible across runs.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping
 
 Node = Hashable
 
@@ -53,20 +54,25 @@ def reconstruct(parent: Mapping, node: Node) -> list:
     return path
 
 
-def bfs_layers(successors: Callable[[Node], Sequence[Node]], sources: Iterable[Node]):
-    """Unweighted distances via breadth-first search (hop counts)."""
-    dist = {}
-    frontier = sorted(sources)
-    for s in frontier:
-        dist[s] = 0
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for node in frontier:
+def bfs(successors: Callable[[Node], Iterable[Node]], sources: Iterable[Node]):
+    """Breadth-first search in layers: ``(dist, parent)`` hop maps.
+
+    Each layer is expanded in key order and a node keeps the first parent
+    found, so ``parent`` lists nodes in discovery order (sources first, with
+    parent ``None``).
+    """
+    layer = sorted(sources)
+    dist = dict.fromkeys(layer, 0)
+    parent = dict.fromkeys(layer)
+    depth = 0
+    while layer:
+        depth += 1
+        found = []
+        for node in layer:
             for succ in successors(node):
                 if succ not in dist:
-                    dist[succ] = level
-                    nxt.append(succ)
-        frontier = sorted(set(nxt))
-    return dist
+                    dist[succ] = depth
+                    parent[succ] = node
+                    found.append(succ)
+        layer = sorted(found)
+    return dist, parent

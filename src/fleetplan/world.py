@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
+from .search import bfs
 
 
 @dataclass(frozen=True)
 class World:
-    """Shared region graph: regions and undirected weighted edges."""
+    """Shared region graph: regions and undirected weighted edges.
+
+    ``adjacency``, each region's sorted ``(neighbor, weight)`` pairs, is built
+    once, here, and shared by every robot's transition system.
+    """
 
     regions: Tuple[str, ...]
     edges: Tuple[Tuple[str, str], ...]
     weights: Mapping[Tuple[str, str], float]
+    adjacency: Mapping[str, Tuple[Tuple[str, float], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         region_set = set(self.regions)
@@ -28,24 +35,16 @@ class World:
                 raise ScenarioError(f"weight key {key} names no edge")
             if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 < w < math.inf:
                 raise ScenarioError(f"edge {key} has weight {w!r}; weights must be finite and > 0")
-        if not self._connected():
-            raise ScenarioError("world graph is not connected")
-
-    def _connected(self) -> bool:
-        if not self.regions:
-            return False
-        adj: Dict[str, list] = {r: [] for r in self.regions}
+        adjacency: Dict[str, list] = {r: [] for r in self.regions}
         for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {self.regions[0]}
-        stack = [self.regions[0]]
-        while stack:
-            for n in adj[stack.pop()]:
-                if n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return len(seen) == len(self.regions)
+            w = self.edge_weight(a, b)
+            adjacency[a].append((b, w))
+            adjacency[b].append((a, w))
+        adjacency = {r: tuple(sorted(set(succs))) for r, succs in adjacency.items()}
+        object.__setattr__(self, "adjacency", adjacency)
+        reached, _parent = bfs(lambda r: [n for n, _w in adjacency[r]], self.regions[:1])
+        if not self.regions or len(reached) != len(self.regions):
+            raise ScenarioError("world graph is not connected")
 
     def edge_weight(self, a: str, b: str) -> float:
         if (a, b) in self.weights:
@@ -142,10 +141,7 @@ class Wts:
     robot_id: int
     initial: str
     adjacency: Mapping[str, Tuple[Tuple[str, float], ...]]
-    labels: Mapping[str, FrozenSet[str]]
-
-    def label(self, region: str) -> FrozenSet[str]:
-        return self.labels.get(region, frozenset())
+    labels: Mapping[str, FrozenSet[str]]  # every region, unlabeled ones to frozenset()
 
     def min_edge_weight(self) -> float:
         return min(w for succs in self.adjacency.values() for _, w in succs)
@@ -170,11 +166,6 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
                 labels.setdefault(task.region, set()).add(task.prop)
         elif task.owner == robot_id:
             labels.setdefault(task.region, set()).add(task.prop)
-    adjacency: Dict[str, list] = {r: [] for r in world.regions}
-    for a, b in world.edges:
-        w = world.edge_weight(a, b)
-        adjacency[a].append((b, w))
-        adjacency[b].append((a, w))
-    adjacency = {r: tuple(sorted(set(succs))) for r, succs in adjacency.items()}
-    frozen_labels = {r: frozenset(props) for r, props in labels.items()}
-    return Wts(robot_id, robot.start, adjacency, frozen_labels)
+    empty = frozenset()
+    frozen_labels = {r: frozenset(labels[r]) if r in labels else empty for r in world.regions}
+    return Wts(robot_id, robot.start, world.adjacency, frozen_labels)

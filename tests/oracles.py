@@ -353,7 +353,8 @@ def choice_weight(pruned: PrunedPa, choice: Sequence[State]) -> float:
 def compute_timeline(strategy: Strategy) -> Timeline:
     """Arrival times read off an expanded strategy's run; the reference for
     ``schedule.choice_timeline``, which derives them from pruned edges."""
-    arrivals = {occ: strategy.arrival(occ) for occ in strategy.collab_positions}
+    arrivals = {occ: sum(strategy.step_weights[:pos])
+                for occ, pos in strategy.collab_positions.items()}
     return Timeline(strategy.robot_id, arrivals, strategy.weight)
 
 
@@ -386,7 +387,7 @@ class ReferenceProductPa(ProductPa):
     """The product built edge by edge: guard, label split and firing set per edge."""
 
     def _split_label(self, region: str):
-        label = self.wts.label(region)
+        label = self.wts.labels[region]
         return label - self.collab_props, label & self._assigned_props
 
     def _build(self):
@@ -446,7 +447,7 @@ class ReferenceProductPa(ProductPa):
         if not witnesses:
             return
         required = frozenset.intersection(*witnesses)
-        region_label = self.wts.label(state[0])
+        region_label = self.wts.labels[state[0]]
         for _occ, prop in self.assigned:
             if prop in required and prop in region_label:
                 self._collab_sets.setdefault(prop, set()).add(state)

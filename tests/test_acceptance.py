@@ -172,7 +172,7 @@ def test_criterion_5_pruned_automaton_fidelity():
             if strategy.weight != direct.weight:
                 mismatched.append((seed, r, "pruned vs product optimum",
                                    strategy.weight, direct.weight))
-            if not nfa_accepts(nfa, strategy.label_trace()):
+            if not nfa_accepts(nfa, strategy.emits):
                 mismatched.append((seed, r, "expanded run not accepted"))
             # alternative placements expand to runs of exactly their edge-sum weight
             for alt in _alternative_choices(pruned, choice, limit=3):

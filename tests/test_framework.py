@@ -72,6 +72,54 @@ def test_scenario_rejects_unknown_schema_version():
         Scenario.from_json(data)
 
 
+MISSING = object()
+MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new value)
+    ("world", False, ["world"], MISSING),
+    ("world.grid.width", False, ["world", "grid", "width"], "5"),
+    ("world.grid.height", False, ["world", "grid", "height"], MISSING),
+    ("world.regions", True, ["world", "regions"], MISSING),
+    ("world.edges", True, ["world", "edges"], [["q0_0", "q1_0"]]),
+    ("capabilities", False, ["capabilities"], "c1"),
+    ("robots[1].id", False, ["robots", 1, "id"], "1"),
+    ("robots[0].capabilities", False, ["robots", 0, "capabilities"], MISSING),
+    ("robots[0].start", False, ["robots", 0, "start"], 3),
+    ("collaborativeFormula", False, ["collaborativeFormula"], MISSING),
+]
+
+
+@pytest.mark.parametrize("key, explicit_world, path, value", MALFORMED_STRUCTURE,
+                         ids=[case[0] for case in MALFORMED_STRUCTURE])
+def test_malformed_structural_key_exits_1_naming_it(tmp_path, capsys, key, explicit_world,
+                                                    path, value):
+    sc = small_scenario()
+    if explicit_world:
+        sc.grid = None
+    data = sc.to_json()
+    *parents, last = path
+    target = data
+    for step in parents:
+        target = target[step]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(ScenarioError, match=re.escape(f"scenario key {key} ")):
+        Scenario.from_json(data)
+    scenario_path = tmp_path / "sc.json"
+    scenario_path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: scenario key {key} ")
+
+
+@pytest.mark.parametrize("template", ["mixed", "Auto", ""])
+def test_generate_rejects_unknown_template(template, capsys):
+    with pytest.raises(ScenarioError, match="template"):
+        generate(seed=0, robots=2, collab=4, grid=(8, 8), template=template)
+    assert cli_main(["generate", "--robots", "2", "--collab", "4", "--grid", "8", "8",
+                     "--template", template]) == 1
+    assert "--template" in capsys.readouterr().err
+
+
 def test_framework_single_assignment_is_incumbent():
     sc = small_scenario(seed=21, robots=1, collab=1)
     sc.options.max_assignments = 5
@@ -521,6 +569,37 @@ def test_local_state_limit_becomes_infeasible_row(monkeypatch):
     assert report.incumbent is None
     # a key whose synthesis failed is remembered, not translated again
     assert len(calls) - 1 < len(synthesized)
+
+
+def test_forbidden_firing_in_simulation_becomes_infeasible_row(tmp_path):
+    """Without coordinator pairs, the robot serving only ct3 reaches it while
+    ct1 fires, before ct2: the simulation rejects that assignment alone."""
+    data = {
+        "schemaVersion": 1, "name": "forbidden-firing",
+        "world": {"grid": {"width": 4, "height": 4}},
+        "capabilities": ["c1"],
+        "robots": [{"id": r, "capabilities": ["c1"], "start": f"q{r}_0"} for r in range(3)],
+        "collaborativeTasks": [
+            {"prop": prop, "region": region, "requirements": {"c1": 1}}
+            for prop, region in (("ct1", "q0_3"), ("ct2", "q2_3"), ("ct3", "q3_2"))],
+        "collaborativeFormula": "(!ct2 U (ct1 & !ct2)) & (!ct3 U (ct2 & !ct3)) & F ct3",
+    }
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert cli_main(["plan", str(path), "--max-assignments", "40", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / "metrics.csv", encoding="utf-8")))
+    assert len(rows) == 40
+    bad = rows[27]
+    assert bad["status"] == "infeasible"
+    assert bad["detail"] == "proposition 'ct3' fired at t=5.0 while forbidden by element (1, 1)"
+    assert bad["t_init"] == bad["t_adjusted"] == ""
+    assert bad["messages"] == bad["cycles"] == "0"
+    series = list(csv.DictReader(open(out / "tcolla_series.csv", encoding="utf-8")))
+    assert all(r["assignment"] != "27" for r in series)
+    assert any(r["status"] == "evaluated" for r in rows[28:])
+    schedule = json.loads((out / "schedule.json").read_text())
+    assert schedule["assignment"] != 27
 
 
 MALFORMED_OPTIONS = [

@@ -141,7 +141,7 @@ def test_pruned_expansion_reproduces_weight_and_acceptance():
     choice, strategy = initial_strategy(pruned)
     assert strategy.weight == choice_weight(pruned, choice)
     assert strategy.weight == initial_run(pa).weight
-    assert nfa_accepts(nfa, strategy.label_trace())
+    assert nfa_accepts(nfa, strategy.emits)
 
 
 def test_empty_assignment_prunes_to_two_levels():

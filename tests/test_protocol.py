@@ -161,15 +161,65 @@ def test_netsim_requires_connected_topology():
         NetSim([0, 1, 2], topology={0: [1], 1: [0], 2: []})
 
 
-def test_netsim_flood_and_route_count_messages():
-    from fleetplan.protocol import Msg, Token
+def test_protocol_trace_on_line_topology():
+    """Exact trace lines: floods branch by layer, the token walks the line."""
+    ctx = two_robot_corridor({"ct1": 2}, ["q0_0", "q0_1"])
+    net = NetSim([0, 1, 2, 3], topology={2: [0], 0: [2, 3], 3: [0, 1], 1: [3]})
+    result = run_protocol(ctx, net)
+    assert result.messages == 14
+    assert result.trace == [
+        "1 0->2 MSG - count=0",
+        "1 0->3 MSG - count=0",
+        "2 3->1 MSG - count=0",
+        "4 1->3 MSG - count=0",
+        "5 3->0 MSG - count=0",
+        "6 0->2 MSG - count=0",
+        "8 0->2 MSG ct(1,1) count=0",
+        "8 0->3 MSG ct(1,1) count=0",
+        "9 3->1 MSG ct(1,1) count=0",
+        "11 1->3 TOKEN ct(1,1) count=0",
+        "12 3->0 TOKEN ct(1,1) count=0",
+        "13 0->2 TERM - count=0",
+        "13 0->3 TERM - count=0",
+        "14 3->1 TERM - count=0",
+    ]
 
+
+def test_protocol_trace_on_complete_topology():
+    """Exact trace lines of an adjusting run over the default topology."""
+    ctx = two_robot_corridor(
+        {"ct1": 2, "ct2": 5},
+        ["q6_1", "q0_1"],
+        extra_tasks=[("ts1", "q3_1", 1)],
+        formulas={1: "F ts1"},
+    )
+    result = run_protocol(ctx, NetSim([0, 1, 2]))
+    assert result.history == [20.0, 16.0]
+    assert result.trace == [
+        "1 0->1 MSG - count=0",
+        "1 0->2 MSG - count=0",
+        "3 1->0 MSG - count=0",
+        "3 1->2 MSG - count=0",
+        "5 0->1 MSG ct(1,1) count=0",
+        "5 0->2 MSG ct(1,1) count=0",
+        "7 0->1 TOKEN ct(1,1) count=0",
+        "8 1->0 MSG ct(1,2) count=1",
+        "8 1->2 MSG ct(1,2) count=1",
+        "10 0->1 MSG ct(1,1) count=0",
+        "10 0->2 MSG ct(1,1) count=0",
+        "12 0->1 MSG ct(1,2) count=0",
+        "12 0->2 MSG ct(1,2) count=0",
+        "14 0->1 TERM - count=0",
+        "14 0->2 TERM - count=0",
+    ]
+
+
+def test_netsim_flood_and_route_count_messages():
     net = NetSim([0, 1, 2, 3], topology={0: [1], 1: [0, 2], 2: [1, 3], 3: [2]})
-    msg = Msg(False, 0, frozenset(), None, (1, 1), 0)
-    informed = net.flood(msg)
-    assert informed == {0, 1, 2, 3}
+    net.flood(0, (1, 1), 0)
+    assert {line.split()[1] for line in net.trace} == {"0->1", "1->2", "2->3"}
     assert net.messages == 3
-    path = net.route(Token(0, 3, msg))
+    path = net.route(0, 3, (1, 1), 0)
     assert path == [0, 1, 2, 3]
     assert net.messages == 6
     assert all("->" in line for line in net.trace)

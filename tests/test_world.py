@@ -61,16 +61,16 @@ def test_collaborative_label_requires_capability():
     task = TaskReq("ct1", "q2_1", {"c2": 1})
     wts0 = build_wts(world, fleet, [task], 0)
     wts1 = build_wts(world, fleet, [task], 1)
-    assert "ct1" not in wts0.label("q2_1")
-    assert "ct1" in wts1.label("q2_1")
+    assert "ct1" not in wts0.labels["q2_1"]
+    assert "ct1" in wts1.labels["q2_1"]
 
 
 def test_individual_label_only_for_owner():
     world = grid_world(3, 2)
     fleet = small_fleet()
     task = TaskReq("ts1", "q1_1", {"c1": 1}, owner=0)
-    assert "ts1" in build_wts(world, fleet, [task], 0).label("q1_1")
-    assert "ts1" not in build_wts(world, fleet, [task], 1).label("q1_1")
+    assert "ts1" in build_wts(world, fleet, [task], 0).labels["q1_1"]
+    assert "ts1" not in build_wts(world, fleet, [task], 1).labels["q1_1"]
 
 
 def test_unknown_task_region_rejected():
