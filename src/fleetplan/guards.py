@@ -3,15 +3,14 @@
 A guard is a disjunction of cubes.  Each cube is a pair of disjoint
 proposition sets (positive literals, negative literals).  A label set
 satisfies a cube when it contains every positive literal and none of the
-negative ones.  Normalization rewrites an arbitrary cube list into the
-complete set of prime implicants over the mentioned propositions, which is
-canonical, deduplicated, and free of pairwise subsumption.
+negative ones.  A guard is built from a truth table as the complete set of
+its prime implicants, which is canonical, deduplicated, and free of pairwise
+subsumption; no prime mentions a proposition the table does not depend on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
 Cube = Tuple[FrozenSet[str], FrozenSet[str]]
@@ -58,28 +57,6 @@ FALSE_GUARD = Guard(())
 def _cube_key(cube: Cube):
     pos, neg = cube
     return (len(pos) + len(neg), sorted(pos), sorted(neg))
-
-
-def guard_from_cubes(cubes: Iterable[Cube]) -> Guard:
-    """Normalize an arbitrary cube list into canonical minimal DNF."""
-    cleaned = []
-    for pos, neg in cubes:
-        if pos & neg:
-            continue  # contradictory cube, never satisfiable
-        cleaned.append((frozenset(pos), frozenset(neg)))
-    if not cleaned:
-        return FALSE_GUARD
-    atoms = sorted(set().union(*(p | n for p, n in cleaned)))
-    if not atoms:
-        return TRUE_GUARD
-    minterms = set()
-    for pos, neg in cleaned:
-        free = [a for a in atoms if a not in pos and a not in neg]
-        base = sum(1 << i for i, a in enumerate(atoms) if a in pos)
-        for r in range(len(free) + 1):
-            for extra in combinations(free, r):
-                minterms.add(base + sum(1 << atoms.index(a) for a in extra))
-    return guard_from_minterms(atoms, minterms)
 
 
 def guard_from_minterms(atoms: Sequence[str], minterms: Iterable[int]) -> Guard:

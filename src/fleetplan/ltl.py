@@ -7,8 +7,10 @@ The supported fragment is next-free finite LTL over task propositions:
 Formulas are translated to finite automata by syntactic progression: states
 are residual obligations, transitions are labeled by the label sets that
 rewrite one residual into another, and a state accepts when the empty
-remainder of the trace satisfies it.  The construction is deterministic and
-worst-case exponential in the formula size, hence the configurable state cap.
+remainder of the trace satisfies it.  Each residual is progressed only under
+the valuations of the atoms it mentions, and its guards are built over them.
+The construction is deterministic and worst-case exponential in the formula
+size, hence the configurable state cap.
 
 Conjunction and disjunction are n-ary so that residuals stay shallow no
 matter how wide they grow.
@@ -554,23 +556,27 @@ DEFAULT_STATE_CAP = 20_000
 
 
 def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
-    """Translate a formula into an automaton accepting exactly its finite models."""
+    """Translate a formula into an automaton accepting exactly its finite models.
+
+    Transitions enumerate only the atoms each residual mentions, in sorted
+    order, so states are numbered as if the whole alphabet were enumerated.
+    """
     root = simplify(f)
-    atoms = sorted(atoms_of(root))
-    n = len(atoms)
     translator = _Translator()
     root_dnf = _formula_dnf(root)
     index = {root_dnf: 0}
     order = [root_dnf]
-    minterms: dict[tuple[int, int], set[int]] = {}
+    transitions = {}
     queue = deque([root_dnf])
     while queue:
         state = queue.popleft()
         i = index[state]
         if not state:  # unsatisfiable residual: dead state
             continue
-        for mask in range(1 << n):
-            labels = frozenset(atoms[b] for b in range(n) if (mask >> b) & 1)
+        atoms = sorted(atoms_of(And(*(u for pos, neg in state for u in pos | neg))))
+        minterms: dict[int, set[int]] = {}
+        for mask in range(1 << len(atoms)):
+            labels = frozenset(a for b, a in enumerate(atoms) if (mask >> b) & 1)
             target = translator.progress_dnf(state, labels)
             if not target:
                 continue
@@ -581,10 +587,9 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
                 index[target] = len(order)
                 order.append(target)
                 queue.append(target)
-            minterms.setdefault((i, index[target]), set()).add(mask)
-    transitions = {
-        pair: guard_from_minterms(atoms, masks) for pair, masks in sorted(minterms.items())
-    }
+            minterms.setdefault(index[target], set()).add(mask)
+        for j, masks in sorted(minterms.items()):
+            transitions[(i, j)] = guard_from_minterms(atoms, masks)
     accepting = frozenset(i for s, i in index.items() if _dnf_eval_empty(s))
     return Nfa(len(order), frozenset((0,)), accepting, transitions)
 

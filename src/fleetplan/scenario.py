@@ -55,7 +55,12 @@ KINDS = {
     "an object": lambda v: isinstance(v, Mapping),
     "a list of objects": lambda v: _is_list(v, lambda r: isinstance(r, Mapping)),
     "a list of strings": lambda v: _is_list(v, lambda x: isinstance(x, str)),
-    "a list of [a, b, weight] lists": lambda v: _is_list(v, lambda e: _is_list(e) and len(e) == 3),
+    "a list of [a, b, weight] lists": lambda v: _is_list(v, lambda e: _is_list(e) and len(e) == 3
+                                                       and all(isinstance(x, str) for x in e[:2])),
+    "an object of capability counts": lambda v: isinstance(v, Mapping) and all(
+        isinstance(cap, str) and _is_count(count) for cap, count in v.items()),
+    "an object of robot ids to formula strings": lambda v: isinstance(v, Mapping) and all(
+        str(robot).lstrip("-").isdecimal() and isinstance(text, str) for robot, text in v.items()),
 }
 
 
@@ -66,6 +71,11 @@ def _required(data: Mapping, key: str, kind: str, where: str = ""):
     if not KINDS[kind](data[key]):
         raise ScenarioError(f"scenario key {where}{key} must be {kind}, not {data[key]!r}")
     return data[key]
+
+
+def _optional(data: Mapping, key: str, kind: str, default, where: str = ""):
+    """``data[key]`` checked as ``_required`` does, or ``default`` when it is absent."""
+    return _required(data, key, kind, where) if key in data else default
 
 
 # field -> (JSON key, rule, what the rule asks); defaults live on the fields
@@ -221,7 +231,8 @@ class Scenario:
             gspec = _required(wspec, "grid", "an object", "world.")
             grid = tuple(_required(gspec, key, "an integer", "world.grid.")
                          for key in ("width", "height"))
-            overrides = {(a, b): w for a, b, w in wspec.get("weights", [])}
+            overrides = {(a, b): w for a, b, w in _optional(
+                wspec, "weights", "a list of [a, b, weight] lists", [], "world.")}
             world = grid_world(*grid, overrides)
         else:
             edge_list = _required(wspec, "edges", "a list of [a, b, weight] lists", "world.")
@@ -237,14 +248,20 @@ class Scenario:
                                 _required(r, "start", "a string", where)))
         fleet = Fleet(tuple(_required(data, "capabilities", "a list of strings")), tuple(robots))
         tasks: List[TaskReq] = []
-        for t in data.get("individualTasks", []):
-            cap = t.get("capability")
-            if cap is None:
-                cap = sorted(fleet.robot(t["owner"]).capabilities)[0]
-            tasks.append(TaskReq(t["prop"], t["region"], {cap: 1}, owner=t["owner"]))
-        for t in data.get("collaborativeTasks", []):
-            tasks.append(TaskReq(t["prop"], t["region"], dict(t["requirements"])))
-        formulas = {int(r): f for r, f in data.get("individualFormulas", {}).items()}
+        for i, t in enumerate(_optional(data, "individualTasks", "a list of objects", [])):
+            where = f"individualTasks[{i}]."
+            owner = _required(t, "owner", "an integer", where)
+            cap = (_required(t, "capability", "a string", where) if t.get("capability") is not None
+                   else sorted(fleet.robot(owner).capabilities)[0])
+            tasks.append(TaskReq(_required(t, "prop", "a string", where),
+                                 _required(t, "region", "a string", where), {cap: 1}, owner=owner))
+        for i, t in enumerate(_optional(data, "collaborativeTasks", "a list of objects", [])):
+            where = f"collaborativeTasks[{i}]."
+            requirements = _required(t, "requirements", "an object of capability counts", where)
+            tasks.append(TaskReq(_required(t, "prop", "a string", where),
+                                 _required(t, "region", "a string", where), dict(requirements)))
+        formulas = {int(r): f for r, f in _optional(
+            data, "individualFormulas", "an object of robot ids to formula strings", {}).items()}
         return Scenario(
             name=data.get("name", "scenario"),
             world=world,

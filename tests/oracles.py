@@ -7,9 +7,12 @@ enumeration.  ``ReferenceAllocator`` keeps the clause-store DPLL that the
 lexicographic allocator replaced, as a reference for its solution order.
 The exceptions are the test-only helpers at the end, which build on the
 production code: ``ReferenceProductPa`` keeps the product's original
-edge-by-edge construction as a reference for the table-driven one, and
+edge-by-edge construction as a reference for the table-driven one,
 ``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
-sum of ideal completions as a reference for the wait-aware bound.
+sum of ideal completions as a reference for the wait-aware bound, and
+``reference_to_nfa`` keeps the translator that progresses every residual
+over the formula's whole alphabet as a reference for the alphabet-local one.
+``guard_from_cubes`` normalizes hand-written cube lists for the guard tests.
 """
 
 from __future__ import annotations
@@ -17,22 +20,37 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import chain, combinations, product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from fleetplan.alloc import DEADLINE_EVERY, Assignment, check_deadline
-from fleetplan.errors import BudgetExceeded, LevelDisconnected, NoAcceptingPath, Unreachable
+from fleetplan.errors import (
+    BudgetExceeded,
+    LevelDisconnected,
+    NoAcceptingPath,
+    StateLimitExceeded,
+    Unreachable,
+)
+from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Cube, Guard, guard_from_minterms
 from fleetplan.ltl import (
+    DEFAULT_STATE_CAP,
     And,
     Atom,
     Always,
     Eventually,
     FalseF,
     Formula,
+    Nfa,
     Not,
     Or,
     TrueF,
     Until,
+    _dnf_eval_empty,
+    _formula_dnf,
+    _Translator,
+    atoms_of,
     essential_steps,
+    format_formula,
+    simplify,
 )
 from fleetplan.milp import (
     DEFAULT_COMBINATION_CAP,
@@ -552,3 +570,61 @@ def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         r: pruned_map[r].expand(choices[r].full_choice()) for r in robots
     }
     return ExactResult(objective, report, choices, strategies, explored)
+
+
+def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
+    """Translate a formula into an automaton accepting exactly its finite models."""
+    root = simplify(f)
+    atoms = sorted(atoms_of(root))
+    n = len(atoms)
+    translator = _Translator()
+    root_dnf = _formula_dnf(root)
+    index = {root_dnf: 0}
+    order = [root_dnf]
+    minterms: dict[tuple[int, int], set[int]] = {}
+    queue = deque([root_dnf])
+    while queue:
+        state = queue.popleft()
+        i = index[state]
+        if not state:  # unsatisfiable residual: dead state
+            continue
+        for mask in range(1 << n):
+            labels = frozenset(atoms[b] for b in range(n) if (mask >> b) & 1)
+            target = translator.progress_dnf(state, labels)
+            if not target:
+                continue
+            if target not in index:
+                if len(index) >= state_cap:
+                    raise StateLimitExceeded(
+                        f"automaton for {format_formula(root)!r} exceeds {state_cap} states")
+                index[target] = len(order)
+                order.append(target)
+                queue.append(target)
+            minterms.setdefault((i, index[target]), set()).add(mask)
+    transitions = {
+        pair: guard_from_minterms(atoms, masks) for pair, masks in sorted(minterms.items())
+    }
+    accepting = frozenset(i for s, i in index.items() if _dnf_eval_empty(s))
+    return Nfa(len(order), frozenset((0,)), accepting, transitions)
+
+
+def guard_from_cubes(cubes: Iterable[Cube]) -> Guard:
+    """Normalize an arbitrary cube list into canonical minimal DNF."""
+    cleaned = []
+    for pos, neg in cubes:
+        if pos & neg:
+            continue  # contradictory cube, never satisfiable
+        cleaned.append((frozenset(pos), frozenset(neg)))
+    if not cleaned:
+        return FALSE_GUARD
+    atoms = sorted(set().union(*(p | n for p, n in cleaned)))
+    if not atoms:
+        return TRUE_GUARD
+    minterms = set()
+    for pos, neg in cleaned:
+        free = [a for a in atoms if a not in pos and a not in neg]
+        base = sum(1 << i for i, a in enumerate(atoms) if a in pos)
+        for r in range(len(free) + 1):
+            for extra in combinations(free, r):
+                minterms.add(base + sum(1 << atoms.index(a) for a in extra))
+    return guard_from_minterms(atoms, minterms)

@@ -84,6 +84,11 @@ MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new v
     ("robots[0].capabilities", False, ["robots", 0, "capabilities"], MISSING),
     ("robots[0].start", False, ["robots", 0, "start"], 3),
     ("collaborativeFormula", False, ["collaborativeFormula"], MISSING),
+    ("collaborativeTasks[0].region", False, ["collaborativeTasks", 0, "region"], MISSING),
+    ("world.weights", False, ["world", "weights"], [["q0_0", "q1_0"]]),
+    ("individualFormulas", False, ["individualFormulas", "x"], "true"),
+    ("collaborativeTasks[0].requirements", False, ["collaborativeTasks", 0, "requirements"],
+     ["c1"]),
 ]
 
 

@@ -3,7 +3,9 @@
 import random
 from itertools import combinations
 
-from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Guard, guard_from_cubes
+from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Guard
+
+from oracles import guard_from_cubes
 
 PROPS = ["p1", "p2", "p3", "p4", "p5", "p6"]
 

@@ -1,11 +1,14 @@
 """Parser, automaton translation, and essential-sequence behavior."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from fleetplan.errors import NextOperatorForbidden, ParseError
-from fleetplan.guards import guard_from_cubes
+from fleetplan import framework
+from fleetplan.errors import NextOperatorForbidden, ParseError, StateLimitExceeded
 from fleetplan.ltl import (
     And,
     Atom,
@@ -20,8 +23,18 @@ from fleetplan.ltl import (
     parse_formula,
     to_nfa,
 )
+from fleetplan.scenario import Scenario
 
-from oracles import all_traces, essential_sequence, eval_trace, random_formula
+from oracles import (
+    all_traces,
+    essential_sequence,
+    eval_trace,
+    guard_from_cubes,
+    random_formula,
+    reference_to_nfa,
+)
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def lbl(*props):
@@ -97,8 +110,6 @@ def test_empty_trace_semantics():
 
 
 def test_state_cap_raises():
-    from fleetplan.errors import StateLimitExceeded
-
     f = parse_formula("(a U b) & (b U c) & (c U a) & F (a & b) & F (b & c)")
     with pytest.raises(StateLimitExceeded):
         to_nfa(f, state_cap=2)
@@ -113,6 +124,61 @@ def test_translation_matches_trace_evaluator():
         nfa = to_nfa(f)
         for trace in all_traces(sorted(atoms_of(f)), 3):
             assert nfa_accepts(nfa, trace) == eval_trace(f, trace), format_formula(f)
+
+
+def assert_same_nfa(f):
+    nfa, ref = to_nfa(f), reference_to_nfa(f)
+    got = (nfa.n_states, nfa.initial, nfa.accepting, nfa.transitions)
+    assert got == (ref.n_states, ref.initial, ref.accepting, ref.transitions), format_formula(f)
+    return nfa
+
+
+@pytest.mark.parametrize("n_atoms,depth,count", [(4, 4, 300), (6, 3, 100)])
+def test_alphabet_local_translation_equals_reference(n_atoms, depth, count):
+    """Progressing each residual over its own atoms gives the same automaton,
+    state numbering included, as progressing it over the whole alphabet."""
+    rng = random.Random(9000 + n_atoms)
+    atoms = [f"p{i}" for i in range(n_atoms)]
+    for _ in range(count):
+        assert_same_nfa(random_formula(rng, atoms, depth))
+
+
+def test_alphabet_local_translation_equals_reference_on_planned_formulas(monkeypatch):
+    """Every collaborative and local formula the planner translates for the
+    alloc-oracle benchmark structures (template seeds 6001-6010)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    workload = workloads.WORKLOADS["alloc-oracle"]
+    formulas = []
+    real = framework.to_nfa
+
+    def recording(f, state_cap):
+        formulas.append(f)
+        return real(f, state_cap)
+
+    monkeypatch.setattr(framework, "to_nfa", recording)
+    for seed in workload.template_seeds:
+        framework.run_framework(Scenario.from_json(workloads.scenario_json(workload, seed, 0)))
+    assert len(formulas) > 2 * len(workload.template_seeds)
+    for f in formulas:
+        assert_same_nfa(f)
+
+
+@pytest.mark.parametrize("text", [
+    "(a U b) & (b U c) & (c U a) & F (a & b) & F (b & c)",
+    "F a & F b & F c & (!c U a)",
+    "G (a | !b) & F (c & F d)",
+])
+def test_state_cap_fires_at_the_same_state_as_reference(text):
+    f = parse_formula(text)
+    cap = assert_same_nfa(f).n_states - 1
+    with pytest.raises(StateLimitExceeded) as got:
+        to_nfa(f, state_cap=cap)
+    with pytest.raises(StateLimitExceeded) as ref:
+        reference_to_nfa(f, state_cap=cap)
+    assert str(got.value) == str(ref.value)
 
 
 def test_essential_sequence_unique_minimal_set():

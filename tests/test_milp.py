@@ -369,8 +369,11 @@ def test_external_solver_agrees_on_generated_instances():
 
 
 def _solve_lp_with_scipy(model):
+    """The emitted LP's optimum: HiGHS's MIP solve picks the binaries, which are
+    then fixed at their rounded values for a tight-tolerance LP re-solve, so
+    the objective carries no MIP feasibility slack."""
     import numpy as np
-    from scipy.optimize import LinearConstraint, milp
+    from scipy.optimize import LinearConstraint, linprog, milp
 
     buf = io.StringIO()
     emit_lp(model, buf)
@@ -380,19 +383,29 @@ def _solve_lp_with_scipy(model):
     c = np.zeros(len(variables))
     for var, coef in objective.items():
         c[index[var]] = coef
-    constraints = []
-    for terms, sense, rhs in rows.values():
-        a = np.zeros(len(variables))
+    a = np.zeros((len(rows), len(variables)))
+    lo, hi = np.zeros(len(rows)), np.zeros(len(rows))
+    for i, (terms, sense, rhs) in enumerate(rows.values()):
         for var, coef in terms.items():
-            a[index[var]] = coef
-        lo, hi = {"=": (rhs, rhs), "<=": (-np.inf, rhs), ">=": (rhs, np.inf)}[sense]
-        constraints.append(LinearConstraint(a, lo, hi))
-    integrality = np.array([1 if v in binaries else 0 for v in variables])
-    upper = np.array([1.0 if v in binaries else np.inf for v in variables])
-    result = milp(c, constraints=constraints, integrality=integrality,
-                  bounds=(np.zeros(len(variables)), upper))
+            a[i, index[var]] = coef
+        lo[i], hi[i] = {"=": (rhs, rhs), "<=": (-np.inf, rhs), ">=": (rhs, np.inf)}[sense]
+    binary = np.array([v in binaries for v in variables])
+    lower = np.zeros(len(variables))
+    upper = np.where(binary, 1.0, np.inf)
+    result = milp(c, constraints=LinearConstraint(a, lo, hi), integrality=binary.astype(int),
+                  bounds=(lower, upper))
     assert result.success, result.message
-    return result.fun
+    rounded = np.round(result.x[binary])
+    assert np.all(np.abs(result.x[binary] - rounded) <= 1e-6), result.x[binary]
+    lower[binary] = upper[binary] = rounded
+    eq = lo == hi
+    below, above = ~eq & (hi < np.inf), ~eq & (lo > -np.inf)
+    fixed = linprog(c, np.vstack([a[below], -a[above]]), np.concatenate([hi[below], -lo[above]]),
+                    a[eq], lo[eq], bounds=list(zip(lower, upper)), method="highs",
+                    options={"primal_feasibility_tolerance": 1e-10,
+                             "dual_feasibility_tolerance": 1e-10})
+    assert fixed.success, fixed.message
+    return fixed.fun
 
 
 def _valuation_from_solution(model, pruned_map, exact):
