@@ -199,17 +199,17 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     for r in sorted(pruned_map):
         pruned = pruned_map[r]
         index = _state_index(pruned)
-        edges = sorted(pruned.edges.items())
+        edges = sorted((key, w) for key, (w, _u) in pruned.edges.items())
 
         def yname(a: State, b: State) -> str:
             return f"y_{r}_{index[a]}_{index[b]}"
 
-        for (_li, a, b), (_w, _wit) in edges:
+        for (_li, a, b), _w in edges:
             binaries.append(yname(a, b))
 
         out_of: Dict[Tuple[int, State], List[Tuple[State, float]]] = {}
         into: Dict[Tuple[int, State], List[Tuple[State, float]]] = {}
-        for (li, a, b), (w, _wit) in edges:
+        for (li, a, b), w in edges:
             out_of.setdefault((li, a), []).append((b, w))
             into.setdefault((li + 1, b), []).append((a, w))
 
@@ -275,7 +275,7 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
                     if w:
                         objective.append((w, yname(a, b)))
         else:
-            for (_li, a, b), (w, _wit) in edges:
+            for (_li, a, b), w in edges:
                 if w:
                     objective.append((w, yname(a, b)))
 

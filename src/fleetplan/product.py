@@ -10,12 +10,19 @@ position whose incoming guard demands it, which is what makes the layered
 
 Edges are built from a table of moves per (automaton state, region label),
 the only inputs an edge's firing set, label and collaborative marks depend on.
+
+Inside the product and its pruning a state ``(region, f)`` is the integer
+``rank(region) * nfa.n_states + f``, ``rank`` being the region's position in name
+order.  The integers order like the tuples, and every search breaks ties by
+state key, so walks and costs are those of a tuple-keyed product.  Initial,
+accepting and collaborative states, levels, choices and ``Strategy.run`` stay tuples.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import FleetplanError, LevelDisconnected, NoAcceptingPath, Unreachable
 from .guards import Guard
@@ -62,12 +69,16 @@ class ProductPa:
         self.assigned = tuple(assigned)
         self.collab_props = collab_props
         self._assigned_props = frozenset(p for _o, p in self.assigned)
+        self.regions: Tuple[str, ...] = tuple(sorted(wts.adjacency))
+        self._rank = {region: i for i, region in enumerate(self.regions)}
         self.initial: Tuple[State, ...] = ()
         self.accepting: frozenset = frozenset()
-        self.adjacency: Dict[State, Tuple[Tuple[State, float, FrozenSet[str], FrozenSet[str]], ...]] = {}
-        self.edge_info: Dict[Tuple[State, State], Tuple[float, FrozenSet[str], FrozenSet[str]]] = {}
         self.entry_info: Dict[State, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self.collab: Dict[str, frozenset] = {}
+        self.succ: Dict[int, tuple] = {}  # id: ((target, weight, fired, emit), ...) by target
+        self.quiet: Dict[int, tuple] = {}  # id: ((target, weight), ...) of non-firing edges
+        self.firing: List[tuple] = []  # (source, target, weight, fired) per firing edge
+        self.n_edges = 0
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -110,62 +121,83 @@ class ProductPa:
         return tuple(moves)
 
     def _build(self):
-        table: Dict[Tuple[int, FrozenSet[str]], tuple] = {}
+        n = self.nfa.n_states
+        tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(n)]  # moves by [f][label]
         collab_sets: Dict[str, set] = {}
         labels = self.wts.labels
+        # neighbours come in name order, so each state's successors in id order
+        neighbours = [tuple((self._rank[r2] * n, w, labels[r2]) for r2, w in self.wts.adjacency[r])
+                      for r in self.regions]
         start = self.wts.initial
         initial_states = []
         for f0 in sorted(self.nfa.initial):
-            table[f0, labels[start]] = moves = self._moves(f0, labels[start])
+            tables[f0][labels[start]] = moves = self._moves(f0, labels[start])
             for f, fired, emit, props in moves:
                 state = (start, f)
                 if state not in self.entry_info:
                     initial_states.append(state)
                     self.entry_info[state] = (fired, emit)
                     for prop in props:
-                        collab_sets.setdefault(prop, set()).add(state)
+                        collab_sets.setdefault(prop, set()).add(self.state_id(state))
         self.initial = tuple(sorted(initial_states))
-        seen = set(self.initial)
-        queue = deque(self.initial)
-        adjacency: Dict[State, list] = {}
+        queue = deque(map(self.state_id, self.initial))
+        seen = set(queue)
         while queue:
-            state = queue.popleft()
-            region, f = state
-            out = []
-            for succ_region, weight in self.wts.adjacency[region]:
-                key = (f, labels[succ_region])
-                moves = table.get(key)
+            s = queue.popleft()
+            rank, f = divmod(s, n)
+            table = tables[f]
+            out, silent = [], []
+            for base, weight, label in neighbours[rank]:
+                moves = table.get(label)
                 if moves is None:
-                    moves = table[key] = self._moves(*key)
+                    moves = table[label] = self._moves(f, label)
                 for f2, fired, emit, props in moves:
-                    target = (succ_region, f2)
-                    out.append((target, weight, fired, emit))
+                    t = base + f2
+                    out.append((t, weight, fired, emit))
+                    if fired:
+                        self.firing.append((s, t, weight, fired))
+                    else:
+                        silent.append((t, weight))
                     for prop in props:
-                        collab_sets.setdefault(prop, set()).add(target)
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
-            adjacency[state] = tuple(sorted(out))
-            for target, weight, fired, emit in out:
-                self.edge_info[(state, target)] = (weight, fired, emit)
-        self.adjacency = adjacency
-        self.accepting = frozenset(s for s in seen if s[1] in self.nfa.accepting)
+                        collab_sets.setdefault(prop, set()).add(t)
+                    if t not in seen:
+                        seen.add(t)
+                        queue.append(t)
+            self.succ[s] = tuple(out)
+            self.quiet[s] = tuple(silent)
+            self.n_edges += len(out)
+        decode = self.state_of
+        self.accepting = frozenset(decode(s) for s in seen if s % n in self.nfa.accepting)
         # collaborative states must be reachable product states
         self.collab = {
-            prop: frozenset(s for s in collab_sets.get(prop, ()) if s in seen)
+            prop: frozenset(decode(s) for s in collab_sets.get(prop, ()) if s in seen)
             for _occ, prop in self.assigned
         }
 
     # -- queries ----------------------------------------------------------
 
+    def state_id(self, state: State) -> int:
+        return self._rank[state[0]] * self.nfa.n_states + state[1]
+
+    def state_of(self, sid: int) -> State:
+        rank, f = divmod(sid, self.nfa.n_states)
+        return self.regions[rank], f
+
     def collab_states(self, prop: str) -> frozenset:
         return self.collab.get(prop, frozenset())
 
-    def nonfiring_adjacency(self) -> Dict[State, Tuple[Tuple[State, float], ...]]:
-        out = {}
-        for state, edges in self.adjacency.items():
-            out[state] = tuple((t, w) for t, w, fired, _e in edges if not fired)
-        return out
+    @property
+    def adjacency(self) -> Mapping[State, tuple]:
+        """Tuple-keyed ``succ``, decoded anew on each access (for tests and tracing)."""
+        decode = self.state_of
+        return MappingProxyType({decode(s): tuple((decode(t), w, f, e) for t, w, f, e in out)
+                                 for s, out in self.succ.items()})
+
+    @property
+    def edge_info(self) -> Mapping[Tuple[State, State], tuple]:
+        """``{(a, b): (weight, fired, emit)}``, decoded anew on each access."""
+        return MappingProxyType({(s, t): (w, f, e) for s, out in self.adjacency.items()
+                                 for t, w, f, e in out})
 
 
 def build_product(wts: Wts, nfa: Nfa, assigned: Sequence[Tuple[Occurrence, str]],
@@ -178,12 +210,12 @@ def build_product(wts: Wts, nfa: Nfa, assigned: Sequence[Tuple[Occurrence, str]]
 
 
 class Strategy:
-    """An accepting product run with its firing bookkeeping."""
+    """An accepting product run, given by its state ids, with its firing bookkeeping."""
 
-    def __init__(self, pa: ProductPa, run: Sequence[State]):
+    def __init__(self, pa: ProductPa, ids: Sequence[int]):
         self.pa = pa
         self.robot_id = pa.wts.robot_id
-        self.run = tuple(run)
+        self.run = tuple(map(pa.state_of, ids))
         first = self.run[0]
         if first not in pa.entry_info:
             raise FleetplanError(f"run does not start at an initial state: {first}")
@@ -191,11 +223,12 @@ class Strategy:
         fired = [fired0]
         emits = [emit0]
         weights = []
-        for a, b in zip(self.run, self.run[1:]):
-            info = pa.edge_info.get((a, b))
-            if info is None:
-                raise FleetplanError(f"run uses a non-edge {a}->{b}")
-            w, f, e = info
+        for a, b in zip(ids, ids[1:]):
+            for t, w, f, e in pa.succ.get(a, ()):
+                if t == b:
+                    break
+            else:
+                raise FleetplanError(f"run uses a non-edge {pa.state_of(a)}->{pa.state_of(b)}")
             weights.append(w)
             fired.append(f)
             emits.append(e)
@@ -232,8 +265,8 @@ class PrunedPa:
 
     Level 0 holds the initial states, one level per assigned occurrence holds
     that task's collaborative states, and the final level holds accepting
-    states.  Edges connect consecutive levels with shortest-path weights and
-    carry their witness path for exact expansion.
+    states.  Edges join consecutive levels; each stores ``(cost, u)``, ``u`` ending its
+    witness's path in the source's Dijkstra tree (None for an entry firing).
     """
 
     def __init__(self, pa: ProductPa):
@@ -243,14 +276,15 @@ class PrunedPa:
         for _occ, prop in pa.assigned:
             self.levels.append(tuple(sorted(pa.collab_states(prop))))
         self.levels.append(tuple(sorted(pa.accepting)))
-        self.edges: Dict[Tuple[int, State, State], Tuple[float, Tuple[State, ...]]] = {}
+        self.edges: Dict[Tuple[int, State, State], Tuple[float, Optional[int]]] = {}
+        self._parents: List[Dict[State, Dict[int, Optional[int]]]] = []
+        self._expanded: Dict[Tuple[State, ...], Strategy] = {}
         self._build_edges()
         self._suffix: Dict[Tuple[int, State], Tuple[float, Optional[State]]] = {}
         self._build_suffix()
 
     def _build_edges(self):
         pa = self.pa
-        nonfiring = pa.nonfiring_adjacency()
         for li in range(len(self.levels) - 1):
             sources = self.levels[li]
             targets = self.levels[li + 1]
@@ -259,37 +293,31 @@ class PrunedPa:
                     f"robot {pa.wts.robot_id}: level {li if sources else li + 1} is empty")
             is_final = li == len(self.levels) - 2
             prop = None if is_final else pa.assigned[li][1]
+            found = len(self.edges)
             # collaborative entry firings connect a state to itself across levels
             if li == 0 and not is_final:
                 for state in sources:
                     fired, _emit = pa.entry_info[state]
                     if prop in fired and state in targets:
-                        self.edges[(0, state, state)] = (0, (state,))
-            firing_in: Dict[State, list] = {}
-            if not is_final:
-                for (a, b), (w, fired, _e) in pa.edge_info.items():
-                    if prop in fired and b in targets:
-                        firing_in.setdefault(b, []).append((a, w))
+                        self.edges[(0, state, state)] = (0, None)
+            target_ids = [(t, pa.state_id(t)) for t in targets]
+            firing_in: Dict[int, list] = {tid: [] for _t, tid in target_ids}
+            for u, t, w, fired in pa.firing:
+                if prop in fired and t in firing_in:
+                    firing_in[t].append((u, w))
+            parents = {}
             for source in sources:
-                dist, parent = dijkstra(nonfiring, [source])
-                if is_final:
-                    for t in targets:
-                        if t in dist:
-                            self.edges[(li, source, t)] = (
-                                dist[t], tuple(reconstruct(parent, t)))
-                else:
-                    for t in targets:
-                        best = None
-                        for u, w in sorted(firing_in.get(t, ())):
-                            if u in dist:
-                                cand = (dist[u] + w, u)
-                                if best is None or cand < best:
-                                    best = cand
-                        if best is not None:
-                            cost, u = best
-                            witness = tuple(reconstruct(parent, u)) + (t,)
-                            self.edges[(li, source, t)] = (cost, witness)
-            if not any(key[0] == li for key in self.edges):
+                dist, parents[source] = dijkstra(pa.quiet, [pa.state_id(source)])
+                for t, tid in target_ids:
+                    if is_final:
+                        best = (dist[tid], tid) if tid in dist else None
+                    else:
+                        best = min(((dist[u] + w, u) for u, w in firing_in[tid] if u in dist),
+                                   default=None)
+                    if best is not None:
+                        self.edges[(li, source, t)] = best
+            self._parents.append(parents)
+            if len(self.edges) == found:
                 raise LevelDisconnected(
                     f"robot {pa.wts.robot_id}: no edges into level {li + 1}")
 
@@ -352,23 +380,39 @@ class PrunedPa:
             raise LevelDisconnected("no initial state reaches the accepting level")
         return self.best_chain_from(0, best[1])
 
+    def witness(self, li: int, a: State, b: State) -> Tuple[State, ...]:
+        """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``."""
+        return tuple(map(self.pa.state_of, self._path(li, a, b)))
+
+    def _path(self, li: int, a: State, b: State) -> List[int]:
+        _cost, u = self.edges[(li, a, b)]
+        if u is None:
+            return [self.pa.state_id(a)]
+        path = reconstruct(self._parents[li][a], u)
+        if li < len(self.levels) - 2:
+            path.append(self.pa.state_id(b))
+        return path
+
     def expand(self, choice: Sequence[State]) -> Strategy:
-        """Expand a level choice into a concrete strategy via edge witnesses."""
-        if len(choice) != len(self.levels):
-            raise FleetplanError(
-                f"choice length {len(choice)} != level count {len(self.levels)}")
-        run: List[State] = [choice[0]]
-        for li, (a, b) in enumerate(zip(choice, choice[1:])):
-            edge = self.edges.get((li, a, b))
-            if edge is None:
-                raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
-            run.extend(edge[1][1:])
-        return Strategy(self.pa, run)
+        """Expand a level choice into a concrete strategy via edge witnesses, once per
+        choice: assignments sharing this product often settle on the same one."""
+        key = tuple(choice)
+        if key not in self._expanded:
+            if len(choice) != len(self.levels):
+                raise FleetplanError(
+                    f"choice length {len(choice)} != level count {len(self.levels)}")
+            ids = [self.pa.state_id(choice[0])]
+            for li, (a, b) in enumerate(zip(choice, choice[1:])):
+                if (li, a, b) not in self.edges:
+                    raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
+                ids.extend(self._path(li, a, b)[1:])
+            self._expanded[key] = Strategy(self.pa, ids)
+        return self._expanded[key]
 
     def size_stats(self) -> Dict[str, int]:
         return {
-            "product_states": len(self.pa.adjacency),
-            "product_edges": len(self.pa.edge_info),
+            "product_states": len(self.pa.succ),
+            "product_edges": self.pa.n_edges,
             "max_level_width": max(len(l) for l in self.levels),
             "pruned_edges": len(self.edges),
         }

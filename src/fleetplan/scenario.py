@@ -163,6 +163,9 @@ class Scenario:
         if not used <= collab:
             raise ScenarioError(
                 f"collaborative formula references unknown tasks {sorted(used - collab)}")
+        strangers = sorted(set(self.individual_formulas) - set(self.fleet.robot_ids()))
+        if strangers:
+            raise ScenarioError(f"scenario key individualFormulas.{strangers[0]} is not a fleet robot")
         for robot in self.fleet.robot_ids():
             mine = {t.prop for t in self.tasks if t.owner == robot}
             used = atoms_of(self.parsed_individual(robot))

@@ -8,40 +8,33 @@ are reproducible across runs.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Callable, Hashable, Iterable, Mapping
 
 Node = Hashable
+INF = float("inf")
 
 
-def dijkstra(adjacency: Mapping, sources: Iterable[Node], targets=None):
-    """Multi-source Dijkstra.
-
-    Returns ``(dist, parent)`` maps.  When ``targets`` is given, the search
-    stops once every reachable target is settled.
-    """
+def dijkstra(adjacency: Mapping, sources: Iterable[Node]):
+    """Multi-source Dijkstra: ``(dist, parent)`` maps over every reachable node."""
     dist: dict = {}
     parent: dict = {}
     heap = []
     for s in sorted(sources):
         dist[s] = 0
         parent[s] = None
-        heapq.heappush(heap, (0, s))
-    remaining = set(targets) if targets is not None else None
+        heappush(heap, (0, s))
+    known, successors = dist.get, adjacency.get
     while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, float("inf")):
+        d, node = heappop(heap)
+        if d > dist[node]:
             continue
-        if remaining is not None:
-            remaining.discard(node)
-            if not remaining:
-                break
-        for succ, weight in adjacency.get(node, ()):
+        for succ, weight in successors(node, ()):
             nd = d + weight
-            if nd < dist.get(succ, float("inf")):
+            if nd < known(succ, INF):
                 dist[succ] = nd
                 parent[succ] = node
-                heapq.heappush(heap, (nd, succ))
+                heappush(heap, (nd, succ))
     return dist, parent
 
 

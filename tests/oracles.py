@@ -8,6 +8,8 @@ lexicographic allocator replaced, as a reference for its solution order.
 The exceptions are the test-only helpers at the end, which build on the
 production code: ``ReferenceProductPa`` keeps the product's original
 edge-by-edge construction as a reference for the table-driven one,
+``ReferencePrunedPa`` the layered pruning over tuple states with eager witness
+paths as a reference for the integer-state one with parent maps,
 ``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
 sum of ideal completions as a reference for the wait-aware bound, and
 ``reference_to_nfa`` keeps the translator that progresses every residual
@@ -25,6 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from fleetplan.alloc import DEADLINE_EVERY, Assignment, check_deadline
 from fleetplan.errors import (
     BudgetExceeded,
+    FleetplanError,
     LevelDisconnected,
     NoAcceptingPath,
     StateLimitExceeded,
@@ -390,7 +393,7 @@ def initial_run(pa: ProductPa) -> Strategy:
         _cost, path = shortest_path(plain_adjacency(pa), pa.initial, pa.accepting)
     except Unreachable as exc:
         raise NoAcceptingPath(str(exc)) from None
-    return Strategy(pa, path)
+    return Strategy(pa, [pa.state_id(s) for s in path])
 
 
 def path_through(pa: ProductPa, anchor: State, via: State) -> List[State]:
@@ -401,8 +404,21 @@ def path_through(pa: ProductPa, anchor: State, via: State) -> List[State]:
     return leg1 + leg2[1:]
 
 
-class ReferenceProductPa(ProductPa):
-    """The product built edge by edge: guard, label split and firing set per edge."""
+class ReferenceProductPa:
+    """The product built edge by edge over tuple states: guard, label split and
+    firing set per edge."""
+
+    _select_emit = ProductPa._select_emit
+
+    def __init__(self, wts: Wts, nfa: Nfa, assigned, collab_props):
+        self.wts = wts
+        self.nfa = nfa
+        self.assigned = tuple(assigned)
+        self.collab_props = collab_props
+        self._assigned_props = frozenset(p for _o, p in self.assigned)
+        self.entry_info: Dict[State, tuple] = {}
+        self.edge_info: Dict[Tuple[State, State], tuple] = {}
+        self._build()
 
     def _split_label(self, region: str):
         label = self.wts.labels[region]
@@ -471,6 +487,154 @@ class ReferenceProductPa(ProductPa):
                 self._collab_sets.setdefault(prop, set()).add(state)
 
 
+class ReferencePrunedPa:
+    """The layered view over tuple states, with every witness path built eagerly.
+
+    Level 0 holds the initial states, one level per assigned occurrence holds
+    that task's collaborative states, and the final level holds accepting
+    states.  Edges connect consecutive levels with shortest-path weights and
+    carry their witness path for exact expansion.
+    """
+
+    def __init__(self, pa: ProductPa):
+        self.pa = pa
+        self.assigned = pa.assigned
+        self.levels: List[Tuple[State, ...]] = [tuple(sorted(pa.initial))]
+        for _occ, prop in pa.assigned:
+            self.levels.append(tuple(sorted(pa.collab_states(prop))))
+        self.levels.append(tuple(sorted(pa.accepting)))
+        self.edges: Dict[Tuple[int, State, State], Tuple[float, Tuple[State, ...]]] = {}
+        self._build_edges()
+        self._suffix: Dict[Tuple[int, State], Tuple[float, Optional[State]]] = {}
+        self._build_suffix()
+
+    def _build_edges(self):
+        pa = self.pa
+        nonfiring = {s: tuple((t, w) for t, w, fired, _e in edges if not fired)
+                     for s, edges in pa.adjacency.items()}
+        edge_info = pa.edge_info
+        for li in range(len(self.levels) - 1):
+            sources = self.levels[li]
+            targets = self.levels[li + 1]
+            if not sources or not targets:
+                raise LevelDisconnected(
+                    f"robot {pa.wts.robot_id}: level {li if sources else li + 1} is empty")
+            is_final = li == len(self.levels) - 2
+            prop = None if is_final else pa.assigned[li][1]
+            # collaborative entry firings connect a state to itself across levels
+            if li == 0 and not is_final:
+                for state in sources:
+                    fired, _emit = pa.entry_info[state]
+                    if prop in fired and state in targets:
+                        self.edges[(0, state, state)] = (0, (state,))
+            firing_in: Dict[State, list] = {}
+            if not is_final:
+                for (a, b), (w, fired, _e) in edge_info.items():
+                    if prop in fired and b in targets:
+                        firing_in.setdefault(b, []).append((a, w))
+            for source in sources:
+                dist, parent = dijkstra(nonfiring, [source])
+                if is_final:
+                    for t in targets:
+                        if t in dist:
+                            self.edges[(li, source, t)] = (
+                                dist[t], tuple(reconstruct(parent, t)))
+                else:
+                    for t in targets:
+                        best = None
+                        for u, w in sorted(firing_in.get(t, ())):
+                            if u in dist:
+                                cand = (dist[u] + w, u)
+                                if best is None or cand < best:
+                                    best = cand
+                        if best is not None:
+                            cost, u = best
+                            witness = tuple(reconstruct(parent, u)) + (t,)
+                            self.edges[(li, source, t)] = (cost, witness)
+            if not any(key[0] == li for key in self.edges):
+                raise LevelDisconnected(
+                    f"robot {pa.wts.robot_id}: no edges into level {li + 1}")
+
+    def _build_suffix(self):
+        last = len(self.levels) - 1
+        for state in self.levels[last]:
+            self._suffix[(last, state)] = (0, None)
+        for li in range(last - 1, -1, -1):
+            for state in self.levels[li]:
+                best = None
+                for succ in self.levels[li + 1]:
+                    edge = self.edges.get((li, state, succ))
+                    if edge is None:
+                        continue
+                    tail = self._suffix.get((li + 1, succ))
+                    if tail is None:
+                        continue
+                    cand = (edge[0] + tail[0], succ)
+                    if best is None or cand < best:
+                        best = cand
+                if best is not None:
+                    self._suffix[(li, state)] = best
+        if not any((0, s) in self._suffix for s in self.levels[0]):
+            raise LevelDisconnected(
+                f"robot {self.pa.wts.robot_id}: accepting level unreachable through the hierarchy")
+
+    # -- queries ----------------------------------------------------------
+
+    def suffix_cost(self, level: int, state: State) -> Optional[float]:
+        entry = self._suffix.get((level, state))
+        return None if entry is None else entry[0]
+
+    def best_chain_from(self, level: int, state: State) -> List[State]:
+        """Cheapest continuation through the remaining levels (greedy by DP)."""
+        chain = [state]
+        li = level
+        while True:
+            entry = self._suffix.get((li, chain[-1]))
+            if entry is None:
+                raise LevelDisconnected(f"state {chain[-1]} has no continuation")
+            if entry[1] is None:
+                return chain
+            chain.append(entry[1])
+            li += 1
+
+    def shortest_choice(self) -> List[State]:
+        """Level choice of minimal total weight, starting from the best initial state."""
+        best = None
+        for state in self.levels[0]:
+            cost = self.suffix_cost(0, state)
+            if cost is not None:
+                cand = (cost, state)
+                if best is None or cand < best:
+                    best = cand
+        if best is None:
+            raise LevelDisconnected("no initial state reaches the accepting level")
+        return self.best_chain_from(0, best[1])
+
+    def witness(self, li: int, a: State, b: State) -> Tuple[State, ...]:
+        return self.edges[(li, a, b)][1]
+
+    def expand(self, choice: Sequence[State]) -> Strategy:
+        """Expand a level choice into a concrete strategy via edge witnesses."""
+        if len(choice) != len(self.levels):
+            raise FleetplanError(
+                f"choice length {len(choice)} != level count {len(self.levels)}")
+        run: List[State] = [choice[0]]
+        for li, (a, b) in enumerate(zip(choice, choice[1:])):
+            edge = self.edges.get((li, a, b))
+            if edge is None:
+                raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
+            run.extend(edge[1][1:])
+        return Strategy(self.pa, [self.pa.state_id(s) for s in run])
+
+    def size_stats(self) -> Dict[str, int]:
+        return {
+            "product_states": len(self.pa.adjacency),
+            "product_edges": len(self.pa.edge_info),
+            "max_level_width": max(len(l) for l in self.levels),
+            "pruned_edges": len(self.edges),
+        }
+
+
 # ---------------------------------------------------------------------------
 # Test-only helpers over the production modules
 # ---------------------------------------------------------------------------
@@ -482,7 +646,7 @@ def shortest_path(adjacency, sources, targets):
     Among equal-cost targets the smallest node key (by ``repr``) wins.
     """
     targets = set(targets)
-    dist, parent = dijkstra(adjacency, sources, targets=targets)
+    dist, parent = dijkstra(adjacency, sources)
     reachable = [(dist[t], t) for t in targets if t in dist]
     if not reachable:
         raise Unreachable("no path from sources to targets")
@@ -494,7 +658,7 @@ def shortest_travel(wts: Wts, origin: str, destination: str) -> float:
     """Minimum travel duration between two regions; 0 when they coincide."""
     if origin == destination:
         return 0
-    dist, _ = dijkstra(wts.adjacency, [origin], targets={destination})
+    dist, _ = dijkstra(wts.adjacency, [origin])
     if destination not in dist:
         raise Unreachable(f"{destination} unreachable from {origin}")
     return dist[destination]

@@ -87,6 +87,7 @@ MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new v
     ("collaborativeTasks[0].region", False, ["collaborativeTasks", 0, "region"], MISSING),
     ("world.weights", False, ["world", "weights"], [["q0_0", "q1_0"]]),
     ("individualFormulas", False, ["individualFormulas", "x"], "true"),
+    ("individualFormulas.99", False, ["individualFormulas", "99"], "F nosuch & G"),
     ("collaborativeTasks[0].requirements", False, ["collaborativeTasks", 0, "requirements"],
      ["c1"]),
 ]

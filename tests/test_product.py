@@ -1,10 +1,14 @@
 """Local formula construction, product automata, and layered pruning."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from fleetplan.errors import NoAcceptingPath
+from fleetplan import framework
+from fleetplan.errors import LevelDisconnected, NoAcceptingPath
 from fleetplan.ltl import format_formula, nfa_accepts, parse_formula, to_nfa
 from fleetplan.product import (
     build_local_formula,
@@ -12,10 +16,12 @@ from fleetplan.product import (
     build_product,
     prune_product,
 )
+from fleetplan.scenario import Scenario
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
 from oracles import (
     ReferenceProductPa,
+    ReferencePrunedPa,
     bellman_ford,
     choice_weight,
     initial_run,
@@ -24,6 +30,8 @@ from oracles import (
     plain_adjacency,
     random_formula,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def corridor_setup(length=5, tasks=(), formula="true", start="q0_0", collab_props=()):
@@ -123,7 +131,8 @@ def test_pruned_edges_match_product_distances():
     pa, _ = synth(wts, "true", [((1, 1), "ct1"), ((1, 2), "ct2")], ("ct1", "ct2"))
     pruned = prune_product(pa)
     # every edge weight equals its witness path weight in the product
-    for (li, a, b), (weight, witness) in pruned.edges.items():
+    for (li, a, b), (weight, _u) in pruned.edges.items():
+        witness = pruned.witness(li, a, b)
         assert witness[0] == a and witness[-1] == b
         total = sum(pa.edge_info[(u, v)][0] for u, v in zip(witness, witness[1:]))
         assert total == weight
@@ -198,11 +207,10 @@ def test_path_through_matches_two_leg_oracle():
         assert weight == expected
 
 
-def test_table_product_matches_edge_by_edge_reference():
-    # ts1 and ct1 share a region; the start region carries ts2 on some grids
+def random_products():
+    """40 small random products: ts1 and ct1 share a region, and the start
+    region carries ts2 on some grids.  Yields ``(trial, wts, nfa, assigned)``."""
     rng = random.Random(31)
-    collab_props = frozenset({"ct1", "ct2"})
-    initial_self_loop = []  # per non-empty product
     for trial in range(40):
         start = rng.choice(["q0_0", "q1_1"])
         fleet = Fleet(("c1",), (Robot(0, frozenset({"c1"}), start),))
@@ -215,15 +223,78 @@ def test_table_product_matches_edge_by_edge_reference():
         wts = build_wts(grid_world(3, 3), fleet, tasks, 0)
         assigned = [((1, 1), "ct1"), ((1, 2), "ct2")][:rng.randint(0, 2)]
         nfa = to_nfa(build_local_formula(random_formula(rng, ["ts1", "ts2"], 3), assigned))
-        pa = ProductPa(wts, nfa, assigned, collab_props)
-        ref = ReferenceProductPa(wts, nfa, assigned, collab_props)
+        yield trial, wts, nfa, assigned
+
+
+RANDOM_COLLAB_PROPS = frozenset({"ct1", "ct2"})
+
+
+def test_table_product_matches_edge_by_edge_reference():
+    initial_self_loop = []  # per non-empty product
+    for trial, wts, nfa, assigned in random_products():
+        pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
+        ref = ReferenceProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
         assert pa.initial == ref.initial, trial
         assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
         assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
         assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
         assert pa.collab == ref.collab, trial
         assert pa.accepting == ref.accepting, trial
-        if pa.edge_info:
+        assert (len(pa.succ), pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
+        if pa.n_edges:
             initial_self_loop += [(f0, f0) in nfa.transitions for f0 in nfa.initial]
     assert len(initial_self_loop) >= 15
     assert set(initial_self_loop) == {True, False}
+
+
+def assert_same_pruning(pa):
+    """Prune ``pa`` and compare with the tuple-state reference: levels, every
+    edge's weight and witness, the shortest choice and its expansion, and the
+    size counters.  When the reference finds a level disconnected, the
+    pruning must fail with the same message.  Returns whether it pruned."""
+    try:
+        ref = ReferencePrunedPa(pa)
+    except LevelDisconnected as exc:
+        with pytest.raises(LevelDisconnected) as got:
+            prune_product(pa)
+        assert str(got.value) == str(exc)
+        return False
+    pruned = prune_product(pa)
+    assert pruned.levels == ref.levels
+    assert list(pruned.edges) == list(ref.edges)
+    for key, (weight, _u) in pruned.edges.items():
+        assert weight == ref.edges[key][0], key
+        assert pruned.witness(*key) == ref.witness(*key), key
+    choice = pruned.shortest_choice()
+    assert choice == ref.shortest_choice()
+    got, want = pruned.expand(choice), ref.expand(choice)
+    assert (got.run, got.fired, got.emits) == (want.run, want.fired, want.emits)
+    assert pruned.size_stats() == ref.size_stats()
+    return True
+
+
+def test_pruning_matches_tuple_state_reference_on_random_products():
+    pruned = [assert_same_pruning(ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS))
+              for _trial, wts, nfa, assigned in random_products()]
+    assert pruned.count(True) >= 10 and False in pruned
+
+
+def test_pruning_matches_tuple_state_reference_on_planned_products(monkeypatch):
+    """Every product the planner builds for the synth-enum benchmark structure
+    (template seed 7, placed by benchmark seed 0)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    products = []
+    real = framework.build_product
+
+    def recording(*args):
+        products.append(real(*args))
+        return products[-1]
+
+    monkeypatch.setattr(framework, "build_product", recording)
+    data = workloads.scenario_json(workloads.WORKLOADS["synth-enum"], 7, 0)
+    framework.run_framework(Scenario.from_json(data))
+    assert len(products) >= 10
+    assert all(assert_same_pruning(pa) for pa in products)
