@@ -10,6 +10,8 @@ position whose incoming guard demands it, which is what makes the layered
 
 Edges are built from a table of moves per (automaton state, region label),
 the only inputs an edge's firing set, label and collaborative marks depend on.
+Pruning searches the non-firing edges and the firing edges, then releases them:
+a product keeps its move tables, from which runs and the edge views are decoded.
 
 Inside the product and its pruning a state ``(region, f)`` is the integer
 ``rank(region) * nfa.n_states + f``, ``rank`` being the region's position in name
@@ -75,10 +77,11 @@ class ProductPa:
         self.accepting: frozenset = frozenset()
         self.entry_info: Dict[State, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self.collab: Dict[str, frozenset] = {}
-        self.succ: Dict[int, tuple] = {}  # id: ((target, weight, fired, emit), ...) by target
-        self.quiet: Dict[int, tuple] = {}  # id: ((target, weight), ...) of non-firing edges
-        self.firing: List[tuple] = []  # (source, target, weight, fired) per firing edge
-        self.n_edges = 0
+        self._tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(nfa.n_states)]
+        # the search graph, released by pruning
+        self.quiet: Optional[Dict[int, tuple]] = {}  # id: ((target, weight), ...) non-firing
+        self.firing: Optional[List[tuple]] = []  # (source, target, weight, fired) per firing edge
+        self.n_states = self.n_edges = 0
         self._build()
 
     # -- construction -----------------------------------------------------
@@ -121,13 +124,8 @@ class ProductPa:
         return tuple(moves)
 
     def _build(self):
-        n = self.nfa.n_states
-        tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(n)]  # moves by [f][label]
+        tables, labels = self._tables, self.wts.labels
         collab_sets: Dict[str, set] = {}
-        labels = self.wts.labels
-        # neighbours come in name order, so each state's successors in id order
-        neighbours = [tuple((self._rank[r2] * n, w, labels[r2]) for r2, w in self.wts.adjacency[r])
-                      for r in self.regions]
         start = self.wts.initial
         initial_states = []
         for f0 in sorted(self.nfa.initial):
@@ -140,39 +138,49 @@ class ProductPa:
                     for prop in props:
                         collab_sets.setdefault(prop, set()).add(self.state_id(state))
         self.initial = tuple(sorted(initial_states))
+        for s, steps in self._walk():
+            silent = []
+            for base, weight, moves in steps:
+                self.n_edges += len(moves)
+                for f2, fired, _emit, props in moves:
+                    if fired:
+                        self.firing.append((s, base + f2, weight, fired))
+                    else:
+                        silent.append((base + f2, weight))
+                    for prop in props:
+                        collab_sets.setdefault(prop, set()).add(base + f2)
+            self.quiet[s] = tuple(silent)
+        self.n_states = len(self.quiet)
+        n, decode = self.nfa.n_states, self.state_of
+        self.accepting = frozenset(decode(s) for s in self.quiet if s % n in self.nfa.accepting)
+        self.collab = {prop: frozenset(map(decode, collab_sets.get(prop, ())))
+                       for _occ, prop in self.assigned}
+
+    def _walk(self):
+        """Breadth-first walk of the reachable product, filling the move tables:
+        ``(s, steps)`` per state in discovery order, one ``(base, weight, moves)``
+        step per neighbour in name order, so the targets ``base + f2`` ascend."""
+        n, labels, tables = self.nfa.n_states, self.wts.labels, self._tables
+        neighbours = [tuple((self._rank[r2] * n, w, labels[r2]) for r2, w in self.wts.adjacency[r])
+                      for r in self.regions]
         queue = deque(map(self.state_id, self.initial))
         seen = set(queue)
         while queue:
             s = queue.popleft()
             rank, f = divmod(s, n)
             table = tables[f]
-            out, silent = [], []
+            steps = []
             for base, weight, label in neighbours[rank]:
                 moves = table.get(label)
                 if moves is None:
                     moves = table[label] = self._moves(f, label)
-                for f2, fired, emit, props in moves:
-                    t = base + f2
-                    out.append((t, weight, fired, emit))
-                    if fired:
-                        self.firing.append((s, t, weight, fired))
-                    else:
-                        silent.append((t, weight))
-                    for prop in props:
-                        collab_sets.setdefault(prop, set()).add(t)
+                steps.append((base, weight, moves))
+                for move in moves:
+                    t = base + move[0]
                     if t not in seen:
                         seen.add(t)
                         queue.append(t)
-            self.succ[s] = tuple(out)
-            self.quiet[s] = tuple(silent)
-            self.n_edges += len(out)
-        decode = self.state_of
-        self.accepting = frozenset(decode(s) for s in seen if s % n in self.nfa.accepting)
-        # collaborative states must be reachable product states
-        self.collab = {
-            prop: frozenset(decode(s) for s in collab_sets.get(prop, ()) if s in seen)
-            for _occ, prop in self.assigned
-        }
+            yield s, steps
 
     # -- queries ----------------------------------------------------------
 
@@ -186,16 +194,27 @@ class ProductPa:
     def collab_states(self, prop: str) -> frozenset:
         return self.collab.get(prop, frozenset())
 
+    def step(self, a: int, b: int) -> Optional[Tuple[float, FrozenSet[str], FrozenSet[str]]]:
+        """``(weight, fired, emit)`` of the product edge ``a -> b``, or None."""
+        (ra, fa), (rb, fb) = divmod(a, self.nfa.n_states), divmod(b, self.nfa.n_states)
+        region = self.regions[rb]
+        weight = dict(self.wts.adjacency[self.regions[ra]]).get(region)
+        moves = () if weight is None else self._tables[fa].get(self.wts.labels[region], ())
+        return next(((weight, fired, emit) for f2, fired, emit, _p in moves if f2 == fb), None)
+
     @property
     def adjacency(self) -> Mapping[State, tuple]:
-        """Tuple-keyed ``succ``, decoded anew on each access (for tests and tracing)."""
+        """``{state: ((target, weight, fired, emit), ...)}`` by target, re-walked from
+        the move tables on each access (for tests and tracing)."""
         decode = self.state_of
-        return MappingProxyType({decode(s): tuple((decode(t), w, f, e) for t, w, f, e in out)
-                                 for s, out in self.succ.items()})
+        return MappingProxyType({
+            decode(s): tuple((decode(base + f2), w, fired, emit)
+                             for base, w, moves in steps for f2, fired, emit, _p in moves)
+            for s, steps in self._walk()})
 
     @property
     def edge_info(self) -> Mapping[Tuple[State, State], tuple]:
-        """``{(a, b): (weight, fired, emit)}``, decoded anew on each access."""
+        """``{(a, b): (weight, fired, emit)}``, re-walked on each access."""
         return MappingProxyType({(s, t): (w, f, e) for s, out in self.adjacency.items()
                                  for t, w, f, e in out})
 
@@ -219,22 +238,15 @@ class Strategy:
         first = self.run[0]
         if first not in pa.entry_info:
             raise FleetplanError(f"run does not start at an initial state: {first}")
-        fired0, emit0 = pa.entry_info[first]
-        fired = [fired0]
-        emits = [emit0]
-        weights = []
+        steps = []
         for a, b in zip(ids, ids[1:]):
-            for t, w, f, e in pa.succ.get(a, ()):
-                if t == b:
-                    break
-            else:
+            steps.append(pa.step(a, b))
+            if steps[-1] is None:
                 raise FleetplanError(f"run uses a non-edge {pa.state_of(a)}->{pa.state_of(b)}")
-            weights.append(w)
-            fired.append(f)
-            emits.append(e)
-        self.fired = tuple(fired)
-        self.emits = tuple(emits)
-        self.step_weights = tuple(weights)
+        fired0, emit0 = pa.entry_info[first]
+        self.fired = (fired0, *(fired for _w, fired, _e in steps))
+        self.emits = (emit0, *(emit for _w, _f, emit in steps))
+        self.step_weights = tuple(w for w, _f, _e in steps)
         self.walk = tuple(region for region, _f in self.run)
         self.collab_positions = self._locate_firings()
 
@@ -266,10 +278,14 @@ class PrunedPa:
     Level 0 holds the initial states, one level per assigned occurrence holds
     that task's collaborative states, and the final level holds accepting
     states.  Edges join consecutive levels; each stores ``(cost, u)``, ``u`` ending its
-    witness's path in the source's Dijkstra tree (None for an entry firing).
+    witness's path in the source's Dijkstra tree (None for an entry firing).  Into the
+    final level a source keeps only its edge to the ``(cost, state)`` least accepting state.
     """
 
     def __init__(self, pa: ProductPa):
+        if pa.quiet is None:
+            raise FleetplanError(
+                f"robot {pa.wts.robot_id}: product already pruned; its search graph is released")
         self.pa = pa
         self.assigned = pa.assigned
         self.levels: List[Tuple[State, ...]] = [tuple(sorted(pa.initial))]
@@ -280,6 +296,7 @@ class PrunedPa:
         self._parents: List[Dict[State, Dict[int, Optional[int]]]] = []
         self._expanded: Dict[Tuple[State, ...], Strategy] = {}
         self._build_edges()
+        pa.quiet = pa.firing = None
         self._suffix: Dict[Tuple[int, State], Tuple[float, Optional[State]]] = {}
         self._build_suffix()
 
@@ -300,20 +317,23 @@ class PrunedPa:
                     fired, _emit = pa.entry_info[state]
                     if prop in fired and state in targets:
                         self.edges[(0, state, state)] = (0, None)
-            target_ids = [(t, pa.state_id(t)) for t in targets]
-            firing_in: Dict[int, list] = {tid: [] for _t, tid in target_ids}
+            target_ids = {pa.state_id(t): t for t in targets}
+            firing_in: Dict[int, list] = {tid: [] for tid in target_ids}
             for u, t, w, fired in pa.firing:
                 if prop in fired and t in firing_in:
                     firing_in[t].append((u, w))
             parents = {}
             for source in sources:
+                if is_final:  # one edge, to the (cost, state) least accepting state
+                    dist, parents[source], tid = dijkstra(pa.quiet, [pa.state_id(source)],
+                                                          stop=target_ids)
+                    if tid is not None:
+                        self.edges[(li, source, target_ids[tid])] = (dist[tid], tid)
+                    continue
                 dist, parents[source] = dijkstra(pa.quiet, [pa.state_id(source)])
-                for t, tid in target_ids:
-                    if is_final:
-                        best = (dist[tid], tid) if tid in dist else None
-                    else:
-                        best = min(((dist[u] + w, u) for u, w in firing_in[tid] if u in dist),
-                                   default=None)
+                for tid, t in target_ids.items():
+                    best = min(((dist[u] + w, u) for u, w in firing_in[tid] if u in dist),
+                               default=None)
                     if best is not None:
                         self.edges[(li, source, t)] = best
             self._parents.append(parents)
@@ -411,7 +431,7 @@ class PrunedPa:
 
     def size_stats(self) -> Dict[str, int]:
         return {
-            "product_states": len(self.pa.succ),
+            "product_states": self.pa.n_states,
             "product_edges": self.pa.n_edges,
             "max_level_width": max(len(l) for l in self.levels),
             "pruned_edges": len(self.edges),

@@ -315,11 +315,13 @@ def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 3
     are drawn so that no single task exceeds fleet capacity per capability.
     """
     if robots < 1 or collab < 0 or individual_per_robot < 0:
-        raise ScenarioError("generator parameters must be positive")
+        raise ScenarioError("generate needs robots >= 1, collab >= 0, individual_per_robot >= 0")
+    width, height = grid
+    if width < 1 or height < 1:
+        raise ScenarioError(f"grid {width}x{height} must be at least 1x1")
     if template not in TEMPLATES:
         raise ScenarioError(f"template must be one of {TEMPLATES}, not {template!r}")
     rng = random.Random(seed)
-    width, height = grid
     world = grid_world(width, height)
     cells_needed = robots + collab + robots * individual_per_robot
     if cells_needed > len(world.regions):

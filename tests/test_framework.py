@@ -49,6 +49,25 @@ def test_generate_rejects_overfull_grid():
         generate(seed=0, robots=3, collab=3, grid=(2, 2))
 
 
+@pytest.mark.parametrize("grid", [(0, 5), (5, 0), (-1, 3)])
+def test_generate_rejects_empty_grid(grid, capsys):
+    name = f"grid {grid[0]}x{grid[1]} "
+    with pytest.raises(ScenarioError, match=name):
+        generate(seed=0, robots=1, collab=0, grid=grid)
+    assert cli_main(["generate", "--robots", "1", "--collab", "0",
+                     "--grid", str(grid[0]), str(grid[1])]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name}")
+
+
+@pytest.mark.parametrize("params", [dict(robots=0), dict(collab=-1), dict(individual_per_robot=-1)])
+def test_generate_parameter_error_states_the_allowed_ranges(params):
+    args = dict(seed=0, robots=2, collab=0, grid=(5, 5), individual_per_robot=0)
+    with pytest.raises(ScenarioError) as exc:
+        generate(**dict(args, **params))
+    assert "positive" not in str(exc.value) and "collab >= 0" in str(exc.value)
+    generate(**args)  # zero collaborative and individual tasks are allowed
+
+
 def test_scenario_round_trip(tmp_path):
     sc = small_scenario()
     path = tmp_path / "scenario.json"

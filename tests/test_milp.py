@@ -19,7 +19,7 @@ from fleetplan.protocol import ProtocolContext, run_protocol
 from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import reference_solve_exact, variable_names
+from oracles import ReferencePrunedPa, reference_solve_exact, variable_names
 
 
 def build_instance(width, height, ct_regions, starts, individual=None, formulas=None):
@@ -309,6 +309,26 @@ def test_feasible_valuation_satisfies_all_rows_and_big_m_is_tight():
             assert abs(lhs - row.rhs) < 1e-9, row.name
     obj = sum(coef * values.get(var, 0.0) for coef, var in model.objective)
     assert abs(obj - exact.objective) < 1e-9
+
+
+def test_emitted_model_has_one_final_column_per_final_source():
+    """The final level keeps only each source's cheapest edge, so the accepting
+    row holds one column per final-level source that reaches an accepting state."""
+    mission, assignment, pruned = build_instance(
+        6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
+        individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
+    buf = io.StringIO()
+    emit_lp(build_milp(pruned, mission, assignment), buf)
+    _objective, rows, binaries = parse_lp(buf.getvalue())
+    for r, p in pruned.items():
+        index = milp._state_index(p)
+        final = len(p.levels) - 2
+        ref_edges = [key for key in ReferencePrunedPa(p.pa).edges if key[0] == final]
+        columns = rows[f"snk_{r}"][0]
+        assert set(columns) <= binaries
+        assert sorted(int(name.split("_")[2]) for name in columns) == sorted(
+            {index[a] for _li, a, _b in ref_edges})
+        assert len(columns) < len(ref_edges)
 
 
 def test_external_milp_solver_agrees_with_exact():

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from fleetplan import framework
-from fleetplan.errors import LevelDisconnected, NoAcceptingPath
+from fleetplan.errors import FleetplanError, LevelDisconnected, NoAcceptingPath
+from fleetplan.milp import enumerate_robot_choices
 from fleetplan.ltl import format_formula, nfa_accepts, parse_formula, to_nfa
 from fleetplan.product import (
     build_local_formula,
@@ -240,7 +241,7 @@ def test_table_product_matches_edge_by_edge_reference():
         assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
         assert pa.collab == ref.collab, trial
         assert pa.accepting == ref.accepting, trial
-        assert (len(pa.succ), pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
+        assert (pa.n_states, pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
         if pa.n_edges:
             initial_self_loop += [(f0, f0) in nfa.transitions for f0 in nfa.initial]
     assert len(initial_self_loop) >= 15
@@ -248,10 +249,13 @@ def test_table_product_matches_edge_by_edge_reference():
 
 
 def assert_same_pruning(pa):
-    """Prune ``pa`` and compare with the tuple-state reference: levels, every
-    edge's weight and witness, the shortest choice and its expansion, and the
-    size counters.  When the reference finds a level disconnected, the
-    pruning must fail with the same message.  Returns whether it pruned."""
+    """Prune ``pa`` and compare with the tuple-state reference.  Levels, and every
+    edge's weight and witness below the final level, are equal.  On the final
+    level each source keeps one edge, to the reference's ``(cost, state)`` least
+    accepting state, with the same weight and witness.  The shortest choice, the
+    expansion of every enumerated choice and the size counters agree.  When the
+    reference finds a level disconnected, the pruning must fail with the same
+    message.  Returns whether it pruned."""
     try:
         ref = ReferencePrunedPa(pa)
     except LevelDisconnected as exc:
@@ -261,16 +265,39 @@ def assert_same_pruning(pa):
         return False
     pruned = prune_product(pa)
     assert pruned.levels == ref.levels
-    assert list(pruned.edges) == list(ref.edges)
+    final = len(ref.levels) - 2
+    cheapest = {}
+    for (li, a, b), (weight, _witness) in ref.edges.items():
+        if li == final:
+            cheapest[a] = min(cheapest.get(a, (weight, b)), (weight, b))
+    kept = [key for key in ref.edges if key[0] < final]
+    kept += [(final, a, b) for a, (_w, b) in cheapest.items()]
+    assert list(pruned.edges) == kept
     for key, (weight, _u) in pruned.edges.items():
         assert weight == ref.edges[key][0], key
         assert pruned.witness(*key) == ref.witness(*key), key
     choice = pruned.shortest_choice()
     assert choice == ref.shortest_choice()
-    got, want = pruned.expand(choice), ref.expand(choice)
-    assert (got.run, got.fired, got.emits) == (want.run, want.fired, want.emits)
-    assert pruned.size_stats() == ref.size_stats()
+    assert_same_expansions(pruned, ref)
+    assert pruned.size_stats() == dict(ref.size_stats(), pruned_edges=len(kept))
     return True
+
+
+def assert_same_expansions(pruned, ref):
+    """Every choice ``enumerate_robot_choices`` yields expands as the reference's
+    witnesses do, with the firing sets, labels and weights of the edge-by-edge
+    reference product along the run."""
+    pa = pruned.pa
+    ref_pa = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
+    for robot_choice in enumerate_robot_choices(pruned):
+        choice = robot_choice.full_choice()
+        got, want = pruned.expand(choice), ref.expand(choice)
+        assert (got.run, got.fired, got.emits, got.step_weights) == (
+            want.run, want.fired, want.emits, want.step_weights), choice
+        steps = [ref_pa.edge_info[edge] for edge in zip(got.run, got.run[1:])]
+        assert got.step_weights == tuple(w for w, _f, _e in steps)
+        entry = [ref_pa.entry_info[got.run[0]]] + [(f, e) for _w, f, e in steps]
+        assert (got.fired, got.emits) == tuple(map(tuple, zip(*entry)))
 
 
 def test_pruning_matches_tuple_state_reference_on_random_products():
@@ -279,22 +306,42 @@ def test_pruning_matches_tuple_state_reference_on_random_products():
     assert pruned.count(True) >= 10 and False in pruned
 
 
+def test_pruning_releases_the_search_graph_and_keeps_the_views():
+    released = 0
+    for trial, wts, nfa, assigned in random_products():
+        pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
+        try:
+            prune_product(pa)
+        except LevelDisconnected:
+            continue
+        assert not hasattr(pa, "succ") and pa.quiet is None and pa.firing is None, trial
+        ref = ReferenceProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
+        assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
+        assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
+        with pytest.raises(FleetplanError, match="already pruned"):
+            prune_product(pa)
+        released += 1
+    assert released >= 10
+
+
 def test_pruning_matches_tuple_state_reference_on_planned_products(monkeypatch):
     """Every product the planner builds for the synth-enum benchmark structure
-    (template seed 7, placed by benchmark seed 0)."""
+    (template seed 7, placed by benchmark seed 0), rebuilt from its recorded
+    arguments because the planner's pruning released its search graph."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
-    products = []
+    calls = []
     real = framework.build_product
 
     def recording(*args):
-        products.append(real(*args))
-        return products[-1]
+        pa = real(*args)
+        calls.append(args)
+        return pa
 
     monkeypatch.setattr(framework, "build_product", recording)
     data = workloads.scenario_json(workloads.WORKLOADS["synth-enum"], 7, 0)
     framework.run_framework(Scenario.from_json(data))
-    assert len(products) >= 10
-    assert all(assert_same_pruning(pa) for pa in products)
+    assert len(calls) >= 10
+    assert all(assert_same_pruning(build_product(*args)) for args in calls)
