@@ -70,7 +70,8 @@ def cmd_plan(args) -> int:
         plan = report.incumbent
         os.makedirs(args.emit_lp, exist_ok=True)
         path = os.path.join(args.emit_lp, f"assignment_{plan.assignment_index}.lp")
-        emit_lp(build_milp(plan.pruned_map, report.mission, plan.assignment), path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(emit_lp(build_milp(plan.pruned_map, report.mission, plan.assignment)))
         print(f"LP model written to {path}")
     evaluated = [r for r in report.rows if r.status == "evaluated"]
     if report.incumbent is None:

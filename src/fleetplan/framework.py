@@ -35,7 +35,7 @@ from .mission import Mission, build_mission, decomposition_states, prune_nfa, sh
 from .product import PrunedPa, Strategy, build_local_formula, build_product, prune_product
 from .protocol import NetSim, ProtocolContext, run_protocol
 from .scenario import Scenario
-from .schedule import SimResult, choice_timeline, compute_time_cost, local_traces_accepted, simulate
+from .schedule import SimResult, choice_timeline, compute_time_cost, simulate
 from .world import build_wts
 
 
@@ -238,7 +238,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     )
     row.element_sync_ok = sim.element_sync_ok
     row.element_order_ok = sim.element_order_ok
-    row.locals_accepted = all(local_traces_accepted(strategies, nfas).values())
+    row.locals_accepted = all(nfa_accepts(nfas[r], strategies[r].emits) for r in strategies)
 
     if opts.oracle:
         t0 = time.perf_counter()
@@ -270,17 +270,17 @@ def write_metrics_csv(report: RunReport, path):
         writer = csv.writer(fh)
         writer.writerow(METRIC_COLUMNS)
         for row in report.rows:
-            writer.writerow([
-                row.index, row.status, row.detail,
-                _num(row.t_init), _num(row.t_adjusted), _num(row.oracle_j),
-                row.cycles, row.messages, row.product_states,
-                row.max_level_width, row.product_edges,
-                _flag(row.sim_matches), _flag(row.collab_accepted),
-                _flag(row.locals_accepted), _flag(row.element_sync_ok),
-                _flag(row.element_order_ok),
-                f"{row.wall_prune_avg:.6f}", f"{row.wall_adjust:.6f}",
-                f"{row.wall_oracle:.6f}",
-            ])
+            values = {**vars(row), "assignment": row.index}
+            writer.writerow([_cell(column, values[column]) for column in METRIC_COLUMNS])
+
+
+def _cell(column: str, value):
+    """Walls to six decimals, flags as yes/no, everything else as ``_num``."""
+    if column in WALL_COLUMNS:
+        return f"{value:.6f}"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return _num(value)
 
 
 def write_series_csv(report: RunReport, path):
@@ -344,7 +344,3 @@ def _num(value):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
-
-
-def _flag(value):
-    return "" if value is None else ("yes" if value else "no")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Sequence
+from typing import FrozenSet, Iterable, NamedTuple, Sequence
 
 from .errors import NextOperatorForbidden, NoPositiveWitness, ParseError, StateLimitExceeded
 from .guards import Guard, guard_from_minterms
@@ -296,50 +296,30 @@ def _key(f: Formula) -> str:
     return format_formula(f)
 
 
-def _conj(children: Iterable[Formula]) -> Formula:
+def _flatten(kind, zero: Formula, unit: Formula, children: Iterable[Formula]) -> Formula:
+    """The n-ary ``kind`` (And or Or) of ``children`` in canonical form.
+
+    Nested ``kind`` children are flattened, ``unit`` children dropped, and the
+    rest de-duplicated and sorted by printed form.  ``zero`` absorbs the whole
+    node, as does a child next to its own negation.
+    """
     flat: list[Formula] = []
     stack = list(children)
     while stack:
         c = stack.pop()
-        if isinstance(c, And):
+        if isinstance(c, kind):
             stack.extend(c.children)
-        elif isinstance(c, FalseF):
-            return FALSE
-        elif not isinstance(c, TrueF):
+        elif isinstance(c, type(zero)):
+            return zero
+        elif not isinstance(c, type(unit)):
             flat.append(c)
     uniq = sorted(set(flat), key=_key)
     present = set(uniq)
-    for c in uniq:
-        if isinstance(c, Not) and c.child in present:
-            return FALSE
-    if not uniq:
-        return TRUE
-    if len(uniq) == 1:
-        return uniq[0]
-    return And(*uniq)
-
-
-def _disj(children: Iterable[Formula]) -> Formula:
-    flat: list[Formula] = []
-    stack = list(children)
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Or):
-            stack.extend(c.children)
-        elif isinstance(c, TrueF):
-            return TRUE
-        elif not isinstance(c, FalseF):
-            flat.append(c)
-    uniq = sorted(set(flat), key=_key)
-    present = set(uniq)
-    for c in uniq:
-        if isinstance(c, Not) and c.child in present:
-            return TRUE
-    if not uniq:
-        return FALSE
-    if len(uniq) == 1:
-        return uniq[0]
-    return Or(*uniq)
+    if any(isinstance(c, Not) and c.child in present for c in uniq):
+        return zero
+    if len(uniq) < 2:
+        return uniq[0] if uniq else unit
+    return kind(*uniq)
 
 
 @lru_cache(maxsize=None)
@@ -363,9 +343,9 @@ def simplify(f: Formula) -> Formula:
             return c.child
         return Not(c)
     if isinstance(f, And):
-        return _conj([simplify(c) for c in f.children])
+        return _flatten(And, FALSE, TRUE, map(simplify, f.children))
     if isinstance(f, Or):
-        return _disj([simplify(c) for c in f.children])
+        return _flatten(Or, TRUE, FALSE, map(simplify, f.children))
     if isinstance(f, Eventually):
         c = simplify(f.child)
         if isinstance(c, FalseF):
@@ -472,17 +452,10 @@ def _dnf_not(a: frozenset) -> frozenset:
     return result
 
 
-def _unit_eval_empty(unit: Formula) -> bool:
-    if isinstance(unit, Always):
-        return True
-    return False  # atoms, eventualities, and untils need at least one position
-
-
 def _dnf_eval_empty(dnf: frozenset) -> bool:
-    return any(
-        all(_unit_eval_empty(u) for u in pos) and not any(_unit_eval_empty(u) for u in neg)
-        for pos, neg in dnf
-    )
+    # only G units hold on the empty trace: atoms, eventualities and untils need a position
+    return any(all(isinstance(u, Always) for u in pos)
+               and not any(isinstance(u, Always) for u in neg) for pos, neg in dnf)
 
 
 @lru_cache(maxsize=None)
@@ -610,22 +583,12 @@ def nfa_accepts(nfa: Nfa, sequence: Sequence[FrozenSet[str]]) -> bool:
     return bool(current & nfa.accepting)
 
 
-class EssentialStep:
+class EssentialStep(NamedTuple):
     """Minimal positive firing set for one run step, plus the negative
     obligations of the disjunct that justified it."""
 
-    __slots__ = ("labels", "forbidden")
-
-    def __init__(self, labels: FrozenSet[str], forbidden: FrozenSet[str]):
-        self.labels = labels
-        self.forbidden = forbidden
-
-    def __repr__(self):
-        return f"EssentialStep({sorted(self.labels)}, forbid={sorted(self.forbidden)})"
-
-    def __eq__(self, other):
-        return (isinstance(other, EssentialStep)
-                and self.labels == other.labels and self.forbidden == other.forbidden)
+    labels: FrozenSet[str]
+    forbidden: FrozenSet[str]
 
 
 def essential_steps(nfa: Nfa, run: Sequence[int]) -> list[EssentialStep]:

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .alloc import DEADLINE_EVERY, Assignment, check_deadline
 from .errors import BudgetExceeded, LevelDisconnected
 from .mission import Mission, Occurrence
-from .product import PrunedPa, State, Strategy
+from .product import PrunedPa, State
 from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
 
 DEFAULT_COMBINATION_CAP = 10_000_000
@@ -74,7 +74,6 @@ class ExactResult:
     objective: float
     report: CostReport
     choices: Dict[int, RobotChoice]
-    strategies: Dict[int, Strategy]
     explored: int
 
 
@@ -140,10 +139,7 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     if best is None:
         raise LevelDisconnected("no joint feasible placement")
     objective, choices, report = best
-    strategies = {
-        r: pruned_map[r].expand(choices[r].full_choice()) for r in robots
-    }
-    return ExactResult(objective, report, choices, strategies, explored)
+    return ExactResult(objective, report, choices, explored)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +300,8 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     return MilpModel(tuple(objective), rows, tuple(binaries), tuple(continuous), big_m)
 
 
-def emit_lp(model: MilpModel, path) -> None:
-    """Write the model in LP text format (minimize; subject to; bounds; binaries)."""
+def emit_lp(model: MilpModel) -> str:
+    """The model in LP text format (minimize; subject to; bounds; binaries)."""
     lines = []
     for r in sorted(model.big_m):
         lines.append(f"\\ big-M robot {r}: {_lp_num(model.big_m[r])}")
@@ -321,12 +317,7 @@ def emit_lp(model: MilpModel, path) -> None:
     for name in model.binaries:
         lines.append(f" {name}")
     lines.append("End")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"
 
 
 def _lp_num(x: float) -> str:

@@ -191,9 +191,6 @@ class ProductPa:
         rank, f = divmod(sid, self.nfa.n_states)
         return self.regions[rank], f
 
-    def collab_states(self, prop: str) -> frozenset:
-        return self.collab.get(prop, frozenset())
-
     def step(self, a: int, b: int) -> Optional[Tuple[float, FrozenSet[str], FrozenSet[str]]]:
         """``(weight, fired, emit)`` of the product edge ``a -> b``, or None."""
         (ra, fa), (rb, fb) = divmod(a, self.nfa.n_states), divmod(b, self.nfa.n_states)
@@ -261,7 +258,7 @@ class Strategy:
             if prop != want:
                 raise FleetplanError(
                     f"robot {self.robot_id}: fired {prop} out of order (expected {want})")
-            if self.run[i] not in self.pa.collab_states(prop):
+            if self.run[i] not in self.pa.collab[prop]:
                 raise FleetplanError(
                     f"robot {self.robot_id}: fired {prop} outside its collaborative states")
             positions[occ] = i
@@ -290,7 +287,7 @@ class PrunedPa:
         self.assigned = pa.assigned
         self.levels: List[Tuple[State, ...]] = [tuple(sorted(pa.initial))]
         for _occ, prop in pa.assigned:
-            self.levels.append(tuple(sorted(pa.collab_states(prop))))
+            self.levels.append(tuple(sorted(pa.collab[prop])))
         self.levels.append(tuple(sorted(pa.accepting)))
         self.edges: Dict[Tuple[int, State, State], Tuple[float, Optional[int]]] = {}
         self._parents: List[Dict[State, Dict[int, Optional[int]]]] = []

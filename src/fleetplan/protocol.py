@@ -75,8 +75,8 @@ def _score(robot: int, occ: Occurrence, assignment: Assignment,
     prev = assignment.previous(robot, occ)
     base = 0.0
     if prev is not None:
-        base = report.task_time(prev) - timelines[robot].arrival(prev)
-    return base + timelines[robot].arrival(occ)
+        base = report.task_times[prev] - timelines[robot].arrivals[prev]
+    return base + timelines[robot].arrivals[occ]
 
 
 def find_latest(occ: Occurrence, assignment: Assignment,
@@ -125,13 +125,13 @@ def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
     timeline = ctx.timelines[robot]
     prev = ctx.assignment.previous(robot, occ)
     if prev is not None:
-        slack = report.task_time(prev) - timeline.arrival(prev)
-        prefix_ideal = timeline.arrival(prev)
+        slack = report.task_times[prev] - timeline.arrivals[prev]
+        prefix_ideal = timeline.arrivals[prev]
     else:
         slack = 0.0
         prefix_ideal = 0.0
-    t_ideal = timeline.arrival(occ)
-    t_sync = report.task_time(occ)
+    t_ideal = timeline.arrivals[occ]
+    t_sync = report.task_times[occ]
     for candidate in pruned.levels[level]:
         if candidate == current_state:
             continue
@@ -185,61 +185,46 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
     if net is None:
         net = NetSim(sorted(ctx.timelines))
     order = ctx.mission.sorted_occurrences
-    report = ctx.report()
-    history = [report.total]
-    initial_total = report.total
-    if not order:
-        strategies = {r: ctx.pruned[r].expand(ctx.choices[r]) for r in ctx.pruned}
-        return ProtocolResult(strategies, report, history, 0, 0, net.messages, net.trace)
+    history = [ctx.report().total]
+    cycles = adjustments = 0
+    if order:
+        ideal_total = sum(tl.completion for tl in ctx.timelines.values())
+        min_edge = min(ctx.pruned[r].pa.wts.min_edge_weight() for r in ctx.pruned)
+        bound = int((history[0] - ideal_total) / min_edge) + 2
 
-    ideal_total = sum(tl.completion for tl in ctx.timelines.values())
-    min_edge = min(ctx.pruned[r].pa.wts.min_edge_weight() for r in ctx.pruned)
-    bound = int((initial_total - ideal_total) / min_edge) + 2
+        robots = sorted(ctx.timelines)
+        for r in robots:
+            net.flood(r, None, 0)  # initialization: every robot announces its timeline
+        net.flood(robots[0], order[0], 0)  # kick-off
 
-    robots = sorted(ctx.timelines)
-    for r in robots:
-        net.flood(r, None, 0)  # initialization: every robot announces its timeline
-    net.flood(robots[0], order[0], 0)  # kick-off
-
-    count = 0
-    cycles = 0
-    adjustments = 0
-    position = 0
-    while True:
-        occ = order[position]
-        report = ctx.report()
-        latest = find_latest(occ, ctx.assignment, ctx.timelines, report)
-        improved = adjust_strategy(ctx, latest, occ, True, report)
-        actor = latest
-        if improved:
-            count += 1
-        else:
-            earliest = find_earliest(occ, ctx.assignment, ctx.timelines, report)
-            net.route(latest, earliest, occ, count)
-            improved = adjust_strategy(ctx, earliest, occ, False, report)
-            actor = earliest
+        count = position = 0
+        terminate = False
+        while not terminate:
+            occ = order[position]
+            report = ctx.report()
+            actor = find_latest(occ, ctx.assignment, ctx.timelines, report)
+            improved = adjust_strategy(ctx, actor, occ, True, report)
+            if not improved:
+                earliest = find_earliest(occ, ctx.assignment, ctx.timelines, report)
+                net.route(actor, earliest, occ, count)
+                actor = earliest
+                improved = adjust_strategy(ctx, actor, occ, False, report)
             if improved:
                 count += 1
-        if improved:
-            adjustments += 1
-            history.append(ctx.report().total)
-        position += 1
-        terminate = False
-        if position == len(order):
-            # cycle boundary: no accepted adjustment in a full pass ends the protocol
-            cycles += 1
-            if count == 0:
-                terminate = True
-            count = 0
-            position = 0
-            if cycles > bound:
-                raise ProtocolStuck(
-                    f"protocol exceeded its cycle bound ({bound}); cost history: {history}")
-        net.flood(actor, None if terminate else order[position], count,
-                  "TERM" if terminate else "MSG")
-        if terminate:
-            break
+                adjustments += 1
+                history.append(ctx.report().total)
+            position += 1
+            if position == len(order):
+                # cycle boundary: no accepted adjustment in a full pass ends the protocol
+                cycles += 1
+                terminate = count == 0
+                count = 0
+                position = 0
+                if cycles > bound:
+                    raise ProtocolStuck(
+                        f"protocol exceeded its cycle bound ({bound}); cost history: {history}")
+            net.flood(actor, None if terminate else order[position], count,
+                      "TERM" if terminate else "MSG")
     strategies = {r: ctx.pruned[r].expand(ctx.choices[r]) for r in ctx.pruned}
-    final_report = ctx.report()
-    return ProtocolResult(strategies, final_report, history, cycles, adjustments,
+    return ProtocolResult(strategies, ctx.report(), history, cycles, adjustments,
                           net.messages, net.trace)

@@ -278,8 +278,12 @@ class Scenario:
 
     @staticmethod
     def load(path) -> "Scenario":
-        with open(path, encoding="utf-8") as fh:
-            return Scenario.from_json(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
+        return Scenario.from_json(data)
 
 
 TEMPLATES = ("auto", "plain")
@@ -306,9 +310,11 @@ def _collab_formula(props: Sequence[str], template: str) -> str:
     return " & ".join(parts)
 
 
+CAPABILITIES = ("c1", "c2", "c3")  # the capabilities a generated fleet draws from
+
+
 def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 30),
-             individual_per_robot: int = 4, capabilities: Sequence[str] = ("c1", "c2", "c3"),
-             template: str = "auto") -> Scenario:
+             individual_per_robot: int = 4, template: str = "auto") -> Scenario:
     """Reproducible random scenario on a grid map.
 
     Starts and task regions occupy distinct cells; collaborative requirements
@@ -329,7 +335,7 @@ def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 3
             f"{cells_needed} distinct cells needed but the grid has {len(world.regions)}")
     cells = rng.sample(world.regions, cells_needed)
     cursor = iter(cells)
-    capabilities = tuple(capabilities[: max(1, min(len(capabilities), robots))])
+    capabilities = CAPABILITIES[:robots]
     robot_list = []
     for r in range(robots):
         n_caps = 1 if len(capabilities) == 1 else rng.choice([1, 2])

@@ -16,7 +16,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .alloc import Assignment
 from .errors import DeadlockDetected, NegativeObligationViolated
-from .ltl import Nfa, nfa_accepts
 from .mission import Mission, Occurrence
 from .product import PrunedPa, State, Strategy
 
@@ -29,9 +28,6 @@ class Timeline:
     arrivals: Mapping[Occurrence, float]
     completion: float
 
-    def arrival(self, occ: Occurrence) -> float:
-        return self.arrivals[occ]
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -41,9 +37,6 @@ class CostReport:
     delays: Mapping[int, float]
     per_robot: Mapping[int, float]
     total: float
-
-    def task_time(self, occ: Occurrence) -> float:
-        return self.task_times[occ]
 
 
 def choice_timeline(pruned: PrunedPa, choice: Sequence[State]) -> Timeline:
@@ -241,12 +234,3 @@ def simulate(strategies: Mapping[int, Strategy], mission: Mission,
     task_times = dict(fire_times)
     report = CostReport(task_times, delays, per_robot, sum(per_robot.values()))
     return SimResult(events, report, fire_times, global_sequence, sync_ok, order_ok)
-
-
-def local_traces_accepted(strategies: Mapping[int, Strategy],
-                          local_nfas: Mapping[int, Nfa]) -> Dict[int, bool]:
-    """Check each robot's emitted label trace against its own automaton."""
-    return {
-        r: nfa_accepts(local_nfas[r], strategies[r].emits)
-        for r in sorted(strategies)
-    }

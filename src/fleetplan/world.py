@@ -25,10 +25,18 @@ class World:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        region_set = set(self.regions)
-        for a, b in self.edges:
+        region_set = set()
+        for i, region in enumerate(self.regions):
+            if region in region_set:
+                raise ScenarioError(f"scenario key world.regions[{i}] repeats region {region}")
+            region_set.add(region)
+        listed = set()
+        for i, (a, b) in enumerate(self.edges):
             if a not in region_set or b not in region_set:
                 raise ScenarioError(f"edge ({a}, {b}) references unknown region")
+            if frozenset((a, b)) in listed:
+                raise ScenarioError(f"scenario key world.edges[{i}] repeats edge ({a}, {b})")
+            listed.add(frozenset((a, b)))
         edge_set = set(self.edges)
         for key, w in self.weights.items():
             if key not in edge_set:
@@ -85,7 +93,11 @@ class Fleet:
     robots: Tuple[Robot, ...]
 
     def __post_init__(self):
-        for robot in self.robots:
+        seen = set()
+        for i, robot in enumerate(self.robots):
+            if robot.robot_id in seen:
+                raise ScenarioError(f"scenario key robots[{i}] repeats robot id {robot.robot_id}")
+            seen.add(robot.robot_id)
             if not robot.capabilities:
                 raise ScenarioError(f"robot {robot.robot_id} has no capability")
             unknown = robot.capabilities - set(self.capabilities)

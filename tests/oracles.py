@@ -501,7 +501,7 @@ class ReferencePrunedPa:
         self.assigned = pa.assigned
         self.levels: List[Tuple[State, ...]] = [tuple(sorted(pa.initial))]
         for _occ, prop in pa.assigned:
-            self.levels.append(tuple(sorted(pa.collab_states(prop))))
+            self.levels.append(tuple(sorted(pa.collab[prop])))
         self.levels.append(tuple(sorted(pa.accepting)))
         self.edges: Dict[Tuple[int, State, State], Tuple[float, Tuple[State, ...]]] = {}
         self._build_edges()
@@ -730,10 +730,7 @@ def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     if best is None:
         raise LevelDisconnected("no joint feasible placement")
     objective, choices, report = best
-    strategies = {
-        r: pruned_map[r].expand(choices[r].full_choice()) for r in robots
-    }
-    return ExactResult(objective, report, choices, strategies, explored)
+    return ExactResult(objective, report, choices, explored)
 
 
 def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:

@@ -109,6 +109,9 @@ MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new v
     ("individualFormulas.99", False, ["individualFormulas", "99"], "F nosuch & G"),
     ("collaborativeTasks[0].requirements", False, ["collaborativeTasks", 0, "requirements"],
      ["c1"]),
+    ("world.regions[1]", True, ["world", "regions", 1], "q0_0"),
+    ("world.edges[1]", True, ["world", "edges", 1], ["q1_0", "q0_0", 5]),
+    ("robots[1]", False, ["robots", 1, "id"], 0),
 ]
 
 
@@ -505,11 +508,22 @@ def test_cli_emit_lp_reuses_the_incumbent_synthesis(tmp_path, monkeypatch):
         wts = build_wts(sc.world, sc.fleet, list(sc.tasks), r)
         pa = build_product(wts, to_nfa(phi, sc.options.state_cap), assigned, collab)
         pruned[r] = prune_product(pa)
-    expected = tmp_path / "expected.lp"
-    emit_lp(build_milp(pruned, mission, assignment), expected)
+    expected = emit_lp(build_milp(pruned, mission, assignment))
     emitted = lp_dir / f"assignment_{report.incumbent.assignment_index}.lp"
     assert os.listdir(lp_dir) == [emitted.name]
-    assert emitted.read_bytes() == expected.read_bytes()
+    assert emitted.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("content", [small_scenario().dumps()[:200].encode(), b"\xff\xfe{", None],
+                         ids=["truncated", "not-utf8", "missing"])
+def test_cli_unreadable_scenario_file_exits_1_naming_it(tmp_path, capsys, content):
+    path = tmp_path / "sc.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ScenarioError, match=re.escape(f"cannot read scenario file {path}: ")):
+        Scenario.load(path)
+    assert cli_main(["plan", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read scenario file {path}: ")
 
 
 def test_cli_rejects_zero_weight_with_exit_1(tmp_path, capsys):
@@ -754,6 +768,24 @@ def test_adjust_off_keeps_the_initial_strategies():
         assert (row.cycles, row.messages, row.trace_lines) == (0, 0, [])
         assert row.sim_matches
     assert report.protocol_trace == []
+
+
+def test_every_acceptance_check_goes_through_framework_nfa_accepts(monkeypatch):
+    """Per evaluated row, one collaborative check and one local check per robot,
+    all through the name the framework imports (which is what a tracer wraps)."""
+    calls = []
+    real = framework.nfa_accepts
+
+    def counted(nfa, sequence):
+        calls.append(nfa)
+        return real(nfa, sequence)
+
+    monkeypatch.setattr(framework, "nfa_accepts", counted)
+    sc = small_scenario()
+    report = run_framework(sc)
+    evaluated = [r for r in report.rows if r.status == "evaluated"]
+    assert evaluated and all(r.locals_accepted for r in evaluated)
+    assert len(calls) == len(evaluated) * (1 + len(sc.fleet.robots))
 
 
 def _pairs_scenario(comm_pairs):

@@ -10,10 +10,13 @@ import pytest
 from fleetplan import framework
 from fleetplan.errors import NextOperatorForbidden, ParseError, StateLimitExceeded
 from fleetplan.ltl import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Eventually,
     Not,
+    Or,
     TrueF,
     Until,
     atoms_of,
@@ -21,6 +24,7 @@ from fleetplan.ltl import (
     format_formula,
     nfa_accepts,
     parse_formula,
+    simplify,
     to_nfa,
 )
 from fleetplan.scenario import Scenario
@@ -107,6 +111,32 @@ def test_empty_trace_semantics():
     assert nfa_accepts(to_nfa(TrueF()), [])
     assert not nfa_accepts(to_nfa(parse_formula("F a")), [])
     assert nfa_accepts(to_nfa(parse_formula("G a")), [])
+
+
+@pytest.mark.parametrize("kind, other, zero, unit", [(And, Or, FALSE, TRUE), (Or, And, TRUE, FALSE)],
+                         ids=["and", "or"])
+def test_simplify_normalises_n_ary_nodes(kind, other, zero, unit):
+    a, b, c = Atom("a"), Atom("b"), Atom("c")
+    # nested children of the same kind are flattened; another kind stays a child
+    assert simplify(kind(c, kind(a, kind(b, c)))) == kind(a, b, c)
+    assert simplify(kind(other(c, b), a)) == kind(a, other(b, c))
+    # duplicates merge, and children sort by printed form: "!c" < "F a" < "b"
+    assert simplify(kind(b, Eventually(a), Not(c), b, Not(Not(b)))) == \
+        kind(Not(c), Eventually(a), b)
+    # the absorbing constant, also from a nested node or a simplified child
+    assert simplify(kind(a, zero, b)) == zero
+    assert simplify(kind(a, kind(b, zero))) == zero
+    assert simplify(kind(a, Not(unit))) == zero
+    # the identity is dropped
+    assert simplify(kind(a, unit, b, unit)) == kind(a, b)
+    # a child next to its negation, a literal or a compound one
+    assert simplify(kind(a, b, Not(a))) == zero
+    assert simplify(kind(kind(Eventually(c)), a, Not(Eventually(c)))) == zero
+    # empty and single-child results
+    assert simplify(kind()) == unit
+    assert simplify(kind(unit, kind(unit))) == unit
+    assert simplify(kind(a)) == a
+    assert simplify(kind(a, kind(a), unit)) == a
 
 
 def test_state_cap_raises():

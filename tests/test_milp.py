@@ -1,7 +1,6 @@
 """Exact optimizer: enumeration correctness, dominance, LP emission."""
 
 import functools
-import io
 import re
 import time
 from itertools import product as iter_product
@@ -103,7 +102,7 @@ def test_single_robot_objective_is_travel_weight():
         5, 1, {"ct1": "q3_0"}, ["q0_0"])
     result = solve_exact(pruned, mission, assignment)
     assert result.objective == 3.0
-    assert result.strategies[0].weight == 3.0
+    assert pruned[0].expand(result.choices[0].full_choice()).weight == 3.0
 
 
 def test_exact_matches_flat_enumeration():
@@ -142,8 +141,8 @@ def test_entry_firing_zero_edge_through_the_whole_chain():
     mission, assignment, pruned = build_instance(
         5, 1, {"ct1": "q0_0", "ct2": "q3_0"}, ["q0_0", "q1_0"])
     exact = solve_exact(pruned, mission, assignment)
-    assert exact.report.task_time((1, 1)) == 1.0  # robot 1 needs one step to q0_0
-    assert exact.choices[0].timeline.arrival((1, 1)) == 0.0
+    assert exact.report.task_times[(1, 1)] == 1.0  # robot 1 needs one step to q0_0
+    assert exact.choices[0].timeline.arrivals[(1, 1)] == 0.0
     external = _solve_lp_with_scipy(build_milp(pruned, mission, assignment))
     assert abs(external - exact.objective) < 1e-6
     oracle = flat_enumeration_optimum(pruned, mission, assignment)
@@ -235,9 +234,7 @@ def test_lp_round_trip_preserves_model():
     mission, assignment, pruned = build_instance(
         6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"])
     model = build_milp(pruned, mission, assignment)
-    buf = io.StringIO()
-    emit_lp(model, buf)
-    objective, rows, binaries = parse_lp(buf.getvalue())
+    objective, rows, binaries = parse_lp(emit_lp(model))
     assert binaries == set(model.binaries)
     expected_obj = {}
     for coef, var in model.objective:
@@ -262,10 +259,9 @@ def test_lp_round_trip_is_exact_for_non_unit_weights():
     ]
     model = MilpModel(tuple((w, f"t_{i}") for i, w in enumerate(weights)), rows,
                       ("y_a",), ("t_b", "z"), {0: 1234567.0})
-    buf = io.StringIO()
-    emit_lp(model, buf)
-    assert "e+" not in buf.getvalue() and "e-" not in buf.getvalue()
-    objective, parsed, binaries = parse_lp(buf.getvalue())
+    text = emit_lp(model)
+    assert "e+" not in text and "e-" not in text
+    objective, parsed, binaries = parse_lp(text)
     assert objective == {f"t_{i}": w for i, w in enumerate(weights)}
     assert binaries == {"y_a"}
     for row in rows:
@@ -277,9 +273,7 @@ def test_empty_model_emits_trivial_objective():
     mission = Mission(())
     assignment = Assignment((), (), ())
     model = build_milp({}, mission, assignment)
-    buf = io.StringIO()
-    emit_lp(model, buf)
-    text = buf.getvalue()
+    text = emit_lp(model)
     assert " obj: 0" in text
     assert "Subject To" in text
 
@@ -317,9 +311,7 @@ def test_emitted_model_has_one_final_column_per_final_source():
     mission, assignment, pruned = build_instance(
         6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
         individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
-    buf = io.StringIO()
-    emit_lp(build_milp(pruned, mission, assignment), buf)
-    _objective, rows, binaries = parse_lp(buf.getvalue())
+    _objective, rows, binaries = parse_lp(emit_lp(build_milp(pruned, mission, assignment)))
     for r, p in pruned.items():
         index = milp._state_index(p)
         final = len(p.levels) - 2
@@ -395,9 +387,7 @@ def _solve_lp_with_scipy(model):
     import numpy as np
     from scipy.optimize import LinearConstraint, linprog, milp
 
-    buf = io.StringIO()
-    emit_lp(model, buf)
-    objective, rows, binaries = parse_lp(buf.getvalue())
+    objective, rows, binaries = parse_lp(emit_lp(model))
     variables = sorted(set(variable_names(model)))
     index = {v: i for i, v in enumerate(variables)}
     c = np.zeros(len(variables))
@@ -441,8 +431,8 @@ def _valuation_from_solution(model, pruned_map, exact):
         timeline = exact.choices[r].timeline
         for occ in timeline.arrivals:
             k, l = occ
-            values[f"t_{r}_{k}_{l}"] = timeline.arrival(occ)
-            values[f"d_{r}_{k}_{l}"] = exact.report.task_time(occ) - timeline.arrival(occ)
+            values[f"t_{r}_{k}_{l}"] = timeline.arrivals[occ]
+            values[f"d_{r}_{k}_{l}"] = exact.report.task_times[occ] - timeline.arrivals[occ]
     for occ, t in exact.report.task_times.items():
         values[f"z_{occ[0]}_{occ[1]}"] = t
     return values
@@ -535,8 +525,6 @@ def assert_matches_reference(calls):
         assert got.report == ref.report
         assert {r: c.full_choice() for r, c in got.choices.items()} == \
             {r: c.full_choice() for r, c in ref.choices.items()}
-        assert {r: (s.run, s.step_weights) for r, s in got.strategies.items()} == \
-            {r: (s.run, s.step_weights) for r, s in ref.strategies.items()}
         assert got.explored <= ref.explored
         explored += got.explored
         reference_explored += ref.explored

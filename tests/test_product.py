@@ -83,7 +83,7 @@ def test_through_route_is_not_collaborative():
     wts = corridor_setup(
         5, tasks=[("ct1", "q2_0"), ("ts1", "q4_0")], collab_props=("ct1",))
     pa, _ = synth(wts, "F ts1", [((1, 1), "ct1")], ("ct1",))
-    collab = pa.collab_states("ct1")
+    collab = pa.collab["ct1"]
     assert collab
     assert all(region == "q2_0" for region, _f in collab)
     strategy = initial_run(pa)
@@ -201,7 +201,7 @@ def test_path_through_matches_two_leg_oracle():
         return min(dist.get(d, float("inf")) for d in dsts)
 
     anchor = sorted(pa.initial)[0]
-    for via in sorted(pa.collab_states("ct1")):
+    for via in sorted(pa.collab["ct1"]):
         suffix = path_through(pa, anchor, via)
         weight = sum(pa.edge_info[(a, b)][0] for a, b in zip(suffix, suffix[1:]))
         expected = oracle_dist(anchor, [via]) + oracle_dist(via, pa.accepting)

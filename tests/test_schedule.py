@@ -34,7 +34,7 @@ def test_cost_fold_two_robots_one_task():
         2: timeline(2, {(1, 1): 8.0}, 12.0),
     }
     report = compute_time_cost(tls, mission, assignment)
-    assert report.task_time((1, 1)) == 8.0
+    assert report.task_times[(1, 1)] == 8.0
     assert report.delays == {1: 3.0, 2: 0.0}
     assert report.total == (10 + 3) + (12 + 0)
 
@@ -61,8 +61,8 @@ def test_cost_fold_chained_lateness():
     report = compute_time_cost(tls, mission, assignment)
     # ct1 fires at max(4, 2) = 4; robot 2 carries delay 2
     # ct2 fires at max(9 + 2, 5) = 11; robot 3 carries delay 6
-    assert report.task_time((1, 1)) == 4.0
-    assert report.task_time((1, 2)) == 11.0
+    assert report.task_times[(1, 1)] == 4.0
+    assert report.task_times[(1, 2)] == 11.0
     assert report.delays == {1: 0.0, 2: 2.0, 3: 6.0}
     assert report.total == 6.0 + (11.0 + 2.0) + (8.0 + 6.0)
 
@@ -93,7 +93,7 @@ def test_timeline_prefix_sums():
     strategies = corridor_strategies(
         6, {"ct1": "q3_0"}, [(0, ((1, 1), "ct1"))])
     tl = compute_timeline(strategies[0])
-    assert tl.arrival((1, 1)) == 3.0
+    assert tl.arrivals[(1, 1)] == 3.0
     assert tl.completion == 3.0
 
 
