@@ -12,6 +12,9 @@ the valuations of the atoms it mentions, and its guards are built over them.
 The construction is deterministic and worst-case exponential in the formula
 size, hence the configurable state cap.
 
+Each translation works on bit sets over its own formula's subformulas and
+keeps no table beyond its call.
+
 Conjunction and disjunction are n-ary so that residuals stay shallow no
 matter how wide they grow.
 """
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from functools import lru_cache
 from typing import FrozenSet, Iterable, NamedTuple, Sequence
 
 from .errors import NextOperatorForbidden, NoPositiveWitness, ParseError, StateLimitExceeded
@@ -136,8 +138,6 @@ class Until(Formula):
 
 TRUE = TrueF()
 FALSE = FalseF()
-
-RESERVED = {"true", "F", "G", "U", "X"}
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()]))")
 
@@ -291,11 +291,6 @@ def atoms_of(f: Formula) -> FrozenSet[str]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _key(f: Formula) -> str:
-    return format_formula(f)
-
-
 def _flatten(kind, zero: Formula, unit: Formula, children: Iterable[Formula]) -> Formula:
     """The n-ary ``kind`` (And or Or) of ``children`` in canonical form.
 
@@ -313,7 +308,7 @@ def _flatten(kind, zero: Formula, unit: Formula, children: Iterable[Formula]) ->
             return zero
         elif not isinstance(c, type(unit)):
             flat.append(c)
-    uniq = sorted(set(flat), key=_key)
+    uniq = sorted(set(flat), key=format_formula)
     present = set(uniq)
     if any(isinstance(c, Not) and c.child in present for c in uniq):
         return zero
@@ -322,7 +317,6 @@ def _flatten(kind, zero: Formula, unit: Formula, children: Iterable[Formula]) ->
     return kind(*uniq)
 
 
-@lru_cache(maxsize=None)
 def simplify(f: Formula) -> Formula:
     """Canonical light-weight normal form used to deduplicate residuals.
 
@@ -403,126 +397,129 @@ class Nfa:
 # and recombines cubes; because cubes live in a finite space the construction
 # terminates even for formulas that negate temporal subformulas, where naive
 # syntactic simplification grows without bound.
+#
+# Each to_nfa call numbers its units with bits, atoms first in name order.  A
+# cube is an int pair (pos, neg) of unit bit sets, a label set an int over the
+# atom bits, and every table lives in the call's _Translator.
 # ---------------------------------------------------------------------------
 
-_DNF_TRUE = frozenset({(frozenset(), frozenset())})
+_DNF_TRUE = frozenset({(0, 0)})
 _DNF_FALSE: frozenset = frozenset()
 
 
-def _dnf_minimize(cubes) -> frozenset:
-    cubes = set(cubes)
-    out = set()
-    for pos, neg in cubes:
-        if pos & neg:
-            continue
-        if any((p2, n2) != (pos, neg) and p2 <= pos and n2 <= neg for p2, n2 in cubes):
-            continue
-        out.add((pos, neg))
-    return frozenset(out)
+def _bits(x: int):
+    """The single-bit ints of ``x``, lowest first."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
 
 
-def _dnf_or(*dnfs) -> frozenset:
-    merged = set()
-    for d in dnfs:
-        merged |= d
-    return _dnf_minimize(merged)
+def _dnf_minimize(cubes: set) -> frozenset:
+    # A cube is only subsumed by one with fewer literals, so fewer come first and
+    # each is tested against those kept; a contradictory cube goes wherever it sorts.
+    kept = []
+    for pos, neg in sorted(cubes, key=lambda cube: (cube[0] | cube[1]).bit_count()):
+        if not pos & neg and not any(p & ~pos == 0 and n & ~neg == 0 for p, n in kept):
+            kept.append((pos, neg))
+    return frozenset(kept)
 
 
 def _dnf_and(a: frozenset, b: frozenset) -> frozenset:
-    cubes = set()
-    for pa, na in a:
-        for pb, nb in b:
-            pos, neg = pa | pb, na | nb
-            if not (pos & neg):
-                cubes.add((pos, neg))
-    return _dnf_minimize(cubes)
+    if a == _DNF_TRUE or b == _DNF_TRUE:
+        return b if a == _DNF_TRUE else a
+    return _dnf_minimize({(pa | pb, na | nb) for pa, na in a for pb, nb in b})
 
 
 def _dnf_not(a: frozenset) -> frozenset:
     # De Morgan: complement of a DNF is the product of complemented cubes.
     result = _DNF_TRUE
     for pos, neg in a:
-        complement = frozenset(
-            {(frozenset(), frozenset((u,))) for u in pos}
-            | {(frozenset((u,)), frozenset()) for u in neg}
-        )
+        complement = frozenset([(0, u) for u in _bits(pos)] + [(u, 0) for u in _bits(neg)])
         result = _dnf_and(result, complement)
         if not result:
             return _DNF_FALSE
     return result
 
 
-def _dnf_eval_empty(dnf: frozenset) -> bool:
-    # only G units hold on the empty trace: atoms, eventualities and untils need a position
-    return any(all(isinstance(u, Always) for u in pos)
-               and not any(isinstance(u, Always) for u in neg) for pos, neg in dnf)
-
-
-@lru_cache(maxsize=None)
-def _formula_dnf(f: Formula) -> frozenset:
-    if isinstance(f, TrueF):
-        return _DNF_TRUE
-    if isinstance(f, FalseF):
-        return _DNF_FALSE
-    if isinstance(f, (Atom, Eventually, Always, Until)):
-        return frozenset({(frozenset((f,)), frozenset())})
-    if isinstance(f, Not):
-        return _dnf_not(_formula_dnf(f.child))
-    if isinstance(f, And):
-        out = _DNF_TRUE
-        for c in f.children:
-            out = _dnf_and(out, _formula_dnf(c))
-        return out
-    if isinstance(f, Or):
-        return _dnf_or(*[_formula_dnf(c) for c in f.children])
-    raise TypeError(f"not a formula: {f!r}")
-
-
 class _Translator:
-    def __init__(self):
-        self._unit_cache: dict[tuple[Formula, frozenset], frozenset] = {}
+    """The unit numbering and progression tables of one ``to_nfa`` call."""
 
-    def progress_unit(self, unit: Formula, labels: frozenset) -> frozenset:
-        key = (unit, labels)
-        hit = self._unit_cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(unit, Atom):
-            out = _DNF_TRUE if unit.name in labels else _DNF_FALSE
-        elif isinstance(unit, Eventually):
-            out = _dnf_or(self.progress_formula(unit.child, labels),
-                          frozenset({(frozenset((unit,)), frozenset())}))
-        elif isinstance(unit, Always):
-            out = _dnf_and(self.progress_formula(unit.child, labels),
-                           frozenset({(frozenset((unit,)), frozenset())}))
-        elif isinstance(unit, Until):
-            stay = _dnf_and(self.progress_formula(unit.left, labels),
-                            frozenset({(frozenset((unit,)), frozenset())}))
-            out = _dnf_or(self.progress_formula(unit.right, labels), stay)
-        else:
-            raise TypeError(f"not a unit: {unit!r}")
-        self._unit_cache[key] = out
+    def __init__(self, root: Formula):
+        self.names = sorted(atoms_of(root))
+        self.bit = {Atom(a): 1 << i for i, a in enumerate(self.names)}
+        self.atom_mask = (1 << len(self.names)) - 1
+        self.scope = {b: b for b in self.bit.values()}  # unit bit -> bits of its atoms
+        # l U r steps to r, or to l and itself again; F r is true U r, G l has no r
+        self.rule: dict[int, tuple[frozenset, frozenset | None]] = {}
+        self.always_mask = 0
+        self.progressed: dict[tuple[int, int], frozenset] = {}
+        self.root = self.dnf(root)
+
+    def dnf(self, f: Formula) -> frozenset:
+        if isinstance(f, TrueF):
+            return _DNF_TRUE
+        if isinstance(f, FalseF):
+            return _DNF_FALSE
+        if isinstance(f, Not):
+            return _dnf_not(self.dnf(f.child))
+        if isinstance(f, And):
+            out = _DNF_TRUE
+            for c in f.children:
+                out = _dnf_and(out, self.dnf(c))
+            return out
+        if isinstance(f, Or):
+            return _dnf_minimize({cube for c in f.children for cube in self.dnf(c)})
+        bit = self.bit.get(f)
+        if bit is None:
+            if isinstance(f, Until):
+                rule = (self.dnf(f.left), self.dnf(f.right))
+            elif isinstance(f, Eventually):
+                rule = (_DNF_TRUE, self.dnf(f.child))
+            elif isinstance(f, Always):
+                rule = (self.dnf(f.child), None)
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+            bit = self.bit[f] = 1 << len(self.bit)
+            self.rule[bit] = rule
+            self.scope[bit] = sum(self.bit[Atom(a)] for a in atoms_of(f))
+            if rule[1] is None:
+                self.always_mask |= bit
+        return frozenset({(bit, 0)})
+
+    def progress_unit(self, u: int, labels: int) -> frozenset:
+        key = (u, labels & self.scope[u])
+        out = self.progressed.get(key)
+        if out is None:
+            left, right = self.rule[u]
+            out = _dnf_and(self.progress(left, labels), frozenset({(u, 0)}))
+            if right is not None:
+                out = _dnf_minimize(self.progress(right, labels) | out)
+            self.progressed[key] = out
         return out
 
-    def progress_formula(self, f: Formula, labels: frozenset) -> frozenset:
-        return self.progress_dnf(_formula_dnf(f), labels)
-
-    def progress_dnf(self, dnf: frozenset, labels: frozenset) -> frozenset:
+    def progress(self, dnf: frozenset, labels: int) -> frozenset:
+        """The residual of ``dnf`` after one position labeled ``labels``."""
+        temporal = ~self.atom_mask
         results = []
         for pos, neg in dnf:
+            if pos & self.atom_mask & ~labels or neg & labels:
+                continue  # an atom literal is false at this position
             cube = _DNF_TRUE
-            for u in pos:
+            for u in _bits(pos & temporal):
                 cube = _dnf_and(cube, self.progress_unit(u, labels))
                 if not cube:
                     break
             if cube:
-                for u in neg:
+                for u in _bits(neg & temporal):
                     cube = _dnf_and(cube, _dnf_not(self.progress_unit(u, labels)))
                     if not cube:
                         break
             if cube:
                 results.append(cube)
-        return _dnf_or(*results) if results else _DNF_FALSE
+        if len(results) < 2:
+            return results[0] if results else _DNF_FALSE
+        return _dnf_minimize(set().union(*results))
 
 
 DEFAULT_STATE_CAP = 20_000
@@ -535,22 +532,27 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
     order, so states are numbered as if the whole alphabet were enumerated.
     """
     root = simplify(f)
-    translator = _Translator()
-    root_dnf = _formula_dnf(root)
-    index = {root_dnf: 0}
-    order = [root_dnf]
+    translator = _Translator(root)
+    index = {translator.root: 0}
+    order = [translator.root]
     transitions = {}
-    queue = deque([root_dnf])
+    queue = deque(order)
     while queue:
         state = queue.popleft()
         i = index[state]
         if not state:  # unsatisfiable residual: dead state
             continue
-        atoms = sorted(atoms_of(And(*(u for pos, neg in state for u in pos | neg))))
+        scope = 0
+        for pos, neg in state:
+            for u in _bits(pos | neg):
+                scope |= translator.scope[u]
+        atom_bits = list(_bits(scope))
+        labelings = [0]  # labelings[mask] sets atom_bits[k] where mask sets bit k
+        for b in atom_bits:
+            labelings += [labels | b for labels in labelings]
         minterms: dict[int, set[int]] = {}
-        for mask in range(1 << len(atoms)):
-            labels = frozenset(a for b, a in enumerate(atoms) if (mask >> b) & 1)
-            target = translator.progress_dnf(state, labels)
+        for mask, labels in enumerate(labelings):
+            target = translator.progress(state, labels)
             if not target:
                 continue
             if target not in index:
@@ -561,9 +563,13 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
                 order.append(target)
                 queue.append(target)
             minterms.setdefault(index[target], set()).add(mask)
+        atoms = [translator.names[b.bit_length() - 1] for b in atom_bits]
         for j, masks in sorted(minterms.items()):
             transitions[(i, j)] = guard_from_minterms(atoms, masks)
-    accepting = frozenset(i for s, i in index.items() if _dnf_eval_empty(s))
+    # only G units hold on the empty trace: atoms, eventualities and untils need a position
+    always = translator.always_mask
+    accepting = frozenset(i for s, i in index.items()
+                          if any(pos & ~always == 0 and not neg & always for pos, neg in s))
     return Nfa(len(order), frozenset((0,)), accepting, transitions)
 
 

@@ -234,8 +234,12 @@ class Scenario:
             gspec = _required(wspec, "grid", "an object", "world.")
             grid = tuple(_required(gspec, key, "an integer", "world.grid.")
                          for key in ("width", "height"))
-            overrides = {(a, b): w for a, b, w in _optional(
-                wspec, "weights", "a list of [a, b, weight] lists", [], "world.")}
+            overrides = {}  # grid_world rejects an edge named in both orientations
+            for i, (a, b, w) in enumerate(_optional(
+                    wspec, "weights", "a list of [a, b, weight] lists", [], "world.")):
+                if (a, b) in overrides:
+                    raise ScenarioError(f"scenario key world.weights[{i}] repeats edge ({a}, {b})")
+                overrides[(a, b)] = w
             world = grid_world(*grid, overrides)
         else:
             edge_list = _required(wspec, "edges", "a list of [a, b, weight] lists", "world.")

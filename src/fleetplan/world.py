@@ -63,7 +63,7 @@ class World:
 def grid_world(width: int, height: int, weights: Mapping | None = None) -> World:
     """4-connected grid with unit weights unless overridden.
 
-    An override may name an edge in either orientation.
+    An override may name an edge in either orientation, but only once.
     """
     regions = tuple(f"q{x}_{y}" for y in range(height) for x in range(width))
     edges = []
@@ -74,9 +74,13 @@ def grid_world(width: int, height: int, weights: Mapping | None = None) -> World
             if y + 1 < height:
                 edges.append((f"q{x}_{y}", f"q{x}_{y + 1}"))
     wmap = {e: 1 for e in edges}
-    if weights:
-        for (a, b), value in weights.items():
-            wmap[(b, a) if (b, a) in wmap else (a, b)] = value
+    overridden = set()
+    for i, ((a, b), value) in enumerate((weights or {}).items()):
+        key = (b, a) if (b, a) in wmap else (a, b)
+        if key in overridden:
+            raise ScenarioError(f"scenario key world.weights[{i}] repeats edge ({a}, {b})")
+        overridden.add(key)
+        wmap[key] = value
     return World(regions, tuple(edges), wmap)
 
 

@@ -13,7 +13,9 @@ paths as a reference for the integer-state one with parent maps,
 ``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
 sum of ideal completions as a reference for the wait-aware bound, and
 ``reference_to_nfa`` keeps the translator that progresses every residual
-over the formula's whole alphabet as a reference for the alphabet-local one.
+over the formula's whole alphabet, with cubes as frozensets of unit formulas,
+as a reference for the alphabet-local one on bit-packed cubes; of the
+translator it reuses only ``simplify``.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,9 +50,6 @@ from fleetplan.ltl import (
     Or,
     TrueF,
     Until,
-    _dnf_eval_empty,
-    _formula_dnf,
-    _Translator,
     atoms_of,
     essential_steps,
     format_formula,
@@ -731,6 +731,129 @@ def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         raise LevelDisconnected("no joint feasible placement")
     objective, choices, report = best
     return ExactResult(objective, report, choices, explored)
+
+
+# The frozenset residual kernel that the bit-packed one in fleetplan.ltl
+# replaced: cubes are pairs of frozensets of unit formulas.
+
+_DNF_TRUE = frozenset({(frozenset(), frozenset())})
+_DNF_FALSE: frozenset = frozenset()
+
+
+def _dnf_minimize(cubes) -> frozenset:
+    cubes = set(cubes)
+    out = set()
+    for pos, neg in cubes:
+        if pos & neg:
+            continue
+        if any((p2, n2) != (pos, neg) and p2 <= pos and n2 <= neg for p2, n2 in cubes):
+            continue
+        out.add((pos, neg))
+    return frozenset(out)
+
+
+def _dnf_or(*dnfs) -> frozenset:
+    merged = set()
+    for d in dnfs:
+        merged |= d
+    return _dnf_minimize(merged)
+
+
+def _dnf_and(a: frozenset, b: frozenset) -> frozenset:
+    cubes = set()
+    for pa, na in a:
+        for pb, nb in b:
+            pos, neg = pa | pb, na | nb
+            if not (pos & neg):
+                cubes.add((pos, neg))
+    return _dnf_minimize(cubes)
+
+
+def _dnf_not(a: frozenset) -> frozenset:
+    # De Morgan: complement of a DNF is the product of complemented cubes.
+    result = _DNF_TRUE
+    for pos, neg in a:
+        complement = frozenset(
+            {(frozenset(), frozenset((u,))) for u in pos}
+            | {(frozenset((u,)), frozenset()) for u in neg}
+        )
+        result = _dnf_and(result, complement)
+        if not result:
+            return _DNF_FALSE
+    return result
+
+
+def _dnf_eval_empty(dnf: frozenset) -> bool:
+    # only G units hold on the empty trace: atoms, eventualities and untils need a position
+    return any(all(isinstance(u, Always) for u in pos)
+               and not any(isinstance(u, Always) for u in neg) for pos, neg in dnf)
+
+
+@lru_cache(maxsize=None)
+def _formula_dnf(f: Formula) -> frozenset:
+    if isinstance(f, TrueF):
+        return _DNF_TRUE
+    if isinstance(f, FalseF):
+        return _DNF_FALSE
+    if isinstance(f, (Atom, Eventually, Always, Until)):
+        return frozenset({(frozenset((f,)), frozenset())})
+    if isinstance(f, Not):
+        return _dnf_not(_formula_dnf(f.child))
+    if isinstance(f, And):
+        out = _DNF_TRUE
+        for c in f.children:
+            out = _dnf_and(out, _formula_dnf(c))
+        return out
+    if isinstance(f, Or):
+        return _dnf_or(*[_formula_dnf(c) for c in f.children])
+    raise TypeError(f"not a formula: {f!r}")
+
+
+class _Translator:
+    def __init__(self):
+        self._unit_cache: dict[tuple[Formula, frozenset], frozenset] = {}
+
+    def progress_unit(self, unit: Formula, labels: frozenset) -> frozenset:
+        key = (unit, labels)
+        hit = self._unit_cache.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(unit, Atom):
+            out = _DNF_TRUE if unit.name in labels else _DNF_FALSE
+        elif isinstance(unit, Eventually):
+            out = _dnf_or(self.progress_formula(unit.child, labels),
+                          frozenset({(frozenset((unit,)), frozenset())}))
+        elif isinstance(unit, Always):
+            out = _dnf_and(self.progress_formula(unit.child, labels),
+                           frozenset({(frozenset((unit,)), frozenset())}))
+        elif isinstance(unit, Until):
+            stay = _dnf_and(self.progress_formula(unit.left, labels),
+                            frozenset({(frozenset((unit,)), frozenset())}))
+            out = _dnf_or(self.progress_formula(unit.right, labels), stay)
+        else:
+            raise TypeError(f"not a unit: {unit!r}")
+        self._unit_cache[key] = out
+        return out
+
+    def progress_formula(self, f: Formula, labels: frozenset) -> frozenset:
+        return self.progress_dnf(_formula_dnf(f), labels)
+
+    def progress_dnf(self, dnf: frozenset, labels: frozenset) -> frozenset:
+        results = []
+        for pos, neg in dnf:
+            cube = _DNF_TRUE
+            for u in pos:
+                cube = _dnf_and(cube, self.progress_unit(u, labels))
+                if not cube:
+                    break
+            if cube:
+                for u in neg:
+                    cube = _dnf_and(cube, _dnf_not(self.progress_unit(u, labels)))
+                    if not cube:
+                        break
+            if cube:
+                results.append(cube)
+        return _dnf_or(*results) if results else _DNF_FALSE
 
 
 def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:

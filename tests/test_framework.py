@@ -105,6 +105,10 @@ MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new v
     ("collaborativeFormula", False, ["collaborativeFormula"], MISSING),
     ("collaborativeTasks[0].region", False, ["collaborativeTasks", 0, "region"], MISSING),
     ("world.weights", False, ["world", "weights"], [["q0_0", "q1_0"]]),
+    ("world.weights[1]", False, ["world", "weights"],
+     [["q0_0", "q1_0", 2], ["q1_0", "q0_0", 5]]),
+    ("world.weights[2]", False, ["world", "weights"],
+     [["q0_0", "q1_0", 2], ["q1_1", "q1_2", 3], ["q0_0", "q1_0", 5]]),
     ("individualFormulas", False, ["individualFormulas", "x"], "true"),
     ("individualFormulas.99", False, ["individualFormulas", "99"], "F nosuch & G"),
     ("collaborativeTasks[0].requirements", False, ["collaborativeTasks", 0, "requirements"],

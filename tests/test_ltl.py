@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fleetplan import framework
+from fleetplan import framework, ltl
 from fleetplan.errors import NextOperatorForbidden, ParseError, StateLimitExceeded
 from fleetplan.ltl import (
     FALSE,
@@ -194,6 +194,35 @@ def test_alphabet_local_translation_equals_reference_on_planned_formulas(monkeyp
     assert len(formulas) > 2 * len(workload.template_seeds)
     for f in formulas:
         assert_same_nfa(f)
+
+
+def test_translation_equals_reference_beyond_64_units():
+    """F (a & F (b & F (a & ... F a))) nested 70 deep numbers 72 units, so its
+    cubes need ints wider than a machine word; a and b alternate so that the
+    automaton counts every step of the chain."""
+    a, b = Atom("a"), Atom("b")
+    f = Eventually(a)
+    for i in range(69):
+        f = Eventually(And(b if i % 2 == 0 else a, f))
+    assert assert_same_nfa(f).n_states == 71
+
+
+@pytest.mark.parametrize("text", ["!F a", "!(a U b)", "G !F a", "!G (a | F b)"])
+def test_negated_temporal_units_equal_reference(text):
+    assert_same_nfa(parse_formula(text))
+
+
+def test_no_translation_cache_outlives_a_call():
+    assert not [name for name, obj in vars(ltl).items() if hasattr(obj, "cache_info")]
+
+    def table_sizes():
+        return {name: len(obj) for name, obj in vars(ltl).items()
+                if isinstance(obj, (dict, set, list))}
+
+    before = table_sizes()
+    to_nfa(parse_formula("F a & G (b | F c)"))
+    to_nfa(parse_formula("!(a U b) & F (c & F d)"))
+    assert table_sizes() == before
 
 
 @pytest.mark.parametrize("text", [
