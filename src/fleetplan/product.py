@@ -10,8 +10,23 @@ position whose incoming guard demands it, which is what makes the layered
 
 Edges are built from a table of moves per (automaton state, region label),
 the only inputs an edge's firing set, label and collaborative marks depend on.
-Pruning searches the non-firing edges and the firing edges, then releases them:
-a product keeps its move tables, from which runs and the edge views are decoded.
+
+Most of a product is the grid copied once per automaton state: the copy of
+state ``q``.  A copy is *compressed* when its only move into an unlabeled region
+is a non-firing self-loop and every world weight is an integer of one type, so
+sums of weights are exact.  In a compressed copy the robot crosses unlabeled
+regions without changing anything, so the product is searched by *clean hops*:
+shortest grid paths whose interior regions carry no label, one table per origin
+region (a Dijkstra that reaches labeled regions but does not expand them).  The
+search nodes are every state of an uncompressed copy, whose hops are its grid
+neighbours, and in a compressed copy the states on labeled regions, on the start
+region and on regions the copy is entered on from another copy.  Any other
+state's distance is the least ``dist(node) + hop`` over the settled nodes of its
+copy.  With positive weights the full product's Dijkstra keeps, as parent of a
+state ``c``, the ``(dist, state)`` least predecessor ``p`` with ``dist(p) + w(p, c) ==
+dist(c)``; witness walks are rebuilt by that local rule, so they are the walks a
+search over every product state finds.  State and edge counts sum over the
+connected components of unlabeled regions each compressed copy reaches.
 
 Inside the product and its pruning a state ``(region, f)`` is the integer
 ``rank(region) * nfa.n_states + f``, ``rank`` being the region's position in name
@@ -23,17 +38,18 @@ accepting and collaborative states, levels, choices and ``Strategy.run`` stay tu
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FleetplanError, LevelDisconnected, NoAcceptingPath, Unreachable
 from .guards import Guard
 from .ltl import And, Atom, Eventually, Formula, Nfa
 from .mission import Occurrence
-from .search import dijkstra, reconstruct
 from .world import Wts
 
 State = Tuple[str, int]  # (region, automaton state)
+INF = float("inf")
 
 
 def build_local_formula(phi_r: Formula, assigned: Sequence[Tuple[Occurrence, str]]) -> Formula:
@@ -61,6 +77,29 @@ def build_local_formula(phi_r: Formula, assigned: Sequence[Tuple[Occurrence, str
     return And(phi_r, chain)
 
 
+class Hops(NamedTuple):
+    """Clean hops from one origin region.  ``dist`` and ``parent``, indexed by
+    region rank, cover the origin and the unlabeled regions reached (INF and None
+    elsewhere); ``border`` and ``border_parent`` map the labeled regions reached
+    (the origin too when a path returns to it).  A parent is the first found, so
+    it is the ``(dist, rank)`` least predecessor on a shortest hop."""
+
+    dist: List[float]
+    parent: List[Optional[int]]
+    border: Dict[int, float]
+    border_parent: Dict[int, int]
+
+
+class Tree(NamedTuple):
+    """One source's search: the distance of every settled node, and per compressed
+    copy the ``(hops, dist)`` of its expanded nodes in settling order, from which
+    the distance of any other state of the copy follows."""
+
+    source: int
+    dist: Dict[int, float]
+    expanded: Dict[int, List[Tuple[Hops, float]]]
+
+
 class ProductPa:
     """Product of a robot's transition system and its formula automaton."""
 
@@ -77,10 +116,23 @@ class ProductPa:
         self.accepting: frozenset = frozenset()
         self.entry_info: Dict[State, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self.collab: Dict[str, frozenset] = {}
-        self._tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(nfa.n_states)]
-        # the search graph, released by pruning
-        self.quiet: Optional[Dict[int, tuple]] = {}  # id: ((target, weight), ...) non-firing
-        self.firing: Optional[List[tuple]] = []  # (source, target, weight, fired) per firing edge
+        n = nfa.n_states
+        self._tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(n)]
+        self._sources: Dict[FrozenSet[str], Dict[int, list]] = {}  # label: {f2: quiet f}
+        self._labels = tuple(wts.labels[r] for r in self.regions)
+        self._neighbours = tuple(tuple((self._rank[r2], w) for r2, w in wts.adjacency[r])
+                                 for r in self.regions)
+        self._start = self._rank[wts.initial]
+        # integer weights of one type: any order of summing them gives the same
+        # number, of the type a sum taken step by step has
+        weights = [w for out in self._neighbours for _r, w in out]
+        exact = len(set(map(type, weights))) <= 1 and all(float(w).is_integer() for w in weights)
+        self._compressed: List[Optional[bool]] = [None if exact else False] * n
+        # per compressed copy, the unlabeled ranks whose states are search nodes
+        self._node_cells: Dict[int, Tuple[int, ...]] = {}
+        self._hop_tables: Dict[int, Hops] = {}
+        self._outs: Dict[int, Tuple[Tuple[float, int], ...]] = {}
+        self._copies: Tuple[int, ...] = ()
         self.n_states = self.n_edges = 0
         self._build()
 
@@ -123,14 +175,55 @@ class ProductPa:
             moves.append((f2, fired, base | fired, props))
         return tuple(moves)
 
+    def _table(self, f: int, label: FrozenSet[str]) -> tuple:
+        moves = self._tables[f].get(label)
+        if moves is None:
+            moves = self._tables[f][label] = self._moves(f, label)
+        return moves
+
+    def _is_compressed(self, f: int) -> bool:
+        compressed = self._compressed[f]
+        if compressed is None:
+            moves = self._table(f, frozenset())
+            compressed = self._compressed[f] = (
+                len(moves) == 1 and moves[0][0] == f and not moves[0][1] and not moves[0][3])
+        return compressed
+
+    def _components(self):
+        """Connected components of the unlabeled regions: the component of each
+        rank (None if labeled), and per component its ranks, its count of edges
+        between unlabeled regions, and its edge multiplicity into each labeled
+        neighbour."""
+        labels, neighbours = self._labels, self._neighbours
+        component: List[Optional[int]] = [None] * len(labels)
+        parts = []
+        for rank, label in enumerate(labels):
+            if label or component[rank] is not None:
+                continue
+            k = len(parts)
+            component[rank] = k
+            ranks, stack, inner, border = [], [rank], 0, {}
+            while stack:
+                x = stack.pop()
+                ranks.append(x)
+                for y, _w in neighbours[x]:
+                    if labels[y]:
+                        border[y] = border.get(y, 0) + 1
+                        continue
+                    inner += 1
+                    if component[y] is None:
+                        component[y] = k
+                        stack.append(y)
+            parts.append((ranks, inner, tuple(border.items())))
+        return component, parts
+
     def _build(self):
-        tables, labels = self._tables, self.wts.labels
+        n, labels, neighbours = self.nfa.n_states, self._labels, self._neighbours
         collab_sets: Dict[str, set] = {}
         start = self.wts.initial
         initial_states = []
         for f0 in sorted(self.nfa.initial):
-            tables[f0][labels[start]] = moves = self._moves(f0, labels[start])
-            for f, fired, emit, props in moves:
+            for f, fired, emit, props in self._table(f0, labels[self._start]):
                 state = (start, f)
                 if state not in self.entry_info:
                     initial_states.append(state)
@@ -138,21 +231,56 @@ class ProductPa:
                     for prop in props:
                         collab_sets.setdefault(prop, set()).add(self.state_id(state))
         self.initial = tuple(sorted(initial_states))
-        for s, steps in self._walk():
-            silent = []
-            for base, weight, moves in steps:
-                self.n_edges += len(moves)
-                for f2, fired, _emit, props in moves:
-                    if fired:
-                        self.firing.append((s, base + f2, weight, fired))
-                    else:
-                        silent.append((base + f2, weight))
+        # reachability over single states and (component, compressed copy) blocks
+        component, parts = self._components()
+        states, blocks, copies = set(), set(), set()
+        entered: Dict[int, set] = {}  # compressed copy: unlabeled ranks entered from another
+        queue: deque = deque()
+
+        def visit(rank: int, f: int):
+            copies.add(f)
+            if not self._is_compressed(f) or labels[rank]:
+                s = rank * n + f
+                if s not in states:
+                    states.add(s)
+                    queue.append((s, None))
+            else:
+                block = component[rank] * n + f
+                if block not in blocks:
+                    blocks.add(block)
+                    queue.append((None, block))
+
+        for state in self.initial:
+            visit(self._start, state[1])
+        while queue:
+            s, block = queue.popleft()
+            if block is not None:  # every state of the component, in copy f
+                k, f = divmod(block, n)
+                ranks, inner, steps = parts[k]
+                self.n_states += len(ranks)
+                self.n_edges += inner
+            else:
+                rank, f = divmod(s, n)
+                self.n_states += 1
+                steps = [(y, 1) for y, _w in neighbours[rank]]
+            for y, m in steps:
+                moves = self._table(f, labels[y])
+                self.n_edges += m * len(moves)
+                for f2, _fired, _emit, props in moves:
                     for prop in props:
-                        collab_sets.setdefault(prop, set()).add(base + f2)
-            self.quiet[s] = tuple(silent)
-        self.n_states = len(self.quiet)
-        n, decode = self.nfa.n_states, self.state_of
-        self.accepting = frozenset(decode(s) for s in self.quiet if s % n in self.nfa.accepting)
+                        collab_sets.setdefault(prop, set()).add(y * n + f2)
+                    if f2 != f and not labels[y] and self._is_compressed(f2):
+                        entered.setdefault(f2, set()).add(y)
+                    visit(y, f2)
+        self._copies = tuple(sorted(copies))
+        start_cell = set() if labels[self._start] else {self._start}
+        self._node_cells = {f: tuple(sorted(start_cell | entered.get(f, set())))
+                            for f in copies if self._compressed[f]}
+        decode, accepting = self.state_of, self.nfa.accepting
+        reached = [s for s in states if s % n in accepting]
+        reached += [rank * n + block % n for block in blocks if block % n in accepting
+                    for rank in parts[block // n][0]]
+        self.accepting = frozenset(map(decode, reached))
         self.collab = {prop: frozenset(map(decode, collab_sets.get(prop, ())))
                        for _occ, prop in self.assigned}
 
@@ -160,27 +288,174 @@ class ProductPa:
         """Breadth-first walk of the reachable product, filling the move tables:
         ``(s, steps)`` per state in discovery order, one ``(base, weight, moves)``
         step per neighbour in name order, so the targets ``base + f2`` ascend."""
-        n, labels, tables = self.nfa.n_states, self.wts.labels, self._tables
-        neighbours = [tuple((self._rank[r2] * n, w, labels[r2]) for r2, w in self.wts.adjacency[r])
-                      for r in self.regions]
+        n, labels = self.nfa.n_states, self._labels
         queue = deque(map(self.state_id, self.initial))
         seen = set(queue)
         while queue:
             s = queue.popleft()
             rank, f = divmod(s, n)
-            table = tables[f]
             steps = []
-            for base, weight, label in neighbours[rank]:
-                moves = table.get(label)
-                if moves is None:
-                    moves = table[label] = self._moves(f, label)
-                steps.append((base, weight, moves))
+            for y, weight in self._neighbours[rank]:
+                moves = self._table(f, labels[y])
+                steps.append((y * n, weight, moves))
                 for move in moves:
-                    t = base + move[0]
+                    t = y * n + move[0]
                     if t not in seen:
                         seen.add(t)
                         queue.append(t)
             yield s, steps
+
+    # -- clean-hop search ---------------------------------------------------
+
+    def _hops(self, origin: int) -> Hops:
+        """Clean hops from region rank ``origin``: a grid Dijkstra that reaches
+        labeled regions but expands only the origin and unlabeled ones."""
+        hops = self._hop_tables.get(origin)
+        if hops is None:
+            labels, neighbours = self._labels, self._neighbours
+            inner, parent = [INF] * len(labels), [None] * len(labels)
+            inner[origin], border, border_parent = 0, {}, {}
+            heap = [(0, origin)]
+            while heap:
+                d, x = heappop(heap)
+                if d > inner[x]:
+                    continue
+                for y, w in neighbours[x]:
+                    nd = d + w
+                    if labels[y]:
+                        if nd < border.get(y, INF):
+                            border[y] = nd
+                            border_parent[y] = x
+                    elif nd < inner[y]:
+                        inner[y] = nd
+                        parent[y] = x
+                        heappush(heap, (nd, y))
+            hops = self._hop_tables[origin] = Hops(inner, parent, border, border_parent)
+        return hops
+
+    def _out(self, s: int) -> Tuple[Tuple[float, int], ...]:
+        """``(hop, target)`` per non-firing hop out of node ``s``."""
+        out = self._outs.get(s)
+        if out is None:
+            n, labels, table = self.nfa.n_states, self._labels, self._table
+            rank, f = divmod(s, n)
+            if self._compressed[f]:
+                hops = self._hops(rank)
+                steps = hops.border.items()
+                out = [(hops.dist[c], c * n + f) for c in self._node_cells[f]
+                       if hops.dist[c] < INF and c != rank]
+            else:
+                steps, out = self._neighbours[rank], []
+            out += [(h, y * n + g) for y, h in steps
+                    for g, fired, _e, _p in table(f, labels[y]) if not fired]
+            out = self._outs[s] = tuple(out)
+        return out
+
+    def search(self, source: int, stop: bool = False) -> Tuple[Tree, Optional[int]]:
+        """Dijkstra over the non-firing edges from ``source``, settling nodes in
+        ``(dist, state)`` order.  With ``stop`` it ends on the first settled
+        accepting state, which is the full product's first, and returns it."""
+        n, accepting, compressed = self.nfa.n_states, self.nfa.accepting, self._compressed
+        tree = Tree(source, {}, {})
+        settled = tree.dist
+        best = {source: 0}
+        heap = [(0, source)]
+        while heap:
+            d, s = heappop(heap)
+            if s in settled:
+                continue
+            settled[s] = d
+            rank, f = divmod(s, n)
+            if stop and f in accepting:
+                return tree, s
+            out = self._out(s)
+            if compressed[f]:
+                tree.expanded.setdefault(f, []).append((self._hop_tables[rank], d))
+            for h, t in out:
+                nd = d + h
+                if nd < best.get(t, INF):
+                    best[t] = nd
+                    heappush(heap, (nd, t))
+        return tree, None
+
+    def distance(self, tree: Tree, s: int) -> Optional[float]:
+        """Distance from the tree's source: a settled node's, else the least
+        ``dist(node) + hop`` over the expanded nodes of the state's copy; None if the
+        search did not reach the state.  After an early stop it is exact below the
+        stop's distance."""
+        d = tree.dist.get(s)
+        if d is not None:
+            return d
+        rank, f = divmod(s, self.nfa.n_states)
+        best = INF
+        for hops, do in tree.expanded.get(f, ()):
+            if do >= best:  # settling order: no later node is closer
+                break
+            best = min(best, do + hops.dist[rank])
+        return None if best == INF else best
+
+    def _quiet_sources(self, label: FrozenSet[str], f2: int) -> list:
+        """The reached copies with a non-firing move into ``label`` that ends in ``f2``."""
+        sources = self._sources.get(label)
+        if sources is None:
+            sources = self._sources[label] = {}
+            for f in self._copies:
+                for g, fired, _e, _p in self._table(f, label):
+                    if not fired:
+                        sources.setdefault(g, []).append(f)
+        return sources.get(f2, [])
+
+    def walk(self, tree: Tree, s: int) -> List[int]:
+        """The tree's path from its source to ``s``: each state's parent is the
+        ``(dist, state)`` least predecessor ``p`` with ``dist(p) + w == dist(s)``.
+
+        In a compressed copy ``g`` the candidates are the hop parents of ``s``'s region
+        from the expanded nodes of ``g`` whose hops reach ``s`` at its distance: every
+        predecessor of ``s`` at ``dist(s) - w`` lies on such a hop.  When one node
+        alone reaches an unlabeled region, the walk follows its hop parents back to it."""
+        n, labels, neighbours = self.nfa.n_states, self._labels, self._neighbours
+        settled, expanded, compressed = tree.dist, tree.expanded, self._compressed
+        path = [s]
+        d = self.distance(tree, s)
+        while s != tree.source:
+            rank, f = divmod(s, n)
+            label = labels[rank]
+            candidates, owners = [], []
+            for g in self._quiet_sources(label, f):
+                if not compressed[g]:  # every state of the copy is a node
+                    for y, w in neighbours[rank]:
+                        dp = settled.get(y * n + g)
+                        if dp is not None and dp + w == d:
+                            candidates.append((dp, y * n + g))
+                    continue
+                for hops, do in expanded.get(g, ()):
+                    if do >= d:
+                        break
+                    if do + (hops.border.get(rank, INF) if label else hops.dist[rank]) == d:
+                        owners.append((g, hops, do))
+            if not candidates and len(owners) == 1 and not label:
+                g, hops, d = owners[0]
+                rank = hops.parent[rank]
+                while rank is not None:
+                    path.append(rank * n + g)
+                    rank = hops.parent[rank]
+                s = path[-1]
+                continue
+            for g, hops, do in owners:
+                y = (hops.border_parent if label else hops.parent)[rank]
+                candidates.append((do + hops.dist[y], y * n + g))
+            d, s = min(candidates)
+            path.append(s)
+        path.reverse()
+        return path
+
+    def firing_into(self, t: int, prop: str) -> List[Tuple[int, float]]:
+        """``(u, w)`` per edge ``u -> t`` of a reached copy that fires ``prop``."""
+        rank, f2 = divmod(t, self.nfa.n_states)
+        label = self._labels[rank]
+        copies = [f for f in self._copies
+                  if any(g == f2 and prop in fired for g, fired, _e, _p in self._table(f, label))]
+        return [(y * self.nfa.n_states + f, w) for y, w in self._neighbours[rank] for f in copies]
 
     # -- queries ----------------------------------------------------------
 
@@ -194,10 +469,13 @@ class ProductPa:
     def step(self, a: int, b: int) -> Optional[Tuple[float, FrozenSet[str], FrozenSet[str]]]:
         """``(weight, fired, emit)`` of the product edge ``a -> b``, or None."""
         (ra, fa), (rb, fb) = divmod(a, self.nfa.n_states), divmod(b, self.nfa.n_states)
-        region = self.regions[rb]
-        weight = dict(self.wts.adjacency[self.regions[ra]]).get(region)
-        moves = () if weight is None else self._tables[fa].get(self.wts.labels[region], ())
-        return next(((weight, fired, emit) for f2, fired, emit, _p in moves if f2 == fb), None)
+        for y, weight in self._neighbours[ra]:
+            if y == rb:
+                for f2, fired, emit, _p in self._table(fa, self._labels[rb]):
+                    if f2 == fb:
+                        return weight, fired, emit
+                break
+        return None
 
     @property
     def adjacency(self) -> Mapping[State, tuple]:
@@ -275,14 +553,11 @@ class PrunedPa:
     Level 0 holds the initial states, one level per assigned occurrence holds
     that task's collaborative states, and the final level holds accepting
     states.  Edges join consecutive levels; each stores ``(cost, u)``, ``u`` ending its
-    witness's path in the source's Dijkstra tree (None for an entry firing).  Into the
+    witness's path in the source's search tree (None for an entry firing).  Into the
     final level a source keeps only its edge to the ``(cost, state)`` least accepting state.
     """
 
     def __init__(self, pa: ProductPa):
-        if pa.quiet is None:
-            raise FleetplanError(
-                f"robot {pa.wts.robot_id}: product already pruned; its search graph is released")
         self.pa = pa
         self.assigned = pa.assigned
         self.levels: List[Tuple[State, ...]] = [tuple(sorted(pa.initial))]
@@ -290,10 +565,9 @@ class PrunedPa:
             self.levels.append(tuple(sorted(pa.collab[prop])))
         self.levels.append(tuple(sorted(pa.accepting)))
         self.edges: Dict[Tuple[int, State, State], Tuple[float, Optional[int]]] = {}
-        self._parents: List[Dict[State, Dict[int, Optional[int]]]] = []
+        self._trees: List[Dict[State, Tree]] = []
         self._expanded: Dict[Tuple[State, ...], Strategy] = {}
         self._build_edges()
-        pa.quiet = pa.firing = None
         self._suffix: Dict[Tuple[int, State], Tuple[float, Optional[State]]] = {}
         self._build_suffix()
 
@@ -314,26 +588,21 @@ class PrunedPa:
                     fired, _emit = pa.entry_info[state]
                     if prop in fired and state in targets:
                         self.edges[(0, state, state)] = (0, None)
-            target_ids = {pa.state_id(t): t for t in targets}
-            firing_in: Dict[int, list] = {tid: [] for tid in target_ids}
-            for u, t, w, fired in pa.firing:
-                if prop in fired and t in firing_in:
-                    firing_in[t].append((u, w))
-            parents = {}
+            firing_in = {} if is_final else {
+                t: pa.firing_into(pa.state_id(t), prop) for t in targets}
+            trees = {}
             for source in sources:
+                trees[source], tid = pa.search(pa.state_id(source), stop=is_final)
                 if is_final:  # one edge, to the (cost, state) least accepting state
-                    dist, parents[source], tid = dijkstra(pa.quiet, [pa.state_id(source)],
-                                                          stop=target_ids)
                     if tid is not None:
-                        self.edges[(li, source, target_ids[tid])] = (dist[tid], tid)
+                        self.edges[(li, source, pa.state_of(tid))] = (trees[source].dist[tid], tid)
                     continue
-                dist, parents[source] = dijkstra(pa.quiet, [pa.state_id(source)])
-                for tid, t in target_ids.items():
-                    best = min(((dist[u] + w, u) for u, w in firing_in[tid] if u in dist),
-                               default=None)
+                for t, into in firing_in.items():
+                    reached = ((pa.distance(trees[source], u), w, u) for u, w in into)
+                    best = min(((d + w, u) for d, w, u in reached if d is not None), default=None)
                     if best is not None:
                         self.edges[(li, source, t)] = best
-            self._parents.append(parents)
+            self._trees.append(trees)
             if len(self.edges) == found:
                 raise LevelDisconnected(
                     f"robot {pa.wts.robot_id}: no edges into level {li + 1}")
@@ -405,7 +674,7 @@ class PrunedPa:
         _cost, u = self.edges[(li, a, b)]
         if u is None:
             return [self.pa.state_id(a)]
-        path = reconstruct(self._parents[li][a], u)
+        path = self.pa.walk(self._trees[li][a], u)
         if li < len(self.levels) - 2:
             path.append(self.pa.state_id(b))
         return path

@@ -1,47 +1,14 @@
-"""Deterministic shortest-path searches: weighted and by hop count.
+"""Deterministic breadth-first search over a successor function.
 
-Dijkstra takes ``{node: [(succ, weight), ...]}`` mappings, the breadth-first
-search a successor function; node keys are sortable.  Ties are broken by
-expanding nodes in key order and keeping the first-found parent, so results
-are reproducible across runs.
+Node keys are sortable.  Ties are broken by expanding nodes in key order and
+keeping the first-found parent, so results are reproducible across runs.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Callable, Container, Hashable, Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping
 
 Node = Hashable
-INF = float("inf")
-
-
-def dijkstra(adjacency: Mapping, sources: Iterable[Node], stop: Optional[Container] = None):
-    """Multi-source Dijkstra: ``(dist, parent)`` maps over every reachable node.
-
-    Given ``stop``, it returns ``(dist, parent, node)`` on settling the first stop node
-    (None if none is reachable): with positive weights, the ``(dist, node)`` least one."""
-    dist: dict = {}
-    parent: dict = {}
-    heap = []
-    for s in sorted(sources):
-        dist[s] = 0
-        parent[s] = None
-        heappush(heap, (0, s))
-    known, successors, pop, push, inf = dist.get, adjacency.get, heappop, heappush, INF
-    halt = () if stop is None else stop
-    while heap:
-        d, node = pop(heap)
-        if d > dist[node]:
-            continue
-        if node in halt:
-            return dist, parent, node
-        for succ, weight in successors(node, ()):
-            nd = d + weight
-            if nd < known(succ, inf):
-                dist[succ] = nd
-                parent[succ] = node
-                push(heap, (nd, succ))
-    return (dist, parent) if stop is None else (dist, parent, None)
 
 
 def reconstruct(parent: Mapping, node: Node) -> list:

@@ -8,21 +8,24 @@ lexicographic allocator replaced, as a reference for its solution order.
 The exceptions are the test-only helpers at the end, which build on the
 production code: ``ReferenceProductPa`` keeps the product's original
 edge-by-edge construction as a reference for the table-driven one,
-``ReferencePrunedPa`` the layered pruning over tuple states with eager witness
-paths as a reference for the integer-state one with parent maps,
+``ReferencePrunedPa`` the layered pruning by a Dijkstra over every tuple
+state, with eager witness paths, as a reference for the clean-hop search with
+walks rebuilt on demand,
 ``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
 sum of ideal completions as a reference for the wait-aware bound, and
 ``reference_to_nfa`` keeps the translator that progresses every residual
 over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
 translator it reuses only ``simplify``.
-``guard_from_cubes`` normalizes hand-written cube lists for the guard tests.
+``guard_from_cubes`` normalizes hand-written cube lists for the guard tests,
+and ``dijkstra`` is the weighted search those references run.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from heapq import heappop, heappush
 from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -65,7 +68,7 @@ from fleetplan.milp import (
 from fleetplan.mission import Mission
 from fleetplan.product import ProductPa, PrunedPa, State, Strategy
 from fleetplan.schedule import CostReport, Timeline, compute_time_cost
-from fleetplan.search import dijkstra, reconstruct
+from fleetplan.search import reconstruct
 from fleetplan.world import Wts
 
 
@@ -638,6 +641,30 @@ class ReferencePrunedPa:
 # ---------------------------------------------------------------------------
 # Test-only helpers over the production modules
 # ---------------------------------------------------------------------------
+
+
+def dijkstra(adjacency: Mapping, sources: Iterable):
+    """Multi-source Dijkstra over ``{node: [(succ, weight), ...]}``: ``(dist, parent)``
+    maps over every reachable node.  Nodes settle in ``(dist, node)`` order and
+    keep the first parent found."""
+    dist: dict = {}
+    parent: dict = {}
+    heap = []
+    for s in sorted(sources):
+        dist[s] = 0
+        parent[s] = None
+        heappush(heap, (0, s))
+    while heap:
+        d, node = heappop(heap)
+        if d > dist[node]:
+            continue
+        for succ, weight in adjacency.get(node, ()):
+            nd = d + weight
+            if nd < dist.get(succ, float("inf")):
+                dist[succ] = nd
+                parent[succ] = node
+                heappush(heap, (nd, succ))
+    return dist, parent
 
 
 def shortest_path(adjacency, sources, targets):

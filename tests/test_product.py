@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from fleetplan import framework
-from fleetplan.errors import FleetplanError, LevelDisconnected, NoAcceptingPath
+from fleetplan.errors import LevelDisconnected, NoAcceptingPath
 from fleetplan.milp import enumerate_robot_choices
-from fleetplan.ltl import format_formula, nfa_accepts, parse_formula, to_nfa
+from fleetplan.ltl import Eventually, format_formula, nfa_accepts, parse_formula, to_nfa
 from fleetplan.product import (
     build_local_formula,
     ProductPa,
@@ -229,6 +229,45 @@ def random_products():
 
 RANDOM_COLLAB_PROPS = frozenset({"ct1", "ct2"})
 
+# the empty-label move of F ts1 | G ts2's initial state leaves it, and G ts1 has none
+NON_SELF_LOOP_FORMULAS = (
+    "F ts1 | G ts2", "G ts1", "(F ts1 | G ts2) & F ts2", "G (ts1 | ts2) | F ts1")
+
+
+def random_grid_products():
+    """40 random products on 6 x 6 grids with the tasks of ``random_products``,
+    placed at random, where most regions carry no label.  Every third formula
+    is one of ``NON_SELF_LOOP_FORMULAS``, half the others are put under ``F``.
+    Half the grids get random non-integer weights and a quarter random integer
+    ones.  Yields ``(trial, wts, nfa, assigned)``."""
+    rng = random.Random(57)
+    for trial in range(40):
+        cells = rng.sample([f"q{x}_{y}" for y in range(6) for x in range(6)], 4)
+        start, shared, ct2, ts2 = cells
+        if rng.random() < 0.5:
+            ts2 = start
+        fleet = Fleet(("c1",), (Robot(0, frozenset({"c1"}), start),))
+        tasks = [
+            TaskReq("ts1", shared, {"c1": 1}, owner=0),
+            TaskReq("ct1", shared, {"c1": 1}),
+            TaskReq("ct2", ct2, {"c1": 1}),
+            TaskReq("ts2", ts2, {"c1": 1}, owner=0),
+        ]
+        world = grid_world(6, 6)
+        if trial % 2:
+            world = grid_world(6, 6, {e: rng.choice([0.5, 1.25, 2.0, 3.0]) for e in world.edges})
+        elif trial % 4 == 2:
+            world = grid_world(6, 6, {e: rng.choice([1, 2, 3]) for e in world.edges})
+        wts = build_wts(world, fleet, tasks, 0)
+        assigned = [((1, 1), "ct1"), ((1, 2), "ct2")][:rng.randint(0, 2)]
+        if trial % 3 == 0:
+            phi = parse_formula(NON_SELF_LOOP_FORMULAS[trial // 3 % len(NON_SELF_LOOP_FORMULAS)])
+        else:  # half of them deferred, so that most products are not empty
+            phi = random_formula(rng, ["ts1", "ts2"], 3)
+            phi = Eventually(phi) if rng.random() < 0.5 else phi
+        nfa = to_nfa(build_local_formula(phi, assigned))
+        yield trial, wts, nfa, assigned
+
 
 def test_table_product_matches_edge_by_edge_reference():
     initial_self_loop = []  # per non-empty product
@@ -306,28 +345,50 @@ def test_pruning_matches_tuple_state_reference_on_random_products():
     assert pruned.count(True) >= 10 and False in pruned
 
 
-def test_pruning_releases_the_search_graph_and_keeps_the_views():
-    released = 0
+def test_grid_products_match_the_reference_with_both_kinds_of_copy():
+    """Clean-hop searches and counts over both kinds of automaton copy: those that
+    cross unlabeled regions on a plain self-loop (searched by hops) and the rest
+    (searched state by state), on integer and non-integer weights."""
+    kinds = set()
+    pruned = []
+    for trial, wts, nfa, assigned in random_grid_products():
+        pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
+        ref = ReferenceProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
+        assert pa.initial == ref.initial, trial
+        assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
+        assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
+        assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
+        assert pa.collab == ref.collab, trial
+        assert pa.accepting == ref.accepting, trial
+        assert (pa.n_states, pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
+        kinds |= {pa._is_compressed(f) for _region, f in ref.adjacency}
+        pruned.append(assert_same_pruning(pa))
+    assert kinds == {True, False}
+    assert pruned.count(True) >= 10 and False in pruned
+
+
+def test_pruning_keeps_no_search_graph_and_can_repeat():
+    pruned_any = 0
     for trial, wts, nfa, assigned in random_products():
         pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
         try:
-            prune_product(pa)
+            first = prune_product(pa)
         except LevelDisconnected:
             continue
-        assert not hasattr(pa, "succ") and pa.quiet is None and pa.firing is None, trial
+        assert not any(hasattr(pa, name) for name in ("quiet", "firing", "succ")), trial
+        assert not hasattr(first, "_parents"), trial
         ref = ReferenceProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
         assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
         assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
-        with pytest.raises(FleetplanError, match="already pruned"):
-            prune_product(pa)
-        released += 1
-    assert released >= 10
+        assert prune_product(pa).edges == first.edges, trial
+        pruned_any += 1
+    assert pruned_any >= 10
 
 
 def test_pruning_matches_tuple_state_reference_on_planned_products(monkeypatch):
     """Every product the planner builds for the synth-enum benchmark structure
     (template seed 7, placed by benchmark seed 0), rebuilt from its recorded
-    arguments because the planner's pruning released its search graph."""
+    arguments and pruned afresh."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
