@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .alloc import AllocModel, Assignment, check_deadline, dominated, next_assignment
@@ -39,52 +38,58 @@ from .schedule import SimResult, choice_timeline, compute_time_cost, simulate
 from .world import build_wts
 
 
-@dataclass
 class AssignmentRow:
-    index: int
-    status: str  # evaluated | filtered | infeasible
-    detail: str = ""
-    t_init: Optional[float] = None
-    t_ideal: Optional[float] = None
-    t_adjusted: Optional[float] = None
-    oracle_j: Optional[float] = None
-    history: List[float] = field(default_factory=list)
-    cycles: int = 0
-    messages: int = 0
-    wall_prune_avg: float = 0.0
-    wall_adjust: float = 0.0
-    wall_oracle: float = 0.0
-    product_states: int = 0
-    max_level_width: int = 0
-    product_edges: int = 0
-    sim_matches: Optional[bool] = None
-    collab_accepted: Optional[bool] = None
-    locals_accepted: Optional[bool] = None
-    element_sync_ok: Optional[bool] = None
-    element_order_ok: Optional[bool] = None
-    trace_lines: List[str] = field(default_factory=list)
+    """One assignment's outcome; ``write_metrics_csv`` reads its columns from ``vars``."""
+
+    def __init__(self, index: int, status: str, detail: str = ""):
+        self.index = index
+        self.status = status  # evaluated | filtered | infeasible
+        self.detail = detail
+        self.t_init: Optional[float] = None
+        self.t_ideal: Optional[float] = None
+        self.t_adjusted: Optional[float] = None
+        self.oracle_j: Optional[float] = None
+        self.history: List[float] = []
+        self.cycles = 0
+        self.messages = 0
+        self.wall_prune_avg = 0.0
+        self.wall_adjust = 0.0
+        self.wall_oracle = 0.0
+        self.product_states = 0
+        self.max_level_width = 0
+        self.product_edges = 0
+        self.sim_matches: Optional[bool] = None
+        self.collab_accepted: Optional[bool] = None
+        self.locals_accepted: Optional[bool] = None
+        self.element_sync_ok: Optional[bool] = None
+        self.element_order_ok: Optional[bool] = None
+        self.trace_lines: List[str] = []
 
 
-@dataclass
 class PlanOutput:
     """Winning plan: strategies, schedule timing, and executable walks."""
 
-    assignment_index: int
-    assignment: Assignment
-    strategies: Dict[int, Strategy]
-    sim: SimResult
-    total: float
-    pruned_map: Dict[int, PrunedPa]
+    def __init__(self, assignment_index: int, assignment: Assignment,
+                 strategies: Dict[int, Strategy], sim: SimResult, total: float,
+                 pruned_map: Dict[int, PrunedPa]):
+        self.assignment_index = assignment_index
+        self.assignment = assignment
+        self.strategies = strategies
+        self.sim = sim
+        self.total = total
+        self.pruned_map = pruned_map
 
 
-@dataclass
 class RunReport:
-    scenario_name: str
-    mission: Optional[Mission]
-    rows: List[AssignmentRow]
-    incumbent: Optional[PlanOutput]
-    stopped_because: str
-    protocol_trace: List[str] = field(default_factory=list)
+    def __init__(self, scenario_name: str, mission: Optional[Mission], rows: List[AssignmentRow],
+                 incumbent: Optional[PlanOutput], stopped_because: str,
+                 protocol_trace: Optional[List[str]] = None):
+        self.scenario_name = scenario_name
+        self.mission = mission
+        self.rows = rows
+        self.incumbent = incumbent
+        self.stopped_because = stopped_because
+        self.protocol_trace = [] if protocol_trace is None else protocol_trace
 
 
 def _resolve_comm_pairs(option, mission: Mission):

@@ -10,17 +10,24 @@ subsumption; no prime mentions a proposition the table does not depend on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Sequence, Tuple
 
 Cube = Tuple[FrozenSet[str], FrozenSet[str]]
 
 
-@dataclass(frozen=True)
 class Guard:
-    """Disjunction of (positive, negative) literal cubes."""
+    """Disjunction of (positive, negative) literal cubes, equal and hashed by them."""
 
-    cubes: Tuple[Cube, ...]
+    __slots__ = ("cubes",)
+
+    def __init__(self, cubes: Tuple[Cube, ...]):
+        self.cubes = cubes
+
+    def __eq__(self, other):
+        return self.cubes == other.cubes if type(other) is Guard else NotImplemented
+
+    def __hash__(self):
+        return hash(self.cubes)
 
     def satisfied_by(self, labels: FrozenSet[str]) -> bool:
         return any(pos <= labels and not (labels & neg) for pos, neg in self.cubes)

@@ -11,7 +11,6 @@ the flow/arrival/delay constraints for external solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,17 +23,17 @@ from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
 DEFAULT_COMBINATION_CAP = 10_000_000
 
 
-@dataclass
 class RobotChoice:
     """One robot's collaborative-state tuple with its induced ideal timeline."""
 
-    collab_states: Tuple[State, ...]
-    init_state: State
-    accept_state: State
-    timeline: Timeline
+    __slots__ = ("collab_states", "init_state", "accept_state", "timeline")
 
-    def full_choice(self) -> List[State]:
-        return [self.init_state, *self.collab_states, self.accept_state]
+    def __init__(self, collab_states: Tuple[State, ...], init_state: State, accept_state: State,
+                 timeline: Timeline):
+        self.collab_states = collab_states
+        self.init_state = init_state
+        self.accept_state = accept_state
+        self.timeline = timeline
 
 
 def enumerate_robot_choices(pruned: PrunedPa) -> List[RobotChoice]:
@@ -69,12 +68,13 @@ def enumerate_robot_choices(pruned: PrunedPa) -> List[RobotChoice]:
     return choices
 
 
-@dataclass
 class ExactResult:
-    objective: float
-    report: CostReport
-    choices: Dict[int, RobotChoice]
-    explored: int
+    def __init__(self, objective: float, report: CostReport, choices: Dict[int, RobotChoice],
+                 explored: int):
+        self.objective = objective
+        self.report = report
+        self.choices = choices
+        self.explored = explored
 
 
 def least_timeline(choices: Sequence[RobotChoice]) -> Timeline:
@@ -147,23 +147,25 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Row:
-    name: str
-    terms: Tuple[Tuple[float, str], ...]
-    sense: str  # "=", "<=", ">="
-    rhs: float
+    def __init__(self, name: str, terms: Tuple[Tuple[float, str], ...], sense: str, rhs: float):
+        self.name = name
+        self.terms = terms
+        self.sense = sense  # "=", "<=", ">="
+        self.rhs = rhs
 
 
-@dataclass
 class MilpModel:
     """Linear model over edge-selection, arrival, delay, and latest-arrival variables."""
 
-    objective: Tuple[Tuple[float, str], ...]
-    rows: List[Row]
-    binaries: Tuple[str, ...]
-    continuous: Tuple[str, ...]
-    big_m: Mapping[int, float]
+    def __init__(self, objective: Tuple[Tuple[float, str], ...], rows: List[Row],
+                 binaries: Tuple[str, ...], continuous: Tuple[str, ...],
+                 big_m: Mapping[int, float]):
+        self.objective = objective
+        self.rows = rows
+        self.binaries = binaries
+        self.continuous = continuous
+        self.big_m = big_m
 
 
 def _state_index(pruned: PrunedPa) -> Dict[State, int]:

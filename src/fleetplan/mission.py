@@ -8,8 +8,7 @@ synchronization (same element) and precedence (element order) structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyLanguage, MissionError
 from .guards import Guard
@@ -139,7 +138,6 @@ def _interleavings(left, right):
     return out
 
 
-@dataclass(frozen=True)
 class Mission:
     """Decomposed collaborative task sequence with allocation structure.
 
@@ -147,20 +145,15 @@ class Mission:
     of task propositions that must execute synchronously.  Occurrences are
     (k, l) pairs with l flat within the subsequence; ``sorted_occurrences``
     orders all of them by (k, l).  The occurrence and element indexes are
-    built once, here, and stay out of equality and repr.
+    built once, here.
     """
 
-    subsequences: Tuple[Tuple[Tuple[str, ...], ...], ...]
-    negative_obligations: Mapping[Tuple[int, int], FrozenSet[str]] = field(default_factory=dict)
-    sorted_occurrences: Tuple[Occurrence, ...] = field(init=False, repr=False, compare=False)
-    _task: Dict[Occurrence, str] = field(init=False, repr=False, compare=False)
-    _members: Dict[Tuple[int, int], Tuple[Occurrence, ...]] = field(
-        init=False, repr=False, compare=False)
-    _elements: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, subsequences: Tuple[Tuple[Tuple[str, ...], ...], ...],
+                 negative_obligations: Optional[Mapping[Tuple[int, int], FrozenSet[str]]] = None):
+        self.subsequences = subsequences
+        self.negative_obligations = {} if negative_obligations is None else negative_obligations
         seen, task, members = {}, {}, {}
-        for k, sub in enumerate(self.subsequences, start=1):
+        for k, sub in enumerate(subsequences, start=1):
             l = 0
             for m, props in enumerate(sub, start=1):
                 group = []
@@ -175,10 +168,10 @@ class Mission:
                     task[(k, l)] = prop
                     group.append((k, l))
                 members[(k, m)] = tuple(group)
-        object.__setattr__(self, "sorted_occurrences", tuple(task))
-        object.__setattr__(self, "_task", task)
-        object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_elements", tuple(members))
+        self.sorted_occurrences = tuple(task)
+        self._task = task
+        self._members = members
+        self._elements = tuple(members)
 
     def task_of(self, occ: Occurrence) -> str:
         try:

@@ -10,7 +10,6 @@ improvement terminates the protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .alloc import Assignment
@@ -93,15 +92,16 @@ def find_earliest(occ: Occurrence, assignment: Assignment,
     return min(scores)[1]
 
 
-@dataclass
 class ProtocolContext:
     """Shared planning state the agents operate on."""
 
-    mission: Mission
-    assignment: Assignment
-    pruned: Dict[int, PrunedPa]
-    choices: Dict[int, List[State]]
-    timelines: Dict[int, Timeline]
+    def __init__(self, mission: Mission, assignment: Assignment, pruned: Dict[int, PrunedPa],
+                 choices: Dict[int, List[State]], timelines: Dict[int, Timeline]):
+        self.mission = mission
+        self.assignment = assignment
+        self.pruned = pruned
+        self.choices = choices
+        self.timelines = timelines
 
     def report(self) -> CostReport:
         return compute_time_cost(self.timelines, self.mission, self.assignment)
@@ -162,15 +162,16 @@ def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
     return False
 
 
-@dataclass
 class ProtocolResult:
-    strategies: Dict[int, Strategy]
-    report: CostReport
-    history: List[float]
-    cycles: int
-    adjustments: int
-    messages: int
-    trace: List[str]
+    def __init__(self, strategies: Dict[int, Strategy], report: CostReport, history: List[float],
+                 cycles: int, adjustments: int, messages: int, trace: List[str]):
+        self.strategies = strategies
+        self.report = report
+        self.history = history
+        self.cycles = cycles
+        self.adjustments = adjustments
+        self.messages = messages
+        self.trace = trace
 
 
 def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> ProtocolResult:

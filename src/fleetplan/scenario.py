@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
@@ -78,7 +77,7 @@ def _optional(data: Mapping, key: str, kind: str, default, where: str = ""):
     return _required(data, key, kind, where) if key in data else default
 
 
-# field -> (JSON key, rule, what the rule asks); defaults live on the fields
+# Options attribute -> (JSON key, rule, what the rule asks); defaults live on Options.__init__
 OPTION_KEYS = {
     "adjust": ("adjust", _is_bool, "true or false"),
     "oracle": ("oracle", _is_bool, "true or false"),
@@ -91,15 +90,21 @@ OPTION_KEYS = {
 }
 
 
-@dataclass
 class Options:
-    adjust: bool = True
-    oracle: bool = False
-    max_assignments: Optional[int] = None
-    budget_seconds: Optional[float] = None
-    comm_pairs: object = "none"  # "none" | None | "all" | explicit [k, m] list
-    state_cap: int = DEFAULT_STATE_CAP
-    combination_cap: int = DEFAULT_COMBINATION_CAP
+    def __init__(self, adjust: bool = True, oracle: bool = False,
+                 max_assignments: Optional[int] = None, budget_seconds: Optional[float] = None,
+                 comm_pairs: object = "none", state_cap: int = DEFAULT_STATE_CAP,
+                 combination_cap: int = DEFAULT_COMBINATION_CAP):
+        self.adjust = adjust
+        self.oracle = oracle
+        self.max_assignments = max_assignments
+        self.budget_seconds = budget_seconds
+        self.comm_pairs = comm_pairs  # "none" | None | "all" | explicit [k, m] list
+        self.state_cap = state_cap
+        self.combination_cap = combination_cap
+
+    def __eq__(self, other):
+        return self.to_json() == other.to_json() if type(other) is Options else NotImplemented
 
     def validate(self):
         """Raise ``ScenarioError`` naming the key of the first malformed option."""
@@ -120,18 +125,18 @@ class Options:
                           if key in data})
 
 
-@dataclass
 class Scenario:
-    name: str
-    world: World
-    fleet: Fleet
-    tasks: Tuple[TaskReq, ...]
-    individual_formulas: Dict[int, str]
-    collaborative_formula: str
-    options: Options = field(default_factory=Options)
-    grid: Optional[Tuple[int, int]] = None
-
-    def __post_init__(self):
+    def __init__(self, name: str, world: World, fleet: Fleet, tasks: Tuple[TaskReq, ...],
+                 individual_formulas: Dict[int, str], collaborative_formula: str,
+                 options: Optional[Options] = None, grid: Optional[Tuple[int, int]] = None):
+        self.name = name
+        self.world = world
+        self.fleet = fleet
+        self.tasks = tasks
+        self.individual_formulas = individual_formulas
+        self.collaborative_formula = collaborative_formula
+        self.options = Options() if options is None else options
+        self.grid = grid
         self.validate()
 
     def collaborative_tasks(self) -> Tuple[TaskReq, ...]:

@@ -11,7 +11,6 @@ their timelines from `choice_timeline` and their costs from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .alloc import Assignment
@@ -20,23 +19,40 @@ from .mission import Mission, Occurrence
 from .product import PrunedPa, State, Strategy
 
 
-@dataclass(frozen=True)
 class Timeline:
     """A robot's ideal arrival times (no waits) and ideal completion time."""
 
-    robot_id: int
-    arrivals: Mapping[Occurrence, float]
-    completion: float
+    __slots__ = ("robot_id", "arrivals", "completion")
+
+    def __init__(self, robot_id: int, arrivals: Mapping[Occurrence, float], completion: float):
+        self.robot_id = robot_id
+        self.arrivals = arrivals
+        self.completion = completion
+
+    def __eq__(self, other):
+        if type(other) is not Timeline:
+            return NotImplemented
+        return ((self.robot_id, self.arrivals, self.completion)
+                == (other.robot_id, other.arrivals, other.completion))
 
 
-@dataclass(frozen=True)
 class CostReport:
     """Synchronized task times, per-robot final delays, and the total cost."""
 
-    task_times: Mapping[Occurrence, float]
-    delays: Mapping[int, float]
-    per_robot: Mapping[int, float]
-    total: float
+    __slots__ = ("task_times", "delays", "per_robot", "total")
+
+    def __init__(self, task_times: Mapping[Occurrence, float], delays: Mapping[int, float],
+                 per_robot: Mapping[int, float], total: float):
+        self.task_times = task_times
+        self.delays = delays
+        self.per_robot = per_robot
+        self.total = total
+
+    def __eq__(self, other):
+        if type(other) is not CostReport:
+            return NotImplemented
+        return ((self.task_times, self.delays, self.per_robot, self.total)
+                == (other.task_times, other.delays, other.per_robot, other.total))
 
 
 def choice_timeline(pruned: PrunedPa, choice: Sequence[State]) -> Timeline:
@@ -86,12 +102,14 @@ def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     return CostReport(task_times, delays, per_robot, total)
 
 
-@dataclass(frozen=True)
 class SimEvent:
-    time: float
-    kind: str  # "MOVE" or "TASK"
-    robot: Optional[int]
-    detail: Tuple
+    __slots__ = ("time", "kind", "robot", "detail")
+
+    def __init__(self, time: float, kind: str, robot: Optional[int], detail: Tuple):
+        self.time = time
+        self.kind = kind  # "MOVE" or "TASK"
+        self.robot = robot
+        self.detail = detail
 
     def format(self) -> str:
         if self.kind == "MOVE":
@@ -106,14 +124,16 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-@dataclass
 class SimResult:
-    events: List[SimEvent]
-    report: CostReport
-    fire_times: Dict[Occurrence, float]
-    global_sequence: List[FrozenSet[str]]
-    element_sync_ok: bool
-    element_order_ok: bool
+    def __init__(self, events: List[SimEvent], report: CostReport,
+                 fire_times: Dict[Occurrence, float], global_sequence: List[FrozenSet[str]],
+                 element_sync_ok: bool, element_order_ok: bool):
+        self.events = events
+        self.report = report
+        self.fire_times = fire_times
+        self.global_sequence = global_sequence
+        self.element_sync_ok = element_sync_ok
+        self.element_order_ok = element_order_ok
 
     def trace_lines(self) -> List[str]:
         return [e.format() for e in self.events]

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
 from .search import bfs
 
 
-@dataclass(frozen=True)
 class World:
     """Shared region graph: regions and undirected weighted edges.
 
@@ -18,13 +16,11 @@ class World:
     once, here, and shared by every robot's transition system.
     """
 
-    regions: Tuple[str, ...]
-    edges: Tuple[Tuple[str, str], ...]
-    weights: Mapping[Tuple[str, str], float]
-    adjacency: Mapping[str, Tuple[Tuple[str, float], ...]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, regions: Tuple[str, ...], edges: Tuple[Tuple[str, str], ...],
+                 weights: Mapping[Tuple[str, str], float]):
+        self.regions = regions
+        self.edges = edges
+        self.weights = weights
         region_set = set()
         for i, region in enumerate(self.regions):
             if region in region_set:
@@ -48,8 +44,7 @@ class World:
             w = self.edge_weight(a, b)
             adjacency[a].append((b, w))
             adjacency[b].append((a, w))
-        adjacency = {r: tuple(sorted(set(succs))) for r, succs in adjacency.items()}
-        object.__setattr__(self, "adjacency", adjacency)
+        self.adjacency = adjacency = {r: tuple(sorted(set(succs))) for r, succs in adjacency.items()}
         reached, _parent = bfs(lambda r: [n for n, _w in adjacency[r]], self.regions[:1])
         if not self.regions or len(reached) != len(self.regions):
             raise ScenarioError("world graph is not connected")
@@ -84,44 +79,50 @@ def grid_world(width: int, height: int, weights: Mapping | None = None) -> World
     return World(regions, tuple(edges), wmap)
 
 
-@dataclass(frozen=True)
 class Robot:
-    robot_id: int
-    capabilities: FrozenSet[str]
-    start: str
+    __slots__ = ("robot_id", "capabilities", "start")
+
+    def __init__(self, robot_id: int, capabilities: FrozenSet[str], start: str):
+        self.robot_id = robot_id
+        self.capabilities = capabilities
+        self.start = start
 
 
-@dataclass(frozen=True)
 class Fleet:
-    capabilities: Tuple[str, ...]
-    robots: Tuple[Robot, ...]
+    """The robots, indexed once by id and by capability."""
 
-    def __post_init__(self):
-        seen = set()
-        for i, robot in enumerate(self.robots):
-            if robot.robot_id in seen:
+    def __init__(self, capabilities: Tuple[str, ...], robots: Tuple[Robot, ...]):
+        self.capabilities = capabilities
+        self.robots = robots
+        self._by_id: Dict[int, Robot] = {}
+        holders: Dict[str, list] = {}
+        for i, robot in enumerate(robots):
+            if robot.robot_id in self._by_id:
                 raise ScenarioError(f"scenario key robots[{i}] repeats robot id {robot.robot_id}")
-            seen.add(robot.robot_id)
+            self._by_id[robot.robot_id] = robot
             if not robot.capabilities:
                 raise ScenarioError(f"robot {robot.robot_id} has no capability")
-            unknown = robot.capabilities - set(self.capabilities)
+            unknown = robot.capabilities - set(capabilities)
             if unknown:
                 raise ScenarioError(f"robot {robot.robot_id} has unknown capabilities {sorted(unknown)}")
+            for capability in robot.capabilities:
+                holders.setdefault(capability, []).append(robot.robot_id)
+        self._holders = {c: frozenset(ids) for c, ids in holders.items()}
+        self._ids = tuple(self._by_id)
 
     def robot(self, robot_id: int) -> Robot:
-        for robot in self.robots:
-            if robot.robot_id == robot_id:
-                return robot
-        raise ScenarioError(f"unknown robot {robot_id}")
+        try:
+            return self._by_id[robot_id]
+        except KeyError:
+            raise ScenarioError(f"unknown robot {robot_id}") from None
 
     def with_capability(self, capability: str) -> FrozenSet[int]:
-        return frozenset(r.robot_id for r in self.robots if capability in r.capabilities)
+        return self._holders.get(capability, frozenset())
 
     def robot_ids(self) -> Tuple[int, ...]:
-        return tuple(r.robot_id for r in self.robots)
+        return self._ids
 
 
-@dataclass(frozen=True)
 class TaskReq:
     """A task: its proposition, region, and per-capability robot counts.
 
@@ -129,35 +130,44 @@ class TaskReq:
     one; collaborative tasks have ``owner is None``.
     """
 
-    prop: str
-    region: str
-    requirements: Mapping[str, int]
-    owner: Optional[int] = None
+    __slots__ = ("prop", "region", "requirements", "owner")
+
+    def __init__(self, prop: str, region: str, requirements: Mapping[str, int],
+                 owner: Optional[int] = None):
+        self.prop = prop
+        self.region = region
+        self.requirements = requirements
+        self.owner = owner
+        if not requirements:
+            raise ScenarioError(f"task {prop} requires no capability")
+        for cap, count in requirements.items():
+            if count < 1:
+                raise ScenarioError(f"task {prop} has non-positive count for {cap}")
+        if owner is not None:
+            counts = list(requirements.values())
+            if len(counts) != 1 or counts[0] != 1:
+                raise ScenarioError(f"individual task {prop} must need exactly one robot")
 
     @property
     def collaborative(self) -> bool:
         return self.owner is None
 
-    def __post_init__(self):
-        if not self.requirements:
-            raise ScenarioError(f"task {self.prop} requires no capability")
-        for cap, count in self.requirements.items():
-            if count < 1:
-                raise ScenarioError(f"task {self.prop} has non-positive count for {cap}")
-        if self.owner is not None:
-            counts = list(self.requirements.values())
-            if len(counts) != 1 or counts[0] != 1:
-                raise ScenarioError(f"individual task {self.prop} must need exactly one robot")
 
-
-@dataclass(frozen=True)
 class Wts:
-    """A robot's weighted transition system over the shared region graph."""
+    """A robot's weighted transition system over the shared region graph.
 
-    robot_id: int
-    initial: str
-    adjacency: Mapping[str, Tuple[Tuple[str, float], ...]]
-    labels: Mapping[str, FrozenSet[str]]  # every region, unlabeled ones to frozenset()
+    ``labels`` maps every region to its propositions, unlabeled ones to frozenset().
+    """
+
+    __slots__ = ("robot_id", "initial", "adjacency", "labels")
+
+    def __init__(self, robot_id: int, initial: str,
+                 adjacency: Mapping[str, Tuple[Tuple[str, float], ...]],
+                 labels: Mapping[str, FrozenSet[str]]):
+        self.robot_id = robot_id
+        self.initial = initial
+        self.adjacency = adjacency
+        self.labels = labels
 
     def min_edge_weight(self) -> float:
         return min(w for succs in self.adjacency.values() for _, w in succs)

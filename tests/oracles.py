@@ -18,7 +18,8 @@ over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
 translator it reuses only ``simplify``.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests,
-and ``dijkstra`` is the weighted search those references run.
+``full_choice`` spells out an oracle choice's level states for the expansion
+checks, and ``dijkstra`` is the weighted search those references run.
 """
 
 from __future__ import annotations
@@ -699,6 +700,11 @@ def essential_sequence(nfa, run: Sequence[int]) -> List[frozenset]:
 def element_of(mission: Mission, occ) -> Tuple[int, int]:
     """The element (k, m) holding occurrence ``occ``."""
     return next(elem for elem in mission.elements() if occ in mission.element_occurrences(elem))
+
+
+def full_choice(choice: RobotChoice) -> List[State]:
+    """A robot choice's level states, initial and accepting endpoints included."""
+    return [choice.init_state, *choice.collab_states, choice.accept_state]
 
 
 def variable_names(model: MilpModel) -> Tuple[str, ...]:

@@ -731,11 +731,12 @@ def test_valid_options_plan(tmp_path, options):
 
 
 def test_options_json_keys_defaults_and_round_trip():
-    from dataclasses import fields
+    import inspect
 
-    from fleetplan.scenario import Options
+    from fleetplan.scenario import OPTION_KEYS, Options
 
-    assert len(fields(Options)) == 7
+    assert list(inspect.signature(Options).parameters) == list(OPTION_KEYS)
+    assert len(OPTION_KEYS) == 7
     assert sorted(Options().to_json()) == sorted([
         "adjust", "oracle", "maxAssignments", "budgetSeconds", "commPairs", "stateCap",
         "combinationCap"])

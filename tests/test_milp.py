@@ -18,7 +18,7 @@ from fleetplan.protocol import ProtocolContext, run_protocol
 from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import ReferencePrunedPa, reference_solve_exact, variable_names
+from oracles import ReferencePrunedPa, full_choice, reference_solve_exact, variable_names
 
 
 def build_instance(width, height, ct_regions, starts, individual=None, formulas=None):
@@ -102,7 +102,7 @@ def test_single_robot_objective_is_travel_weight():
         5, 1, {"ct1": "q3_0"}, ["q0_0"])
     result = solve_exact(pruned, mission, assignment)
     assert result.objective == 3.0
-    assert pruned[0].expand(result.choices[0].full_choice()).weight == 3.0
+    assert pruned[0].expand(full_choice(result.choices[0])).weight == 3.0
 
 
 def test_exact_matches_flat_enumeration():
@@ -425,7 +425,7 @@ def _valuation_from_solution(model, pruned_map, exact):
     for r in sorted(pruned_map):
         pruned = pruned_map[r]
         index = _state_index(pruned)
-        choice = exact.choices[r].full_choice()
+        choice = full_choice(exact.choices[r])
         for li, (a, b) in enumerate(zip(choice, choice[1:])):
             values[f"y_{r}_{index[a]}_{index[b]}"] = 1.0
         timeline = exact.choices[r].timeline
@@ -523,8 +523,8 @@ def assert_matches_reference(calls):
         ref = reference_solve_exact(pruned_map, mission, assignment)
         assert got.objective == ref.objective
         assert got.report == ref.report
-        assert {r: c.full_choice() for r, c in got.choices.items()} == \
-            {r: c.full_choice() for r, c in ref.choices.items()}
+        assert {r: full_choice(c) for r, c in got.choices.items()} == \
+            {r: full_choice(c) for r, c in ref.choices.items()}
         assert got.explored <= ref.explored
         explored += got.explored
         reference_explored += ref.explored

@@ -25,6 +25,7 @@ from oracles import (
     ReferencePrunedPa,
     bellman_ford,
     choice_weight,
+    full_choice,
     initial_run,
     initial_strategy,
     path_through,
@@ -329,7 +330,7 @@ def assert_same_expansions(pruned, ref):
     pa = pruned.pa
     ref_pa = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
     for robot_choice in enumerate_robot_choices(pruned):
-        choice = robot_choice.full_choice()
+        choice = full_choice(robot_choice)
         got, want = pruned.expand(choice), ref.expand(choice)
         assert (got.run, got.fired, got.emits, got.step_weights) == (
             want.run, want.fired, want.emits, want.step_weights), choice
