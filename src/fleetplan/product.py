@@ -26,12 +26,13 @@ copy.  With positive weights the full product's Dijkstra keeps, as parent of a
 state ``c``, the ``(dist, state)`` least predecessor ``p`` with ``dist(p) + w(p, c) ==
 dist(c)``; witness walks are rebuilt by that local rule, so they are the walks a
 search over every product state finds.  State and edge counts sum over the
-connected components of unlabeled regions each compressed copy reaches.
+connected components of unlabeled regions each compressed copy reaches.  Both
+these and the hop tables belong to the robot's ``Wts``, shared by its products.
 
 Inside the product and its pruning a state ``(region, f)`` is the integer
 ``rank(region) * nfa.n_states + f``, ``rank`` being the region's position in name
-order.  The integers order like the tuples, and every search breaks ties by
-state key, so walks and costs are those of a tuple-keyed product.  Initial,
+order (``World.index``).  The integers order like the tuples, and every search
+breaks ties by state key, so walks and costs are those of a tuple-keyed product.  Initial,
 accepting and collaborative states, levels, choices and ``Strategy.run`` stay tuples.
 """
 
@@ -46,7 +47,7 @@ from .errors import FleetplanError, LevelDisconnected, NoAcceptingPath, Unreacha
 from .guards import Guard
 from .ltl import And, Atom, Eventually, Formula, Nfa
 from .mission import Occurrence
-from .world import Wts
+from .world import Hops, Wts
 
 State = Tuple[str, int]  # (region, automaton state)
 INF = float("inf")
@@ -77,19 +78,6 @@ def build_local_formula(phi_r: Formula, assigned: Sequence[Tuple[Occurrence, str
     return And(phi_r, chain)
 
 
-class Hops(NamedTuple):
-    """Clean hops from one origin region.  ``dist`` and ``parent``, indexed by
-    region rank, cover the origin and the unlabeled regions reached (INF and None
-    elsewhere); ``border`` and ``border_parent`` map the labeled regions reached
-    (the origin too when a path returns to it).  A parent is the first found, so
-    it is the ``(dist, rank)`` least predecessor on a shortest hop."""
-
-    dist: List[float]
-    parent: List[Optional[int]]
-    border: Dict[int, float]
-    border_parent: Dict[int, int]
-
-
 class Tree(NamedTuple):
     """One source's search: the distance of every settled node, and per compressed
     copy the ``(hops, dist)`` of its expanded nodes in settling order, from which
@@ -110,8 +98,6 @@ class ProductPa:
         self.assigned = tuple(assigned)
         self.collab_props = collab_props
         self._assigned_props = frozenset(p for _o, p in self.assigned)
-        self.regions: Tuple[str, ...] = tuple(sorted(wts.adjacency))
-        self._rank = {region: i for i, region in enumerate(self.regions)}
         self.initial: Tuple[State, ...] = ()
         self.accepting: frozenset = frozenset()
         self.entry_info: Dict[State, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
@@ -119,18 +105,9 @@ class ProductPa:
         n = nfa.n_states
         self._tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(n)]
         self._sources: Dict[FrozenSet[str], Dict[int, list]] = {}  # label: {f2: quiet f}
-        self._labels = tuple(wts.labels[r] for r in self.regions)
-        self._neighbours = tuple(tuple((self._rank[r2], w) for r2, w in wts.adjacency[r])
-                                 for r in self.regions)
-        self._start = self._rank[wts.initial]
-        # integer weights of one type: any order of summing them gives the same
-        # number, of the type a sum taken step by step has
-        weights = [w for out in self._neighbours for _r, w in out]
-        exact = len(set(map(type, weights))) <= 1 and all(float(w).is_integer() for w in weights)
-        self._compressed: List[Optional[bool]] = [None if exact else False] * n
+        self._compressed: List[Optional[bool]] = [None if wts.world.exact else False] * n
         # per compressed copy, the unlabeled ranks whose states are search nodes
         self._node_cells: Dict[int, Tuple[int, ...]] = {}
-        self._hop_tables: Dict[int, Hops] = {}
         self._outs: Dict[int, Tuple[Tuple[float, int], ...]] = {}
         self._copies: Tuple[int, ...] = ()
         self.n_states = self.n_edges = 0
@@ -189,42 +166,14 @@ class ProductPa:
                 len(moves) == 1 and moves[0][0] == f and not moves[0][1] and not moves[0][3])
         return compressed
 
-    def _components(self):
-        """Connected components of the unlabeled regions: the component of each
-        rank (None if labeled), and per component its ranks, its count of edges
-        between unlabeled regions, and its edge multiplicity into each labeled
-        neighbour."""
-        labels, neighbours = self._labels, self._neighbours
-        component: List[Optional[int]] = [None] * len(labels)
-        parts = []
-        for rank, label in enumerate(labels):
-            if label or component[rank] is not None:
-                continue
-            k = len(parts)
-            component[rank] = k
-            ranks, stack, inner, border = [], [rank], 0, {}
-            while stack:
-                x = stack.pop()
-                ranks.append(x)
-                for y, _w in neighbours[x]:
-                    if labels[y]:
-                        border[y] = border.get(y, 0) + 1
-                        continue
-                    inner += 1
-                    if component[y] is None:
-                        component[y] = k
-                        stack.append(y)
-            parts.append((ranks, inner, tuple(border.items())))
-        return component, parts
-
     def _build(self):
-        n, labels, neighbours = self.nfa.n_states, self._labels, self._neighbours
+        wts, n = self.wts, self.nfa.n_states
+        labels, neighbours, start_rank = wts.ranked_labels, wts.world.neighbours, wts.start_rank
         collab_sets: Dict[str, set] = {}
-        start = self.wts.initial
         initial_states = []
         for f0 in sorted(self.nfa.initial):
-            for f, fired, emit, props in self._table(f0, labels[self._start]):
-                state = (start, f)
+            for f, fired, emit, props in self._table(f0, labels[start_rank]):
+                state = (wts.initial, f)
                 if state not in self.entry_info:
                     initial_states.append(state)
                     self.entry_info[state] = (fired, emit)
@@ -232,7 +181,7 @@ class ProductPa:
                         collab_sets.setdefault(prop, set()).add(self.state_id(state))
         self.initial = tuple(sorted(initial_states))
         # reachability over single states and (component, compressed copy) blocks
-        component, parts = self._components()
+        component, parts = wts.components()
         states, blocks, copies = set(), set(), set()
         entered: Dict[int, set] = {}  # compressed copy: unlabeled ranks entered from another
         queue: deque = deque()
@@ -251,7 +200,7 @@ class ProductPa:
                     queue.append((None, block))
 
         for state in self.initial:
-            visit(self._start, state[1])
+            visit(start_rank, state[1])
         while queue:
             s, block = queue.popleft()
             if block is not None:  # every state of the component, in copy f
@@ -273,7 +222,7 @@ class ProductPa:
                         entered.setdefault(f2, set()).add(y)
                     visit(y, f2)
         self._copies = tuple(sorted(copies))
-        start_cell = set() if labels[self._start] else {self._start}
+        start_cell = set() if labels[start_rank] else {start_rank}
         self._node_cells = {f: tuple(sorted(start_cell | entered.get(f, set())))
                             for f in copies if self._compressed[f]}
         decode, accepting = self.state_of, self.nfa.accepting
@@ -288,14 +237,14 @@ class ProductPa:
         """Breadth-first walk of the reachable product, filling the move tables:
         ``(s, steps)`` per state in discovery order, one ``(base, weight, moves)``
         step per neighbour in name order, so the targets ``base + f2`` ascend."""
-        n, labels = self.nfa.n_states, self._labels
+        n, labels, neighbours = self.nfa.n_states, self.wts.ranked_labels, self.wts.world.neighbours
         queue = deque(map(self.state_id, self.initial))
         seen = set(queue)
         while queue:
             s = queue.popleft()
             rank, f = divmod(s, n)
             steps = []
-            for y, weight in self._neighbours[rank]:
+            for y, weight in neighbours[rank]:
                 moves = self._table(f, labels[y])
                 steps.append((y * n, weight, moves))
                 for move in moves:
@@ -307,47 +256,21 @@ class ProductPa:
 
     # -- clean-hop search ---------------------------------------------------
 
-    def _hops(self, origin: int) -> Hops:
-        """Clean hops from region rank ``origin``: a grid Dijkstra that reaches
-        labeled regions but expands only the origin and unlabeled ones."""
-        hops = self._hop_tables.get(origin)
-        if hops is None:
-            labels, neighbours = self._labels, self._neighbours
-            inner, parent = [INF] * len(labels), [None] * len(labels)
-            inner[origin], border, border_parent = 0, {}, {}
-            heap = [(0, origin)]
-            while heap:
-                d, x = heappop(heap)
-                if d > inner[x]:
-                    continue
-                for y, w in neighbours[x]:
-                    nd = d + w
-                    if labels[y]:
-                        if nd < border.get(y, INF):
-                            border[y] = nd
-                            border_parent[y] = x
-                    elif nd < inner[y]:
-                        inner[y] = nd
-                        parent[y] = x
-                        heappush(heap, (nd, y))
-            hops = self._hop_tables[origin] = Hops(inner, parent, border, border_parent)
-        return hops
-
     def _out(self, s: int) -> Tuple[Tuple[float, int], ...]:
         """``(hop, target)`` per non-firing hop out of node ``s``."""
         out = self._outs.get(s)
         if out is None:
-            n, labels, table = self.nfa.n_states, self._labels, self._table
+            n, wts, table = self.nfa.n_states, self.wts, self._table
             rank, f = divmod(s, n)
             if self._compressed[f]:
-                hops = self._hops(rank)
+                hops = wts.hops(rank)
                 steps = hops.border.items()
                 out = [(hops.dist[c], c * n + f) for c in self._node_cells[f]
                        if hops.dist[c] < INF and c != rank]
             else:
-                steps, out = self._neighbours[rank], []
+                steps, out = wts.world.neighbours[rank], []
             out += [(h, y * n + g) for y, h in steps
-                    for g, fired, _e, _p in table(f, labels[y]) if not fired]
+                    for g, fired, _e, _p in table(f, wts.ranked_labels[y]) if not fired]
             out = self._outs[s] = tuple(out)
         return out
 
@@ -370,7 +293,7 @@ class ProductPa:
                 return tree, s
             out = self._out(s)
             if compressed[f]:
-                tree.expanded.setdefault(f, []).append((self._hop_tables[rank], d))
+                tree.expanded.setdefault(f, []).append((self.wts.hop_tables[rank], d))
             for h, t in out:
                 nd = d + h
                 if nd < best.get(t, INF):
@@ -413,7 +336,7 @@ class ProductPa:
         from the expanded nodes of ``g`` whose hops reach ``s`` at its distance: every
         predecessor of ``s`` at ``dist(s) - w`` lies on such a hop.  When one node
         alone reaches an unlabeled region, the walk follows its hop parents back to it."""
-        n, labels, neighbours = self.nfa.n_states, self._labels, self._neighbours
+        n, labels, neighbours = self.nfa.n_states, self.wts.ranked_labels, self.wts.world.neighbours
         settled, expanded, compressed = tree.dist, tree.expanded, self._compressed
         path = [s]
         d = self.distance(tree, s)
@@ -452,26 +375,27 @@ class ProductPa:
     def firing_into(self, t: int, prop: str) -> List[Tuple[int, float]]:
         """``(u, w)`` per edge ``u -> t`` of a reached copy that fires ``prop``."""
         rank, f2 = divmod(t, self.nfa.n_states)
-        label = self._labels[rank]
+        label = self.wts.ranked_labels[rank]
         copies = [f for f in self._copies
                   if any(g == f2 and prop in fired for g, fired, _e, _p in self._table(f, label))]
-        return [(y * self.nfa.n_states + f, w) for y, w in self._neighbours[rank] for f in copies]
+        return [(y * self.nfa.n_states + f, w) for y, w in self.wts.world.neighbours[rank]
+                for f in copies]
 
     # -- queries ----------------------------------------------------------
 
     def state_id(self, state: State) -> int:
-        return self._rank[state[0]] * self.nfa.n_states + state[1]
+        return self.wts.world.rank[state[0]] * self.nfa.n_states + state[1]
 
     def state_of(self, sid: int) -> State:
         rank, f = divmod(sid, self.nfa.n_states)
-        return self.regions[rank], f
+        return self.wts.world.names[rank], f
 
     def step(self, a: int, b: int) -> Optional[Tuple[float, FrozenSet[str], FrozenSet[str]]]:
         """``(weight, fired, emit)`` of the product edge ``a -> b``, or None."""
         (ra, fa), (rb, fb) = divmod(a, self.nfa.n_states), divmod(b, self.nfa.n_states)
-        for y, weight in self._neighbours[ra]:
+        for y, weight in self.wts.world.neighbours[ra]:
             if y == rb:
-                for f2, fired, emit, _p in self._table(fa, self._labels[rb]):
+                for f2, fired, emit, _p in self._table(fa, self.wts.ranked_labels[rb]):
                     if f2 == fb:
                         return weight, fired, emit
                 break
@@ -665,10 +589,6 @@ class PrunedPa:
         if best is None:
             raise LevelDisconnected("no initial state reaches the accepting level")
         return self.best_chain_from(0, best[1])
-
-    def witness(self, li: int, a: State, b: State) -> Tuple[State, ...]:
-        """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``."""
-        return tuple(map(self.pa.state_of, self._path(li, a, b)))
 
     def _path(self, li: int, a: State, b: State) -> List[int]:
         _cost, u = self.edges[(li, a, b)]

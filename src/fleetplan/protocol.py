@@ -190,7 +190,7 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
     cycles = adjustments = 0
     if order:
         ideal_total = sum(tl.completion for tl in ctx.timelines.values())
-        min_edge = min(ctx.pruned[r].pa.wts.min_edge_weight() for r in ctx.pruned)
+        min_edge = min(ctx.pruned[r].pa.wts.world.min_weight for r in ctx.pruned)
         bound = int((history[0] - ideal_total) / min_edge) + 2
 
         robots = sorted(ctx.timelines)

@@ -143,12 +143,13 @@ class Scenario:
         return tuple(t for t in self.tasks if t.collaborative)
 
     def parsed_individual(self, robot: int) -> Formula:
-        return parse_formula(self.individual_formulas.get(robot, "true"))
+        return self._individual[robot]
 
     def parsed_collaborative(self) -> Formula:
-        return parse_formula(self.collaborative_formula)
+        return self._collaborative
 
     def validate(self):
+        """Check the scenario and keep the formula trees it parses."""
         regions = set(self.world.regions)
         props = set()
         for task in self.tasks:
@@ -164,20 +165,26 @@ class Scenario:
                     raise ScenarioError(
                         f"robot {task.owner} lacks capability {cap} for task {task.prop}")
         collab = {t.prop for t in self.tasks if t.collaborative}
-        used = atoms_of(self.parsed_collaborative())
+        self._collaborative = parse_formula(self.collaborative_formula)
+        used = atoms_of(self._collaborative)
         if not used <= collab:
             raise ScenarioError(
                 f"collaborative formula references unknown tasks {sorted(used - collab)}")
         strangers = sorted(set(self.individual_formulas) - set(self.fleet.robot_ids()))
         if strangers:
             raise ScenarioError(f"scenario key individualFormulas.{strangers[0]} is not a fleet robot")
+        self._individual: Dict[int, Formula] = {}
         for robot in self.fleet.robot_ids():
             mine = {t.prop for t in self.tasks if t.owner == robot}
-            used = atoms_of(self.parsed_individual(robot))
+            self._individual[robot] = parse_formula(self.individual_formulas.get(robot, "true"))
+            used = atoms_of(self._individual[robot])
             if not used <= mine:
                 raise ScenarioError(
                     f"robot {robot}'s formula references tasks it does not own: "
                     f"{sorted(used - mine)}")
+        for r in self.fleet.robots:
+            if r.start not in regions:
+                raise ScenarioError(f"robot {r.robot_id} starts on unknown region {r.start}")
 
     # -- serialization ------------------------------------------------------
 
@@ -222,10 +229,6 @@ class Scenario:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
 
     @staticmethod
     def from_json(data: Mapping) -> "Scenario":

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
 from .search import bfs
@@ -48,6 +49,20 @@ class World:
         reached, _parent = bfs(lambda r: [n for n, _w in adjacency[r]], self.regions[:1])
         if not self.regions or len(reached) != len(self.regions):
             raise ScenarioError("world graph is not connected")
+        self.rank: Optional[Dict[str, int]] = None
+
+    def index(self):
+        """Build once, at the first ``build_wts``, not at load: ``names`` in name order,
+        their ``rank``, rank-indexed ``(rank, weight)`` ``neighbours``, ``min_weight`` (inf
+        without edges), ``exact`` (integer weights of one type: any sum order agrees)."""
+        if self.rank is None:
+            self.names = names = tuple(sorted(self.adjacency))
+            self.rank = rank = {region: i for i, region in enumerate(names)}
+            self.neighbours = tuple(tuple((rank[r2], w) for r2, w in self.adjacency[r])
+                                    for r in names)
+            weights = self.weights.values()
+            self.exact = len(set(map(type, weights))) <= 1 and all(w == int(w) for w in weights)
+            self.min_weight = min(weights, default=math.inf)
 
     def edge_weight(self, a: str, b: str) -> float:
         if (a, b) in self.weights:
@@ -153,24 +168,97 @@ class TaskReq:
         return self.owner is None
 
 
+class Hops(NamedTuple):
+    """Clean hops from one origin region.  ``dist`` and ``parent``, indexed by
+    region rank, cover the origin and the unlabeled regions reached (inf and None
+    elsewhere); ``border`` and ``border_parent`` map the labeled regions reached
+    (the origin too when a path returns to it).  A parent is the first found, so
+    it is the ``(dist, rank)`` least predecessor on a shortest hop."""
+
+    dist: List[float]
+    parent: List[Optional[int]]
+    border: Dict[int, float]
+    border_parent: Dict[int, int]
+
+
 class Wts:
     """A robot's weighted transition system over the shared region graph.
 
     ``labels`` maps every region to its propositions, unlabeled ones to frozenset().
+    By region rank it has ``ranked_labels``, ``start_rank`` and, built on first request
+    and shared by every product of the robot, the unlabeled components and one
+    clean-hop table per origin (``hop_tables``).
     """
 
-    __slots__ = ("robot_id", "initial", "adjacency", "labels")
+    __slots__ = ("robot_id", "initial", "world", "labels", "ranked_labels", "start_rank",
+                 "_components", "hop_tables")
 
-    def __init__(self, robot_id: int, initial: str,
-                 adjacency: Mapping[str, Tuple[Tuple[str, float], ...]],
+    def __init__(self, robot_id: int, initial: str, world: World,
                  labels: Mapping[str, FrozenSet[str]]):
         self.robot_id = robot_id
         self.initial = initial
-        self.adjacency = adjacency
+        self.world = world
         self.labels = labels
+        self.ranked_labels = tuple(labels[r] for r in world.names)
+        self.start_rank = world.rank[initial]
+        self._components = None
+        self.hop_tables: Dict[int, Hops] = {}
 
-    def min_edge_weight(self) -> float:
-        return min(w for succs in self.adjacency.values() for _, w in succs)
+    def components(self):
+        """Connected components of the unlabeled regions: the component of each
+        rank (None if labeled), and per component its ranks, its count of edges
+        between unlabeled regions, and its edge multiplicity into each labeled
+        neighbour."""
+        if self._components is None:
+            labels, neighbours = self.ranked_labels, self.world.neighbours
+            component: List[Optional[int]] = [None] * len(labels)
+            parts = []
+            for rank, label in enumerate(labels):
+                if label or component[rank] is not None:
+                    continue
+                k = len(parts)
+                component[rank] = k
+                ranks, stack, inner, border = [], [rank], 0, {}
+                while stack:
+                    x = stack.pop()
+                    ranks.append(x)
+                    for y, _w in neighbours[x]:
+                        if labels[y]:
+                            border[y] = border.get(y, 0) + 1
+                            continue
+                        inner += 1
+                        if component[y] is None:
+                            component[y] = k
+                            stack.append(y)
+                parts.append((ranks, inner, tuple(border.items())))
+            self._components = component, parts
+        return self._components
+
+    def hops(self, origin: int) -> Hops:
+        """Clean hops from region rank ``origin``: a grid Dijkstra that reaches
+        labeled regions but expands only the origin and unlabeled ones."""
+        hops = self.hop_tables.get(origin)
+        if hops is None:
+            labels, neighbours = self.ranked_labels, self.world.neighbours
+            inner, parent = [math.inf] * len(labels), [None] * len(labels)
+            inner[origin], border, border_parent = 0, {}, {}
+            heap = [(0, origin)]
+            while heap:
+                d, x = heappop(heap)
+                if d > inner[x]:
+                    continue
+                for y, w in neighbours[x]:
+                    nd = d + w
+                    if labels[y]:
+                        if nd < border.get(y, math.inf):
+                            border[y] = nd
+                            border_parent[y] = x
+                    elif nd < inner[y]:
+                        inner[y] = nd
+                        parent[y] = x
+                        heappush(heap, (nd, y))
+            hops = self.hop_tables[origin] = Hops(inner, parent, border, border_parent)
+        return hops
 
 
 def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: int) -> Wts:
@@ -180,11 +268,10 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
     of every collaborative task it could contribute a required capability to.
     """
     robot = fleet.robot(robot_id)
-    if robot.start not in set(world.regions):
-        raise ScenarioError(f"robot {robot_id} starts on unknown region {robot.start}")
+    world.index()
     labels: Dict[str, set] = {}
     for task in tasks:
-        if task.region not in set(world.regions):
+        if task.region not in world.rank:
             raise ScenarioError(f"task {task.prop} placed on unknown region {task.region}")
         if task.collaborative:
             capable = any(robot_id in fleet.with_capability(c) for c in task.requirements)
@@ -194,4 +281,4 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
             labels.setdefault(task.region, set()).add(task.prop)
     empty = frozenset()
     frozen_labels = {r: frozenset(labels[r]) if r in labels else empty for r in world.regions}
-    return Wts(robot_id, robot.start, world.adjacency, frozen_labels)
+    return Wts(robot_id, robot.start, world, frozen_labels)

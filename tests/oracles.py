@@ -19,7 +19,8 @@ as a reference for the alphabet-local one on bit-packed cubes; of the
 translator it reuses only ``simplify``.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests,
 ``full_choice`` spells out an oracle choice's level states for the expansion
-checks, and ``dijkstra`` is the weighted search those references run.
+checks, ``witness`` decodes the product path behind a pruned edge, and
+``dijkstra`` is the weighted search those references run.
 """
 
 from __future__ import annotations
@@ -455,7 +456,7 @@ class ReferenceProductPa:
             state = queue.popleft()
             region, f = state
             out = []
-            for succ_region, weight in self.wts.adjacency[region]:
+            for succ_region, weight in self.wts.world.adjacency[region]:
                 base, optional = self._split_label(succ_region)
                 for f2 in nfa.successors(f):
                     guard = nfa.guard(f, f2)
@@ -686,7 +687,7 @@ def shortest_travel(wts: Wts, origin: str, destination: str) -> float:
     """Minimum travel duration between two regions; 0 when they coincide."""
     if origin == destination:
         return 0
-    dist, _ = dijkstra(wts.adjacency, [origin])
+    dist, _ = dijkstra(wts.world.adjacency, [origin])
     if destination not in dist:
         raise Unreachable(f"{destination} unreachable from {origin}")
     return dist[destination]
@@ -705,6 +706,11 @@ def element_of(mission: Mission, occ) -> Tuple[int, int]:
 def full_choice(choice: RobotChoice) -> List[State]:
     """A robot choice's level states, initial and accepting endpoints included."""
     return [choice.init_state, *choice.collab_states, choice.accept_state]
+
+
+def witness(pruned: PrunedPa, li: int, a: State, b: State) -> Tuple[State, ...]:
+    """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``."""
+    return tuple(map(pruned.pa.state_of, pruned._path(li, a, b)))
 
 
 def variable_names(model: MilpModel) -> Tuple[str, ...]:

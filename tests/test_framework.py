@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from fleetplan import framework
+from fleetplan import framework, scenario as scenario_module
 from fleetplan.cli import main as cli_main
 from fleetplan.errors import BudgetExceeded, InfeasibleMission, ScenarioError
 from fleetplan.framework import WALL_COLUMNS, run_framework, write_reports
@@ -73,7 +73,7 @@ def test_generate_parameter_error_states_the_allowed_ranges(params):
 def test_scenario_round_trip(tmp_path):
     sc = small_scenario()
     path = tmp_path / "scenario.json"
-    sc.save(path)
+    path.write_text(sc.dumps(), encoding="utf-8")
     loaded = Scenario.load(path)
     assert loaded.dumps() == sc.dumps()
 
@@ -84,6 +84,34 @@ def test_scenario_rejects_foreign_formula_atoms():
     data["collaborativeFormula"] = "F nosuch"
     with pytest.raises(ScenarioError):
         Scenario.from_json(data)
+
+
+def test_scenario_rejects_an_unknown_robot_start_at_load():
+    data = json.loads(small_scenario().dumps())
+    data["robots"][1]["start"] = "q9_9"
+    robot = data["robots"][1]["id"]
+    with pytest.raises(ScenarioError, match=f"robot {robot} starts on unknown region q9_9"):
+        Scenario.from_json(data)
+
+
+def test_one_region_world_plans_through_the_protocol():
+    # no edges, so the protocol's cycle bound divides by a least weight of inf
+    data = {"schemaVersion": 1, "world": {"grid": {"width": 1, "height": 1}},
+            "capabilities": ["c1"], "robots": [{"id": 0, "capabilities": ["c1"], "start": "q0_0"}],
+            "collaborativeTasks": [{"prop": "ct1", "region": "q0_0", "requirements": {"c1": 1}}],
+            "collaborativeFormula": "F ct1"}
+    report = run_framework(Scenario.from_json(data))
+    assert [row.status for row in report.rows] == ["evaluated"]
+
+
+def test_planning_parses_no_formula_after_load(monkeypatch):
+    sc = small_scenario()
+    calls = []
+    real = scenario_module.parse_formula
+    monkeypatch.setattr(scenario_module, "parse_formula",
+                        lambda text: calls.append(text) or real(text))
+    run_framework(sc)
+    assert calls == []
 
 
 def test_scenario_rejects_unknown_schema_version():
@@ -198,7 +226,7 @@ def test_framework_incumbent_is_minimum_over_rows():
 # collab=4, grid=(20, 20))``, default options), ``metrics.csv`` without its wall
 # columns and rewritten with "\n" line ends.  Recorded before the clean-hop
 # product search replaced the search over every product state; the digests are
-# the same under PYTHONHASHSEED 0, 1 and 12345.
+# the same under PYTHONHASHSEED 0, 1 and 12345, and CI runs this test under each.
 README_SCENARIO_DIGESTS = {
     "metrics.csv": "0d945e7f1900f8ca229afe1f3e3b2268e5410549311ad4c51a9fe9d06401d45f",
     "tcolla_series.csv": "7a6f599f1a14173b7c56b13fe76f11d11ddd57f378a227e44c93a7294a034d02",

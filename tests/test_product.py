@@ -31,6 +31,7 @@ from oracles import (
     path_through,
     plain_adjacency,
     random_formula,
+    witness,
 )
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -134,9 +135,9 @@ def test_pruned_edges_match_product_distances():
     pruned = prune_product(pa)
     # every edge weight equals its witness path weight in the product
     for (li, a, b), (weight, _u) in pruned.edges.items():
-        witness = pruned.witness(li, a, b)
-        assert witness[0] == a and witness[-1] == b
-        total = sum(pa.edge_info[(u, v)][0] for u, v in zip(witness, witness[1:]))
+        path = witness(pruned, li, a, b)
+        assert path[0] == a and path[-1] == b
+        total = sum(pa.edge_info[(u, v)][0] for u, v in zip(path, path[1:]))
         assert total == weight
 
 
@@ -270,18 +271,25 @@ def random_grid_products():
         yield trial, wts, nfa, assigned
 
 
+def assert_same_product(pa, trial=None):
+    """``pa`` equals the edge-by-edge reference in its states, edges, entry info,
+    collaborative and accepting states and counts.  Returns the reference."""
+    ref = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
+    assert pa.initial == ref.initial, trial
+    assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
+    assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
+    assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
+    assert pa.collab == ref.collab, trial
+    assert pa.accepting == ref.accepting, trial
+    assert (pa.n_states, pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
+    return ref
+
+
 def test_table_product_matches_edge_by_edge_reference():
     initial_self_loop = []  # per non-empty product
     for trial, wts, nfa, assigned in random_products():
         pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
-        ref = ReferenceProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
-        assert pa.initial == ref.initial, trial
-        assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
-        assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
-        assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
-        assert pa.collab == ref.collab, trial
-        assert pa.accepting == ref.accepting, trial
-        assert (pa.n_states, pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
+        assert_same_product(pa, trial)
         if pa.n_edges:
             initial_self_loop += [(f0, f0) in nfa.transitions for f0 in nfa.initial]
     assert len(initial_self_loop) >= 15
@@ -315,7 +323,7 @@ def assert_same_pruning(pa):
     assert list(pruned.edges) == kept
     for key, (weight, _u) in pruned.edges.items():
         assert weight == ref.edges[key][0], key
-        assert pruned.witness(*key) == ref.witness(*key), key
+        assert witness(pruned, *key) == ref.witness(*key), key
     choice = pruned.shortest_choice()
     assert choice == ref.shortest_choice()
     assert_same_expansions(pruned, ref)
@@ -354,18 +362,38 @@ def test_grid_products_match_the_reference_with_both_kinds_of_copy():
     pruned = []
     for trial, wts, nfa, assigned in random_grid_products():
         pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
-        ref = ReferenceProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
-        assert pa.initial == ref.initial, trial
-        assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
-        assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
-        assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
-        assert pa.collab == ref.collab, trial
-        assert pa.accepting == ref.accepting, trial
-        assert (pa.n_states, pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
+        ref = assert_same_product(pa, trial)
         kinds |= {pa._is_compressed(f) for _region, f in ref.adjacency}
         pruned.append(assert_same_pruning(pa))
     assert kinds == {True, False}
     assert pruned.count(True) >= 10 and False in pruned
+
+
+def hop_tables_searched(pruned):
+    """The hop tables that a pruning's searches expanded, by origin rank."""
+    return {hops.dist.index(0): hops for trees in pruned._trees for tree in trees.values()
+            for expanded in tree.expanded.values() for hops, _d in expanded}
+
+
+def test_products_over_one_transition_system_share_its_hop_tables():
+    """Two products of one robot's transition system, with different assigned
+    sets, each match the references, and the second searches the very hop table
+    the first built for every origin both search from."""
+    fleet = Fleet(("c1",), (Robot(0, frozenset({"c1"}), "q1_1"),))
+    tasks = [TaskReq("ts1", "q4_4", {"c1": 1}, owner=0), TaskReq("ct1", "q4_1", {"c1": 1}),
+             TaskReq("ct2", "q0_5", {"c1": 1})]
+    wts = build_wts(grid_world(6, 6), fleet, tasks, 0)
+    tables = []
+    for assigned in ([((1, 1), "ct1")], [((1, 1), "ct2"), ((2, 1), "ct1")]):
+        nfa = to_nfa(build_local_formula(parse_formula("F ts1"), assigned))
+        pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
+        assert_same_product(pa)
+        assert assert_same_pruning(pa)
+        tables.append(hop_tables_searched(prune_product(pa)))
+    first, second = tables
+    shared = first.keys() & second.keys()
+    assert shared
+    assert all(second[origin] is first[origin] for origin in shared)
 
 
 def test_pruning_keeps_no_search_graph_and_can_repeat():

@@ -23,7 +23,8 @@ print(" ".join(sorted(sys.modules)))
 
 def test_importing_the_planner_and_loading_a_scenario_loads_no_dataclasses(tmp_path):
     path = tmp_path / "sc.json"
-    generate(seed=3, robots=2, collab=2, grid=(5, 5), individual_per_robot=2).save(path)
+    path.write_text(generate(seed=3, robots=2, collab=2, grid=(5, 5),
+                             individual_per_robot=2).dumps(), encoding="utf-8")
     src = Path(__file__).resolve().parents[1] / "src"
     pythonpath = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", LOAD_AND_LIST_MODULES, str(path)],
