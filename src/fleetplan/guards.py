@@ -77,11 +77,14 @@ def guard_from_minterms(atoms: Sequence[str], minterms: Iterable[int]) -> Guard:
     if not minterms:
         return FALSE_GUARD
     n = len(atoms)
-    if len(minterms) == 1 << n:
-        return TRUE_GUARD
-    # Quine-McCluskey merge: implicants are (value, dontcare-mask) pairs.
-    current = {(m, 0) for m in minterms}
-    primes = set()
+    low, high = -1, 0
+    for m in minterms:
+        low &= m
+        high |= m
+    if len(minterms) == 1 << (low ^ high).bit_count():
+        current, primes = set(), {(low, low ^ high)}  # they fill one cube, its only prime
+    else:  # Quine-McCluskey merge: implicants are (value, dontcare-mask) pairs
+        current, primes = {(m, 0) for m in minterms}, set()
     while current:
         merged = set()
         used = set()
@@ -99,7 +102,11 @@ def guard_from_minterms(atoms: Sequence[str], minterms: Iterable[int]) -> Guard:
         current = merged
     cubes = []
     for value, dontcare in primes:
-        pos = frozenset(atoms[i] for i in range(n) if not (dontcare >> i) & 1 and (value >> i) & 1)
-        neg = frozenset(atoms[i] for i in range(n) if not (dontcare >> i) & 1 and not (value >> i) & 1)
-        cubes.append((pos, neg))
+        pos, neg = [], []
+        care = ((1 << n) - 1) & ~dontcare
+        while care:
+            bit = care & -care
+            (pos if value & bit else neg).append(atoms[bit.bit_length() - 1])
+            care ^= bit
+        cubes.append((frozenset(pos), frozenset(neg)))
     return Guard(tuple(sorted(cubes, key=_cube_key)))

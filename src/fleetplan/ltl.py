@@ -8,7 +8,8 @@ Formulas are translated to finite automata by syntactic progression: states
 are residual obligations, transitions are labeled by the label sets that
 rewrite one residual into another, and a state accepts when the empty
 remainder of the trace satisfies it.  Each residual is progressed only under
-the valuations of the atoms it mentions, and its guards are built over them.
+the valuations of the atoms it mentions, all at once as one labeling table,
+and its guards are built over them.
 The construction is deterministic and worst-case exponential in the formula
 size, hence the configurable state cap.
 
@@ -400,7 +401,9 @@ class Nfa:
 #
 # Each to_nfa call numbers its units with bits, atoms first in name order.  A
 # cube is an int pair (pos, neg) of unit bit sets, a label set an int over the
-# atom bits, and every table lives in the call's _Translator.
+# atom bits, and every table lives in the call's _Translator.  A conjunction's
+# minimized DNF is the set of minimal non-contradictory cubes of the full
+# product, so the order in which a table conjoins units cannot change it.
 # ---------------------------------------------------------------------------
 
 _DNF_TRUE = frozenset({(0, 0)})
@@ -425,23 +428,6 @@ def _dnf_minimize(cubes: set) -> frozenset:
     return frozenset(kept)
 
 
-def _dnf_and(a: frozenset, b: frozenset) -> frozenset:
-    if a == _DNF_TRUE or b == _DNF_TRUE:
-        return b if a == _DNF_TRUE else a
-    return _dnf_minimize({(pa | pb, na | nb) for pa, na in a for pb, nb in b})
-
-
-def _dnf_not(a: frozenset) -> frozenset:
-    # De Morgan: complement of a DNF is the product of complemented cubes.
-    result = _DNF_TRUE
-    for pos, neg in a:
-        complement = frozenset([(0, u) for u in _bits(pos)] + [(u, 0) for u in _bits(neg)])
-        result = _dnf_and(result, complement)
-        if not result:
-            return _DNF_FALSE
-    return result
-
-
 class _Translator:
     """The unit numbering and progression tables of one ``to_nfa`` call."""
 
@@ -450,10 +436,12 @@ class _Translator:
         self.bit = {Atom(a): 1 << i for i, a in enumerate(self.names)}
         self.atom_mask = (1 << len(self.names)) - 1
         self.scope = {b: b for b in self.bit.values()}  # unit bit -> bits of its atoms
-        # l U r steps to r, or to l and itself again; F r is true U r, G l has no r
-        self.rule: dict[int, tuple[frozenset, frozenset | None]] = {}
+        # l U r steps to r, or to l and itself again; F r is true U r, G l is l U false
+        self.rule: dict[int, tuple[frozenset, frozenset]] = {}
         self.always_mask = 0
-        self.progressed: dict[tuple[int, int], frozenset] = {}
+        self.progressed: dict[tuple[int, int], frozenset] = {}  # (unit, labels on its scope)
+        self.conjoined: dict[tuple[frozenset, frozenset], frozenset] = {}
+        self.negated: dict[frozenset, frozenset] = {}
         self.root = self.dnf(root)
 
     def dnf(self, f: Formula) -> frozenset:
@@ -462,11 +450,11 @@ class _Translator:
         if isinstance(f, FalseF):
             return _DNF_FALSE
         if isinstance(f, Not):
-            return _dnf_not(self.dnf(f.child))
+            return self.negate(self.dnf(f.child))
         if isinstance(f, And):
             out = _DNF_TRUE
             for c in f.children:
-                out = _dnf_and(out, self.dnf(c))
+                out = self.conjoin(out, self.dnf(c))
             return out
         if isinstance(f, Or):
             return _dnf_minimize({cube for c in f.children for cube in self.dnf(c)})
@@ -477,49 +465,96 @@ class _Translator:
             elif isinstance(f, Eventually):
                 rule = (_DNF_TRUE, self.dnf(f.child))
             elif isinstance(f, Always):
-                rule = (self.dnf(f.child), None)
+                rule = (self.dnf(f.child), _DNF_FALSE)
             else:
                 raise TypeError(f"not a formula: {f!r}")
             bit = self.bit[f] = 1 << len(self.bit)
             self.rule[bit] = rule
-            self.scope[bit] = sum(self.bit[Atom(a)] for a in atoms_of(f))
-            if rule[1] is None:
+            self.scope[bit] = self.scope_of(rule[0] | rule[1])
+            if isinstance(f, Always):
                 self.always_mask |= bit
         return frozenset({(bit, 0)})
 
-    def progress_unit(self, u: int, labels: int) -> frozenset:
-        key = (u, labels & self.scope[u])
-        out = self.progressed.get(key)
+    def scope_of(self, dnf: frozenset) -> int:
+        scope = 0
+        for pos, neg in dnf:
+            for u in _bits(pos | neg):
+                scope |= self.scope[u]
+        return scope
+
+    def conjoin(self, a: frozenset, b: frozenset) -> frozenset:
+        if a == _DNF_TRUE or b == _DNF_TRUE:
+            return b if a == _DNF_TRUE else a
+        out = self.conjoined.get((a, b))
         if out is None:
-            left, right = self.rule[u]
-            out = _dnf_and(self.progress(left, labels), frozenset({(u, 0)}))
-            if right is not None:
-                out = _dnf_minimize(self.progress(right, labels) | out)
-            self.progressed[key] = out
+            out = _dnf_minimize({(pa | pb, na | nb) for pa, na in a for pb, nb in b})
+            self.conjoined[(a, b)] = out
         return out
 
-    def progress(self, dnf: frozenset, labels: int) -> frozenset:
-        """The residual of ``dnf`` after one position labeled ``labels``."""
-        temporal = ~self.atom_mask
-        results = []
+    def negate(self, a: frozenset) -> frozenset:
+        # De Morgan: complement of a DNF is the product of complemented cubes.
+        out = self.negated.get(a)
+        if out is None:
+            out = _DNF_TRUE
+            for pos, neg in a:
+                if out:
+                    complement = [(0, u) for u in _bits(pos)] + [(u, 0) for u in _bits(neg)]
+                    out = self.conjoin(out, frozenset(complement))
+            self.negated[a] = out
+        return out
+
+    def unit(self, u: int, labels: int, negated: int = 0) -> frozenset:
+        """The residual of unit ``u``, or of its negation, after one position
+        labeled ``labels``."""
+        out = self.progressed.get((u, labels & self.scope[u]))
+        if out is None:
+            # a state's table asks for every labeling of the unit's scope: fill them all
+            atom_bits = list(_bits(self.scope[u]))
+            left, right = self.rule[u]
+            stay = frozenset({(u, 0)})
+            for l, lt, rt in zip(_labelings(atom_bits), self.table(left, atom_bits),
+                                 self.table(right, atom_bits)):
+                out = self.conjoin(lt, stay)
+                self.progressed[(u, l)] = _dnf_minimize(rt | out) if rt else out
+            out = self.progressed[(u, labels & self.scope[u])]
+        return self.negate(out) if negated else out
+
+    def table(self, dnf: frozenset, atom_bits: list[int]) -> list[frozenset]:
+        """The residuals of ``dnf`` after one position, under every labeling
+        of ``atom_bits`` (ascending, covering the dnf's scope) in mask order.
+
+        A cube's table doubles at each atom and conjoins each temporal unit,
+        once per row, at the atom that closes the unit's scope.
+        """
+        labelings = _labelings(atom_bits)
+        tables = []
         for pos, neg in dnf:
-            if pos & self.atom_mask & ~labels or neg & labels:
-                continue  # an atom literal is false at this position
-            cube = _DNF_TRUE
-            for u in _bits(pos & temporal):
-                cube = _dnf_and(cube, self.progress_unit(u, labels))
-                if not cube:
-                    break
-            if cube:
-                for u in _bits(neg & temporal):
-                    cube = _dnf_and(cube, _dnf_not(self.progress_unit(u, labels)))
-                    if not cube:
-                        break
-            if cube:
-                results.append(cube)
-        if len(results) < 2:
-            return results[0] if results else _DNF_FALSE
-        return _dnf_minimize(set().union(*results))
+            closing: dict[int, list[int]] = {}  # highest scope bit (0: none) -> units
+            for u in _bits((pos | neg) & ~self.atom_mask):
+                closing.setdefault(1 << self.scope[u].bit_length() >> 1, []).append(u)
+            rows = [_DNF_TRUE]
+            for b in [0, *atom_bits]:
+                if pos & b:
+                    rows = [_DNF_FALSE] * len(rows) + rows
+                elif neg & b:
+                    rows = rows + [_DNF_FALSE] * len(rows)
+                elif b:
+                    rows = rows + rows
+                for u in closing.get(b, ()):
+                    rows = [c and self.conjoin(c, self.unit(u, l, u & neg))
+                            for c, l in zip(rows, labelings)]
+            tables.append(rows)
+        if len(tables) < 2:
+            return tables[0] if tables else [_DNF_FALSE] * len(labelings)
+        return [_dnf_minimize(set().union(*column)) for column in zip(*tables)]
+
+
+def _labelings(atom_bits: list[int]) -> list[int]:
+    """Entry ``mask`` sets atom_bits[k] where mask sets bit k."""
+    labelings = [0]
+    for b in atom_bits:
+        labelings += [labels | b for labels in labelings]
+    return labelings
 
 
 DEFAULT_STATE_CAP = 20_000
@@ -542,17 +577,9 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
         i = index[state]
         if not state:  # unsatisfiable residual: dead state
             continue
-        scope = 0
-        for pos, neg in state:
-            for u in _bits(pos | neg):
-                scope |= translator.scope[u]
-        atom_bits = list(_bits(scope))
-        labelings = [0]  # labelings[mask] sets atom_bits[k] where mask sets bit k
-        for b in atom_bits:
-            labelings += [labels | b for labels in labelings]
+        atom_bits = list(_bits(translator.scope_of(state)))
         minterms: dict[int, set[int]] = {}
-        for mask, labels in enumerate(labelings):
-            target = translator.progress(state, labels)
+        for mask, target in enumerate(translator.table(state, atom_bits)):
             if not target:
                 continue
             if target not in index:

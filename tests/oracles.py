@@ -17,6 +17,8 @@ sum of ideal completions as a reference for the wait-aware bound, and
 over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
 translator it reuses only ``simplify``.
+``reference_primes`` finds a truth table's prime implicants by trying all 3^n
+cubes, as a judge of ``guard_from_minterms``.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests,
 ``full_choice`` spells out an oracle choice's level states for the expansion
 checks, ``witness`` decodes the product path behind a pruned edge, and
@@ -41,7 +43,7 @@ from fleetplan.errors import (
     StateLimitExceeded,
     Unreachable,
 )
-from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Cube, Guard, guard_from_minterms
+from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Cube, Guard, _cube_key, guard_from_minterms
 from fleetplan.ltl import (
     DEFAULT_STATE_CAP,
     And,
@@ -951,3 +953,25 @@ def guard_from_cubes(cubes: Iterable[Cube]) -> Guard:
             for extra in combinations(free, r):
                 minterms.add(base + sum(1 << atoms.index(a) for a in extra))
     return guard_from_minterms(atoms, minterms)
+
+
+def reference_primes(atoms: Sequence[str], minterms: Iterable[int]) -> Guard:
+    """The prime implicants of a truth table over ``atoms``, by exhaustion.
+
+    Every one of the 3^n cubes whose minterms all lie in the table is kept,
+    then the maximal ones, sorted as guards sort their cubes.
+    """
+    table = set(minterms)
+    n = len(atoms)
+    implicants = []  # (value, care) bit pairs
+    for signs in product((None, 1, 0), repeat=n):
+        care = sum(1 << i for i, s in enumerate(signs) if s is not None)
+        value = sum(1 << i for i, s in enumerate(signs) if s == 1)
+        if value in table and all(m in table for m in range(1 << n) if m & care == value):
+            implicants.append((value, care))
+    primes = [(value, care) for value, care in implicants
+              if not any(c != care and c & ~care == 0 and value & c == v for v, c in implicants)]
+    cubes = [(frozenset(a for i, a in enumerate(atoms) if (care & value) >> i & 1),
+              frozenset(a for i, a in enumerate(atoms) if (care & ~value) >> i & 1))
+             for value, care in primes]
+    return Guard(tuple(sorted(cubes, key=_cube_key)))

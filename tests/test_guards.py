@@ -1,11 +1,11 @@
 """Guard normalization: canonical minimal DNF properties."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
-from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Guard
+from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Guard, guard_from_minterms
 
-from oracles import guard_from_cubes
+from oracles import guard_from_cubes, reference_primes
 
 PROPS = ["p1", "p2", "p3", "p4", "p5", "p6"]
 
@@ -74,3 +74,30 @@ def test_minimal_witnesses_are_inclusion_minimal():
             smaller = witness - {prop}
             others = [w for w in guard.minimal_witnesses() if w != witness]
             assert not any(w <= smaller for w in [witness]), "witness not minimal"
+
+
+def test_prime_covers_equal_exhaustive_primes_on_every_table_up_to_three_atoms():
+    for n in range(1, 4):
+        for table in range(1 << (1 << n)):
+            minterms = [m for m in range(1 << n) if table >> m & 1]
+            assert guard_from_minterms(PROPS[:n], minterms) == reference_primes(PROPS[:n], minterms)
+
+
+def test_prime_covers_equal_exhaustive_primes_on_every_single_cube_table():
+    for n in range(4, 7):
+        full = (1 << n) - 1
+        for signs in product((None, 1, 0), repeat=n):
+            care = sum(1 << i for i, s in enumerate(signs) if s is not None)
+            value = sum(1 << i for i, s in enumerate(signs) if s == 1)
+            minterms = [m for m in range(full + 1) if m & care == value]
+            got = guard_from_minterms(PROPS[:n], minterms)
+            assert got == reference_primes(PROPS[:n], minterms) and len(got.cubes) == 1
+
+
+def test_prime_covers_equal_exhaustive_primes_on_random_tables():
+    rng = random.Random(4242)
+    for _ in range(300):
+        n = rng.randint(4, 6)
+        density = rng.choice((0.2, 0.5, 0.8))
+        minterms = [m for m in range(1 << n) if rng.random() < density]
+        assert guard_from_minterms(PROPS[:n], minterms) == reference_primes(PROPS[:n], minterms)

@@ -27,7 +27,7 @@ from fleetplan.ltl import (
     simplify,
     to_nfa,
 )
-from fleetplan.scenario import Scenario
+from fleetplan.scenario import Scenario, _collab_formula
 
 from oracles import (
     all_traces,
@@ -225,19 +225,34 @@ def test_no_translation_cache_outlives_a_call():
     assert table_sizes() == before
 
 
+def collab_formula(k, template="auto"):
+    return _collab_formula([f"ct{i}" for i in range(1, k + 1)], template)
+
+
+@pytest.mark.parametrize("template", ["auto", "plain"])
+@pytest.mark.parametrize("k", [4, 5, 6, 7])
+def test_translation_equals_reference_on_generated_collaborative_formulas(k, template):
+    """The collaborative formulas generate writes, at the sizes the planner
+    translates most: alloc-oracle's 6 tasks, and one more."""
+    assert_same_nfa(parse_formula(collab_formula(k, template)))
+
+
 @pytest.mark.parametrize("text", [
     "(a U b) & (b U c) & (c U a) & F (a & b) & F (b & c)",
     "F a & F b & F c & (!c U a)",
     "G (a | !b) & F (c & F d)",
+    pytest.param(collab_formula(7), id="generated k=7"),
 ])
 def test_state_cap_fires_at_the_same_state_as_reference(text):
+    """The cap one below the state count, and 40 where that is lower."""
     f = parse_formula(text)
-    cap = assert_same_nfa(f).n_states - 1
-    with pytest.raises(StateLimitExceeded) as got:
-        to_nfa(f, state_cap=cap)
-    with pytest.raises(StateLimitExceeded) as ref:
-        reference_to_nfa(f, state_cap=cap)
-    assert str(got.value) == str(ref.value)
+    n_states = assert_same_nfa(f).n_states
+    for cap in sorted({n_states - 1, min(40, n_states - 1)}):
+        with pytest.raises(StateLimitExceeded) as got:
+            to_nfa(f, state_cap=cap)
+        with pytest.raises(StateLimitExceeded) as ref:
+            reference_to_nfa(f, state_cap=cap)
+        assert str(got.value) == str(ref.value)
 
 
 def test_essential_sequence_unique_minimal_set():

@@ -1,5 +1,6 @@
 """The planner's record classes: what callers compare, hash and write, and a lean import."""
 
+import ast
 import csv
 import os
 import subprocess
@@ -34,6 +35,22 @@ def test_importing_the_planner_and_loading_a_scenario_loads_no_dataclasses(tmp_p
     modules = set(result.stdout.split())
     assert "fleetplan.scenario" in modules
     assert not modules & {"dataclasses", "inspect"}
+
+
+def test_the_planner_imports_only_the_standard_library():
+    package = Path(__file__).resolve().parents[1] / "src" / "fleetplan"
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"fleetplan"}]
+    assert not outside
 
 
 def test_guards_compare_and_hash_by_cubes():
