@@ -57,7 +57,6 @@ class Guard:
         return " | ".join(parts)
 
 
-TRUE_GUARD = Guard(((frozenset(), frozenset()),))
 FALSE_GUARD = Guard(())
 
 

@@ -31,7 +31,10 @@ from .guards import Guard, guard_from_minterms
 
 
 class Formula:
-    __slots__ = ("_hash",)
+    """A formula node.  Its hash and its printed text are computed once, on first
+    use, and kept on the node."""
+
+    __slots__ = ("_hash", "_text")
 
     def _parts(self):
         raise NotImplementedError
@@ -42,8 +45,7 @@ class Formula:
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
-            h = hash((type(self).__name__, self._parts()))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((type(self).__name__, self._parts()))
         return h
 
     def __repr__(self):
@@ -70,7 +72,7 @@ class Atom(Formula):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        self.name = name
 
     def _parts(self):
         return (self.name,)
@@ -80,7 +82,7 @@ class Not(Formula):
     __slots__ = ("child",)
 
     def __init__(self, child: Formula):
-        object.__setattr__(self, "child", child)
+        self.child = child
 
     def _parts(self):
         return (self.child,)
@@ -90,7 +92,7 @@ class And(Formula):
     __slots__ = ("children",)
 
     def __init__(self, *children: Formula):
-        object.__setattr__(self, "children", tuple(children))
+        self.children = tuple(children)
 
     def _parts(self):
         return self.children
@@ -100,7 +102,7 @@ class Or(Formula):
     __slots__ = ("children",)
 
     def __init__(self, *children: Formula):
-        object.__setattr__(self, "children", tuple(children))
+        self.children = tuple(children)
 
     def _parts(self):
         return self.children
@@ -110,7 +112,7 @@ class Eventually(Formula):
     __slots__ = ("child",)
 
     def __init__(self, child: Formula):
-        object.__setattr__(self, "child", child)
+        self.child = child
 
     def _parts(self):
         return (self.child,)
@@ -120,7 +122,7 @@ class Always(Formula):
     __slots__ = ("child",)
 
     def __init__(self, child: Formula):
-        object.__setattr__(self, "child", child)
+        self.child = child
 
     def _parts(self):
         return (self.child,)
@@ -130,8 +132,8 @@ class Until(Formula):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self.left = left
+        self.right = right
 
     def _parts(self):
         return (self.left, self.right)
@@ -245,8 +247,15 @@ _PREC = {Or: 1, And: 2, Until: 3, Not: 4, Eventually: 4, Always: 4, Atom: 5, Tru
 
 
 def format_formula(f: Formula) -> str:
-    """Pretty-print with minimal parentheses; re-parses to the same tree."""
+    """Pretty-print with minimal parentheses; re-parses to the same tree.  Each
+    node is printed once and keeps its text."""
+    text = getattr(f, "_text", None)
+    if text is None:
+        text = f._text = _print(f)
+    return text
 
+
+def _print(f: Formula) -> str:
     def wrap(child: Formula, parent_prec: int) -> str:
         s = format_formula(child)
         if _PREC[type(child)] < parent_prec:

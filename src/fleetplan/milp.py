@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .alloc import DEADLINE_EVERY, Assignment, check_deadline
 from .errors import BudgetExceeded, LevelDisconnected
 from .mission import Mission, Occurrence
-from .product import PrunedPa, State
+from .product import PrunedPa
 from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
 
 DEFAULT_COMBINATION_CAP = 10_000_000
@@ -28,7 +28,7 @@ class RobotChoice:
 
     __slots__ = ("collab_states", "init_state", "accept_state", "timeline")
 
-    def __init__(self, collab_states: Tuple[State, ...], init_state: State, accept_state: State,
+    def __init__(self, collab_states: Tuple[int, ...], init_state: int, accept_state: int,
                  timeline: Timeline):
         self.collab_states = collab_states
         self.init_state = init_state
@@ -168,8 +168,8 @@ class MilpModel:
         self.big_m = big_m
 
 
-def _state_index(pruned: PrunedPa) -> Dict[State, int]:
-    states: List[State] = []
+def _state_index(pruned: PrunedPa) -> Dict[int, int]:
+    states: List[int] = []
     seen = set()
     for level in pruned.levels:
         for s in level:
@@ -199,14 +199,14 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         index = _state_index(pruned)
         edges = sorted((key, w) for key, (w, _u) in pruned.edges.items())
 
-        def yname(a: State, b: State) -> str:
+        def yname(a: int, b: int) -> str:
             return f"y_{r}_{index[a]}_{index[b]}"
 
         for (_li, a, b), _w in edges:
             binaries.append(yname(a, b))
 
-        out_of: Dict[Tuple[int, State], List[Tuple[State, float]]] = {}
-        into: Dict[Tuple[int, State], List[Tuple[State, float]]] = {}
+        out_of: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
+        into: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
         for (li, a, b), w in edges:
             out_of.setdefault((li, a), []).append((b, w))
             into.setdefault((li + 1, b), []).append((a, w))

@@ -29,11 +29,13 @@ search over every product state finds.  State and edge counts sum over the
 connected components of unlabeled regions each compressed copy reaches.  Both
 these and the hop tables belong to the robot's ``Wts``, shared by its products.
 
-Inside the product and its pruning a state ``(region, f)`` is the integer
-``rank(region) * nfa.n_states + f``, ``rank`` being the region's position in name
-order (``World.index``).  The integers order like the tuples, and every search
-breaks ties by state key, so walks and costs are those of a tuple-keyed product.  Initial,
-accepting and collaborative states, levels, choices and ``Strategy.run`` stay tuples.
+A product state ``(region, f)`` is the integer id ``rank(region) * nfa.n_states + f``,
+``rank`` being the region's position in name order (``World.rank``).  Initial,
+accepting and collaborative states, levels, pruned edges, choices and
+``Strategy.run`` all hold ids; ``state_of`` decodes one for a message, and
+``Strategy.walk`` names the regions of a run.  The ids order like the tuples, and
+every search breaks ties by state, so walks and costs are those of a tuple-keyed
+product.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .ltl import And, Atom, Eventually, Formula, Nfa
 from .mission import Occurrence
 from .world import Hops, Wts
 
-State = Tuple[str, int]  # (region, automaton state)
 INF = float("inf")
 
 
@@ -98,10 +99,10 @@ class ProductPa:
         self.assigned = tuple(assigned)
         self.collab_props = collab_props
         self._assigned_props = frozenset(p for _o, p in self.assigned)
-        self.initial: Tuple[State, ...] = ()
-        self.accepting: frozenset = frozenset()
-        self.entry_info: Dict[State, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
-        self.collab: Dict[str, frozenset] = {}
+        self.initial: Tuple[int, ...] = ()
+        self.accepting: FrozenSet[int] = frozenset()
+        self.entry_info: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
+        self.collab: Dict[str, FrozenSet[int]] = {}
         n = nfa.n_states
         self._tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(n)]
         self._sources: Dict[FrozenSet[str], Dict[int, list]] = {}  # label: {f2: quiet f}
@@ -170,16 +171,14 @@ class ProductPa:
         wts, n = self.wts, self.nfa.n_states
         labels, neighbours, start_rank = wts.ranked_labels, wts.world.neighbours, wts.start_rank
         collab_sets: Dict[str, set] = {}
-        initial_states = []
         for f0 in sorted(self.nfa.initial):
             for f, fired, emit, props in self._table(f0, labels[start_rank]):
-                state = (wts.initial, f)
-                if state not in self.entry_info:
-                    initial_states.append(state)
-                    self.entry_info[state] = (fired, emit)
+                s = start_rank * n + f
+                if s not in self.entry_info:
+                    self.entry_info[s] = (fired, emit)
                     for prop in props:
-                        collab_sets.setdefault(prop, set()).add(self.state_id(state))
-        self.initial = tuple(sorted(initial_states))
+                        collab_sets.setdefault(prop, set()).add(s)
+        self.initial = tuple(sorted(self.entry_info))
         # reachability over single states and (component, compressed copy) blocks
         component, parts = wts.components()
         states, blocks, copies = set(), set(), set()
@@ -199,8 +198,8 @@ class ProductPa:
                     blocks.add(block)
                     queue.append((None, block))
 
-        for state in self.initial:
-            visit(start_rank, state[1])
+        for s in self.initial:
+            visit(start_rank, s % n)
         while queue:
             s, block = queue.popleft()
             if block is not None:  # every state of the component, in copy f
@@ -225,20 +224,19 @@ class ProductPa:
         start_cell = set() if labels[start_rank] else {start_rank}
         self._node_cells = {f: tuple(sorted(start_cell | entered.get(f, set())))
                             for f in copies if self._compressed[f]}
-        decode, accepting = self.state_of, self.nfa.accepting
+        accepting = self.nfa.accepting
         reached = [s for s in states if s % n in accepting]
         reached += [rank * n + block % n for block in blocks if block % n in accepting
                     for rank in parts[block // n][0]]
-        self.accepting = frozenset(map(decode, reached))
-        self.collab = {prop: frozenset(map(decode, collab_sets.get(prop, ())))
-                       for _occ, prop in self.assigned}
+        self.accepting = frozenset(reached)
+        self.collab = {prop: frozenset(collab_sets.get(prop, ())) for _occ, prop in self.assigned}
 
     def _walk(self):
         """Breadth-first walk of the reachable product, filling the move tables:
         ``(s, steps)`` per state in discovery order, one ``(base, weight, moves)``
         step per neighbour in name order, so the targets ``base + f2`` ascend."""
         n, labels, neighbours = self.nfa.n_states, self.wts.ranked_labels, self.wts.world.neighbours
-        queue = deque(map(self.state_id, self.initial))
+        queue = deque(self.initial)
         seen = set(queue)
         while queue:
             s = queue.popleft()
@@ -383,10 +381,7 @@ class ProductPa:
 
     # -- queries ----------------------------------------------------------
 
-    def state_id(self, state: State) -> int:
-        return self.wts.world.rank[state[0]] * self.nfa.n_states + state[1]
-
-    def state_of(self, sid: int) -> State:
+    def state_of(self, sid: int) -> Tuple[str, int]:
         rank, f = divmod(sid, self.nfa.n_states)
         return self.wts.world.names[rank], f
 
@@ -402,7 +397,7 @@ class ProductPa:
         return None
 
     @property
-    def adjacency(self) -> Mapping[State, tuple]:
+    def adjacency(self) -> Mapping[Tuple[str, int], tuple]:
         """``{state: ((target, weight, fired, emit), ...)}`` by target, re-walked from
         the move tables on each access (for tests and tracing)."""
         decode = self.state_of
@@ -412,7 +407,7 @@ class ProductPa:
             for s, steps in self._walk()})
 
     @property
-    def edge_info(self) -> Mapping[Tuple[State, State], tuple]:
+    def edge_info(self) -> Mapping[Tuple[Tuple[str, int], Tuple[str, int]], tuple]:
         """``{(a, b): (weight, fired, emit)}``, re-walked on each access."""
         return MappingProxyType({(s, t): (w, f, e) for s, out in self.adjacency.items()
                                  for t, w, f, e in out})
@@ -433,10 +428,10 @@ class Strategy:
     def __init__(self, pa: ProductPa, ids: Sequence[int]):
         self.pa = pa
         self.robot_id = pa.wts.robot_id
-        self.run = tuple(map(pa.state_of, ids))
+        self.run = tuple(ids)
         first = self.run[0]
         if first not in pa.entry_info:
-            raise FleetplanError(f"run does not start at an initial state: {first}")
+            raise FleetplanError(f"run does not start at an initial state: {pa.state_of(first)}")
         steps = []
         for a, b in zip(ids, ids[1:]):
             steps.append(pa.step(a, b))
@@ -446,7 +441,7 @@ class Strategy:
         self.fired = (fired0, *(fired for _w, fired, _e in steps))
         self.emits = (emit0, *(emit for _w, _f, emit in steps))
         self.step_weights = tuple(w for w, _f, _e in steps)
-        self.walk = tuple(region for region, _f in self.run)
+        self.walk = tuple(pa.state_of(s)[0] for s in self.run)
         self.collab_positions = self._locate_firings()
 
     def _locate_firings(self) -> Dict[Occurrence, int]:
@@ -484,15 +479,14 @@ class PrunedPa:
     def __init__(self, pa: ProductPa):
         self.pa = pa
         self.assigned = pa.assigned
-        self.levels: List[Tuple[State, ...]] = [tuple(sorted(pa.initial))]
-        for _occ, prop in pa.assigned:
-            self.levels.append(tuple(sorted(pa.collab[prop])))
-        self.levels.append(tuple(sorted(pa.accepting)))
-        self.edges: Dict[Tuple[int, State, State], Tuple[float, Optional[int]]] = {}
-        self._trees: List[Dict[State, Tree]] = []
-        self._expanded: Dict[Tuple[State, ...], Strategy] = {}
+        self.levels: List[Tuple[int, ...]] = [
+            pa.initial, *(tuple(sorted(pa.collab[prop])) for _occ, prop in pa.assigned),
+            tuple(sorted(pa.accepting))]
+        self.edges: Dict[Tuple[int, int, int], Tuple[float, Optional[int]]] = {}
+        self._trees: List[Dict[int, Tree]] = []
+        self._expanded: Dict[Tuple[int, ...], Strategy] = {}
         self._build_edges()
-        self._suffix: Dict[Tuple[int, State], Tuple[float, Optional[State]]] = {}
+        self._suffix: Dict[Tuple[int, int], Tuple[float, Optional[int]]] = {}
         self._build_suffix()
 
     def _build_edges(self):
@@ -512,14 +506,13 @@ class PrunedPa:
                     fired, _emit = pa.entry_info[state]
                     if prop in fired and state in targets:
                         self.edges[(0, state, state)] = (0, None)
-            firing_in = {} if is_final else {
-                t: pa.firing_into(pa.state_id(t), prop) for t in targets}
+            firing_in = {} if is_final else {t: pa.firing_into(t, prop) for t in targets}
             trees = {}
             for source in sources:
-                trees[source], tid = pa.search(pa.state_id(source), stop=is_final)
+                trees[source], t = pa.search(source, stop=is_final)
                 if is_final:  # one edge, to the (cost, state) least accepting state
-                    if tid is not None:
-                        self.edges[(li, source, pa.state_of(tid))] = (trees[source].dist[tid], tid)
+                    if t is not None:
+                        self.edges[(li, source, t)] = (trees[source].dist[t], t)
                     continue
                 for t, into in firing_in.items():
                     reached = ((pa.distance(trees[source], u), w, u) for u, w in into)
@@ -556,28 +549,29 @@ class PrunedPa:
 
     # -- queries ----------------------------------------------------------
 
-    def edge_weight(self, level: int, a: State, b: State) -> Optional[float]:
+    def edge_weight(self, level: int, a: int, b: int) -> Optional[float]:
         edge = self.edges.get((level, a, b))
         return None if edge is None else edge[0]
 
-    def suffix_cost(self, level: int, state: State) -> Optional[float]:
+    def suffix_cost(self, level: int, state: int) -> Optional[float]:
         entry = self._suffix.get((level, state))
         return None if entry is None else entry[0]
 
-    def best_chain_from(self, level: int, state: State) -> List[State]:
+    def best_chain_from(self, level: int, state: int) -> List[int]:
         """Cheapest continuation through the remaining levels (greedy by DP)."""
         chain = [state]
         li = level
         while True:
             entry = self._suffix.get((li, chain[-1]))
             if entry is None:
-                raise LevelDisconnected(f"state {chain[-1]} has no continuation")
+                raise LevelDisconnected(
+                    f"state {self.pa.state_of(chain[-1])} has no continuation")
             if entry[1] is None:
                 return chain
             chain.append(entry[1])
             li += 1
 
-    def shortest_choice(self) -> List[State]:
+    def shortest_choice(self) -> List[int]:
         """Level choice of minimal total weight, starting from the best initial state."""
         best = None
         for state in self.levels[0]:
@@ -590,16 +584,16 @@ class PrunedPa:
             raise LevelDisconnected("no initial state reaches the accepting level")
         return self.best_chain_from(0, best[1])
 
-    def _path(self, li: int, a: State, b: State) -> List[int]:
+    def _path(self, li: int, a: int, b: int) -> List[int]:
         _cost, u = self.edges[(li, a, b)]
         if u is None:
-            return [self.pa.state_id(a)]
+            return [a]
         path = self.pa.walk(self._trees[li][a], u)
         if li < len(self.levels) - 2:
-            path.append(self.pa.state_id(b))
+            path.append(b)
         return path
 
-    def expand(self, choice: Sequence[State]) -> Strategy:
+    def expand(self, choice: Sequence[int]) -> Strategy:
         """Expand a level choice into a concrete strategy via edge witnesses, once per
         choice: assignments sharing this product often settle on the same one."""
         key = tuple(choice)
@@ -607,10 +601,11 @@ class PrunedPa:
             if len(choice) != len(self.levels):
                 raise FleetplanError(
                     f"choice length {len(choice)} != level count {len(self.levels)}")
-            ids = [self.pa.state_id(choice[0])]
+            ids = [choice[0]]
             for li, (a, b) in enumerate(zip(choice, choice[1:])):
                 if (li, a, b) not in self.edges:
-                    raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
+                    raise Unreachable(f"missing pruned edge at level {li}: "
+                                      f"{self.pa.state_of(a)}->{self.pa.state_of(b)}")
                 ids.extend(self._path(li, a, b)[1:])
             self._expanded[key] = Strategy(self.pa, ids)
         return self._expanded[key]

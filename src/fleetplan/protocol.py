@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from .alloc import Assignment
 from .errors import LevelDisconnected, ProtocolStuck
 from .mission import Mission, Occurrence
-from .product import PrunedPa, State, Strategy
+from .product import PrunedPa, Strategy
 from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
 from .search import bfs, reconstruct
 
@@ -96,7 +96,7 @@ class ProtocolContext:
     """Shared planning state the agents operate on."""
 
     def __init__(self, mission: Mission, assignment: Assignment, pruned: Dict[int, PrunedPa],
-                 choices: Dict[int, List[State]], timelines: Dict[int, Timeline]):
+                 choices: Dict[int, List[int]], timelines: Dict[int, Timeline]):
         self.mission = mission
         self.assignment = assignment
         self.pruned = pruned

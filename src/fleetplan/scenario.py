@@ -150,13 +150,12 @@ class Scenario:
 
     def validate(self):
         """Check the scenario and keep the formula trees it parses."""
-        regions = set(self.world.regions)
         props = set()
         for task in self.tasks:
             if task.prop in props:
                 raise ScenarioError(f"duplicate task proposition {task.prop!r}")
             props.add(task.prop)
-            if task.region not in regions:
+            if task.region not in self.world.rank:
                 raise ScenarioError(f"task {task.prop} on unknown region {task.region}")
             if task.owner is not None:
                 owner = self.fleet.robot(task.owner)
@@ -183,7 +182,7 @@ class Scenario:
                     f"robot {robot}'s formula references tasks it does not own: "
                     f"{sorted(used - mine)}")
         for r in self.fleet.robots:
-            if r.start not in regions:
+            if r.start not in self.world.rank:
                 raise ScenarioError(f"robot {r.robot_id} starts on unknown region {r.start}")
 
     # -- serialization ------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from .alloc import Assignment
 from .errors import DeadlockDetected, NegativeObligationViolated
 from .mission import Mission, Occurrence
-from .product import PrunedPa, State, Strategy
+from .product import PrunedPa, Strategy
 
 
 class Timeline:
@@ -55,7 +55,7 @@ class CostReport:
                 == (other.task_times, other.delays, other.per_robot, other.total))
 
 
-def choice_timeline(pruned: PrunedPa, choice: Sequence[State]) -> Timeline:
+def choice_timeline(pruned: PrunedPa, choice: Sequence[int]) -> Timeline:
     """Ideal arrivals induced by a level choice (prefix sums of pruned edges)."""
     arrivals = {}
     total = 0.0

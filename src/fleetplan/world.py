@@ -13,8 +13,12 @@ from .search import bfs
 class World:
     """Shared region graph: regions and undirected weighted edges.
 
-    ``adjacency``, each region's sorted ``(neighbor, weight)`` pairs, is built
-    once, here, and shared by every robot's transition system.
+    Inside the planner a region is its ``rank``, its position in name order, and
+    names are read back from ``names`` only for output.  Built once, here, and
+    shared by every robot's transition system: ``neighbours``, each rank's sorted
+    ``(rank, weight)`` pairs; ``min_weight``, the least edge weight (inf without
+    edges); and ``exact``, whether the weights are integers of one type, so that
+    sums of them agree in any order.
     """
 
     def __init__(self, regions: Tuple[str, ...], edges: Tuple[Tuple[str, str], ...],
@@ -40,29 +44,19 @@ class World:
                 raise ScenarioError(f"weight key {key} names no edge")
             if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0 < w < math.inf:
                 raise ScenarioError(f"edge {key} has weight {w!r}; weights must be finite and > 0")
-        adjacency: Dict[str, list] = {r: [] for r in self.regions}
+        self.names = names = tuple(sorted(regions))
+        self.rank = rank = {region: i for i, region in enumerate(names)}
+        pairs: List[set] = [set() for _r in names]
         for a, b in self.edges:
             w = self.edge_weight(a, b)
-            adjacency[a].append((b, w))
-            adjacency[b].append((a, w))
-        self.adjacency = adjacency = {r: tuple(sorted(set(succs))) for r, succs in adjacency.items()}
-        reached, _parent = bfs(lambda r: [n for n, _w in adjacency[r]], self.regions[:1])
-        if not self.regions or len(reached) != len(self.regions):
+            pairs[rank[a]].add((rank[b], w))
+            pairs[rank[b]].add((rank[a], w))
+        self.neighbours = neighbours = tuple(tuple(sorted(p)) for p in pairs)
+        if not names or len(bfs(lambda x: [y for y, _w in neighbours[x]], [0])[0]) != len(names):
             raise ScenarioError("world graph is not connected")
-        self.rank: Optional[Dict[str, int]] = None
-
-    def index(self):
-        """Build once, at the first ``build_wts``, not at load: ``names`` in name order,
-        their ``rank``, rank-indexed ``(rank, weight)`` ``neighbours``, ``min_weight`` (inf
-        without edges), ``exact`` (integer weights of one type: any sum order agrees)."""
-        if self.rank is None:
-            self.names = names = tuple(sorted(self.adjacency))
-            self.rank = rank = {region: i for i, region in enumerate(names)}
-            self.neighbours = tuple(tuple((rank[r2], w) for r2, w in self.adjacency[r])
-                                    for r in names)
-            weights = self.weights.values()
-            self.exact = len(set(map(type, weights))) <= 1 and all(w == int(w) for w in weights)
-            self.min_weight = min(weights, default=math.inf)
+        weights = self.weights.values()
+        self.exact = len(set(map(type, weights))) <= 1 and all(w == int(w) for w in weights)
+        self.min_weight = min(weights, default=math.inf)
 
     def edge_weight(self, a: str, b: str) -> float:
         if (a, b) in self.weights:
@@ -184,23 +178,20 @@ class Hops(NamedTuple):
 class Wts:
     """A robot's weighted transition system over the shared region graph.
 
-    ``labels`` maps every region to its propositions, unlabeled ones to frozenset().
-    By region rank it has ``ranked_labels``, ``start_rank`` and, built on first request
-    and shared by every product of the robot, the unlabeled components and one
-    clean-hop table per origin (``hop_tables``).
+    By region rank it has ``ranked_labels`` (frozenset() on unlabeled regions),
+    ``start_rank`` and, built on first request and shared by every product of the
+    robot, the unlabeled components and one clean-hop table per origin
+    (``hop_tables``).
     """
 
-    __slots__ = ("robot_id", "initial", "world", "labels", "ranked_labels", "start_rank",
-                 "_components", "hop_tables")
+    __slots__ = ("robot_id", "world", "ranked_labels", "start_rank", "_components", "hop_tables")
 
-    def __init__(self, robot_id: int, initial: str, world: World,
-                 labels: Mapping[str, FrozenSet[str]]):
+    def __init__(self, robot_id: int, world: World, ranked_labels: Tuple[FrozenSet[str], ...],
+                 start_rank: int):
         self.robot_id = robot_id
-        self.initial = initial
         self.world = world
-        self.labels = labels
-        self.ranked_labels = tuple(labels[r] for r in world.names)
-        self.start_rank = world.rank[initial]
+        self.ranked_labels = ranked_labels
+        self.start_rank = start_rank
         self._components = None
         self.hop_tables: Dict[int, Hops] = {}
 
@@ -268,17 +259,18 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
     of every collaborative task it could contribute a required capability to.
     """
     robot = fleet.robot(robot_id)
-    world.index()
-    labels: Dict[str, set] = {}
+    labels: Dict[int, set] = {}
     for task in tasks:
-        if task.region not in world.rank:
+        rank = world.rank.get(task.region)
+        if rank is None:
             raise ScenarioError(f"task {task.prop} placed on unknown region {task.region}")
         if task.collaborative:
             capable = any(robot_id in fleet.with_capability(c) for c in task.requirements)
             if capable:
-                labels.setdefault(task.region, set()).add(task.prop)
+                labels.setdefault(rank, set()).add(task.prop)
         elif task.owner == robot_id:
-            labels.setdefault(task.region, set()).add(task.prop)
+            labels.setdefault(rank, set()).add(task.prop)
     empty = frozenset()
-    frozen_labels = {r: frozenset(labels[r]) if r in labels else empty for r in world.regions}
-    return Wts(robot_id, robot.start, world, frozen_labels)
+    ranked_labels = tuple(frozenset(labels[i]) if i in labels else empty
+                          for i in range(len(world.names)))
+    return Wts(robot_id, world, ranked_labels, world.rank[robot.start])

@@ -19,10 +19,13 @@ as a reference for the alphabet-local one on bit-packed cubes; of the
 translator it reuses only ``simplify``.
 ``reference_primes`` finds a truth table's prime implicants by trying all 3^n
 cubes, as a judge of ``guard_from_minterms``.
-``guard_from_cubes`` normalizes hand-written cube lists for the guard tests,
-``full_choice`` spells out an oracle choice's level states for the expansion
-checks, ``witness`` decodes the product path behind a pruned edge, and
-``dijkstra`` is the weighted search those references run.
+``guard_from_cubes`` normalizes hand-written cube lists for the guard tests
+(``TRUE_GUARD`` is its tautology), ``full_choice`` spells out an oracle
+choice's level states for the expansion checks, ``witness`` decodes the
+product path behind a pruned edge, and ``dijkstra`` is the weighted search
+those references run.  The references key product states by ``(region, f)``
+and regions by name (``world_adjacency``), where the planner uses integer ids
+and ranks; ``state_id`` and ``decoded`` translate between the two.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fleetplan.errors import (
     StateLimitExceeded,
     Unreachable,
 )
-from fleetplan.guards import FALSE_GUARD, TRUE_GUARD, Cube, Guard, _cube_key, guard_from_minterms
+from fleetplan.guards import FALSE_GUARD, Cube, Guard, _cube_key, guard_from_minterms
 from fleetplan.ltl import (
     DEFAULT_STATE_CAP,
     And,
@@ -70,10 +73,12 @@ from fleetplan.milp import (
     enumerate_robot_choices,
 )
 from fleetplan.mission import Mission
-from fleetplan.product import ProductPa, PrunedPa, State, Strategy
+from fleetplan.product import ProductPa, PrunedPa, Strategy
 from fleetplan.schedule import CostReport, Timeline, compute_time_cost
 from fleetplan.search import reconstruct
-from fleetplan.world import Wts
+from fleetplan.world import World, Wts
+
+State = Tuple[str, int]  # a reference product state: (region name, automaton state)
 
 
 def eval_trace(f: Formula, trace) -> bool:
@@ -362,12 +367,32 @@ def _dpll_search(clauses, atleasts, assign) -> Optional[list]:
 # ---------------------------------------------------------------------------
 
 
+def state_id(pa: ProductPa, state: State) -> int:
+    """The id of ``pa`` for a reference state ``(region, f)``; ``decoded`` is the inverse."""
+    return pa.wts.world.rank[state[0]] * pa.nfa.n_states + state[1]
+
+
+def decoded(pa: ProductPa, ids: Iterable[int]) -> Tuple[State, ...]:
+    """Ids of ``pa`` as the references' ``(region, f)`` states, in the given order."""
+    return tuple(map(pa.state_of, ids))
+
+
+def world_adjacency(world: World) -> Dict[str, Tuple[Tuple[str, float], ...]]:
+    """Each region's sorted ``(neighbour, weight)`` pairs, by name, from the edge list."""
+    adjacency = {region: set() for region in world.regions}
+    for a, b in world.edges:
+        w = world.edge_weight(a, b)
+        adjacency[a].add((b, w))
+        adjacency[b].add((a, w))
+    return {region: tuple(sorted(pairs)) for region, pairs in adjacency.items()}
+
+
 def plain_adjacency(pa: ProductPa) -> Dict[State, Tuple[Tuple[State, float], ...]]:
     """The product's edges with their weights only."""
     return {s: tuple((t, w) for t, w, _f, _e in edges) for s, edges in pa.adjacency.items()}
 
 
-def choice_weight(pruned: PrunedPa, choice: Sequence[State]) -> float:
+def choice_weight(pruned: PrunedPa, choice: Sequence[int]) -> float:
     """Sum of the pruned edge weights along a level choice."""
     total = 0.0
     for li, (a, b) in enumerate(zip(choice, choice[1:])):
@@ -386,7 +411,7 @@ def compute_timeline(strategy: Strategy) -> Timeline:
     return Timeline(strategy.robot_id, arrivals, strategy.weight)
 
 
-def initial_strategy(pruned: PrunedPa) -> Tuple[List[State], Strategy]:
+def initial_strategy(pruned: PrunedPa) -> Tuple[List[int], Strategy]:
     """The shortest level choice and its expanded strategy."""
     choice = pruned.shortest_choice()
     return choice, pruned.expand(choice)
@@ -397,17 +422,18 @@ def initial_run(pa: ProductPa) -> Strategy:
     if not pa.accepting:
         raise NoAcceptingPath(f"robot {pa.wts.robot_id}: empty accepting set")
     try:
-        _cost, path = shortest_path(plain_adjacency(pa), pa.initial, pa.accepting)
+        _cost, path = shortest_path(plain_adjacency(pa), decoded(pa, pa.initial),
+                                    decoded(pa, pa.accepting))
     except Unreachable as exc:
         raise NoAcceptingPath(str(exc)) from None
-    return Strategy(pa, [pa.state_id(s) for s in path])
+    return Strategy(pa, [state_id(pa, s) for s in path])
 
 
 def path_through(pa: ProductPa, anchor: State, via: State) -> List[State]:
     """Shortest run suffix from ``anchor`` through ``via`` to an accepting state."""
     adjacency = plain_adjacency(pa)
     _c1, leg1 = shortest_path(adjacency, [anchor], [via])
-    _c2, leg2 = shortest_path(adjacency, [via], pa.accepting)
+    _c2, leg2 = shortest_path(adjacency, [via], decoded(pa, pa.accepting))
     return leg1 + leg2[1:]
 
 
@@ -425,16 +451,18 @@ class ReferenceProductPa:
         self._assigned_props = frozenset(p for _o, p in self.assigned)
         self.entry_info: Dict[State, tuple] = {}
         self.edge_info: Dict[Tuple[State, State], tuple] = {}
+        self.labels = dict(zip(wts.world.names, wts.ranked_labels))
         self._build()
 
     def _split_label(self, region: str):
-        label = self.wts.labels[region]
+        label = self.labels[region]
         return label - self.collab_props, label & self._assigned_props
 
     def _build(self):
         self._collab_sets = {}
         nfa = self.nfa
-        start = self.wts.initial
+        start = self.wts.world.names[self.wts.start_rank]
+        neighbours = world_adjacency(self.wts.world)
         base0, optional0 = self._split_label(start)
         initial_states = []
         for f0 in sorted(nfa.initial):
@@ -458,7 +486,7 @@ class ReferenceProductPa:
             state = queue.popleft()
             region, f = state
             out = []
-            for succ_region, weight in self.wts.world.adjacency[region]:
+            for succ_region, weight in neighbours[region]:
                 base, optional = self._split_label(succ_region)
                 for f2 in nfa.successors(f):
                     guard = nfa.guard(f, f2)
@@ -488,7 +516,7 @@ class ReferenceProductPa:
         if not witnesses:
             return
         required = frozenset.intersection(*witnesses)
-        region_label = self.wts.labels[state[0]]
+        region_label = self.labels[state[0]]
         for _occ, prop in self.assigned:
             if prop in required and prop in region_label:
                 self._collab_sets.setdefault(prop, set()).add(state)
@@ -506,10 +534,10 @@ class ReferencePrunedPa:
     def __init__(self, pa: ProductPa):
         self.pa = pa
         self.assigned = pa.assigned
-        self.levels: List[Tuple[State, ...]] = [tuple(sorted(pa.initial))]
+        self.levels: List[Tuple[State, ...]] = [tuple(sorted(decoded(pa, pa.initial)))]
         for _occ, prop in pa.assigned:
-            self.levels.append(tuple(sorted(pa.collab[prop])))
-        self.levels.append(tuple(sorted(pa.accepting)))
+            self.levels.append(tuple(sorted(decoded(pa, pa.collab[prop]))))
+        self.levels.append(tuple(sorted(decoded(pa, pa.accepting))))
         self.edges: Dict[Tuple[int, State, State], Tuple[float, Tuple[State, ...]]] = {}
         self._build_edges()
         self._suffix: Dict[Tuple[int, State], Tuple[float, Optional[State]]] = {}
@@ -531,7 +559,7 @@ class ReferencePrunedPa:
             # collaborative entry firings connect a state to itself across levels
             if li == 0 and not is_final:
                 for state in sources:
-                    fired, _emit = pa.entry_info[state]
+                    fired, _emit = pa.entry_info[state_id(pa, state)]
                     if prop in fired and state in targets:
                         self.edges[(0, state, state)] = (0, (state,))
             firing_in: Dict[State, list] = {}
@@ -631,7 +659,7 @@ class ReferencePrunedPa:
             if edge is None:
                 raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
             run.extend(edge[1][1:])
-        return Strategy(self.pa, [self.pa.state_id(s) for s in run])
+        return Strategy(self.pa, [state_id(self.pa, s) for s in run])
 
     def size_stats(self) -> Dict[str, int]:
         return {
@@ -689,7 +717,7 @@ def shortest_travel(wts: Wts, origin: str, destination: str) -> float:
     """Minimum travel duration between two regions; 0 when they coincide."""
     if origin == destination:
         return 0
-    dist, _ = dijkstra(wts.world.adjacency, [origin])
+    dist, _ = dijkstra(world_adjacency(wts.world), [origin])
     if destination not in dist:
         raise Unreachable(f"{destination} unreachable from {origin}")
     return dist[destination]
@@ -705,14 +733,14 @@ def element_of(mission: Mission, occ) -> Tuple[int, int]:
     return next(elem for elem in mission.elements() if occ in mission.element_occurrences(elem))
 
 
-def full_choice(choice: RobotChoice) -> List[State]:
+def full_choice(choice: RobotChoice) -> List[int]:
     """A robot choice's level states, initial and accepting endpoints included."""
     return [choice.init_state, *choice.collab_states, choice.accept_state]
 
 
-def witness(pruned: PrunedPa, li: int, a: State, b: State) -> Tuple[State, ...]:
-    """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``."""
-    return tuple(map(pruned.pa.state_of, pruned._path(li, a, b)))
+def witness(pruned: PrunedPa, li: int, a: int, b: int) -> Tuple[State, ...]:
+    """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``, decoded."""
+    return decoded(pruned.pa, pruned._path(li, a, b))
 
 
 def variable_names(model: MilpModel) -> Tuple[str, ...]:
@@ -931,6 +959,9 @@ def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
     }
     accepting = frozenset(i for s, i in index.items() if _dnf_eval_empty(s))
     return Nfa(len(order), frozenset((0,)), accepting, transitions)
+
+
+TRUE_GUARD = Guard(((frozenset(), frozenset()),))
 
 
 def guard_from_cubes(cubes: Iterable[Cube]) -> Guard:

@@ -18,6 +18,7 @@ from fleetplan import framework, scenario as scenario_module
 from fleetplan.cli import main as cli_main
 from fleetplan.errors import BudgetExceeded, InfeasibleMission, ScenarioError
 from fleetplan.framework import WALL_COLUMNS, run_framework, write_reports
+from fleetplan.milp import build_milp, emit_lp
 from fleetplan.scenario import Scenario, generate
 
 
@@ -227,6 +228,9 @@ def test_framework_incumbent_is_minimum_over_rows():
 # columns and rewritten with "\n" line ends.  Recorded before the clean-hop
 # product search replaced the search over every product state; the digests are
 # the same under PYTHONHASHSEED 0, 1 and 12345, and CI runs this test under each.
+# The LP text of the incumbent assignment is pinned too: its column order is the
+# one output that follows the order of product states.
+README_SCENARIO_LP_DIGEST = "04525ca60dfcb1a3467a5c47b448202944b856f9fcc2eba9c8cbed149bd18124"
 README_SCENARIO_DIGESTS = {
     "metrics.csv": "0d945e7f1900f8ca229afe1f3e3b2268e5410549311ad4c51a9fe9d06401d45f",
     "tcolla_series.csv": "7a6f599f1a14173b7c56b13fe76f11d11ddd57f378a227e44c93a7294a034d02",
@@ -236,7 +240,11 @@ README_SCENARIO_DIGESTS = {
 
 
 def test_readme_scenario_reports_match_the_recorded_digests(tmp_path):
-    write_reports(run_framework(generate(seed=7, robots=5, collab=4, grid=(20, 20))), tmp_path)
+    report = run_framework(generate(seed=7, robots=5, collab=4, grid=(20, 20)))
+    write_reports(report, tmp_path)
+    plan = report.incumbent
+    lp = emit_lp(build_milp(plan.pruned_map, report.mission, plan.assignment))
+    assert hashlib.sha256(lp.encode()).hexdigest() == README_SCENARIO_LP_DIGEST
     digests = {}
     for name in README_SCENARIO_DIGESTS:
         data = (tmp_path / name).read_bytes()

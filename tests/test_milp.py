@@ -18,7 +18,7 @@ from fleetplan.protocol import ProtocolContext, run_protocol
 from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import ReferencePrunedPa, full_choice, reference_solve_exact, variable_names
+from oracles import ReferencePrunedPa, full_choice, reference_solve_exact, state_id, variable_names
 
 
 def build_instance(width, height, ct_regions, starts, individual=None, formulas=None):
@@ -319,7 +319,7 @@ def test_emitted_model_has_one_final_column_per_final_source():
         columns = rows[f"snk_{r}"][0]
         assert set(columns) <= binaries
         assert sorted(int(name.split("_")[2]) for name in columns) == sorted(
-            {index[a] for _li, a, _b in ref_edges})
+            {index[state_id(p.pa, a)] for _li, a, _b in ref_edges})
         assert len(columns) < len(ref_edges)
 
 

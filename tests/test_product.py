@@ -25,12 +25,14 @@ from oracles import (
     ReferencePrunedPa,
     bellman_ford,
     choice_weight,
+    decoded,
     full_choice,
     initial_run,
     initial_strategy,
     path_through,
     plain_adjacency,
     random_formula,
+    state_id,
     witness,
 )
 
@@ -87,7 +89,7 @@ def test_through_route_is_not_collaborative():
     pa, _ = synth(wts, "F ts1", [((1, 1), "ct1")], ("ct1",))
     collab = pa.collab["ct1"]
     assert collab
-    assert all(region == "q2_0" for region, _f in collab)
+    assert all(region == "q2_0" for region, _f in decoded(pa, collab))
     strategy = initial_run(pa)
     # firing position is a collaborative state even though the walk passes q2_0 once
     pos = strategy.collab_positions[(1, 1)]
@@ -136,9 +138,32 @@ def test_pruned_edges_match_product_distances():
     # every edge weight equals its witness path weight in the product
     for (li, a, b), (weight, _u) in pruned.edges.items():
         path = witness(pruned, li, a, b)
-        assert path[0] == a and path[-1] == b
+        assert path[0] == pa.state_of(a) and path[-1] == pa.state_of(b)
         total = sum(pa.edge_info[(u, v)][0] for u, v in zip(path, path[1:]))
         assert total == weight
+
+
+def test_product_and_pruning_hold_state_ids_that_decode_to_the_reference_states():
+    """Initial, accepting and collaborative states, levels, pruned edges, the
+    shortest choice and a strategy's run are integer ids; ``state_of`` maps them
+    onto the tuple states of the references, and ``walk`` names their regions."""
+    wts = corridor_setup(
+        6, tasks=[("ct1", "q2_0"), ("ct2", "q4_0")], collab_props=("ct1", "ct2"))
+    pa, _ = synth(wts, "true", [((1, 1), "ct1"), ((1, 2), "ct2")], ("ct1", "ct2"))
+    pruned = prune_product(pa)
+    ref = ReferencePrunedPa(pa)
+    choice = pruned.shortest_choice()
+    strategy = pruned.expand(choice)
+    ids = [*pa.initial, *pa.accepting, *pa.entry_info, *pa.collab["ct1"], *pa.collab["ct2"],
+           *(s for level in pruned.levels for s in level),
+           *(s for _li, a, b in pruned.edges for s in (a, b)), *choice, *strategy.run]
+    assert all(type(s) is int for s in ids)
+    assert all(state_id(pa, pa.state_of(s)) == s for s in ids)
+    assert [decoded(pa, level) for level in pruned.levels] == ref.levels
+    assert list(decoded(pa, choice)) == ref.shortest_choice()
+    assert strategy.run == ref.expand(ref.shortest_choice()).run
+    assert decoded(pa, strategy.run)[0] == ("q0_0", strategy.run[0] % pa.nfa.n_states)
+    assert strategy.walk == ("q0_0", "q1_0", "q2_0", "q3_0", "q4_0")
 
 
 def test_pruned_expansion_reproduces_weight_and_acceptance():
@@ -170,8 +195,7 @@ def test_path_through_consistency_and_triangle():
         6, tasks=[("ct1", "q2_0")], collab_props=("ct1",))
     pa, _ = synth(wts, "true", [((1, 1), "ct1")], ("ct1",))
     strategy = initial_run(pa)
-    anchor = strategy.run[0]
-    via = strategy.run[strategy.collab_positions[(1, 1)]]
+    anchor, via = decoded(pa, [strategy.run[0], strategy.run[strategy.collab_positions[(1, 1)]]])
     suffix = path_through(pa, anchor, via)
     direct = initial_run(pa)
     weight = sum(pa.edge_info[(a, b)][0] for a, b in zip(suffix, suffix[1:]))
@@ -202,11 +226,11 @@ def test_path_through_matches_two_leg_oracle():
                 break
         return min(dist.get(d, float("inf")) for d in dsts)
 
-    anchor = sorted(pa.initial)[0]
-    for via in sorted(pa.collab["ct1"]):
+    anchor = pa.state_of(min(pa.initial))
+    for via in decoded(pa, sorted(pa.collab["ct1"])):
         suffix = path_through(pa, anchor, via)
         weight = sum(pa.edge_info[(a, b)][0] for a, b in zip(suffix, suffix[1:]))
-        expected = oracle_dist(anchor, [via]) + oracle_dist(via, pa.accepting)
+        expected = oracle_dist(anchor, [via]) + oracle_dist(via, decoded(pa, pa.accepting))
         assert weight == expected
 
 
@@ -275,12 +299,13 @@ def assert_same_product(pa, trial=None):
     """``pa`` equals the edge-by-edge reference in its states, edges, entry info,
     collaborative and accepting states and counts.  Returns the reference."""
     ref = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
-    assert pa.initial == ref.initial, trial
+    assert decoded(pa, pa.initial) == ref.initial, trial
     assert list(pa.adjacency.items()) == list(ref.adjacency.items()), trial
     assert list(pa.edge_info.items()) == list(ref.edge_info.items()), trial
-    assert list(pa.entry_info.items()) == list(ref.entry_info.items()), trial
-    assert pa.collab == ref.collab, trial
-    assert pa.accepting == ref.accepting, trial
+    assert list(zip(decoded(pa, pa.entry_info), pa.entry_info.values())) == list(
+        ref.entry_info.items()), trial
+    assert {prop: set(decoded(pa, ids)) for prop, ids in pa.collab.items()} == ref.collab, trial
+    assert set(decoded(pa, pa.accepting)) == ref.accepting, trial
     assert (pa.n_states, pa.n_edges) == (len(ref.adjacency), len(ref.edge_info)), trial
     return ref
 
@@ -312,7 +337,7 @@ def assert_same_pruning(pa):
         assert str(got.value) == str(exc)
         return False
     pruned = prune_product(pa)
-    assert pruned.levels == ref.levels
+    assert [decoded(pa, level) for level in pruned.levels] == ref.levels
     final = len(ref.levels) - 2
     cheapest = {}
     for (li, a, b), (weight, _witness) in ref.edges.items():
@@ -320,12 +345,12 @@ def assert_same_pruning(pa):
             cheapest[a] = min(cheapest.get(a, (weight, b)), (weight, b))
     kept = [key for key in ref.edges if key[0] < final]
     kept += [(final, a, b) for a, (_w, b) in cheapest.items()]
-    assert list(pruned.edges) == kept
-    for key, (weight, _u) in pruned.edges.items():
-        assert weight == ref.edges[key][0], key
-        assert witness(pruned, *key) == ref.witness(*key), key
+    assert [(li, *decoded(pa, (a, b))) for li, a, b in pruned.edges] == kept
+    for (key, (weight, _u)), ref_key in zip(pruned.edges.items(), kept):
+        assert weight == ref.edges[ref_key][0], ref_key
+        assert witness(pruned, *key) == ref.witness(*ref_key), ref_key
     choice = pruned.shortest_choice()
-    assert choice == ref.shortest_choice()
+    assert list(decoded(pa, choice)) == ref.shortest_choice()
     assert_same_expansions(pruned, ref)
     assert pruned.size_stats() == dict(ref.size_stats(), pruned_edges=len(kept))
     return True
@@ -339,12 +364,14 @@ def assert_same_expansions(pruned, ref):
     ref_pa = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
     for robot_choice in enumerate_robot_choices(pruned):
         choice = full_choice(robot_choice)
-        got, want = pruned.expand(choice), ref.expand(choice)
+        got, want = pruned.expand(choice), ref.expand(decoded(pa, choice))
         assert (got.run, got.fired, got.emits, got.step_weights) == (
             want.run, want.fired, want.emits, want.step_weights), choice
-        steps = [ref_pa.edge_info[edge] for edge in zip(got.run, got.run[1:])]
+        run = decoded(pa, got.run)
+        assert got.walk == tuple(region for region, _f in run)
+        steps = [ref_pa.edge_info[edge] for edge in zip(run, run[1:])]
         assert got.step_weights == tuple(w for w, _f, _e in steps)
-        entry = [ref_pa.entry_info[got.run[0]]] + [(f, e) for _w, f, e in steps]
+        entry = [ref_pa.entry_info[run[0]]] + [(f, e) for _w, f, e in steps]
         assert (got.fired, got.emits) == tuple(map(tuple, zip(*entry)))
 
 

@@ -7,7 +7,7 @@ import pytest
 from fleetplan.errors import ScenarioError
 from fleetplan.world import Fleet, Robot, TaskReq, World, build_wts, grid_world
 
-from oracles import bellman_ford, shortest_travel
+from oracles import bellman_ford, shortest_travel, world_adjacency
 
 
 def small_fleet():
@@ -30,6 +30,32 @@ def test_grid_world_shape():
 def test_world_requires_connectivity():
     with pytest.raises(ScenarioError):
         World(("a", "b", "c"), (("a", "b"),), {("a", "b"): 1})
+    with pytest.raises(ScenarioError, match="not connected"):
+        World(("c", "b", "a"), (("b", "c"),), {("b", "c"): 1})
+    with pytest.raises(ScenarioError, match="not connected"):
+        World((), (), {})
+
+
+def test_world_indexes_regions_by_rank_on_construction():
+    """Ranks, rank-indexed neighbours, the least weight and the exact-weights flag
+    exist as soon as a world does, with no transition system built."""
+    world = World(("c", "a", "b"), (("c", "a"), ("a", "b")), {("c", "a"): 3, ("a", "b"): 2})
+    assert world.names == ("a", "b", "c")
+    assert world.rank == {"a": 0, "b": 1, "c": 2}
+    assert world.neighbours == (((1, 2), (2, 3)), ((0, 2),), ((0, 3),))
+    assert (world.min_weight, world.exact) == (2, True)
+    rng = random.Random(5)
+    for weights in ({}, {e: rng.choice([1, 2, 3]) for e in grid_world(4, 3).edges},
+                    {e: rng.choice([0.5, 1.25, 2.0]) for e in grid_world(4, 3).edges},
+                    {("q0_0", "q1_0"): 2.0}):
+        world = grid_world(4, 3, weights)
+        assert world.names == tuple(sorted(world.regions))
+        assert all(world.names[world.rank[r]] == r for r in world.regions)
+        assert {world.names[x]: tuple((world.names[y], w) for y, w in pairs)
+                for x, pairs in enumerate(world.neighbours)} == world_adjacency(world)
+        assert world.min_weight == min(world.weights.values())
+        assert world.exact == (len({type(w) for w in world.weights.values()}) == 1
+                               and all(w == int(w) for w in world.weights.values()))
 
 
 @pytest.mark.parametrize("weight", [0, -1, 0.0, float("nan"), float("inf"), "2", True])
@@ -61,16 +87,22 @@ def test_collaborative_label_requires_capability():
     task = TaskReq("ct1", "q2_1", {"c2": 1})
     wts0 = build_wts(world, fleet, [task], 0)
     wts1 = build_wts(world, fleet, [task], 1)
-    assert "ct1" not in wts0.labels["q2_1"]
-    assert "ct1" in wts1.labels["q2_1"]
+    rank = world.rank["q2_1"]
+    assert "ct1" not in wts0.ranked_labels[rank]
+    assert wts1.ranked_labels[rank] == frozenset({"ct1"})
+    assert sum(map(bool, wts0.ranked_labels + wts1.ranked_labels)) == 1
 
 
 def test_individual_label_only_for_owner():
     world = grid_world(3, 2)
     fleet = small_fleet()
     task = TaskReq("ts1", "q1_1", {"c1": 1}, owner=0)
-    assert "ts1" in build_wts(world, fleet, [task], 0).labels["q1_1"]
-    assert "ts1" not in build_wts(world, fleet, [task], 1).labels["q1_1"]
+    rank = world.rank["q1_1"]
+    owner, other = build_wts(world, fleet, [task], 0), build_wts(world, fleet, [task], 1)
+    assert owner.ranked_labels[rank] == frozenset({"ts1"})
+    assert owner.start_rank == world.rank["q0_0"]
+    assert not any(other.ranked_labels)
+    assert other.start_rank == world.rank["q1_0"]
 
 
 def test_unknown_task_region_rejected():
