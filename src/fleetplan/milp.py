@@ -18,7 +18,7 @@ from .alloc import DEADLINE_EVERY, Assignment, check_deadline
 from .errors import BudgetExceeded, LevelDisconnected
 from .mission import Mission, Occurrence
 from .product import PrunedPa
-from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
+from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost, fold_plan
 
 DEFAULT_COMBINATION_CAP = 10_000_000
 
@@ -92,54 +92,52 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     """Optimal total time cost over all joint collaborative placements.
 
     Depth-first over robots with branch-and-bound.  A node with
-    ``robots[:idx]`` fixed is bounded by ``compute_time_cost`` over the fixed
-    timelines with each free robot's ``least_timeline`` as its floor: sync
-    times only rise as participants are added, so no completion of the node
-    costs less, and the node is pruned when the bound cannot beat the
-    incumbent.  At a leaf the bound is the exact fold, so ``explored`` counts
-    the leaves that improved the incumbent.  ``deadline`` is checked on
-    entry and every ``DEADLINE_EVERY`` search nodes (see
-    ``alloc.check_deadline``).
+    ``robots[:idx]`` fixed is bounded by the cost fold over the fixed
+    timelines with each free robot's ``least_timeline`` as its floor, resumed
+    from the parent's fold at the fixed robot's first element: sync times
+    only rise as participants are added, so no completion of the node costs
+    less, and the node is pruned when the bound cannot beat the incumbent.
+    At a leaf the bound is the exact fold, so ``explored`` counts the leaves
+    that improved the incumbent.  ``deadline`` is checked on entry and every
+    ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).
     """
-    robots = sorted(pruned_map)
-    per_robot = {r: enumerate_robot_choices(pruned_map[r]) for r in robots}
+    plan = fold_plan(mission, assignment)
+    options = [enumerate_robot_choices(pruned_map[r]) for r in plan.robots]
     count = 1
-    for r in robots:
-        count *= len(per_robot[r])
+    for choices in options:
+        count *= len(choices)
         if count > combination_cap:
-            raise BudgetExceeded(
-                f"joint choice count exceeds cap ({combination_cap})")
-    floors = {r: least_timeline(per_robot[r]) for r in robots}
-    best: Optional[Tuple[float, Dict[int, RobotChoice], CostReport]] = None
+            raise BudgetExceeded(f"joint choice count exceeds cap ({combination_cap})")
+    # each free robot's floor, replaced by its choice while the robot is fixed
+    timelines = [least_timeline(choices) for choices in options]
+    fixed = [(True,) * idx + (False,) * (len(options) - idx) for idx in range(len(options) + 1)]
+    best: Optional[Tuple[float, List[RobotChoice]]] = None
     explored = nodes = 0
-    stack_choice: Dict[int, RobotChoice] = {}
+    chosen: List[Optional[RobotChoice]] = [None] * len(options)
 
-    def dfs(idx: int):
+    def dfs(idx: int, fold: tuple):
         nonlocal best, explored, nodes
         if nodes % DEADLINE_EVERY == 0:
             check_deadline(deadline)
         nodes += 1
-        if best is not None or idx == len(robots):
-            # the free robots follow the fixed ones, so the bound sums in the leaf fold's order
-            report = compute_time_cost({r: stack_choice[r].timeline for r in robots[:idx]},
-                                       mission, assignment, {r: floors[r] for r in robots[idx:]})
-            if best is not None and report.total >= best[0]:
-                return
-        if idx == len(robots):
-            explored += 1
-            best = (report.total, dict(stack_choice), report)
+        if best is not None and fold[3] >= best[0]:
             return
-        r = robots[idx]
-        for choice in per_robot[r]:
-            stack_choice[r] = choice
-            dfs(idx + 1)
-        del stack_choice[r]
+        if idx == len(options):
+            explored += 1
+            best = (fold[3], list(chosen))
+            return
+        floor, start = timelines[idx], plan.first.get(idx, len(plan.steps))
+        for choice in options[idx]:
+            chosen[idx], timelines[idx] = choice, choice.timeline
+            dfs(idx + 1, plan.fold(timelines, fixed[idx + 1], start, fold))
+        timelines[idx] = floor
 
-    dfs(0)
+    dfs(0, plan.fold(timelines, fixed[0]))
     if best is None:
         raise LevelDisconnected("no joint feasible placement")
-    objective, choices, report = best
-    return ExactResult(objective, report, choices, explored)
+    choices = dict(zip(plan.robots, best[1]))
+    report = compute_time_cost({r: c.timeline for r, c in choices.items()}, mission, assignment)
+    return ExactResult(best[0], report, choices, explored)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ class NetSim:
 
     Messages are counted and traced, not delivered: every robot reads the
     shared planning state, so a message needs only the fields its trace line
-    prints.
+    prints.  Each robot's breadth-first search runs once (the topology is fixed).
     """
 
     def __init__(self, robot_ids: Sequence[int], topology: Optional[Mapping[int, Sequence[int]]] = None):
@@ -33,8 +33,8 @@ class NetSim:
         if topology is None:
             topology = {r: tuple(x for x in self.robots if x != r) for r in self.robots}
         self.topology = {r: tuple(sorted(topology[r])) for r in self.robots}
-        reached, _parent = bfs(self.topology.__getitem__, self.robots[:1])
-        if len(reached) != len(self.robots):
+        self.searched = {r: bfs(self.topology.__getitem__, [r]) for r in self.robots}
+        if self.robots and len(self.searched[self.robots[0]][0]) != len(self.robots):
             raise ProtocolStuck("communication topology is not connected")
         self.messages = 0
         self.hops = 0
@@ -43,18 +43,19 @@ class NetSim:
     def flood(self, sender: int, current: Optional[Occurrence], count: int, kind: str = "MSG"):
         """Breadth-first flood from the sender; every robot is informed once,
         by the first neighbor that reaches it."""
-        dist, parent = bfs(self.topology.__getitem__, [sender])
+        dist, parent = self.searched[sender]
+        occ = _occ_str(current)
         for receiver, via in parent.items():
             if via is not None:
                 self.messages += 1
                 self.trace.append(f"{self.hops + dist[receiver]} {via}->{receiver} {kind} "
-                                  f"{_occ_str(current)} count={count}")
+                                  f"{occ} count={count}")
         # the hop clock also ticks for the last round, which finds no receiver
         self.hops += max(dist.values()) + 1
 
     def route(self, source: int, target: int, current: Occurrence, count: int) -> List[int]:
         """Relay a token along a shortest hop path to its target."""
-        path = reconstruct(bfs(self.topology.__getitem__, [source])[1], target)
+        path = reconstruct(self.searched[source][1], target)
         for a, b in zip(path, path[1:]):
             self.messages += 1
             self.hops += 1
@@ -152,9 +153,8 @@ def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
             continue
         new_choice = list(choice[:level]) + tail
         new_timeline = choice_timeline(pruned, new_choice)
-        trial = dict(ctx.timelines)
-        trial[robot] = new_timeline
-        cand_report = compute_time_cost(trial, ctx.mission, ctx.assignment)
+        cand_report = compute_time_cost({**ctx.timelines, robot: new_timeline},
+                                        ctx.mission, ctx.assignment)
         if cand_report.total < report.total:
             ctx.choices[robot] = new_choice
             ctx.timelines[robot] = new_timeline
@@ -186,7 +186,8 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
     if net is None:
         net = NetSim(sorted(ctx.timelines))
     order = ctx.mission.sorted_occurrences
-    history = [ctx.report().total]
+    report = ctx.report()  # refolded only when an adjustment is accepted
+    history = [report.total]
     cycles = adjustments = 0
     if order:
         ideal_total = sum(tl.completion for tl in ctx.timelines.values())
@@ -202,7 +203,6 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
         terminate = False
         while not terminate:
             occ = order[position]
-            report = ctx.report()
             actor = find_latest(occ, ctx.assignment, ctx.timelines, report)
             improved = adjust_strategy(ctx, actor, occ, True, report)
             if not improved:
@@ -213,7 +213,8 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
             if improved:
                 count += 1
                 adjustments += 1
-                history.append(ctx.report().total)
+                report = ctx.report()
+                history.append(report.total)
             position += 1
             if position == len(order):
                 # cycle boundary: no accepted adjustment in a full pass ends the protocol
@@ -227,5 +228,5 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
             net.flood(actor, None if terminate else order[position], count,
                       "TERM" if terminate else "MSG")
     strategies = {r: ctx.pruned[r].expand(ctx.choices[r]) for r in ctx.pruned}
-    return ProtocolResult(strategies, ctx.report(), history, cycles, adjustments,
+    return ProtocolResult(strategies, report, history, cycles, adjustments,
                           net.messages, net.trace)

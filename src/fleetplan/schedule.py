@@ -5,8 +5,8 @@ closed-form pass (`compute_time_cost`) that folds waits into per-robot delays
 task by task, and the event simulation (`simulate`) that moves robots along
 their walks and blocks them at collaborations.  Valid plans must get the
 same total cost from both.  The protocol and the exact oracle both take
-their timelines from `choice_timeline` and their costs from
-`compute_time_cost`.
+their timelines from `choice_timeline` and their costs from one fold,
+`FoldPlan.fold`, which the oracle resumes at every search node.
 """
 
 from __future__ import annotations
@@ -67,6 +67,53 @@ def choice_timeline(pruned: PrunedPa, choice: Sequence[int]) -> Timeline:
     return Timeline(pruned.pa.wts.robot_id, arrivals, total)
 
 
+class FoldPlan:
+    """A mission and assignment laid out for the cost fold, robots by position
+    in sorted order: ``steps[e]`` has an (occurrence, position) pair per robot
+    serving element e, and ``first`` maps a robot to the first it serves."""
+
+    __slots__ = ("robots", "steps", "first")
+
+    def __init__(self, mission: Mission, assignment: Assignment):
+        self.robots = tuple(sorted(assignment.robots))
+        position = {r: p for p, r in enumerate(self.robots)}
+        self.steps = tuple(
+            tuple((occ, position[r]) for occ in occs for r in sorted(assignment.robots_for(occ)))
+            for occs in map(mission.element_occurrences, mission.elements()))
+        # walked backwards, so each robot keeps its first element
+        self.first = {p: e for e, pairs in reversed(list(enumerate(self.steps))) for _occ, p in pairs}
+
+    def fold(self, timelines: Sequence[Timeline], fixed: Sequence[bool],
+             start: int = 0, prior: Optional[tuple] = None) -> tuple:
+        """``compute_time_cost`` by position, ``timelines[p]`` a floor unless ``fixed[p]``:
+        ``(trail, times, costs, total)`` are the delays on reaching each element and at
+        the end, element times, robot costs and their sum.  From ``start`` it resumes
+        ``prior``, a fold that differs only for robots serving no earlier element."""
+        trail, times = (prior[0][:start], prior[1][:start]) if prior else ([], [])
+        delays = prior[0][start][:] if prior else [0.0] * len(timelines)
+        for pairs in self.steps[start:]:
+            trail.append(delays[:])
+            t = max([timelines[p].arrivals[occ] + delays[p] for occ, p in pairs])
+            times.append(t)
+            for occ, p in pairs:
+                if fixed[p]:
+                    delays[p] = t - timelines[p].arrivals[occ]
+        trail.append(delays)
+        costs = [tl.completion + d for tl, d in zip(timelines, delays)]
+        return trail, times, costs, sum(costs)
+
+
+_last_plan: tuple = (None, None, None)  # mission, assignment, plan
+
+
+def fold_plan(mission: Mission, assignment: Assignment) -> FoldPlan:
+    """The plan of the last mission and assignment folded, rebuilt when either changes."""
+    global _last_plan
+    if _last_plan[0] is not mission or _last_plan[1] is not assignment:
+        _last_plan = (mission, assignment, FoldPlan(mission, assignment))
+    return _last_plan[2]
+
+
 def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
                       assignment: Assignment,
                       floors: Optional[Mapping[int, Timeline]] = None) -> CostReport:
@@ -81,25 +128,19 @@ def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     ``floors`` makes this a partial fold: it gives each robot missing from
     ``timelines`` the least arrival per occurrence and least completion over
     its choices.  Such a robot joins each max with that arrival and carries
-    no delay, so every task time and the total (summed in the same robot
-    order) bound from below those of any full fold agreeing with
-    ``timelines``.
+    no delay, so every task time and the total (summed in robot order) bound
+    from below those of any full fold agreeing with ``timelines``.
     """
     every = {**timelines, **floors} if floors else timelines
-    delays: Dict[int, float] = {r: 0.0 for r in every}
-    task_times: Dict[Occurrence, float] = {}
-    robots_for = assignment.robots_for
-    for elem in mission.elements():
-        occs = mission.element_occurrences(elem)
-        t = max(every[r].arrivals[occ] + delays[r] for occ in occs for r in robots_for(occ))
-        for occ in occs:
-            task_times[occ] = t
-            for r in robots_for(occ):
-                if r in timelines:
-                    delays[r] = t - timelines[r].arrivals[occ]
-    per_robot = {r: every[r].completion + delays[r] for r in every}
-    total = sum(per_robot.values())
-    return CostReport(task_times, delays, per_robot, total)
+    plan = fold_plan(mission, assignment)
+    if len(every) != len(plan.robots):
+        raise ValueError(f"timelines of robots {sorted(every)} for {plan.robots}")
+    trail, times, costs, total = plan.fold(
+        [every[r] for r in plan.robots], [r in timelines for r in plan.robots])
+    task_times = {occ: t for elem, t in zip(mission.elements(), times)
+                  for occ in mission.element_occurrences(elem)}
+    return CostReport(task_times, dict(zip(plan.robots, trail[-1])),
+                      dict(zip(plan.robots, costs)), total)
 
 
 class SimEvent:

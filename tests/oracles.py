@@ -12,7 +12,9 @@ edge-by-edge construction as a reference for the table-driven one,
 state, with eager witness paths, as a reference for the clean-hop search with
 walks rebuilt on demand,
 ``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
-sum of ideal completions as a reference for the wait-aware bound, and
+sum of ideal completions as a reference for the wait-aware bound,
+``refold_solve_exact`` the wait-aware search that refolds every node from the
+first element as a reference for the resumed fold, and
 ``reference_to_nfa`` keeps the translator that progresses every residual
 over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
@@ -71,6 +73,7 @@ from fleetplan.milp import (
     MilpModel,
     RobotChoice,
     enumerate_robot_choices,
+    least_timeline,
 )
 from fleetplan.mission import Mission
 from fleetplan.product import ProductPa, PrunedPa, Strategy
@@ -796,6 +799,63 @@ def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         del stack_choice[r]
 
     dfs(0, 0.0)
+    if best is None:
+        raise LevelDisconnected("no joint feasible placement")
+    objective, choices, report = best
+    return ExactResult(objective, report, choices, explored)
+
+
+def refold_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
+                       assignment: Assignment,
+                       combination_cap: int = DEFAULT_COMBINATION_CAP,
+                       deadline: Optional[float] = None) -> ExactResult:
+    """Optimal total time cost over all joint collaborative placements.
+
+    Depth-first over robots with branch-and-bound.  A node with
+    ``robots[:idx]`` fixed is bounded by ``compute_time_cost`` over the fixed
+    timelines with each free robot's ``least_timeline`` as its floor: sync
+    times only rise as participants are added, so no completion of the node
+    costs less, and the node is pruned when the bound cannot beat the
+    incumbent.  At a leaf the bound is the exact fold, so ``explored`` counts
+    the leaves that improved the incumbent.  ``deadline`` is checked on
+    entry and every ``DEADLINE_EVERY`` search nodes (see
+    ``alloc.check_deadline``).
+    """
+    robots = sorted(pruned_map)
+    per_robot = {r: enumerate_robot_choices(pruned_map[r]) for r in robots}
+    count = 1
+    for r in robots:
+        count *= len(per_robot[r])
+        if count > combination_cap:
+            raise BudgetExceeded(
+                f"joint choice count exceeds cap ({combination_cap})")
+    floors = {r: least_timeline(per_robot[r]) for r in robots}
+    best: Optional[Tuple[float, Dict[int, RobotChoice], CostReport]] = None
+    explored = nodes = 0
+    stack_choice: Dict[int, RobotChoice] = {}
+
+    def dfs(idx: int):
+        nonlocal best, explored, nodes
+        if nodes % DEADLINE_EVERY == 0:
+            check_deadline(deadline)
+        nodes += 1
+        if best is not None or idx == len(robots):
+            # the free robots follow the fixed ones, so the bound sums in the leaf fold's order
+            report = compute_time_cost({r: stack_choice[r].timeline for r in robots[:idx]},
+                                       mission, assignment, {r: floors[r] for r in robots[idx:]})
+            if best is not None and report.total >= best[0]:
+                return
+        if idx == len(robots):
+            explored += 1
+            best = (report.total, dict(stack_choice), report)
+            return
+        r = robots[idx]
+        for choice in per_robot[r]:
+            stack_choice[r] = choice
+            dfs(idx + 1)
+        del stack_choice[r]
+
+    dfs(0)
     if best is None:
         raise LevelDisconnected("no joint feasible placement")
     objective, choices, report = best

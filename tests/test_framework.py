@@ -224,12 +224,15 @@ def test_framework_incumbent_is_minimum_over_rows():
 
 
 # sha256 of the report files of the README scenario (``generate(seed=7, robots=5,
-# collab=4, grid=(20, 20))``, default options), ``metrics.csv`` without its wall
-# columns and rewritten with "\n" line ends.  Recorded before the clean-hop
-# product search replaced the search over every product state; the digests are
-# the same under PYTHONHASHSEED 0, 1 and 12345, and CI runs this test under each.
-# The LP text of the incumbent assignment is pinned too: its column order is the
-# one output that follows the order of product states.
+# collab=4, grid=(20, 20))``), ``metrics.csv`` without its wall columns and
+# rewritten with "\n" line ends, with the default options (oracle off) and with
+# the oracle on, which adds the ``oracle_j`` column and leaves the other files
+# as they are.  The oracle-off digests were recorded before the clean-hop
+# product search replaced the search over every product state, the oracle-on
+# one before the oracle resumed the cost fold at each search node; the digests
+# are the same under PYTHONHASHSEED 0, 1 and 12345, and CI runs this test under
+# each.  The LP text of the incumbent assignment is pinned too: its column
+# order is the one output that follows the order of product states.
 README_SCENARIO_LP_DIGEST = "04525ca60dfcb1a3467a5c47b448202944b856f9fcc2eba9c8cbed149bd18124"
 README_SCENARIO_DIGESTS = {
     "metrics.csv": "0d945e7f1900f8ca229afe1f3e3b2268e5410549311ad4c51a9fe9d06401d45f",
@@ -237,23 +240,32 @@ README_SCENARIO_DIGESTS = {
     "schedule.json": "1a06082930d0ede86c58dac3d7b0fb2d92da6fef3ce095d86303366c5494da1b",
     "protocol_trace.txt": "f8dbde0dc892f50d62019b106e8bd0a0cd9b30e408df3d14c92ae86e5b500863",
 }
+README_SCENARIO_ORACLE_DIGESTS = {
+    **README_SCENARIO_DIGESTS,
+    "metrics.csv": "032ac8c20de2ae29d37456ce129cef8c82dc381ba590bb6f928ff7fa0841d877",
+}
 
 
 def test_readme_scenario_reports_match_the_recorded_digests(tmp_path):
-    report = run_framework(generate(seed=7, robots=5, collab=4, grid=(20, 20)))
-    write_reports(report, tmp_path)
-    plan = report.incumbent
-    lp = emit_lp(build_milp(plan.pruned_map, report.mission, plan.assignment))
-    assert hashlib.sha256(lp.encode()).hexdigest() == README_SCENARIO_LP_DIGEST
-    digests = {}
-    for name in README_SCENARIO_DIGESTS:
-        data = (tmp_path / name).read_bytes()
-        if name == "metrics.csv":
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(_strip_wall_columns(tmp_path / name))
-            data = buf.getvalue().encode()
-        digests[name] = hashlib.sha256(data).hexdigest()
-    assert digests == README_SCENARIO_DIGESTS
+    for oracle, expected in ((False, README_SCENARIO_DIGESTS),
+                             (True, README_SCENARIO_ORACLE_DIGESTS)):
+        scenario = generate(seed=7, robots=5, collab=4, grid=(20, 20))
+        scenario.options.oracle = oracle
+        report = run_framework(scenario)
+        out = tmp_path / f"oracle{int(oracle)}"
+        write_reports(report, out)
+        plan = report.incumbent
+        lp = emit_lp(build_milp(plan.pruned_map, report.mission, plan.assignment))
+        assert hashlib.sha256(lp.encode()).hexdigest() == README_SCENARIO_LP_DIGEST
+        digests = {}
+        for name in expected:
+            data = (out / name).read_bytes()
+            if name == "metrics.csv":
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerows(_strip_wall_columns(out / name))
+                data = buf.getvalue().encode()
+            digests[name] = hashlib.sha256(data).hexdigest()
+        assert digests == expected, f"oracle {'on' if oracle else 'off'}"
 
 
 def test_report_files_round_trip(tmp_path):

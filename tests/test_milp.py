@@ -15,10 +15,17 @@ from fleetplan.milp import MilpModel, Row, build_milp, emit_lp, solve_exact
 from fleetplan.mission import Mission
 from fleetplan.product import build_local_formula, build_product, prune_product
 from fleetplan.protocol import ProtocolContext, run_protocol
-from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost
+from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost, fold_plan
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import ReferencePrunedPa, full_choice, reference_solve_exact, state_id, variable_names
+from oracles import (
+    ReferencePrunedPa,
+    full_choice,
+    reference_solve_exact,
+    refold_solve_exact,
+    state_id,
+    variable_names,
+)
 
 
 def build_instance(width, height, ct_regions, starts, individual=None, formulas=None):
@@ -548,6 +555,62 @@ def test_wait_aware_bound_matches_reference_on_alloc_oracle_structures():
     assert len(calls) >= 5
     explored, reference_explored = assert_matches_reference(calls)
     assert explored * 10 < reference_explored
+
+
+@pytest.mark.parametrize("fixtures", [criterion_4_fixtures, float_weight_fixtures,
+                                      alloc_oracle_fixtures])
+def test_resumed_search_equals_the_refold_reference(fixtures):
+    """Resuming each node's fold changes nothing the search returns or visits."""
+    calls = (oracle_inputs.__wrapped__(fixtures) if fixtures is alloc_oracle_fixtures
+             else oracle_inputs(fixtures))
+    assert len(calls) >= 5
+    for pruned_map, mission, assignment in calls:
+        got = solve_exact(pruned_map, mission, assignment)
+        ref = refold_solve_exact(pruned_map, mission, assignment)
+        assert (got.objective, got.report, got.explored) == (ref.objective, ref.report,
+                                                              ref.explored)
+        assert {r: (full_choice(c), c.timeline) for r, c in got.choices.items()} == \
+            {r: (full_choice(c), c.timeline) for r, c in ref.choices.items()}
+
+
+def test_resumed_fold_equals_the_full_fold_at_every_node():
+    """Each node's fold, resumed from its parent's at the first element of the
+    robot it fixes, equals the fold from the first element, and its total
+    equals ``compute_time_cost``'s."""
+    nodes = resumed_later = 0
+    for pruned_map, mission, assignment in (oracle_inputs(criterion_4_fixtures)
+                                            + oracle_inputs(float_weight_fixtures)):
+        plan = fold_plan(mission, assignment)
+        options = [milp.enumerate_robot_choices(pruned_map[r]) for r in plan.robots]
+        size = 1
+        for choices in options:
+            size *= len(choices)
+        if size > 2000:
+            continue
+        floors = [milp.least_timeline(choices) for choices in options]
+        n = len(options)
+
+        def visit(chosen, fold):
+            nonlocal nodes, resumed_later
+            idx = len(chosen)
+            timelines = [c.timeline for c in chosen] + floors[idx:]
+            assert fold == plan.fold(timelines, [True] * idx + [False] * (n - idx))
+            full = compute_time_cost(dict(zip(plan.robots, timelines[:idx])), mission, assignment,
+                                     dict(zip(plan.robots[idx:], floors[idx:])))
+            assert fold[3] == full.total
+            nodes += 1
+            if idx == n:
+                return
+            start = plan.first.get(idx, len(plan.steps))
+            resumed_later += start > 0
+            for choice in options[idx]:
+                child = [*chosen, choice]
+                visit(child, plan.fold([c.timeline for c in child] + floors[idx + 1:],
+                                       [True] * (idx + 1) + [False] * (n - idx - 1),
+                                       start, fold))
+
+        visit([], plan.fold(floors, [False] * n))
+    assert nodes > 20000 and resumed_later > 3000
 
 
 def test_partial_fold_carries_no_delay_for_free_robots():

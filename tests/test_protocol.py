@@ -214,6 +214,29 @@ def test_protocol_trace_on_complete_topology():
     ]
 
 
+def test_protocol_searches_each_robot_once_and_refolds_only_on_adjustment(monkeypatch):
+    """The adjusting run above searches the network once from each robot and
+    folds its report once, then again only after each accepted adjustment."""
+    from fleetplan import protocol
+
+    sources, reports = [], []
+    real_bfs, real_report = protocol.bfs, ProtocolContext.report
+    monkeypatch.setattr(protocol, "bfs",
+                        lambda successors, starts: sources.extend(starts) or real_bfs(successors, starts))
+    monkeypatch.setattr(ProtocolContext, "report",
+                        lambda self: reports.append(self) or real_report(self))
+    ctx = two_robot_corridor(
+        {"ct1": 2, "ct2": 5},
+        ["q6_1", "q0_1"],
+        extra_tasks=[("ts1", "q3_1", 1)],
+        formulas={1: "F ts1"},
+    )
+    result = run_protocol(ctx, NetSim([0, 1, 2]))
+    assert result.history == [20.0, 16.0] and len(result.trace) == 15
+    assert sorted(sources) == [0, 1, 2]
+    assert len(reports) == len(result.history)
+
+
 def test_netsim_flood_and_route_count_messages():
     net = NetSim([0, 1, 2, 3], topology={0: [1], 1: [0, 2], 2: [1, 3], 3: [2]})
     net.flood(0, (1, 1), 0)

@@ -48,6 +48,14 @@ def test_cost_fold_without_collaborations():
     assert all(d == 0 for d in report.delays.values())
 
 
+def test_cost_fold_needs_one_timeline_per_robot_of_the_assignment():
+    mission = Mission(((("ct1",),),))
+    assignment = make_assignment(mission, {(1, (1, 1))}, (1,))
+    tls = {1: timeline(1, {(1, 1): 5.0}, 10.0), 2: timeline(2, {}, 4.0)}
+    with pytest.raises(ValueError, match="timelines of robots"):
+        compute_time_cost(tls, mission, assignment)
+
+
 def test_cost_fold_chained_lateness():
     # hand trace of the folding pass on a 3-robot chain ct1 -> ct2
     mission = Mission(((("ct1",), ("ct2",)),))
