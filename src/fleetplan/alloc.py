@@ -1,17 +1,23 @@
 """Collaborative task allocation: every solution once, in lexicographic order.
 
-The assignment variables are robot-major, ``x[r_i * n_occ + o_i]``.  A
-depth-first search decides them in index order, false before true, and keeps
-its stack between calls, so successive calls return the satisfying vectors in
-increasing lexicographic order (false < true), each exactly once.
+The assignment variables are robot-major, ``x[r_i * n_occ + o_i]``, and an
+element's occurrences are consecutive.  For each robot in id order and each
+element in (k, m) order, the search decides which occurrence of the element
+the robot serves, if any: none first, then the occurrences from last to
+first.  That is increasing lexicographic order of the robot's variables
+(false < true), and no robot serves two occurrences of one element.  One
+generator per robot drives a chain of generators over the robot's elements,
+so the search is robots + elements deep.  It keeps its state between calls,
+and successive calls return the satisfying vectors in increasing
+lexicographic order, each exactly once.
 
-A branch is cut as soon as one synchronized element can no longer be staffed:
-each undecided robot serves at most one occurrence of it and counts toward
-every required capability it holds.  The test is exact and memoised on the
-element's residual demand and first undecided robot; elements share no
-variables, so without coordinator pairs no surviving branch is a dead end.
-A coordinator pair is cut once no robot can still be in both elements, and
-every leaf re-checks the pairs exactly.
+A branch is cut as soon as one element can no longer be staffed: each later
+robot serves at most one occurrence of it and counts toward every required
+capability it holds.  The test is exact and memoised on the element's
+residual demand and first later robot; elements share no variables, so
+without coordinator pairs no surviving branch is a dead end.  The last
+robot's choices are cut once no robot can still be in both elements of a
+coordinator pair, which is exact once the pair's later element is decided.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import BudgetExceeded, FleetplanError
 from .mission import Mission, Occurrence
 from .world import Fleet, TaskReq
 
-DEADLINE_EVERY = 256  # search nodes between deadline checks
+DEADLINE_EVERY = 256  # options tried between deadline checks
 
 
 class Assignment:
@@ -85,46 +91,40 @@ class AllocModel:
         elements = list(mission.elements())
         index = {occ: j for j, occ in enumerate(self.occurrences)}
         fleet_robots = sorted(fleet.robots, key=lambda rb: rb.robot_id)
-        # per element: demand slots (one per required capability of each
-        # occurrence), which slots robot i fills at its a-th occurrence, how
-        # many robots from i on hold each slot's capability, each
-        # occurrence's slot range, and the index of its last occurrence
-        self._demand, self._hits, self._supply, self._spans, self._last = [], [], [], [], []
-        self._where = [None] * len(self.occurrences)  # occurrence -> (element, local index)
-        for e, elem in enumerate(elements):
+        # per element: its occurrences' variable offsets, demand slots (one
+        # per required capability of each occurrence), each occurrence's
+        # slot range, a 0/1 mask per robot i and occurrence of the slots it
+        # fills there, and how many robots from i on hold each slot's capability
+        self._columns, self._demand, self._spans, self._hits, self._supply = [], [], [], [], []
+        for elem in elements:
             occs = mission.element_occurrences(elem)
-            demand, slots = [], []
+            slots, demand, spans = [], [], []  # a slot is (occurrence, capability)
             for a, occ in enumerate(occs):
-                self._where[index[occ]] = (e, a)
                 reqs = self.tasks[mission.task_of(occ)].requirements
-                slots.append([(len(demand) + s, cap) for s, cap in enumerate(sorted(reqs))])
+                spans.append((len(slots), len(slots) + len(reqs)))
+                slots.extend((a, cap) for cap in sorted(reqs))
                 demand.extend(reqs[cap] for cap in sorted(reqs))
+            self._columns.append([index[occ] for occ in occs])
             self._demand.append(tuple(demand))
+            self._spans.append(spans)
             self._hits.append([
-                [tuple(s for s, cap in occ_slots if cap in robot.capabilities)
-                 for occ_slots in slots]
+                [tuple(int(b == a and cap in robot.capabilities) for b, cap in slots)
+                 for a in range(len(occs))]
                 for robot in fleet_robots])
             self._supply.append([
                 [sum(cap in rb.capabilities for rb in fleet_robots[i:])
                  for i in range(len(fleet_robots) + 1)]
-                for occ_slots in slots for _s, cap in occ_slots])
-            self._spans.append([(occ_slots[0][0], occ_slots[-1][0] + 1)
-                                for occ_slots in slots if occ_slots])
-            self._last.append(index[occs[-1]])
+                for _a, cap in slots])
         position = {elem: e for e, elem in enumerate(elements)}
+        # (earlier, later) element positions, as elements are in (k, m) order
         self._pairs = [(position[(k, m)], position[(k, m + 1)]) for k, m in self.comm_pairs]
-        self._pairs_of = [[pair for pair in self._pairs if e in pair]
-                          for e in range(len(elements))]
         self._memo: Dict[tuple, bool] = {}
         self._solutions = self._search()
 
-    def _feasible(self, e: int, resid: Tuple[int, ...], i: int, a: int) -> bool:
-        """Whether robots ``i..`` can still meet element ``e``'s residual demand.
-
-        Robot ``i`` may take only the element's occurrences from local index
-        ``a`` on; later robots may take any.  Each takes at most one.
-        """
-        key = (e, resid, i, a)
+    def _feasible(self, e: int, resid: Tuple[int, ...], i: int) -> bool:
+        """Whether robots ``i..``, each serving at most one occurrence of
+        element ``e``, can still meet its residual demand."""
+        key = (e, resid, i)
         known = self._memo.get(key)
         if known is None:
             known = not any(resid)
@@ -134,88 +134,60 @@ class AllocModel:
                                  zip(resid, self._supply[e])) \
                     and sum(max(resid[lo:hi]) for lo, hi in self._spans[e]) \
                     <= len(self.robots) - i:
-                for hits in self._hits[e][i][a:]:
-                    useful = [s for s in hits if resid[s]]
-                    if useful:
-                        left = list(resid)
-                        for s in useful:
-                            left[s] -= 1
-                        if self._feasible(e, tuple(left), i + 1, 0):
-                            known = True
-                            break
+                for mask in self._hits[e][i]:
+                    left = tuple([n - (n and m) for n, m in zip(resid, mask)])
+                    if left != resid and self._feasible(e, left, i + 1):
+                        known = True
+                        break
                 else:
-                    known = self._feasible(e, resid, i + 1, 0)
+                    known = self._feasible(e, resid, i + 1)
             self._memo[key] = known
         return known
 
     def _search(self):
         """Generator of the satisfying vectors in lexicographic order."""
-        n_occ, n_robots = len(self.occurrences), len(self.robots)
-        resid = [list(d) for d in self._demand]
-        booked = [[False] * n_robots for _ in self._demand]
-        undo = [()] * self.n_x  # demand slots filled by each true decision
+        n_occ, n_elements, last = len(self.occurrences), len(self._demand), len(self.robots) - 1
+        feasible, pairs = self._feasible, self._pairs
+        resid = list(self._demand)
+        members = [0] * n_elements  # per element, a bit per robot serving it
         x = [False] * self.n_x
-        if not all(self._feasible(e, tuple(d), 0, 0) for e, d in enumerate(self._demand)):
+        tried = 0
+        if not all(feasible(e, d, 0) for e, d in enumerate(self._demand)):
             return
 
-        def unbook(q):  # undo the true decision at position q
-            r, j = divmod(q, n_occ)
-            e = self._where[j][0]
-            booked[e][r] = False
-            for s in undo[q]:
-                resid[e][s] += 1
-
-        p, value, nodes = 0, False, 0
-        while True:
-            if p == self.n_x:  # a leaf: some robot must be booked in both elements of each pair
-                if all(any(map(min, booked[e1], booked[e2])) for e1, e2 in self._pairs):
-                    yield tuple(x)
-            else:
-                nodes += 1
-                if nodes % DEADLINE_EVERY == 0:
+        def place(r, e):
+            """Robot ``r``'s choices for elements ``e..``, in lexicographic order."""
+            nonlocal tried
+            if e == n_elements:
+                yield
+                return
+            row, masks, bit = resid[e], self._hits[e][r], 1 << r
+            cols, base = self._columns[e], r * n_occ
+            for a in (None, *range(len(masks) - 1, -1, -1)):
+                tried += 1
+                if tried % DEADLINE_EVERY == 0:
                     check_deadline(self.deadline)
-                r, j = divmod(p, n_occ)
-                e, a = self._where[j]
-                if not (value and booked[e][r]):  # one occurrence per element
-                    if value:
-                        booked[e][r] = True
-                        undo[p] = tuple(s for s in self._hits[e][r][a] if resid[e][s])
-                        for s in undo[p]:
-                            resid[e][s] -= 1
-                    done = booked[e][r] or j == self._last[e]  # r is through with e
-                    if self._feasible(e, tuple(resid[e]), r + done, 0 if done else a + 1) \
-                            and (r < n_robots - 1 or self._pairs_open(e, booked, r, j)):
-                        x[p] = value
-                        p, value = p + 1, False
-                        continue
-                    if value:
-                        unbook(p)
-                if not value:
-                    value = True
-                    continue
-            # back up to the deepest false decision and flip it
-            while True:
-                if p == 0:
-                    return
-                p -= 1
-                if not x[p]:
-                    value = True
-                    break
-                x[p] = False
-                unbook(p)
+                if a is not None:
+                    resid[e] = tuple([n - (n and m) for n, m in zip(row, masks[a])])
+                    q = base + cols[a]
+                    x[q] = True
+                    members[e] |= bit
+                # the last robot can still join every element after e
+                if feasible(e, resid[e], r + 1) and (r < last or all(
+                        members[f] & (members[g] | (bit if g > e else 0))
+                        for f, g in pairs if f <= e)):
+                    yield from place(r, e + 1)
+                if a is not None:
+                    x[q] = False
+            resid[e] = row
+            members[e] &= ~bit
 
-    def _pairs_open(self, e, booked, r, j) -> bool:
-        """Whether each coordinator pair of element ``e`` can still share a robot.
+        def robot(r):
+            """Every choice of robots ``r..`` that completes the fixed ones."""
+            for _ in place(r, 0):
+                yield from robot(r + 1) if r < last else (tuple(x),)
 
-        Called while the last robot ``r`` decides position ``j``: earlier
-        robots are fixed, and ``r`` can still join an element it has not
-        decided to its end.
-        """
-        for pair in self._pairs_of[e]:
-            if not any(all(booked[f][s] or (s == r and j < self._last[f]) for f in pair)
-                       for s in range(len(self.robots))):
-                return False
-        return True
+        yield from robot(0)
 
 
 def check_deadline(deadline: Optional[float]) -> None:
@@ -227,9 +199,9 @@ def check_deadline(deadline: Optional[float]) -> None:
 def next_assignment(model: AllocModel, deadline: Optional[float] = None) -> Optional[Assignment]:
     """The next satisfying assignment in lexicographic order, or None when exhausted.
 
-    ``deadline`` is checked on entry and every ``DEADLINE_EVERY`` search
-    nodes (see ``check_deadline``); a raise from inside the search ends the
-    model's enumeration.
+    ``deadline`` is checked on entry and every ``DEADLINE_EVERY`` options
+    the search tries (see ``check_deadline``); a raise from inside the search
+    ends the model's enumeration.
     """
     check_deadline(deadline)
     model.deadline = deadline

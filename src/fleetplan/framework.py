@@ -148,8 +148,7 @@ def run_framework(scenario: Scenario) -> RunReport:
         rows.append(row)
         index += 1
         if dominated(assignment.vector, history_vectors):
-            row.status = "filtered"
-            history_vectors.append(assignment.vector)
+            row.status = "filtered"  # not kept: what dominates it dominates a kept vector
             continue
         history_vectors.append(assignment.vector)
         try:

@@ -150,6 +150,8 @@ class Scenario:
 
     def validate(self):
         """Check the scenario and keep the formula trees it parses."""
+        if not self.fleet.robots:
+            raise ScenarioError("scenario key robots must list at least one robot")
         props = set()
         for task in self.tasks:
             if task.prop in props:

@@ -115,8 +115,7 @@ def fold_plan(mission: Mission, assignment: Assignment) -> FoldPlan:
 
 
 def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
-                      assignment: Assignment,
-                      floors: Optional[Mapping[int, Timeline]] = None) -> CostReport:
+                      assignment: Assignment) -> CostReport:
     """Fold synchronization waits over the global task order.
 
     Walks the mission's elements in (k, m) order.  Tasks sharing an element
@@ -124,19 +123,12 @@ def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     the whole element arrives; every participant's delay is then overwritten
     with its accumulated wait.  On singleton elements this is exactly the
     per-task fold (arrival plus carried delay, max over the task's robots).
-
-    ``floors`` makes this a partial fold: it gives each robot missing from
-    ``timelines`` the least arrival per occurrence and least completion over
-    its choices.  Such a robot joins each max with that arrival and carries
-    no delay, so every task time and the total (summed in robot order) bound
-    from below those of any full fold agreeing with ``timelines``.
     """
-    every = {**timelines, **floors} if floors else timelines
     plan = fold_plan(mission, assignment)
-    if len(every) != len(plan.robots):
-        raise ValueError(f"timelines of robots {sorted(every)} for {plan.robots}")
+    if len(timelines) != len(plan.robots):
+        raise ValueError(f"timelines of robots {sorted(timelines)} for {plan.robots}")
     trail, times, costs, total = plan.fold(
-        [every[r] for r in plan.robots], [r in timelines for r in plan.robots])
+        [timelines[r] for r in plan.robots], [True] * len(plan.robots))
     task_times = {occ: t for elem, t in zip(mission.elements(), times)
                   for occ in mission.element_occurrences(elem)}
     return CostReport(task_times, dict(zip(plan.robots, trail[-1])),

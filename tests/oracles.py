@@ -14,7 +14,8 @@ walks rebuilt on demand,
 ``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
 sum of ideal completions as a reference for the wait-aware bound,
 ``refold_solve_exact`` the wait-aware search that refolds every node from the
-first element as a reference for the resumed fold, and
+first element as a reference for the resumed fold, with ``partial_time_cost``,
+the partial fold over floors that ``compute_time_cost`` used to offer, and
 ``reference_to_nfa`` keeps the translator that progresses every residual
 over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
@@ -77,7 +78,7 @@ from fleetplan.milp import (
 )
 from fleetplan.mission import Mission
 from fleetplan.product import ProductPa, PrunedPa, Strategy
-from fleetplan.schedule import CostReport, Timeline, compute_time_cost
+from fleetplan.schedule import CostReport, Timeline, compute_time_cost, fold_plan
 from fleetplan.search import reconstruct
 from fleetplan.world import World, Wts
 
@@ -805,6 +806,35 @@ def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     return ExactResult(objective, report, choices, explored)
 
 
+def partial_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
+                      assignment: Assignment,
+                      floors: Optional[Mapping[int, Timeline]] = None) -> CostReport:
+    """``compute_time_cost`` with ``floors``, a partial fold (the references' bound).
+
+    Walks the mission's elements in (k, m) order.  Tasks sharing an element
+    are synchronization-coupled and execute together when the last robot of
+    the whole element arrives; every participant's delay is then overwritten
+    with its accumulated wait.  On singleton elements this is exactly the
+    per-task fold (arrival plus carried delay, max over the task's robots).
+
+    ``floors`` makes this a partial fold: it gives each robot missing from
+    ``timelines`` the least arrival per occurrence and least completion over
+    its choices.  Such a robot joins each max with that arrival and carries
+    no delay, so every task time and the total (summed in robot order) bound
+    from below those of any full fold agreeing with ``timelines``.
+    """
+    every = {**timelines, **floors} if floors else timelines
+    plan = fold_plan(mission, assignment)
+    if len(every) != len(plan.robots):
+        raise ValueError(f"timelines of robots {sorted(every)} for {plan.robots}")
+    trail, times, costs, total = plan.fold(
+        [every[r] for r in plan.robots], [r in timelines for r in plan.robots])
+    task_times = {occ: t for elem, t in zip(mission.elements(), times)
+                  for occ in mission.element_occurrences(elem)}
+    return CostReport(task_times, dict(zip(plan.robots, trail[-1])),
+                      dict(zip(plan.robots, costs)), total)
+
+
 def refold_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
                        assignment: Assignment,
                        combination_cap: int = DEFAULT_COMBINATION_CAP,
@@ -812,7 +842,7 @@ def refold_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     """Optimal total time cost over all joint collaborative placements.
 
     Depth-first over robots with branch-and-bound.  A node with
-    ``robots[:idx]`` fixed is bounded by ``compute_time_cost`` over the fixed
+    ``robots[:idx]`` fixed is bounded by ``partial_time_cost`` over the fixed
     timelines with each free robot's ``least_timeline`` as its floor: sync
     times only rise as participants are added, so no completion of the node
     costs less, and the node is pruned when the bound cannot beat the
@@ -841,7 +871,7 @@ def refold_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         nodes += 1
         if best is not None or idx == len(robots):
             # the free robots follow the fixed ones, so the bound sums in the leaf fold's order
-            report = compute_time_cost({r: stack_choice[r].timeline for r in robots[:idx]},
+            report = partial_time_cost({r: stack_choice[r].timeline for r in robots[:idx]},
                                        mission, assignment, {r: floors[r] for r in robots[idx:]})
             if best is not None and report.total >= best[0]:
                 return

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from fleetplan import alloc
 from fleetplan.alloc import AllocModel, check_assignment, dominated, next_assignment
 from fleetplan.errors import BudgetExceeded
 from fleetplan.ltl import to_nfa
@@ -234,3 +235,37 @@ def test_expired_deadline_raises():
     model = AllocModel(mission, make_fleet({"c1"}, {"c1"}), make_tasks({"ct1": {"c1": 1}}))
     with pytest.raises(BudgetExceeded):
         next_assignment(model, deadline=time.perf_counter() - 1.0)
+
+
+def deep_model():
+    """120 robots and 10 single-task elements in one subsequence, every pair coordinated."""
+    mission = Mission((tuple((f"ct{m}",) for m in range(1, 11)),))
+    tasks = make_tasks({f"ct{m}": {"c1": 1} for m in range(1, 11)})
+    return AllocModel(mission, make_fleet(*[{"c1"}] * 120), tasks,
+                      comm_pairs=mission.consecutive_element_pairs())
+
+
+def test_deep_fleet_yields_its_first_assignments():
+    # a search one level deep per (robot, element) decision would overflow the stack here
+    model = deep_model()
+    every = tuple((1, l) for l in range(1, 11))
+    first, second = next_assignment(model), next_assignment(model)
+    assert [first.tasks_of(r) for r in (118, 119)] == [(), every]
+    assert [second.tasks_of(r) for r in (118, 119)] == [((1, 10),), every]
+    assert not any(first.tasks_of(r) or second.tasks_of(r) for r in range(118))
+
+
+def test_deadline_raise_inside_the_search_ends_the_enumeration(monkeypatch):
+    calls = []
+
+    def stand_in(deadline):  # the first call is next_assignment's entry check
+        calls.append(deadline)
+        if len(calls) == 2:
+            raise BudgetExceeded("budget")
+
+    monkeypatch.setattr(alloc, "check_deadline", stand_in)
+    model = deep_model()
+    with pytest.raises(BudgetExceeded):
+        next_assignment(model)
+    assert len(calls) == 2
+    assert next_assignment(model) is None

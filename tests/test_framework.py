@@ -174,6 +174,19 @@ def test_malformed_structural_key_exits_1_naming_it(tmp_path, capsys, key, expli
     assert capsys.readouterr().err.startswith(f"error: scenario key {key} ")
 
 
+def test_empty_fleet_exits_1_with_one_error_line(tmp_path, capsys):
+    data = small_scenario().to_json()
+    data.update(robots=[], individualTasks=[], individualFormulas={}, collaborativeTasks=[],
+                collaborativeFormula="true")
+    with pytest.raises(ScenarioError, match=re.escape("scenario key robots ")):
+        Scenario.from_json(data)
+    scenario_path = tmp_path / "sc.json"
+    scenario_path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario key robots ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("template", ["mixed", "Auto", ""])
 def test_generate_rejects_unknown_template(template, capsys):
     with pytest.raises(ScenarioError, match="template"):

@@ -21,6 +21,7 @@ from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 from oracles import (
     ReferencePrunedPa,
     full_choice,
+    partial_time_cost,
     reference_solve_exact,
     refold_solve_exact,
     state_id,
@@ -595,7 +596,7 @@ def test_resumed_fold_equals_the_full_fold_at_every_node():
             idx = len(chosen)
             timelines = [c.timeline for c in chosen] + floors[idx:]
             assert fold == plan.fold(timelines, [True] * idx + [False] * (n - idx))
-            full = compute_time_cost(dict(zip(plan.robots, timelines[:idx])), mission, assignment,
+            full = partial_time_cost(dict(zip(plan.robots, timelines[:idx])), mission, assignment,
                                      dict(zip(plan.robots[idx:], floors[idx:])))
             assert fold[3] == full.total
             nodes += 1
@@ -622,7 +623,7 @@ def test_partial_fold_carries_no_delay_for_free_robots():
                Timeline(1, {(1, 1): 0.0, (1, 2): 20.0}, 21.0)]
     exact = min(compute_time_cost({**fixed, 1: c}, mission, assignment).total for c in choices)
     floor = Timeline(1, {(1, 1): 0.0, (1, 2): 11.0}, 12.0)
-    bound = compute_time_cost(fixed, mission, assignment, {1: floor})
+    bound = partial_time_cost(fixed, mission, assignment, {1: floor})
     assert bound.total == exact == 24.0
     assert bound.delays == {0: 0.0, 1: 0.0}
     # folded as an ordinary timeline, the floor would carry a wait of 10 and overshoot
@@ -653,7 +654,7 @@ def test_bound_at_every_node_is_below_its_completions():
             idx = len(prefix)
             fixed = {r: per_robot[i][j].timeline for i, (r, j) in enumerate(zip(robots, prefix))}
             free = {r: floors[i] for i, r in enumerate(robots) if i >= idx}
-            bound = compute_time_cost(fixed, mission, assignment, free).total
+            bound = partial_time_cost(fixed, mission, assignment, free).total
             assert bound <= least if idx < len(robots) else bound == least
             nodes += 1
     assert nodes > 1000
