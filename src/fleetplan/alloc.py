@@ -201,11 +201,16 @@ def next_assignment(model: AllocModel, deadline: Optional[float] = None) -> Opti
 
     ``deadline`` is checked on entry and every ``DEADLINE_EVERY`` options
     the search tries (see ``check_deadline``); a raise from inside the search
-    ends the model's enumeration.
+    ends the model's enumeration.  A search deeper than the interpreter's
+    stack allows ends it with a ``FleetplanError``.
     """
     check_deadline(deadline)
     model.deadline = deadline
-    vector = next(model._solutions, None)
+    try:
+        vector = next(model._solutions, None)
+    except RecursionError:
+        raise FleetplanError(f"allocation search too deep for the interpreter's stack: "
+                             f"{len(model.robots)} robots + {len(model._demand)} elements") from None
     if vector is None:
         return None
     assignment = Assignment(model.robots, model.occurrences, vector)

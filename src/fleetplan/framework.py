@@ -210,8 +210,6 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     row.product_edges = max(s["product_edges"] for s in stats)
 
     timelines = {r: choice_timeline(pruned_map[r], choices[r]) for r in pruned_map}
-    initial_report = compute_time_cost(timelines, mission, assignment)
-    row.t_init = initial_report.total
     row.t_ideal = sum(tl.completion for tl in timelines.values())
 
     if opts.adjust:
@@ -221,6 +219,7 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
         t0 = time.perf_counter()
         result = run_protocol(ctx, net)
         row.wall_adjust = time.perf_counter() - t0
+        row.t_init = result.history[0]  # the protocol folds the initial timelines
         row.history = result.history
         row.cycles = result.cycles
         row.messages = result.messages
@@ -229,8 +228,9 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
         final_report = result.report
     else:
         strategies = {r: pruned_map[r].expand(choices[r]) for r in pruned_map}
-        final_report = initial_report
-        row.history = [initial_report.total]
+        final_report = compute_time_cost(timelines, mission, assignment)
+        row.t_init = final_report.total
+        row.history = [final_report.total]
     row.t_adjusted = final_report.total
 
     check_deadline(deadline)

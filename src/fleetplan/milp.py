@@ -18,21 +18,19 @@ from .alloc import DEADLINE_EVERY, Assignment, check_deadline
 from .errors import BudgetExceeded, LevelDisconnected
 from .mission import Mission, Occurrence
 from .product import PrunedPa
-from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost, fold_plan
+from .schedule import CostReport, FoldPlan, Timeline, choice_timeline, compute_time_cost
 
 DEFAULT_COMBINATION_CAP = 10_000_000
 
 
 class RobotChoice:
-    """One robot's collaborative-state tuple with its induced ideal timeline."""
+    """One robot's level choice (initial, collaborative and accepting states)
+    with its induced ideal timeline."""
 
-    __slots__ = ("collab_states", "init_state", "accept_state", "timeline")
+    __slots__ = ("choice", "timeline")
 
-    def __init__(self, collab_states: Tuple[int, ...], init_state: int, accept_state: int,
-                 timeline: Timeline):
-        self.collab_states = collab_states
-        self.init_state = init_state
-        self.accept_state = accept_state
+    def __init__(self, choice: Tuple[int, ...], timeline: Timeline):
+        self.choice = choice
         self.timeline = timeline
 
 
@@ -61,8 +59,8 @@ def enumerate_robot_choices(pruned: PrunedPa) -> List[RobotChoice]:
         accs = [(w, s) for s in pruned.levels[-1]
                 if (w := pruned.edge_weight(last, tail, s)) is not None]
         if accs:
-            choice = [init, *combo, min(accs)[1]]
-            choices.append(RobotChoice(combo, init, choice[-1], choice_timeline(pruned, choice)))
+            choice = (init, *combo, min(accs)[1])
+            choices.append(RobotChoice(choice, choice_timeline(pruned, choice)))
     if not choices:
         raise LevelDisconnected(f"robot {robot}: no feasible level placement")
     return choices
@@ -101,7 +99,7 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     that improved the incumbent.  ``deadline`` is checked on entry and every
     ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).
     """
-    plan = fold_plan(mission, assignment)
+    plan = FoldPlan(mission, assignment)
     options = [enumerate_robot_choices(pruned_map[r]) for r in plan.robots]
     count = 1
     for choices in options:

@@ -145,15 +145,17 @@ class Mission:
     of task propositions that must execute synchronously.  Occurrences are
     (k, l) pairs with l flat within the subsequence; ``sorted_occurrences``
     orders all of them by (k, l).  The occurrence and element indexes are
-    built once, here.
+    built once, here: ``element_index`` maps an occurrence to its element's
+    position in ``elements()``.
     """
 
     def __init__(self, subsequences: Tuple[Tuple[Tuple[str, ...], ...], ...],
                  negative_obligations: Optional[Mapping[Tuple[int, int], FrozenSet[str]]] = None):
         self.subsequences = subsequences
         self.negative_obligations = {} if negative_obligations is None else negative_obligations
-        seen, task, members = {}, {}, {}
+        seen, task, members, pairs = {}, {}, {}, []
         for k, sub in enumerate(subsequences, start=1):
+            pairs.extend((k, m) for m in range(1, len(sub)))
             l = 0
             for m, props in enumerate(sub, start=1):
                 group = []
@@ -172,6 +174,8 @@ class Mission:
         self._task = task
         self._members = members
         self._elements = tuple(members)
+        self._pairs = tuple(pairs)
+        self.element_index = {occ: e for e, group in enumerate(members.values()) for occ in group}
 
     def task_of(self, occ: Occurrence) -> str:
         try:
@@ -189,10 +193,7 @@ class Mission:
 
     def consecutive_element_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """All (k, m) pairs naming the boundary between elements m and m+1 of σ^k."""
-        out = []
-        for k, sub in enumerate(self.subsequences, start=1):
-            out.extend((k, m) for m in range(1, len(sub)))
-        return tuple(out)
+        return self._pairs
 
     def element_occurrences(self, elem: Tuple[int, int]) -> Tuple[Occurrence, ...]:
         return self._members[elem]

@@ -10,13 +10,13 @@ improvement terminates the protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .alloc import Assignment
 from .errors import LevelDisconnected, ProtocolStuck
 from .mission import Mission, Occurrence
 from .product import PrunedPa, Strategy
-from .schedule import CostReport, Timeline, choice_timeline, compute_time_cost
+from .schedule import CostReport, FoldPlan, Timeline, choice_timeline, compute_time_cost
 from .search import bfs, reconstruct
 
 
@@ -69,30 +69,6 @@ def _occ_str(occ) -> str:
     return f"ct({occ[0]},{occ[1]})"
 
 
-def _score(robot: int, occ: Occurrence, assignment: Assignment,
-           timelines: Mapping[int, Timeline], report: CostReport) -> float:
-    """Actual arrival estimate: prior synchronization slack plus ideal arrival."""
-    prev = assignment.previous(robot, occ)
-    base = 0.0
-    if prev is not None:
-        base = report.task_times[prev] - timelines[robot].arrivals[prev]
-    return base + timelines[robot].arrivals[occ]
-
-
-def find_latest(occ: Occurrence, assignment: Assignment,
-                timelines: Mapping[int, Timeline], report: CostReport) -> int:
-    robots = sorted(assignment.robots_for(occ))
-    scores = [(-_score(r, occ, assignment, timelines, report), r) for r in robots]
-    return min(scores)[1]
-
-
-def find_earliest(occ: Occurrence, assignment: Assignment,
-                  timelines: Mapping[int, Timeline], report: CostReport) -> int:
-    robots = sorted(assignment.robots_for(occ))
-    scores = [(_score(r, occ, assignment, timelines, report), r) for r in robots]
-    return min(scores)[1]
-
-
 class ProtocolContext:
     """Shared planning state the agents operate on."""
 
@@ -104,35 +80,49 @@ class ProtocolContext:
         self.choices = choices
         self.timelines = timelines
 
-    def report(self) -> CostReport:
-        return compute_time_cost(self.timelines, self.mission, self.assignment)
+
+def _carried(ctx: ProtocolContext, fold: tuple, robot: int, occ: Occurrence) -> Tuple[float, float]:
+    """The robot's synchronization slack carried into ``occ`` (its previous task's
+    folded time less its ideal arrival there) and that ideal arrival; 0.0 for both
+    when ``occ`` is its first task."""
+    prev = ctx.assignment.previous(robot, occ)
+    if prev is None:
+        return 0.0, 0.0
+    prefix_ideal = ctx.timelines[robot].arrivals[prev]
+    return fold[1][ctx.mission.element_index[prev]] - prefix_ideal, prefix_ideal
 
 
-def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
-                    is_latest: bool, report: CostReport) -> bool:
+def select_robot(ctx: ProtocolContext, fold: tuple, occ: Occurrence, latest: bool) -> int:
+    """The robot of ``occ`` with the latest (else the earliest) arrival estimate,
+    carried slack plus ideal arrival, under ``fold``; ties go to the least id."""
+    scores = []
+    for r in sorted(ctx.assignment.robots_for(occ)):
+        score = _carried(ctx, fold, r, occ)[0] + ctx.timelines[r].arrivals[occ]
+        scores.append((-score if latest else score, r))
+    return min(scores)[1]
+
+
+def adjust_strategy(ctx: ProtocolContext, plan: FoldPlan, fold: tuple, robot: int,
+                    occ: Occurrence, is_latest: bool) -> Optional[tuple]:
     """Try to re-place one collaborative firing; accept the first improvement.
 
     Keeps the run prefix up to the previous task, reroutes through an
     alternative collaborative state, and continues with the cheapest
     completion.  Acceptance needs both the arrival-side condition (advance
     the latest robot / delay the earliest within the current slack) and a
-    strict drop in total cost.
+    strict drop in total cost.  ``fold`` is ``plan.fold`` of the current
+    timelines; each candidate is folded from the first element, and an
+    accepted candidate's fold is returned (None when none is accepted).
     """
     pruned = ctx.pruned[robot]
     choice = ctx.choices[robot]
-    level = next(i for i, (o, _p) in enumerate(pruned.assigned) if o == occ) + 1
+    level = ctx.assignment.tasks_of(robot).index(occ) + 1
     current_state = choice[level]
     anchor = choice[level - 1]
-    timeline = ctx.timelines[robot]
-    prev = ctx.assignment.previous(robot, occ)
-    if prev is not None:
-        slack = report.task_times[prev] - timeline.arrivals[prev]
-        prefix_ideal = timeline.arrivals[prev]
-    else:
-        slack = 0.0
-        prefix_ideal = 0.0
-    t_ideal = timeline.arrivals[occ]
-    t_sync = report.task_times[occ]
+    slack, prefix_ideal = _carried(ctx, fold, robot, occ)
+    t_ideal = ctx.timelines[robot].arrivals[occ]
+    t_sync = fold[1][ctx.mission.element_index[occ]]
+    fixed = [True] * len(plan.robots)
     for candidate in pruned.levels[level]:
         if candidate == current_state:
             continue
@@ -153,13 +143,13 @@ def adjust_strategy(ctx: ProtocolContext, robot: int, occ: Occurrence,
             continue
         new_choice = list(choice[:level]) + tail
         new_timeline = choice_timeline(pruned, new_choice)
-        cand_report = compute_time_cost({**ctx.timelines, robot: new_timeline},
-                                        ctx.mission, ctx.assignment)
-        if cand_report.total < report.total:
+        trial = plan.fold([new_timeline if r == robot else ctx.timelines[r] for r in plan.robots],
+                          fixed)
+        if trial[3] < fold[3]:
             ctx.choices[robot] = new_choice
             ctx.timelines[robot] = new_timeline
-            return True
-    return False
+            return trial
+    return None
 
 
 class ProtocolResult:
@@ -186,8 +176,10 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
     if net is None:
         net = NetSim(sorted(ctx.timelines))
     order = ctx.mission.sorted_occurrences
-    report = ctx.report()  # refolded only when an adjustment is accepted
-    history = [report.total]
+    plan = FoldPlan(ctx.mission, ctx.assignment)
+    # the fold of the current timelines: an accepted trial's fold replaces it
+    fold = plan.fold([ctx.timelines[r] for r in plan.robots], [True] * len(plan.robots))
+    history = [fold[3]]
     cycles = adjustments = 0
     if order:
         ideal_total = sum(tl.completion for tl in ctx.timelines.values())
@@ -203,18 +195,18 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
         terminate = False
         while not terminate:
             occ = order[position]
-            actor = find_latest(occ, ctx.assignment, ctx.timelines, report)
-            improved = adjust_strategy(ctx, actor, occ, True, report)
-            if not improved:
-                earliest = find_earliest(occ, ctx.assignment, ctx.timelines, report)
+            actor = select_robot(ctx, fold, occ, True)
+            trial = adjust_strategy(ctx, plan, fold, actor, occ, True)
+            if trial is None:
+                earliest = select_robot(ctx, fold, occ, False)
                 net.route(actor, earliest, occ, count)
                 actor = earliest
-                improved = adjust_strategy(ctx, actor, occ, False, report)
-            if improved:
+                trial = adjust_strategy(ctx, plan, fold, actor, occ, False)
+            if trial is not None:
                 count += 1
                 adjustments += 1
-                report = ctx.report()
-                history.append(report.total)
+                fold = trial
+                history.append(fold[3])
             position += 1
             if position == len(order):
                 # cycle boundary: no accepted adjustment in a full pass ends the protocol
@@ -228,5 +220,6 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
             net.flood(actor, None if terminate else order[position], count,
                       "TERM" if terminate else "MSG")
     strategies = {r: ctx.pruned[r].expand(ctx.choices[r]) for r in ctx.pruned}
+    report = compute_time_cost(ctx.timelines, ctx.mission, ctx.assignment)
     return ProtocolResult(strategies, report, history, cycles, adjustments,
                           net.messages, net.trace)

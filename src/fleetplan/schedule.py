@@ -103,17 +103,6 @@ class FoldPlan:
         return trail, times, costs, sum(costs)
 
 
-_last_plan: tuple = (None, None, None)  # mission, assignment, plan
-
-
-def fold_plan(mission: Mission, assignment: Assignment) -> FoldPlan:
-    """The plan of the last mission and assignment folded, rebuilt when either changes."""
-    global _last_plan
-    if _last_plan[0] is not mission or _last_plan[1] is not assignment:
-        _last_plan = (mission, assignment, FoldPlan(mission, assignment))
-    return _last_plan[2]
-
-
 def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
                       assignment: Assignment) -> CostReport:
     """Fold synchronization waits over the global task order.
@@ -124,7 +113,7 @@ def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     with its accumulated wait.  On singleton elements this is exactly the
     per-task fold (arrival plus carried delay, max over the task's robots).
     """
-    plan = fold_plan(mission, assignment)
+    plan = FoldPlan(mission, assignment)
     if len(timelines) != len(plan.robots):
         raise ValueError(f"timelines of robots {sorted(timelines)} for {plan.robots}")
     trail, times, costs, total = plan.fold(

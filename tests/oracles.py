@@ -23,8 +23,7 @@ translator it reuses only ``simplify``.
 ``reference_primes`` finds a truth table's prime implicants by trying all 3^n
 cubes, as a judge of ``guard_from_minterms``.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests
-(``TRUE_GUARD`` is its tautology), ``full_choice`` spells out an oracle
-choice's level states for the expansion checks, ``witness`` decodes the
+(``TRUE_GUARD`` is its tautology), ``witness`` decodes the
 product path behind a pruned edge, and ``dijkstra`` is the weighted search
 those references run.  The references key product states by ``(region, f)``
 and regions by name (``world_adjacency``), where the planner uses integer ids
@@ -78,7 +77,7 @@ from fleetplan.milp import (
 )
 from fleetplan.mission import Mission
 from fleetplan.product import ProductPa, PrunedPa, Strategy
-from fleetplan.schedule import CostReport, Timeline, compute_time_cost, fold_plan
+from fleetplan.schedule import CostReport, FoldPlan, Timeline, compute_time_cost
 from fleetplan.search import reconstruct
 from fleetplan.world import World, Wts
 
@@ -737,11 +736,6 @@ def element_of(mission: Mission, occ) -> Tuple[int, int]:
     return next(elem for elem in mission.elements() if occ in mission.element_occurrences(elem))
 
 
-def full_choice(choice: RobotChoice) -> List[int]:
-    """A robot choice's level states, initial and accepting endpoints included."""
-    return [choice.init_state, *choice.collab_states, choice.accept_state]
-
-
 def witness(pruned: PrunedPa, li: int, a: int, b: int) -> Tuple[State, ...]:
     """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``, decoded."""
     return decoded(pruned.pa, pruned._path(li, a, b))
@@ -824,7 +818,7 @@ def partial_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     from below those of any full fold agreeing with ``timelines``.
     """
     every = {**timelines, **floors} if floors else timelines
-    plan = fold_plan(mission, assignment)
+    plan = FoldPlan(mission, assignment)
     if len(every) != len(plan.robots):
         raise ValueError(f"timelines of robots {sorted(every)} for {plan.robots}")
     trail, times, costs, total = plan.fold(

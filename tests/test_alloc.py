@@ -8,7 +8,7 @@ import pytest
 
 from fleetplan import alloc
 from fleetplan.alloc import AllocModel, check_assignment, dominated, next_assignment
-from fleetplan.errors import BudgetExceeded
+from fleetplan.errors import BudgetExceeded, FleetplanError
 from fleetplan.ltl import to_nfa
 from fleetplan.mission import (
     Mission,
@@ -253,6 +253,32 @@ def test_deep_fleet_yields_its_first_assignments():
     assert [first.tasks_of(r) for r in (118, 119)] == [(), every]
     assert [second.tasks_of(r) for r in (118, 119)] == [((1, 10),), every]
     assert not any(first.tasks_of(r) or second.tasks_of(r) for r in range(118))
+
+
+@pytest.mark.parametrize("need", [1, 1100])
+def test_too_deep_fleet_allocates_or_ends_with_a_clean_error(need):
+    """1,100 robots in one element make the search 1,101 deep.  Whether the
+    interpreter's stack holds that differs between Python versions, so either
+    outcome passes; a ``RecursionError`` does not."""
+    mission = Mission(((("ct1",),),))
+    model = AllocModel(mission, make_fleet(*[{"c1"}] * 1100), make_tasks({"ct1": {"c1": need}}))
+    try:
+        assignment = next_assignment(model)
+    except FleetplanError as exc:
+        assert "1100 robots + 1 elements" in str(exc)
+    else:
+        assert assignment.robots_for((1, 1)) == frozenset(range(1100 - need, 1100))
+
+
+def test_recursion_error_in_the_search_becomes_a_fleetplan_error():
+    def too_deep():
+        raise RecursionError("maximum recursion depth exceeded")
+        yield
+
+    model = deep_model()
+    model._solutions = too_deep()
+    with pytest.raises(FleetplanError, match="120 robots [+] 10 elements"):
+        next_assignment(model)
 
 
 def test_deadline_raise_inside_the_search_ends_the_enumeration(monkeypatch):

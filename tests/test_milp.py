@@ -15,12 +15,11 @@ from fleetplan.milp import MilpModel, Row, build_milp, emit_lp, solve_exact
 from fleetplan.mission import Mission
 from fleetplan.product import build_local_formula, build_product, prune_product
 from fleetplan.protocol import ProtocolContext, run_protocol
-from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost, fold_plan
+from fleetplan.schedule import FoldPlan, Timeline, choice_timeline, compute_time_cost
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
 from oracles import (
     ReferencePrunedPa,
-    full_choice,
     partial_time_cost,
     reference_solve_exact,
     refold_solve_exact,
@@ -110,7 +109,7 @@ def test_single_robot_objective_is_travel_weight():
         5, 1, {"ct1": "q3_0"}, ["q0_0"])
     result = solve_exact(pruned, mission, assignment)
     assert result.objective == 3.0
-    assert pruned[0].expand(full_choice(result.choices[0])).weight == 3.0
+    assert pruned[0].expand(result.choices[0].choice).weight == 3.0
 
 
 def test_exact_matches_flat_enumeration():
@@ -433,7 +432,7 @@ def _valuation_from_solution(model, pruned_map, exact):
     for r in sorted(pruned_map):
         pruned = pruned_map[r]
         index = _state_index(pruned)
-        choice = full_choice(exact.choices[r])
+        choice = exact.choices[r].choice
         for li, (a, b) in enumerate(zip(choice, choice[1:])):
             values[f"y_{r}_{index[a]}_{index[b]}"] = 1.0
         timeline = exact.choices[r].timeline
@@ -531,8 +530,8 @@ def assert_matches_reference(calls):
         ref = reference_solve_exact(pruned_map, mission, assignment)
         assert got.objective == ref.objective
         assert got.report == ref.report
-        assert {r: full_choice(c) for r, c in got.choices.items()} == \
-            {r: full_choice(c) for r, c in ref.choices.items()}
+        assert {r: c.choice for r, c in got.choices.items()} == \
+            {r: c.choice for r, c in ref.choices.items()}
         assert got.explored <= ref.explored
         explored += got.explored
         reference_explored += ref.explored
@@ -570,8 +569,40 @@ def test_resumed_search_equals_the_refold_reference(fixtures):
         ref = refold_solve_exact(pruned_map, mission, assignment)
         assert (got.objective, got.report, got.explored) == (ref.objective, ref.report,
                                                               ref.explored)
-        assert {r: (full_choice(c), c.timeline) for r, c in got.choices.items()} == \
-            {r: (full_choice(c), c.timeline) for r, c in ref.choices.items()}
+        assert {r: (c.choice, c.timeline) for r, c in got.choices.items()} == \
+            {r: (c.choice, c.timeline) for r, c in ref.choices.items()}
+
+
+@pytest.mark.parametrize("fixtures", [criterion_4_fixtures, float_weight_fixtures,
+                                      alloc_oracle_fixtures])
+def test_protocol_trial_folds_equal_compute_time_cost(fixtures, monkeypatch):
+    """Every fold the protocol makes on its plan, of the initial timelines and of
+    each candidate ``adjust_strategy`` tries, totals what ``compute_time_cost``
+    gives on the same timelines."""
+    from fleetplan import protocol
+
+    calls = (oracle_inputs.__wrapped__(fixtures) if fixtures is alloc_oracle_fixtures
+             else oracle_inputs(fixtures))
+    folds = []
+
+    class RecordingPlan(FoldPlan):
+        def fold(self, timelines, fixed, start=0, prior=None):
+            result = super().fold(timelines, fixed, start, prior)
+            folds.append((dict(zip(self.robots, timelines)), result[3]))
+            return result
+
+    monkeypatch.setattr(protocol, "FoldPlan", RecordingPlan)
+    trials = 0
+    for pruned_map, mission, assignment in calls:
+        folds.clear()
+        choices = {r: pruned_map[r].shortest_choice() for r in pruned_map}
+        timelines = {r: choice_timeline(pruned_map[r], choices[r]) for r in pruned_map}
+        result = run_protocol(ProtocolContext(mission, assignment, pruned_map, choices, timelines))
+        assert folds[0][1] == result.history[0]
+        for candidate, total in folds:
+            assert compute_time_cost(candidate, mission, assignment).total == total
+        trials += len(folds) - 1
+    assert trials >= 3 * len(calls)
 
 
 def test_resumed_fold_equals_the_full_fold_at_every_node():
@@ -581,7 +612,7 @@ def test_resumed_fold_equals_the_full_fold_at_every_node():
     nodes = resumed_later = 0
     for pruned_map, mission, assignment in (oracle_inputs(criterion_4_fixtures)
                                             + oracle_inputs(float_weight_fixtures)):
-        plan = fold_plan(mission, assignment)
+        plan = FoldPlan(mission, assignment)
         options = [milp.enumerate_robot_choices(pruned_map[r]) for r in plan.robots]
         size = 1
         for choices in options:

@@ -185,6 +185,8 @@ def test_mission_indexing_and_sync_groups():
     assert element_of(mission, (1, 2)) == (1, 1)
     assert frozenset(mission.element_tasks(element_of(mission, (1, 1)))) == frozenset({"ct1", "ct2"})
     assert mission.consecutive_element_pairs() == ((1, 1),)
+    assert {occ: mission.elements()[e] for occ, e in mission.element_index.items()} == \
+        {occ: element_of(mission, occ) for occ in mission.sorted_occurrences}
 
 
 def test_mission_rejects_repeated_task():

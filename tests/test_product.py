@@ -26,7 +26,6 @@ from oracles import (
     bellman_ford,
     choice_weight,
     decoded,
-    full_choice,
     initial_run,
     initial_strategy,
     path_through,
@@ -363,7 +362,7 @@ def assert_same_expansions(pruned, ref):
     pa = pruned.pa
     ref_pa = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
     for robot_choice in enumerate_robot_choices(pruned):
-        choice = full_choice(robot_choice)
+        choice = robot_choice.choice
         got, want = pruned.expand(choice), ref.expand(decoded(pa, choice))
         assert (got.run, got.fired, got.emits, got.step_weights) == (
             want.run, want.fired, want.emits, want.step_weights), choice

@@ -11,11 +11,10 @@ from fleetplan.protocol import (
     NetSim,
     ProtocolContext,
     adjust_strategy,
-    find_earliest,
-    find_latest,
     run_protocol,
+    select_robot,
 )
-from fleetplan.schedule import Timeline, choice_timeline, compute_time_cost, simulate
+from fleetplan.schedule import FoldPlan, Timeline, choice_timeline, compute_time_cost, simulate
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
 
@@ -25,6 +24,19 @@ def make_assignment(mission, pairs, robots):
     return Assignment(robots, occs, vector)
 
 
+def plan_and_fold(ctx):
+    """The context's fold plan and the fold of its current timelines."""
+    plan = FoldPlan(ctx.mission, ctx.assignment)
+    return plan, plan.fold([ctx.timelines[r] for r in plan.robots], [True] * len(plan.robots))
+
+
+def select_both(mission, assignment, tls, occ):
+    """The latest and the earliest robot of ``occ`` under the fold of ``tls``."""
+    ctx = ProtocolContext(mission, assignment, {}, {}, tls)
+    fold = plan_and_fold(ctx)[1]
+    return select_robot(ctx, fold, occ, True), select_robot(ctx, fold, occ, False)
+
+
 def test_find_latest_and_earliest_scores():
     mission = Mission(((("ct1",),),))
     assignment = make_assignment(mission, {(0, (1, 1)), (1, (1, 1))}, (0, 1))
@@ -32,9 +44,7 @@ def test_find_latest_and_earliest_scores():
         0: Timeline(0, {(1, 1): 7.0}, 9.0),
         1: Timeline(1, {(1, 1): 9.0}, 9.0),
     }
-    report = compute_time_cost(tls, mission, assignment)
-    assert find_latest((1, 1), assignment, tls, report) == 1
-    assert find_earliest((1, 1), assignment, tls, report) == 0
+    assert select_both(mission, assignment, tls, (1, 1)) == (1, 0)
 
 
 def test_find_latest_breaks_ties_by_lowest_id():
@@ -44,9 +54,7 @@ def test_find_latest_breaks_ties_by_lowest_id():
         0: Timeline(0, {(1, 1): 7.0}, 8.0),
         1: Timeline(1, {(1, 1): 7.0}, 8.0),
     }
-    report = compute_time_cost(tls, mission, assignment)
-    assert find_latest((1, 1), assignment, tls, report) == 0
-    assert find_earliest((1, 1), assignment, tls, report) == 0
+    assert select_both(mission, assignment, tls, (1, 1)) == (0, 0)
 
 
 def test_find_latest_uses_previous_task_slack():
@@ -59,11 +67,9 @@ def test_find_latest_uses_previous_task_slack():
         1: Timeline(1, {(1, 2): 6.0, (1, 3): 11.0}, 13.0),
         2: Timeline(2, {(1, 3): 9.0}, 9.0),
     }
-    report = compute_time_cost(tls, mission, assignment)
     # ct1 fires at 2 (robot 0 alone); ct2 at 6 (robot 1 alone)
     # scores for ct3: r0 = (2-2) + 10 = 10; r1 = (6-6) + 11 = 11; r2 = 9
-    assert find_latest((1, 3), assignment, tls, report) == 1
-    assert find_earliest((1, 3), assignment, tls, report) == 2
+    assert select_both(mission, assignment, tls, (1, 3)) == (1, 2)
 
 
 def two_robot_corridor(ct_positions, starts, extra_tasks=(), formulas=None):
@@ -114,7 +120,7 @@ def test_protocol_converges_and_is_monotone():
         extra_tasks=[("ts1", "q1_1", 0)],
         formulas={0: "F ts1"},
     )
-    initial_total = ctx.report().total
+    initial_total = compute_time_cost(ctx.timelines, ctx.mission, ctx.assignment).total
     result = run_protocol(ctx)
     assert result.report.total <= initial_total
     assert all(b < a for a, b in zip(result.history, result.history[1:]))
@@ -136,12 +142,14 @@ def test_protocol_stops_after_clean_cycle():
 def test_adjustment_requires_both_conditions():
     """A candidate that helps the robot but raises the total cost is rejected."""
     ctx = two_robot_corridor({"ct1": 3}, ["q0_0", "q3_1"])
-    report = ctx.report()
-    latest = find_latest((1, 1), ctx.assignment, ctx.timelines, report)
+    plan, fold = plan_and_fold(ctx)
+    latest = select_robot(ctx, fold, (1, 1), True)
     before = dict(ctx.choices)
-    improved = adjust_strategy(ctx, latest, (1, 1), True, report)
-    if not improved:
+    trial = adjust_strategy(ctx, plan, fold, latest, (1, 1), True)
+    if trial is None:
         assert ctx.choices == before  # unchanged is a legitimate outcome
+    else:
+        assert trial[3] < fold[3]
 
 
 def test_protocol_result_matches_simulation():
@@ -214,17 +222,18 @@ def test_protocol_trace_on_complete_topology():
     ]
 
 
-def test_protocol_searches_each_robot_once_and_refolds_only_on_adjustment(monkeypatch):
-    """The adjusting run above searches the network once from each robot and
-    folds its report once, then again only after each accepted adjustment."""
+def test_protocol_searches_each_robot_once_and_reports_once(monkeypatch):
+    """The adjusting run above searches the network once from each robot,
+    lays out one fold plan, and builds its cost report once, at the end."""
     from fleetplan import protocol
 
-    sources, reports = [], []
-    real_bfs, real_report = protocol.bfs, ProtocolContext.report
+    sources, plans, reports = [], [], []
+    real_bfs, real_plan, real_report = protocol.bfs, protocol.FoldPlan, protocol.compute_time_cost
     monkeypatch.setattr(protocol, "bfs",
                         lambda successors, starts: sources.extend(starts) or real_bfs(successors, starts))
-    monkeypatch.setattr(ProtocolContext, "report",
-                        lambda self: reports.append(self) or real_report(self))
+    monkeypatch.setattr(protocol, "FoldPlan", lambda *args: plans.append(args) or real_plan(*args))
+    monkeypatch.setattr(protocol, "compute_time_cost",
+                        lambda *args: reports.append(args) or real_report(*args))
     ctx = two_robot_corridor(
         {"ct1": 2, "ct2": 5},
         ["q6_1", "q0_1"],
@@ -234,7 +243,8 @@ def test_protocol_searches_each_robot_once_and_refolds_only_on_adjustment(monkey
     result = run_protocol(ctx, NetSim([0, 1, 2]))
     assert result.history == [20.0, 16.0] and len(result.trace) == 15
     assert sorted(sources) == [0, 1, 2]
-    assert len(reports) == len(result.history)
+    assert len(plans) == len(reports) == 1
+    assert result.report.total == result.history[-1]
 
 
 def test_netsim_flood_and_route_count_messages():
