@@ -8,7 +8,9 @@ before any synthesis work.
 
 A robot's local synthesis depends only on the robot and its assigned
 occurrences, and nothing downstream mutates a product, so one cache per run
-keeps each such key's automaton and pruned product, or the error it raised.
+keeps each such key's pruned product (which holds the local automaton), or
+the error it raised.  Each evaluated assignment is laid out once, as the
+`FoldPlan` that the adjustment, the oracle and the cost report all fold.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from .errors import (
     NoAcceptingPath,
     StateLimitExceeded,
 )
-from .ltl import Nfa, nfa_accepts, to_nfa
+from .ltl import nfa_accepts, to_nfa
 from .milp import solve_exact
 from .mission import Mission, build_mission, decomposition_states, prune_nfa, shortest_accepting_run
 from .product import PrunedPa, Strategy, build_local_formula, build_product, prune_product
-from .protocol import NetSim, ProtocolContext, run_protocol
+from .protocol import ProtocolContext, run_protocol
 from .scenario import Scenario
-from .schedule import SimResult, choice_timeline, compute_time_cost, simulate
+from .schedule import FoldPlan, SimResult, choice_timeline, compute_time_cost, simulate
 from .world import build_wts
 
 
@@ -82,14 +84,12 @@ class PlanOutput:
 
 class RunReport:
     def __init__(self, scenario_name: str, mission: Optional[Mission], rows: List[AssignmentRow],
-                 incumbent: Optional[PlanOutput], stopped_because: str,
-                 protocol_trace: Optional[List[str]] = None):
+                 incumbent: Optional[PlanOutput], stopped_because: str):
         self.scenario_name = scenario_name
         self.mission = mission
         self.rows = rows
         self.incumbent = incumbent
         self.stopped_because = stopped_because
-        self.protocol_trace = [] if protocol_trace is None else protocol_trace
 
 
 def _resolve_comm_pairs(option, mission: Mission):
@@ -126,9 +126,8 @@ def run_framework(scenario: Scenario) -> RunReport:
     model = AllocModel(mission, fleet, collab_tasks, comm_pairs)
     rows: List[AssignmentRow] = []
     incumbent: Optional[PlanOutput] = None
-    protocol_trace: List[str] = []
     history_vectors: List[Tuple[bool, ...]] = []
-    synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> (Nfa, PrunedPa) or error
+    synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> PrunedPa or error
     deadline = None if opts.budget_seconds is None else started + opts.budget_seconds
     stopped = "unsat"
     index = 0
@@ -164,21 +163,20 @@ def run_framework(scenario: Scenario) -> RunReport:
         row.collab_accepted = nfa_accepts(collab_nfa, plan.sim.global_sequence)
         if incumbent is None or plan.total < incumbent.total:
             incumbent = plan
-        protocol_trace.extend(row.trace_lines)
-    return RunReport(scenario.name, mission, rows, incumbent, stopped, protocol_trace)
+    return RunReport(scenario.name, mission, rows, incumbent, stopped)
 
 
 SYNTHESIS_ERRORS = (NoAcceptingPath, LevelDisconnected, StateLimitExceeded)
 
 
 def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthesis):
-    """Robot ``r``'s local automaton and pruned product, built once per key."""
+    """Robot ``r``'s pruned product, built once per key."""
     key = (r, tuple(assigned))
     if key not in synthesis:
         try:
             nfa = to_nfa(build_local_formula(scenario.parsed_individual(r), assigned),
                          scenario.options.state_cap)
-            synthesis[key] = (nfa, prune_product(build_product(wts[r], nfa, assigned, collab_props)))
+            synthesis[key] = prune_product(build_product(wts[r], nfa, assigned, collab_props))
         except SYNTHESIS_ERRORS as exc:
             synthesis[key] = exc
     if isinstance(synthesis[key], Exception):
@@ -192,32 +190,29 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
                          deadline: Optional[float]) -> PlanOutput:
     opts = scenario.options
     fleet = scenario.fleet
-    nfas: Dict[int, Nfa] = {}
     pruned_map: Dict[int, PrunedPa] = {}
-    choices = {}
+    timelines = {}
     prune_times = []
     for r in sorted(fleet.robot_ids()):
         check_deadline(deadline)
         assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
         t0 = time.perf_counter()
-        nfas[r], pruned_map[r] = _synthesize(scenario, r, assigned, wts, collab_props, synthesis)
+        pruned = pruned_map[r] = _synthesize(scenario, r, assigned, wts, collab_props, synthesis)
         prune_times.append(time.perf_counter() - t0)
-        choices[r] = pruned_map[r].shortest_choice()
+        timelines[r] = choice_timeline(pruned, pruned.shortest_choice())
     row.wall_prune_avg = sum(prune_times) / len(prune_times)
     stats = [p.size_stats() for p in pruned_map.values()]
     row.product_states = max(s["product_states"] for s in stats)
     row.max_level_width = max(s["max_level_width"] for s in stats)
     row.product_edges = max(s["product_edges"] for s in stats)
 
-    timelines = {r: choice_timeline(pruned_map[r], choices[r]) for r in pruned_map}
     row.t_ideal = sum(tl.completion for tl in timelines.values())
 
+    plan = FoldPlan(mission, assignment)
     if opts.adjust:
-        ctx = ProtocolContext(mission, assignment, pruned_map, dict(choices), dict(timelines))
-        net = NetSim(sorted(pruned_map))
         check_deadline(deadline)
         t0 = time.perf_counter()
-        result = run_protocol(ctx, net)
+        result = run_protocol(ProtocolContext(plan, pruned_map, timelines))
         row.wall_adjust = time.perf_counter() - t0
         row.t_init = result.history[0]  # the protocol folds the initial timelines
         row.history = result.history
@@ -227,8 +222,8 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
         strategies = result.strategies
         final_report = result.report
     else:
-        strategies = {r: pruned_map[r].expand(choices[r]) for r in pruned_map}
-        final_report = compute_time_cost(timelines, mission, assignment)
+        strategies = {r: pruned_map[r].expand(timelines[r].choice) for r in pruned_map}
+        final_report = compute_time_cost(timelines, plan)
         row.t_init = final_report.total
         row.history = [final_report.total]
     row.t_adjusted = final_report.total
@@ -242,12 +237,13 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
     )
     row.element_sync_ok = sim.element_sync_ok
     row.element_order_ok = sim.element_order_ok
-    row.locals_accepted = all(nfa_accepts(nfas[r], strategies[r].emits) for r in strategies)
+    row.locals_accepted = all(nfa_accepts(pruned_map[r].pa.nfa, strategies[r].emits)
+                              for r in strategies)
 
     if opts.oracle:
         t0 = time.perf_counter()
         try:
-            exact = solve_exact(pruned_map, mission, assignment, opts.combination_cap, deadline)
+            exact = solve_exact(pruned_map, plan, opts.combination_cap, deadline)
             row.oracle_j = exact.objective
         except BudgetExceeded as exc:
             row.detail = f"oracle skipped: {exc}"
@@ -328,8 +324,9 @@ def write_schedule_json(report: RunReport, path):
 
 def write_protocol_trace(report: RunReport, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for line in report.protocol_trace:
-            fh.write(line + "\n")
+        for row in report.rows:
+            for line in row.trace_lines:
+                fh.write(line + "\n")
 
 
 def write_reports(report: RunReport, out_dir):

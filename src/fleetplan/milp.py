@@ -23,19 +23,10 @@ from .schedule import CostReport, FoldPlan, Timeline, choice_timeline, compute_t
 DEFAULT_COMBINATION_CAP = 10_000_000
 
 
-class RobotChoice:
-    """One robot's level choice (initial, collaborative and accepting states)
-    with its induced ideal timeline."""
-
-    __slots__ = ("choice", "timeline")
-
-    def __init__(self, choice: Tuple[int, ...], timeline: Timeline):
-        self.choice = choice
-        self.timeline = timeline
-
-
-def enumerate_robot_choices(pruned: PrunedPa) -> List[RobotChoice]:
-    """All per-level collaborative placements with their cheapest endpoints.
+def enumerate_robot_choices(pruned: PrunedPa) -> List[Timeline]:
+    """The timelines of all per-level collaborative placements with their
+    cheapest endpoints, each keeping its level choice (initial, collaborative
+    and accepting states).
 
     The initial state takes the cheapest edge into the first collaborative
     state (with none, the least initial state that reaches the accepting
@@ -44,7 +35,7 @@ def enumerate_robot_choices(pruned: PrunedPa) -> List[RobotChoice]:
     """
     robot = pruned.pa.wts.robot_id
     last = len(pruned.levels) - 2
-    choices: List[RobotChoice] = []
+    choices: List[Timeline] = []
     for combo in iter_product(*pruned.levels[1:-1]):
         if combo:
             inits = [(w, s) for s in pruned.levels[0]
@@ -60,31 +51,31 @@ def enumerate_robot_choices(pruned: PrunedPa) -> List[RobotChoice]:
                 if (w := pruned.edge_weight(last, tail, s)) is not None]
         if accs:
             choice = (init, *combo, min(accs)[1])
-            choices.append(RobotChoice(choice, choice_timeline(pruned, choice)))
+            choices.append(choice_timeline(pruned, choice))
     if not choices:
         raise LevelDisconnected(f"robot {robot}: no feasible level placement")
     return choices
 
 
 class ExactResult:
-    def __init__(self, objective: float, report: CostReport, choices: Dict[int, RobotChoice],
+    def __init__(self, objective: float, report: CostReport, timelines: Dict[int, Timeline],
                  explored: int):
         self.objective = objective
         self.report = report
-        self.choices = choices
+        self.timelines = timelines
         self.explored = explored
 
 
-def least_timeline(choices: Sequence[RobotChoice]) -> Timeline:
-    """Each occurrence's least ideal arrival and the least completion over ``choices``."""
-    first = choices[0].timeline
+def least_timeline(choices: Sequence[Timeline]) -> Timeline:
+    """Each occurrence's least ideal arrival and the least completion over
+    ``choices``: a floor, so it has no level choice."""
+    first = choices[0]
     return Timeline(first.robot_id,
-                    {occ: min(c.timeline.arrivals[occ] for c in choices) for occ in first.arrivals},
-                    min(c.timeline.completion for c in choices))
+                    {occ: min(c.arrivals[occ] for c in choices) for occ in first.arrivals},
+                    min(c.completion for c in choices), None)
 
 
-def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
-                assignment: Assignment,
+def solve_exact(pruned_map: Mapping[int, PrunedPa], plan: FoldPlan,
                 combination_cap: int = DEFAULT_COMBINATION_CAP,
                 deadline: Optional[float] = None) -> ExactResult:
     """Optimal total time cost over all joint collaborative placements.
@@ -99,7 +90,6 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     that improved the incumbent.  ``deadline`` is checked on entry and every
     ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).
     """
-    plan = FoldPlan(mission, assignment)
     options = [enumerate_robot_choices(pruned_map[r]) for r in plan.robots]
     count = 1
     for choices in options:
@@ -108,10 +98,8 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
             raise BudgetExceeded(f"joint choice count exceeds cap ({combination_cap})")
     # each free robot's floor, replaced by its choice while the robot is fixed
     timelines = [least_timeline(choices) for choices in options]
-    fixed = [(True,) * idx + (False,) * (len(options) - idx) for idx in range(len(options) + 1)]
-    best: Optional[Tuple[float, List[RobotChoice]]] = None
+    best: Optional[Tuple[float, List[Timeline]]] = None
     explored = nodes = 0
-    chosen: List[Optional[RobotChoice]] = [None] * len(options)
 
     def dfs(idx: int, fold: tuple):
         nonlocal best, explored, nodes
@@ -122,20 +110,19 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
             return
         if idx == len(options):
             explored += 1
-            best = (fold[3], list(chosen))
+            best = (fold[3], list(timelines))
             return
         floor, start = timelines[idx], plan.first.get(idx, len(plan.steps))
         for choice in options[idx]:
-            chosen[idx], timelines[idx] = choice, choice.timeline
-            dfs(idx + 1, plan.fold(timelines, fixed[idx + 1], start, fold))
+            timelines[idx] = choice
+            dfs(idx + 1, plan.fold(timelines, idx + 1, start, fold))
         timelines[idx] = floor
 
-    dfs(0, plan.fold(timelines, fixed[0]))
+    dfs(0, plan.fold(timelines, 0))
     if best is None:
         raise LevelDisconnected("no joint feasible placement")
-    choices = dict(zip(plan.robots, best[1]))
-    report = compute_time_cost({r: c.timeline for r, c in choices.items()}, mission, assignment)
-    return ExactResult(best[0], report, choices, explored)
+    found = dict(zip(plan.robots, best[1]))
+    return ExactResult(best[0], compute_time_cost(found, plan), found, explored)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .alloc import Assignment
 from .errors import LevelDisconnected, ProtocolStuck
-from .mission import Mission, Occurrence
+from .mission import Occurrence
 from .product import PrunedPa, Strategy
 from .schedule import CostReport, FoldPlan, Timeline, choice_timeline, compute_time_cost
 from .search import bfs, reconstruct
@@ -70,14 +69,13 @@ def _occ_str(occ) -> str:
 
 
 class ProtocolContext:
-    """Shared planning state the agents operate on."""
+    """Shared planning state the agents operate on: the assignment's fold plan,
+    each robot's pruned product, and its current timeline (with its choice)."""
 
-    def __init__(self, mission: Mission, assignment: Assignment, pruned: Dict[int, PrunedPa],
-                 choices: Dict[int, List[int]], timelines: Dict[int, Timeline]):
-        self.mission = mission
-        self.assignment = assignment
+    def __init__(self, plan: FoldPlan, pruned: Dict[int, PrunedPa],
+                 timelines: Dict[int, Timeline]):
+        self.plan = plan
         self.pruned = pruned
-        self.choices = choices
         self.timelines = timelines
 
 
@@ -85,44 +83,44 @@ def _carried(ctx: ProtocolContext, fold: tuple, robot: int, occ: Occurrence) -> 
     """The robot's synchronization slack carried into ``occ`` (its previous task's
     folded time less its ideal arrival there) and that ideal arrival; 0.0 for both
     when ``occ`` is its first task."""
-    prev = ctx.assignment.previous(robot, occ)
+    prev = ctx.plan.assignment.previous(robot, occ)
     if prev is None:
         return 0.0, 0.0
     prefix_ideal = ctx.timelines[robot].arrivals[prev]
-    return fold[1][ctx.mission.element_index[prev]] - prefix_ideal, prefix_ideal
+    return fold[1][ctx.plan.mission.element_index[prev]] - prefix_ideal, prefix_ideal
 
 
 def select_robot(ctx: ProtocolContext, fold: tuple, occ: Occurrence, latest: bool) -> int:
     """The robot of ``occ`` with the latest (else the earliest) arrival estimate,
     carried slack plus ideal arrival, under ``fold``; ties go to the least id."""
     scores = []
-    for r in sorted(ctx.assignment.robots_for(occ)):
+    for r in sorted(ctx.plan.assignment.robots_for(occ)):
         score = _carried(ctx, fold, r, occ)[0] + ctx.timelines[r].arrivals[occ]
         scores.append((-score if latest else score, r))
     return min(scores)[1]
 
 
-def adjust_strategy(ctx: ProtocolContext, plan: FoldPlan, fold: tuple, robot: int,
-                    occ: Occurrence, is_latest: bool) -> Optional[tuple]:
+def adjust_strategy(ctx: ProtocolContext, fold: tuple, robot: int, occ: Occurrence,
+                    is_latest: bool) -> Optional[tuple]:
     """Try to re-place one collaborative firing; accept the first improvement.
 
     Keeps the run prefix up to the previous task, reroutes through an
     alternative collaborative state, and continues with the cheapest
     completion.  Acceptance needs both the arrival-side condition (advance
     the latest robot / delay the earliest within the current slack) and a
-    strict drop in total cost.  ``fold`` is ``plan.fold`` of the current
+    strict drop in total cost.  ``fold`` is ``ctx.plan.fold`` of the current
     timelines; each candidate is folded from the first element, and an
     accepted candidate's fold is returned (None when none is accepted).
     """
+    plan = ctx.plan
     pruned = ctx.pruned[robot]
-    choice = ctx.choices[robot]
-    level = ctx.assignment.tasks_of(robot).index(occ) + 1
+    choice = ctx.timelines[robot].choice
+    level = plan.assignment.tasks_of(robot).index(occ) + 1
     current_state = choice[level]
     anchor = choice[level - 1]
     slack, prefix_ideal = _carried(ctx, fold, robot, occ)
     t_ideal = ctx.timelines[robot].arrivals[occ]
-    t_sync = fold[1][ctx.mission.element_index[occ]]
-    fixed = [True] * len(plan.robots)
+    t_sync = fold[1][plan.mission.element_index[occ]]
     for candidate in pruned.levels[level]:
         if candidate == current_state:
             continue
@@ -141,12 +139,10 @@ def adjust_strategy(ctx: ProtocolContext, plan: FoldPlan, fold: tuple, robot: in
             tail = pruned.best_chain_from(level, candidate)
         except LevelDisconnected:
             continue
-        new_choice = list(choice[:level]) + tail
-        new_timeline = choice_timeline(pruned, new_choice)
+        new_timeline = choice_timeline(pruned, list(choice[:level]) + tail)
         trial = plan.fold([new_timeline if r == robot else ctx.timelines[r] for r in plan.robots],
-                          fixed)
+                          len(plan.robots))
         if trial[3] < fold[3]:
-            ctx.choices[robot] = new_choice
             ctx.timelines[robot] = new_timeline
             return trial
     return None
@@ -175,10 +171,10 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
     """
     if net is None:
         net = NetSim(sorted(ctx.timelines))
-    order = ctx.mission.sorted_occurrences
-    plan = FoldPlan(ctx.mission, ctx.assignment)
+    plan = ctx.plan
+    order = plan.mission.sorted_occurrences
     # the fold of the current timelines: an accepted trial's fold replaces it
-    fold = plan.fold([ctx.timelines[r] for r in plan.robots], [True] * len(plan.robots))
+    fold = plan.fold([ctx.timelines[r] for r in plan.robots], len(plan.robots))
     history = [fold[3]]
     cycles = adjustments = 0
     if order:
@@ -196,12 +192,12 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
         while not terminate:
             occ = order[position]
             actor = select_robot(ctx, fold, occ, True)
-            trial = adjust_strategy(ctx, plan, fold, actor, occ, True)
+            trial = adjust_strategy(ctx, fold, actor, occ, True)
             if trial is None:
                 earliest = select_robot(ctx, fold, occ, False)
                 net.route(actor, earliest, occ, count)
                 actor = earliest
-                trial = adjust_strategy(ctx, plan, fold, actor, occ, False)
+                trial = adjust_strategy(ctx, fold, actor, occ, False)
             if trial is not None:
                 count += 1
                 adjustments += 1
@@ -219,7 +215,7 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
                         f"protocol exceeded its cycle bound ({bound}); cost history: {history}")
             net.flood(actor, None if terminate else order[position], count,
                       "TERM" if terminate else "MSG")
-    strategies = {r: ctx.pruned[r].expand(ctx.choices[r]) for r in ctx.pruned}
-    report = compute_time_cost(ctx.timelines, ctx.mission, ctx.assignment)
+    strategies = {r: ctx.pruned[r].expand(ctx.timelines[r].choice) for r in ctx.pruned}
+    report = compute_time_cost(ctx.timelines, plan)
     return ProtocolResult(strategies, report, history, cycles, adjustments,
                           net.messages, net.trace)

@@ -159,6 +159,9 @@ class Scenario:
             props.add(task.prop)
             if task.region not in self.world.rank:
                 raise ScenarioError(f"task {task.prop} on unknown region {task.region}")
+            unknown = sorted(set(task.requirements) - set(self.fleet.capabilities))
+            if unknown:
+                raise ScenarioError(f"task {task.prop} requires unknown capability {unknown[0]}")
             if task.owner is not None:
                 owner = self.fleet.robot(task.owner)
                 cap = next(iter(task.requirements))

@@ -6,7 +6,8 @@ task by task, and the event simulation (`simulate`) that moves robots along
 their walks and blocks them at collaborations.  Valid plans must get the
 same total cost from both.  The protocol and the exact oracle both take
 their timelines from `choice_timeline` and their costs from one fold,
-`FoldPlan.fold`, which the oracle resumes at every search node.
+`FoldPlan.fold`, on the one plan the framework lays out per assignment; the
+oracle resumes it at every search node.
 """
 
 from __future__ import annotations
@@ -20,20 +21,23 @@ from .product import PrunedPa, Strategy
 
 
 class Timeline:
-    """A robot's ideal arrival times (no waits) and ideal completion time."""
+    """A robot's ideal arrival times (no waits) and ideal completion time, with
+    the level choice they were computed from (None for a bound's floor)."""
 
-    __slots__ = ("robot_id", "arrivals", "completion")
+    __slots__ = ("robot_id", "arrivals", "completion", "choice")
 
-    def __init__(self, robot_id: int, arrivals: Mapping[Occurrence, float], completion: float):
+    def __init__(self, robot_id: int, arrivals: Mapping[Occurrence, float], completion: float,
+                 choice: Optional[Sequence[int]]):
         self.robot_id = robot_id
         self.arrivals = arrivals
         self.completion = completion
+        self.choice = choice
 
     def __eq__(self, other):
         if type(other) is not Timeline:
             return NotImplemented
-        return ((self.robot_id, self.arrivals, self.completion)
-                == (other.robot_id, other.arrivals, other.completion))
+        return ((self.robot_id, self.arrivals, self.completion, self.choice)
+                == (other.robot_id, other.arrivals, other.completion, other.choice))
 
 
 class CostReport:
@@ -64,7 +68,7 @@ def choice_timeline(pruned: PrunedPa, choice: Sequence[int]) -> Timeline:
         total += w
         if li < len(pruned.assigned):
             arrivals[pruned.assigned[li][0]] = total
-    return Timeline(pruned.pa.wts.robot_id, arrivals, total)
+    return Timeline(pruned.pa.wts.robot_id, arrivals, total, choice)
 
 
 class FoldPlan:
@@ -72,9 +76,11 @@ class FoldPlan:
     in sorted order: ``steps[e]`` has an (occurrence, position) pair per robot
     serving element e, and ``first`` maps a robot to the first it serves."""
 
-    __slots__ = ("robots", "steps", "first")
+    __slots__ = ("mission", "assignment", "robots", "steps", "first")
 
     def __init__(self, mission: Mission, assignment: Assignment):
+        self.mission = mission
+        self.assignment = assignment
         self.robots = tuple(sorted(assignment.robots))
         position = {r: p for p, r in enumerate(self.robots)}
         self.steps = tuple(
@@ -83,9 +89,9 @@ class FoldPlan:
         # walked backwards, so each robot keeps its first element
         self.first = {p: e for e, pairs in reversed(list(enumerate(self.steps))) for _occ, p in pairs}
 
-    def fold(self, timelines: Sequence[Timeline], fixed: Sequence[bool],
+    def fold(self, timelines: Sequence[Timeline], fixed: int,
              start: int = 0, prior: Optional[tuple] = None) -> tuple:
-        """``compute_time_cost`` by position, ``timelines[p]`` a floor unless ``fixed[p]``:
+        """``compute_time_cost`` by position, ``timelines[p]`` a floor unless ``p < fixed``:
         ``(trail, times, costs, total)`` are the delays on reaching each element and at
         the end, element times, robot costs and their sum.  From ``start`` it resumes
         ``prior``, a fold that differs only for robots serving no earlier element."""
@@ -96,16 +102,15 @@ class FoldPlan:
             t = max([timelines[p].arrivals[occ] + delays[p] for occ, p in pairs])
             times.append(t)
             for occ, p in pairs:
-                if fixed[p]:
+                if p < fixed:
                     delays[p] = t - timelines[p].arrivals[occ]
         trail.append(delays)
         costs = [tl.completion + d for tl, d in zip(timelines, delays)]
         return trail, times, costs, sum(costs)
 
 
-def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
-                      assignment: Assignment) -> CostReport:
-    """Fold synchronization waits over the global task order.
+def compute_time_cost(timelines: Mapping[int, Timeline], plan: FoldPlan) -> CostReport:
+    """Fold synchronization waits over the global task order of ``plan``.
 
     Walks the mission's elements in (k, m) order.  Tasks sharing an element
     are synchronization-coupled and execute together when the last robot of
@@ -113,11 +118,10 @@ def compute_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     with its accumulated wait.  On singleton elements this is exactly the
     per-task fold (arrival plus carried delay, max over the task's robots).
     """
-    plan = FoldPlan(mission, assignment)
     if len(timelines) != len(plan.robots):
         raise ValueError(f"timelines of robots {sorted(timelines)} for {plan.robots}")
-    trail, times, costs, total = plan.fold(
-        [timelines[r] for r in plan.robots], [True] * len(plan.robots))
+    trail, times, costs, total = plan.fold([timelines[r] for r in plan.robots], len(plan.robots))
+    mission = plan.mission
     task_times = {occ: t for elem, t in zip(mission.elements(), times)
                   for occ in mission.element_occurrences(elem)}
     return CostReport(task_times, dict(zip(plan.robots, trail[-1])),

@@ -71,7 +71,6 @@ from fleetplan.milp import (
     DEFAULT_COMBINATION_CAP,
     ExactResult,
     MilpModel,
-    RobotChoice,
     enumerate_robot_choices,
     least_timeline,
 )
@@ -411,7 +410,7 @@ def compute_timeline(strategy: Strategy) -> Timeline:
     ``schedule.choice_timeline``, which derives them from pruned edges."""
     arrivals = {occ: sum(strategy.step_weights[:pos])
                 for occ, pos in strategy.collab_positions.items()}
-    return Timeline(strategy.robot_id, arrivals, strategy.weight)
+    return Timeline(strategy.robot_id, arrivals, strategy.weight, None)
 
 
 def initial_strategy(pruned: PrunedPa) -> Tuple[List[int], Strategy]:
@@ -766,11 +765,12 @@ def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
             raise BudgetExceeded(
                 f"joint choice count exceeds cap ({combination_cap})")
     min_completion = {
-        r: min(c.timeline.completion for c in per_robot[r]) for r in robots
+        r: min(c.completion for c in per_robot[r]) for r in robots
     }
-    best: Optional[Tuple[float, Dict[int, RobotChoice], CostReport]] = None
+    best: Optional[Tuple[float, Dict[int, Timeline], CostReport]] = None
     explored = nodes = 0
-    stack_choice: Dict[int, RobotChoice] = {}
+    stack_choice: Dict[int, Timeline] = {}
+    plan = FoldPlan(mission, assignment)
 
     def dfs(idx: int, partial_sum: float):
         nonlocal best, explored, nodes
@@ -782,15 +782,14 @@ def reference_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
             return
         if idx == len(robots):
             explored += 1
-            timelines = {r: stack_choice[r].timeline for r in robots}
-            report = compute_time_cost(timelines, mission, assignment)
+            report = compute_time_cost(stack_choice, plan)
             if best is None or report.total < best[0]:
                 best = (report.total, dict(stack_choice), report)
             return
         r = robots[idx]
         for choice in per_robot[r]:
             stack_choice[r] = choice
-            dfs(idx + 1, partial_sum + choice.timeline.completion)
+            dfs(idx + 1, partial_sum + choice.completion)
         del stack_choice[r]
 
     dfs(0, 0.0)
@@ -815,14 +814,17 @@ def partial_time_cost(timelines: Mapping[int, Timeline], mission: Mission,
     ``timelines`` the least arrival per occurrence and least completion over
     its choices.  Such a robot joins each max with that arrival and carries
     no delay, so every task time and the total (summed in robot order) bound
-    from below those of any full fold agreeing with ``timelines``.
+    from below those of any full fold agreeing with ``timelines``.  The fold
+    fixes a count of leading robots, so ``timelines`` must be a prefix of the
+    plan's robot order.
     """
     every = {**timelines, **floors} if floors else timelines
     plan = FoldPlan(mission, assignment)
     if len(every) != len(plan.robots):
         raise ValueError(f"timelines of robots {sorted(every)} for {plan.robots}")
-    trail, times, costs, total = plan.fold(
-        [every[r] for r in plan.robots], [r in timelines for r in plan.robots])
+    if set(timelines) != set(plan.robots[:len(timelines)]):
+        raise ValueError(f"fixed robots {sorted(timelines)} do not lead {plan.robots}")
+    trail, times, costs, total = plan.fold([every[r] for r in plan.robots], len(timelines))
     task_times = {occ: t for elem, t in zip(mission.elements(), times)
                   for occ in mission.element_occurrences(elem)}
     return CostReport(task_times, dict(zip(plan.robots, trail[-1])),
@@ -854,9 +856,9 @@ def refold_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
             raise BudgetExceeded(
                 f"joint choice count exceeds cap ({combination_cap})")
     floors = {r: least_timeline(per_robot[r]) for r in robots}
-    best: Optional[Tuple[float, Dict[int, RobotChoice], CostReport]] = None
+    best: Optional[Tuple[float, Dict[int, Timeline], CostReport]] = None
     explored = nodes = 0
-    stack_choice: Dict[int, RobotChoice] = {}
+    stack_choice: Dict[int, Timeline] = {}
 
     def dfs(idx: int):
         nonlocal best, explored, nodes
@@ -865,7 +867,7 @@ def refold_solve_exact(pruned_map: Mapping[int, PrunedPa], mission: Mission,
         nodes += 1
         if best is not None or idx == len(robots):
             # the free robots follow the fixed ones, so the bound sums in the leaf fold's order
-            report = partial_time_cost({r: stack_choice[r].timeline for r in robots[:idx]},
+            report = partial_time_cost({r: stack_choice[r] for r in robots[:idx]},
                                        mission, assignment, {r: floors[r] for r in robots[idx:]})
             if best is not None and report.total >= best[0]:
                 return

@@ -115,6 +115,25 @@ def test_planning_parses_no_formula_after_load(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("formula", ["F ct1 & F ct2", "F ct1 | F ct2"])
+def test_task_requiring_an_unknown_capability_exits_1_naming_it(tmp_path, capsys, formula):
+    data = {"schemaVersion": 1, "world": {"grid": {"width": 4, "height": 4}},
+            "capabilities": ["c1"],
+            "robots": [{"id": 0, "capabilities": ["c1"], "start": "q0_0"},
+                       {"id": 1, "capabilities": ["c1"], "start": "q3_3"}],
+            "collaborativeTasks": [{"prop": "ct1", "region": "q1_1", "requirements": {"cl": 1}},
+                                   {"prop": "ct2", "region": "q2_2", "requirements": {"c1": 2}}],
+            "collaborativeFormula": formula}
+    with pytest.raises(ScenarioError, match="^task ct1 requires unknown capability cl$"):
+        Scenario.from_json(data)
+    scenario_path = tmp_path / "sc.json"
+    scenario_path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: task ct1 requires unknown capability cl\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_scenario_rejects_unknown_schema_version():
     data = json.loads(small_scenario().dumps())
     data["schemaVersion"] = 99
@@ -340,6 +359,24 @@ def enumerating_scenario():
     return sc
 
 
+def test_one_fold_plan_per_evaluated_assignment(monkeypatch):
+    """The adjustment, the oracle and every cost report fold the one plan that
+    the framework lays out per evaluated assignment."""
+    from fleetplan import schedule
+
+    plans = []
+    real_init = schedule.FoldPlan.__init__
+    monkeypatch.setattr(schedule.FoldPlan, "__init__",
+                        lambda self, *args: plans.append(args) or real_init(self, *args))
+    sc = enumerating_scenario()
+    sc.options.oracle = True
+    report = run_framework(sc)
+    evaluated = [r for r in report.rows if r.status == "evaluated"]
+    assert len(evaluated) > 1 and all(r.oracle_j is not None and r.cycles for r in evaluated)
+    assert len(plans) == len(evaluated)
+    assert len({id(assignment) for _mission, assignment in plans}) == len(plans)
+
+
 def test_budget_hit_between_robots_drops_partial_row(monkeypatch):
     full = run_framework(enumerating_scenario())
     evaluated = [r.index for r in full.rows if r.status == "evaluated"]
@@ -375,9 +412,9 @@ def test_protocol_overrun_drops_the_row_before_simulation(monkeypatch):
     protocols, simulations = [], []
     real_protocol, real_simulate = framework.run_protocol, framework.simulate
 
-    def overrunning_protocol(ctx, net):
-        protocols.append(ctx.assignment)
-        result = real_protocol(ctx, net)
+    def overrunning_protocol(ctx):
+        protocols.append(ctx.plan.assignment)
+        result = real_protocol(ctx)
         if len(protocols) == 3:  # the third evaluated assignment's protocol overruns
             monkeypatch.setattr(alloc, "time", SimpleNamespace(perf_counter=lambda: math.inf))
         return result
@@ -427,8 +464,8 @@ def test_oracle_budget_hit_is_row_detail(monkeypatch):
     sc.options.oracle = True
     real_solve = framework.solve_exact
 
-    def solve_expired(pruned_map, mission, assignment, cap, deadline):
-        return real_solve(pruned_map, mission, assignment, cap, time.perf_counter() - 1.0)
+    def solve_expired(pruned_map, plan, cap, deadline):
+        return real_solve(pruned_map, plan, cap, time.perf_counter() - 1.0)
 
     monkeypatch.setattr(framework, "solve_exact", solve_expired)
     row, = run_framework(sc).rows
@@ -465,6 +502,7 @@ def test_filter_safety_logged_not_asserted(capsys):
     from fleetplan.ltl import to_nfa
     from fleetplan.milp import solve_exact
     from fleetplan.product import build_local_formula, build_product, prune_product
+    from fleetplan.schedule import FoldPlan
     from fleetplan.world import build_wts
 
     sc = small_scenario(seed=6)
@@ -498,7 +536,7 @@ def test_filter_safety_logged_not_asserted(capsys):
                 wts = build_wts(sc.world, sc.fleet, list(sc.tasks), r)
                 phi = build_local_formula(sc.parsed_individual(r), assigned)
                 pruned[r] = prune_product(build_product(wts, to_nfa(phi), assigned, collab))
-            filtered_js.append(solve_exact(pruned, mission, assignment).objective)
+            filtered_js.append(solve_exact(pruned, FoldPlan(mission, assignment)).objective)
         except (NoAcceptingPath, LevelDisconnected, StateLimitExceeded, BudgetExceeded):
             continue
     if filtered_js:
@@ -848,7 +886,7 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
-def test_adjust_off_keeps_the_initial_strategies():
+def test_adjust_off_keeps_the_initial_strategies(tmp_path):
     adjusted = run_framework(enumerating_scenario())
     sc = enumerating_scenario()
     sc.options.adjust = False
@@ -861,7 +899,8 @@ def test_adjust_off_keeps_the_initial_strategies():
         assert row.t_adjusted == row.t_init and row.history == [row.t_init]
         assert (row.cycles, row.messages, row.trace_lines) == (0, 0, [])
         assert row.sim_matches
-    assert report.protocol_trace == []
+    framework.write_protocol_trace(report, tmp_path / "protocol_trace.txt")
+    assert (tmp_path / "protocol_trace.txt").read_text() == ""
 
 
 def test_every_acceptance_check_goes_through_framework_nfa_accepts(monkeypatch):

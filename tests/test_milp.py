@@ -93,12 +93,13 @@ def flat_enumeration_optimum(pruned_map, mission, assignment):
                     best = cand
             if best is not None:
                 arrivals = {pruned.assigned[i][0]: a for i, a in enumerate(best[1])}
-                options.append(Timeline(r, arrivals, best[0]))
+                options.append(Timeline(r, arrivals, best[0], None))
         per_robot[r] = options
     best_total = None
+    plan = FoldPlan(mission, assignment)
     for joint in iter_product(*(per_robot[r] for r in sorted(per_robot))):
         timelines = {tl.robot_id: tl for tl in joint}
-        total = compute_time_cost(timelines, mission, assignment).total
+        total = compute_time_cost(timelines, plan).total
         if best_total is None or total < best_total:
             best_total = total
     return best_total
@@ -107,9 +108,9 @@ def flat_enumeration_optimum(pruned_map, mission, assignment):
 def test_single_robot_objective_is_travel_weight():
     mission, assignment, pruned = build_instance(
         5, 1, {"ct1": "q3_0"}, ["q0_0"])
-    result = solve_exact(pruned, mission, assignment)
+    result = solve_exact(pruned, FoldPlan(mission, assignment))
     assert result.objective == 3.0
-    assert pruned[0].expand(result.choices[0].choice).weight == 3.0
+    assert pruned[0].expand(result.timelines[0].choice).weight == 3.0
 
 
 def test_exact_matches_flat_enumeration():
@@ -120,7 +121,7 @@ def test_exact_matches_flat_enumeration():
         individual=[("ts1", "q1_1", 0), ("ts2", "q3_0", 1)],
         formulas={0: "F ts1", 1: "F ts2"},
     )
-    result = solve_exact(pruned, mission, assignment)
+    result = solve_exact(pruned, FoldPlan(mission, assignment))
     oracle = flat_enumeration_optimum(pruned, mission, assignment)
     assert result.objective == oracle
 
@@ -133,12 +134,11 @@ def test_exact_dominates_protocol_output():
         individual=[("ts1", "q2_1", 0)],
         formulas={0: "F ts1"},
     )
-    choices = {r: pruned[r].shortest_choice() for r in pruned}
-    timelines = {r: choice_timeline(pruned[r], choices[r]) for r in pruned}
-    initial_total = compute_time_cost(timelines, mission, assignment).total
-    ctx = ProtocolContext(mission, assignment, pruned, dict(choices), dict(timelines))
-    adjusted = run_protocol(ctx)
-    exact = solve_exact(pruned, mission, assignment)
+    plan = FoldPlan(mission, assignment)
+    timelines = {r: choice_timeline(pruned[r], pruned[r].shortest_choice()) for r in pruned}
+    initial_total = compute_time_cost(timelines, plan).total
+    adjusted = run_protocol(ProtocolContext(plan, pruned, dict(timelines)))
+    exact = solve_exact(pruned, plan)
     assert exact.objective <= adjusted.report.total + 1e-9 <= initial_total + 2e-9
 
 
@@ -147,9 +147,9 @@ def test_entry_firing_zero_edge_through_the_whole_chain():
     pytest.importorskip("scipy")
     mission, assignment, pruned = build_instance(
         5, 1, {"ct1": "q0_0", "ct2": "q3_0"}, ["q0_0", "q1_0"])
-    exact = solve_exact(pruned, mission, assignment)
+    exact = solve_exact(pruned, FoldPlan(mission, assignment))
     assert exact.report.task_times[(1, 1)] == 1.0  # robot 1 needs one step to q0_0
-    assert exact.choices[0].timeline.arrivals[(1, 1)] == 0.0
+    assert exact.timelines[0].arrivals[(1, 1)] == 0.0
     external = _solve_lp_with_scipy(build_milp(pruned, mission, assignment))
     assert abs(external - exact.objective) < 1e-6
     oracle = flat_enumeration_optimum(pruned, mission, assignment)
@@ -161,16 +161,17 @@ def test_budget_cap_raises():
         6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
         individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
     with pytest.raises(BudgetExceeded):
-        solve_exact(pruned, mission, assignment, combination_cap=1)
+        solve_exact(pruned, FoldPlan(mission, assignment), combination_cap=1)
 
 
 def test_expired_deadline_raises_budget():
     mission, assignment, pruned = build_instance(
         6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
         individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
-    assert solve_exact(pruned, mission, assignment, deadline=time.perf_counter() + 1000)
+    plan = FoldPlan(mission, assignment)
+    assert solve_exact(pruned, plan, deadline=time.perf_counter() + 1000)
     with pytest.raises(BudgetExceeded, match="^budget$"):
-        solve_exact(pruned, mission, assignment, deadline=time.perf_counter() - 1.0)
+        solve_exact(pruned, plan, deadline=time.perf_counter() - 1.0)
 
 
 def test_deadline_checked_on_entry_and_every_deadline_every_nodes(monkeypatch):
@@ -183,7 +184,7 @@ def test_deadline_checked_on_entry_and_every_deadline_every_nodes(monkeypatch):
     for every in (1, 3):
         monkeypatch.setattr(milp, "DEADLINE_EVERY", every)
         calls.clear()
-        solve_exact(pruned, mission, assignment, deadline=123.0)
+        solve_exact(pruned, FoldPlan(mission, assignment), deadline=123.0)
         assert set(calls) == {123.0}
         counts[every] = len(calls)
     nodes = counts[1]  # one check per search node
@@ -290,7 +291,7 @@ def test_feasible_valuation_satisfies_all_rows_and_big_m_is_tight():
         6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
         individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
     model = build_milp(pruned, mission, assignment)
-    exact = solve_exact(pruned, mission, assignment)
+    exact = solve_exact(pruned, FoldPlan(mission, assignment))
     values = _valuation_from_solution(model, pruned, exact)
     for row in model.rows:
         lhs = sum(coef * values.get(var, 0.0) for coef, var in row.terms)
@@ -337,7 +338,7 @@ def test_external_milp_solver_agrees_with_exact():
         6, 2, {"ct1": "q2_0", "ct2": "q4_1"}, ["q0_0", "q5_0"],
         individual=[("ts1", "q1_1", 0)], formulas={0: "F ts1"})
     external = _solve_lp_with_scipy(build_milp(pruned, mission, assignment))
-    exact = solve_exact(pruned, mission, assignment)
+    exact = solve_exact(pruned, FoldPlan(mission, assignment))
     assert abs(external - exact.objective) < 1e-6
 
 
@@ -380,7 +381,7 @@ def test_external_solver_agrees_on_generated_instances():
                 pruned[r] = prune_product(build_product(wts, to_nfa(phi), assigned, collab))
         except (NoAcceptingPath, LevelDisconnected):
             continue
-        exact = solve_exact(pruned, mission, assignment)
+        exact = solve_exact(pruned, FoldPlan(mission, assignment))
         external = _solve_lp_with_scipy(build_milp(pruned, mission, assignment))
         assert abs(external - exact.objective) < 1e-6, seed
         checked += 1
@@ -432,10 +433,10 @@ def _valuation_from_solution(model, pruned_map, exact):
     for r in sorted(pruned_map):
         pruned = pruned_map[r]
         index = _state_index(pruned)
-        choice = exact.choices[r].choice
+        timeline = exact.timelines[r]
+        choice = timeline.choice
         for li, (a, b) in enumerate(zip(choice, choice[1:])):
             values[f"y_{r}_{index[a]}_{index[b]}"] = 1.0
-        timeline = exact.choices[r].timeline
         for occ in timeline.arrivals:
             k, l = occ
             values[f"t_{r}_{k}_{l}"] = timeline.arrivals[occ]
@@ -460,9 +461,9 @@ def oracle_inputs(fixtures):
     calls = []
     real = framework.solve_exact
 
-    def record(pruned_map, mission, assignment, cap, deadline):
-        calls.append((pruned_map, mission, assignment))
-        return real(pruned_map, mission, assignment, cap, deadline)
+    def record(pruned_map, plan, cap, deadline):
+        calls.append((pruned_map, plan.mission, plan.assignment))
+        return real(pruned_map, plan, cap, deadline)
 
     framework.solve_exact = record
     try:
@@ -526,12 +527,12 @@ def alloc_oracle_fixtures():
 def assert_matches_reference(calls):
     explored = reference_explored = 0
     for pruned_map, mission, assignment in calls:
-        got = solve_exact(pruned_map, mission, assignment)
+        got = solve_exact(pruned_map, FoldPlan(mission, assignment))
         ref = reference_solve_exact(pruned_map, mission, assignment)
         assert got.objective == ref.objective
         assert got.report == ref.report
-        assert {r: c.choice for r, c in got.choices.items()} == \
-            {r: c.choice for r, c in ref.choices.items()}
+        assert {r: tl.choice for r, tl in got.timelines.items()} == \
+            {r: tl.choice for r, tl in ref.timelines.items()}
         assert got.explored <= ref.explored
         explored += got.explored
         reference_explored += ref.explored
@@ -565,22 +566,19 @@ def test_resumed_search_equals_the_refold_reference(fixtures):
              else oracle_inputs(fixtures))
     assert len(calls) >= 5
     for pruned_map, mission, assignment in calls:
-        got = solve_exact(pruned_map, mission, assignment)
+        got = solve_exact(pruned_map, FoldPlan(mission, assignment))
         ref = refold_solve_exact(pruned_map, mission, assignment)
         assert (got.objective, got.report, got.explored) == (ref.objective, ref.report,
                                                               ref.explored)
-        assert {r: (c.choice, c.timeline) for r, c in got.choices.items()} == \
-            {r: (c.choice, c.timeline) for r, c in ref.choices.items()}
+        assert got.timelines == ref.timelines
 
 
 @pytest.mark.parametrize("fixtures", [criterion_4_fixtures, float_weight_fixtures,
                                       alloc_oracle_fixtures])
-def test_protocol_trial_folds_equal_compute_time_cost(fixtures, monkeypatch):
+def test_protocol_trial_folds_equal_compute_time_cost(fixtures):
     """Every fold the protocol makes on its plan, of the initial timelines and of
     each candidate ``adjust_strategy`` tries, totals what ``compute_time_cost``
     gives on the same timelines."""
-    from fleetplan import protocol
-
     calls = (oracle_inputs.__wrapped__(fixtures) if fixtures is alloc_oracle_fixtures
              else oracle_inputs(fixtures))
     folds = []
@@ -591,16 +589,18 @@ def test_protocol_trial_folds_equal_compute_time_cost(fixtures, monkeypatch):
             folds.append((dict(zip(self.robots, timelines)), result[3]))
             return result
 
-    monkeypatch.setattr(protocol, "FoldPlan", RecordingPlan)
     trials = 0
     for pruned_map, mission, assignment in calls:
         folds.clear()
-        choices = {r: pruned_map[r].shortest_choice() for r in pruned_map}
-        timelines = {r: choice_timeline(pruned_map[r], choices[r]) for r in pruned_map}
-        result = run_protocol(ProtocolContext(mission, assignment, pruned_map, choices, timelines))
+        timelines = {r: choice_timeline(p, p.shortest_choice()) for r, p in pruned_map.items()}
+        result = run_protocol(ProtocolContext(RecordingPlan(mission, assignment), pruned_map,
+                                              timelines))
+        # the result's report refolds the final timelines on the same plan
+        assert folds.pop()[1] == result.report.total
         assert folds[0][1] == result.history[0]
+        plan = FoldPlan(mission, assignment)
         for candidate, total in folds:
-            assert compute_time_cost(candidate, mission, assignment).total == total
+            assert compute_time_cost(candidate, plan).total == total
         trials += len(folds) - 1
     assert trials >= 3 * len(calls)
 
@@ -625,8 +625,8 @@ def test_resumed_fold_equals_the_full_fold_at_every_node():
         def visit(chosen, fold):
             nonlocal nodes, resumed_later
             idx = len(chosen)
-            timelines = [c.timeline for c in chosen] + floors[idx:]
-            assert fold == plan.fold(timelines, [True] * idx + [False] * (n - idx))
+            timelines = [*chosen, *floors[idx:]]
+            assert fold == plan.fold(timelines, idx)
             full = partial_time_cost(dict(zip(plan.robots, timelines[:idx])), mission, assignment,
                                      dict(zip(plan.robots[idx:], floors[idx:])))
             assert fold[3] == full.total
@@ -637,11 +637,9 @@ def test_resumed_fold_equals_the_full_fold_at_every_node():
             resumed_later += start > 0
             for choice in options[idx]:
                 child = [*chosen, choice]
-                visit(child, plan.fold([c.timeline for c in child] + floors[idx + 1:],
-                                       [True] * (idx + 1) + [False] * (n - idx - 1),
-                                       start, fold))
+                visit(child, plan.fold([*child, *floors[idx + 1:]], idx + 1, start, fold))
 
-        visit([], plan.fold(floors, [False] * n))
+        visit([], plan.fold(floors, 0))
     assert nodes > 20000 and resumed_later > 3000
 
 
@@ -649,16 +647,17 @@ def test_partial_fold_carries_no_delay_for_free_robots():
     """A free robot's floor is not a timeline: it must not carry a wait forward."""
     mission = Mission(((("a",), ("b",)),))
     assignment = Assignment((0, 1), mission.sorted_occurrences, [True] * 4)
-    fixed = {0: Timeline(0, {(1, 1): 10.0, (1, 2): 11.0}, 12.0)}
-    choices = [Timeline(1, {(1, 1): 10.0, (1, 2): 11.0}, 12.0),
-               Timeline(1, {(1, 1): 0.0, (1, 2): 20.0}, 21.0)]
-    exact = min(compute_time_cost({**fixed, 1: c}, mission, assignment).total for c in choices)
-    floor = Timeline(1, {(1, 1): 0.0, (1, 2): 11.0}, 12.0)
+    plan = FoldPlan(mission, assignment)
+    fixed = {0: Timeline(0, {(1, 1): 10.0, (1, 2): 11.0}, 12.0, None)}
+    choices = [Timeline(1, {(1, 1): 10.0, (1, 2): 11.0}, 12.0, None),
+               Timeline(1, {(1, 1): 0.0, (1, 2): 20.0}, 21.0, None)]
+    exact = min(compute_time_cost({**fixed, 1: c}, plan).total for c in choices)
+    floor = Timeline(1, {(1, 1): 0.0, (1, 2): 11.0}, 12.0, None)
     bound = partial_time_cost(fixed, mission, assignment, {1: floor})
     assert bound.total == exact == 24.0
     assert bound.delays == {0: 0.0, 1: 0.0}
     # folded as an ordinary timeline, the floor would carry a wait of 10 and overshoot
-    assert compute_time_cost({**fixed, 1: floor}, mission, assignment).total == 44.0
+    assert compute_time_cost({**fixed, 1: floor}, plan).total == 44.0
 
 
 def test_bound_at_every_node_is_below_its_completions():
@@ -674,16 +673,17 @@ def test_bound_at_every_node_is_below_its_completions():
         if size > 2000:
             continue
         floors = [milp.least_timeline(options) for options in per_robot]
+        plan = FoldPlan(mission, assignment)
         best = {}  # choice-index prefix -> least exact total below it
         for joint in iter_product(*(range(len(options)) for options in per_robot)):
-            timelines = {r: per_robot[i][j].timeline for i, (r, j) in enumerate(zip(robots, joint))}
-            total = compute_time_cost(timelines, mission, assignment).total
+            timelines = {r: per_robot[i][j] for i, (r, j) in enumerate(zip(robots, joint))}
+            total = compute_time_cost(timelines, plan).total
             for idx in range(len(robots) + 1):
                 prefix = joint[:idx]
                 best[prefix] = min(best.get(prefix, total), total)
         for prefix, least in best.items():
             idx = len(prefix)
-            fixed = {r: per_robot[i][j].timeline for i, (r, j) in enumerate(zip(robots, prefix))}
+            fixed = {r: per_robot[i][j] for i, (r, j) in enumerate(zip(robots, prefix))}
             free = {r: floors[i] for i, r in enumerate(robots) if i >= idx}
             bound = partial_time_cost(fixed, mission, assignment, free).total
             assert bound <= least if idx < len(robots) else bound == least

@@ -361,8 +361,8 @@ def assert_same_expansions(pruned, ref):
     reference product along the run."""
     pa = pruned.pa
     ref_pa = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
-    for robot_choice in enumerate_robot_choices(pruned):
-        choice = robot_choice.choice
+    for timeline in enumerate_robot_choices(pruned):
+        choice = timeline.choice
         got, want = pruned.expand(choice), ref.expand(decoded(pa, choice))
         assert (got.run, got.fired, got.emits, got.step_weights) == (
             want.run, want.fired, want.emits, want.step_weights), choice

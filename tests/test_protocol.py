@@ -24,16 +24,16 @@ def make_assignment(mission, pairs, robots):
     return Assignment(robots, occs, vector)
 
 
-def plan_and_fold(ctx):
-    """The context's fold plan and the fold of its current timelines."""
-    plan = FoldPlan(ctx.mission, ctx.assignment)
-    return plan, plan.fold([ctx.timelines[r] for r in plan.robots], [True] * len(plan.robots))
+def fold_of(ctx):
+    """The fold of the context's current timelines on its plan."""
+    plan = ctx.plan
+    return plan.fold([ctx.timelines[r] for r in plan.robots], len(plan.robots))
 
 
 def select_both(mission, assignment, tls, occ):
     """The latest and the earliest robot of ``occ`` under the fold of ``tls``."""
-    ctx = ProtocolContext(mission, assignment, {}, {}, tls)
-    fold = plan_and_fold(ctx)[1]
+    ctx = ProtocolContext(FoldPlan(mission, assignment), {}, tls)
+    fold = fold_of(ctx)
     return select_robot(ctx, fold, occ, True), select_robot(ctx, fold, occ, False)
 
 
@@ -41,8 +41,8 @@ def test_find_latest_and_earliest_scores():
     mission = Mission(((("ct1",),),))
     assignment = make_assignment(mission, {(0, (1, 1)), (1, (1, 1))}, (0, 1))
     tls = {
-        0: Timeline(0, {(1, 1): 7.0}, 9.0),
-        1: Timeline(1, {(1, 1): 9.0}, 9.0),
+        0: Timeline(0, {(1, 1): 7.0}, 9.0, None),
+        1: Timeline(1, {(1, 1): 9.0}, 9.0, None),
     }
     assert select_both(mission, assignment, tls, (1, 1)) == (1, 0)
 
@@ -51,8 +51,8 @@ def test_find_latest_breaks_ties_by_lowest_id():
     mission = Mission(((("ct1",),),))
     assignment = make_assignment(mission, {(0, (1, 1)), (1, (1, 1))}, (0, 1))
     tls = {
-        0: Timeline(0, {(1, 1): 7.0}, 8.0),
-        1: Timeline(1, {(1, 1): 7.0}, 8.0),
+        0: Timeline(0, {(1, 1): 7.0}, 8.0, None),
+        1: Timeline(1, {(1, 1): 7.0}, 8.0, None),
     }
     assert select_both(mission, assignment, tls, (1, 1)) == (0, 0)
 
@@ -63,9 +63,9 @@ def test_find_latest_uses_previous_task_slack():
     pairs = {(0, (1, 1)), (0, (1, 3)), (1, (1, 2)), (1, (1, 3)), (2, (1, 3))}
     assignment = make_assignment(mission, pairs, (0, 1, 2))
     tls = {
-        0: Timeline(0, {(1, 1): 2.0, (1, 3): 10.0}, 12.0),
-        1: Timeline(1, {(1, 2): 6.0, (1, 3): 11.0}, 13.0),
-        2: Timeline(2, {(1, 3): 9.0}, 9.0),
+        0: Timeline(0, {(1, 1): 2.0, (1, 3): 10.0}, 12.0, None),
+        1: Timeline(1, {(1, 2): 6.0, (1, 3): 11.0}, 13.0, None),
+        2: Timeline(2, {(1, 3): 9.0}, 9.0, None),
     }
     # ct1 fires at 2 (robot 0 alone); ct2 at 6 (robot 1 alone)
     # scores for ct3: r0 = (2-2) + 10 = 10; r1 = (6-6) + 11 = 11; r2 = 9
@@ -88,7 +88,7 @@ def two_robot_corridor(ct_positions, starts, extra_tasks=(), formulas=None):
     assignment = make_assignment(mission, pairs, (0, 1))
     collab_props = frozenset(props)
     pruned = {}
-    choices = {}
+    timelines = {}
     for r in (0, 1):
         assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
         wts = build_wts(world, fleet, tasks, r)
@@ -96,16 +96,13 @@ def two_robot_corridor(ct_positions, starts, extra_tasks=(), formulas=None):
         phi = build_local_formula(base, assigned)
         pa = build_product(wts, to_nfa(phi), assigned, collab_props)
         pruned[r] = prune_product(pa)
-        choices[r] = pruned[r].shortest_choice()
-    timelines = {r: choice_timeline(pruned[r], choices[r]) for r in pruned}
-    ctx = ProtocolContext(mission, assignment, pruned, choices, timelines)
-    return ctx
+        timelines[r] = choice_timeline(pruned[r], pruned[r].shortest_choice())
+    return ProtocolContext(FoldPlan(mission, assignment), pruned, timelines)
 
 
 def test_protocol_terminates_immediately_without_tasks():
     ctx = two_robot_corridor({"ct1": 2}, ["q0_0", "q0_1"])
-    ctx.mission = Mission(())
-    ctx.assignment = make_assignment(Mission(()), set(), (0, 1))
+    ctx.plan = FoldPlan(Mission(()), make_assignment(Mission(()), set(), (0, 1)))
     result = run_protocol(ctx)
     assert result.cycles == 0
     assert result.adjustments == 0
@@ -120,7 +117,7 @@ def test_protocol_converges_and_is_monotone():
         extra_tasks=[("ts1", "q1_1", 0)],
         formulas={0: "F ts1"},
     )
-    initial_total = compute_time_cost(ctx.timelines, ctx.mission, ctx.assignment).total
+    initial_total = compute_time_cost(ctx.timelines, ctx.plan).total
     result = run_protocol(ctx)
     assert result.report.total <= initial_total
     assert all(b < a for a, b in zip(result.history, result.history[1:]))
@@ -136,18 +133,18 @@ def test_protocol_stops_after_clean_cycle():
     # final strategies still satisfy their local automatons
     for r, strategy in result.strategies.items():
         sim_positions = strategy.collab_positions
-        assert set(sim_positions) == set(ctx.assignment.tasks_of(r))
+        assert set(sim_positions) == set(ctx.plan.assignment.tasks_of(r))
 
 
 def test_adjustment_requires_both_conditions():
     """A candidate that helps the robot but raises the total cost is rejected."""
     ctx = two_robot_corridor({"ct1": 3}, ["q0_0", "q3_1"])
-    plan, fold = plan_and_fold(ctx)
+    fold = fold_of(ctx)
     latest = select_robot(ctx, fold, (1, 1), True)
-    before = dict(ctx.choices)
-    trial = adjust_strategy(ctx, plan, fold, latest, (1, 1), True)
+    before = dict(ctx.timelines)
+    trial = adjust_strategy(ctx, fold, latest, (1, 1), True)
     if trial is None:
-        assert ctx.choices == before  # unchanged is a legitimate outcome
+        assert ctx.timelines == before  # unchanged is a legitimate outcome
     else:
         assert trial[3] < fold[3]
 
@@ -160,7 +157,7 @@ def test_protocol_result_matches_simulation():
         formulas={0: "F ts1"},
     )
     result = run_protocol(ctx)
-    sim = simulate(result.strategies, ctx.mission, ctx.assignment)
+    sim = simulate(result.strategies, ctx.plan.mission, ctx.plan.assignment)
     assert abs(sim.report.total - result.report.total) < 1e-9
 
 
@@ -224,26 +221,29 @@ def test_protocol_trace_on_complete_topology():
 
 def test_protocol_searches_each_robot_once_and_reports_once(monkeypatch):
     """The adjusting run above searches the network once from each robot,
-    lays out one fold plan, and builds its cost report once, at the end."""
-    from fleetplan import protocol
+    builds no fold plan (it folds the context's), and builds its cost report
+    once, at the end, on that plan."""
+    from fleetplan import protocol, schedule
 
     sources, plans, reports = [], [], []
-    real_bfs, real_plan, real_report = protocol.bfs, protocol.FoldPlan, protocol.compute_time_cost
-    monkeypatch.setattr(protocol, "bfs",
-                        lambda successors, starts: sources.extend(starts) or real_bfs(successors, starts))
-    monkeypatch.setattr(protocol, "FoldPlan", lambda *args: plans.append(args) or real_plan(*args))
-    monkeypatch.setattr(protocol, "compute_time_cost",
-                        lambda *args: reports.append(args) or real_report(*args))
+    real_bfs, real_report = protocol.bfs, protocol.compute_time_cost
+    real_init = schedule.FoldPlan.__init__
     ctx = two_robot_corridor(
         {"ct1": 2, "ct2": 5},
         ["q6_1", "q0_1"],
         extra_tasks=[("ts1", "q3_1", 1)],
         formulas={1: "F ts1"},
     )
+    monkeypatch.setattr(protocol, "bfs",
+                        lambda successors, starts: sources.extend(starts) or real_bfs(successors, starts))
+    monkeypatch.setattr(schedule.FoldPlan, "__init__",
+                        lambda self, *args: plans.append(args) or real_init(self, *args))
+    monkeypatch.setattr(protocol, "compute_time_cost",
+                        lambda *args: reports.append(args) or real_report(*args))
     result = run_protocol(ctx, NetSim([0, 1, 2]))
     assert result.history == [20.0, 16.0] and len(result.trace) == 15
     assert sorted(sources) == [0, 1, 2]
-    assert len(plans) == len(reports) == 1
+    assert plans == [] and len(reports) == 1 and reports[0][1] is ctx.plan
     assert result.report.total == result.history[-1]
 
 
@@ -273,6 +273,7 @@ def test_protocol_timelines_match_expanded_strategies():
     for r, strategy in result.strategies.items():
         measured = compute_timeline(strategy)
         claimed = ctx.timelines[r]
+        assert ctx.pruned[r].expand(claimed.choice) is strategy
         assert measured.completion == claimed.completion
         assert dict(measured.arrivals) == dict(claimed.arrivals)
 

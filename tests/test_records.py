@@ -66,10 +66,13 @@ def test_guards_compare_and_hash_by_cubes():
 
 
 def test_timelines_and_cost_reports_compare_by_fields():
-    assert Timeline(0, {(1, 1): 2.0}, 3.0) == Timeline(0, {(1, 1): 2.0}, 3.0)
-    assert Timeline(0, {(1, 1): 2.0}, 3.0) != Timeline(1, {(1, 1): 2.0}, 3.0)
-    assert Timeline(0, {(1, 1): 2.0}, 3.0) != Timeline(0, {(1, 1): 2.5}, 3.0)
-    assert Timeline(0, {(1, 1): 2.0}, 3.0) != Timeline(0, {(1, 1): 2.0}, 4.0)
+    timeline = Timeline(0, {(1, 1): 2.0}, 3.0, (4, 5, 6))
+    assert timeline == Timeline(0, {(1, 1): 2.0}, 3.0, (4, 5, 6))
+    assert timeline != Timeline(1, {(1, 1): 2.0}, 3.0, (4, 5, 6))
+    assert timeline != Timeline(0, {(1, 1): 2.5}, 3.0, (4, 5, 6))
+    assert timeline != Timeline(0, {(1, 1): 2.0}, 4.0, (4, 5, 6))
+    assert timeline != Timeline(0, {(1, 1): 2.0}, 3.0, (4, 7, 6))
+    assert timeline != Timeline(0, {(1, 1): 2.0}, 3.0, None)
     fields = ({(1, 1): 2.0}, {0: 1.0}, {0: 4.0}, 4.0)
     assert CostReport(*fields) == CostReport(*fields)
     for i in range(len(fields)):

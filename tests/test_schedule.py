@@ -7,7 +7,7 @@ from fleetplan.errors import DeadlockDetected, NegativeObligationViolated
 from fleetplan.ltl import parse_formula, to_nfa
 from fleetplan.mission import Mission
 from fleetplan.product import build_local_formula, build_product
-from fleetplan.schedule import Timeline, compute_time_cost, simulate
+from fleetplan.schedule import FoldPlan, Timeline, compute_time_cost, simulate
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
 from oracles import compute_timeline, initial_run
@@ -23,7 +23,7 @@ def make_assignment(mission, robot_occ_pairs, robots):
 
 
 def timeline(robot, arrivals, completion):
-    return Timeline(robot, arrivals, completion)
+    return Timeline(robot, arrivals, completion, None)
 
 
 def test_cost_fold_two_robots_one_task():
@@ -33,7 +33,7 @@ def test_cost_fold_two_robots_one_task():
         1: timeline(1, {(1, 1): 5.0}, 10.0),
         2: timeline(2, {(1, 1): 8.0}, 12.0),
     }
-    report = compute_time_cost(tls, mission, assignment)
+    report = compute_time_cost(tls, FoldPlan(mission, assignment))
     assert report.task_times[(1, 1)] == 8.0
     assert report.delays == {1: 3.0, 2: 0.0}
     assert report.total == (10 + 3) + (12 + 0)
@@ -43,7 +43,7 @@ def test_cost_fold_without_collaborations():
     mission = Mission(())
     assignment = make_assignment(mission, set(), (1, 2))
     tls = {1: timeline(1, {}, 7.0), 2: timeline(2, {}, 4.0)}
-    report = compute_time_cost(tls, mission, assignment)
+    report = compute_time_cost(tls, FoldPlan(mission, assignment))
     assert report.total == 11.0
     assert all(d == 0 for d in report.delays.values())
 
@@ -53,7 +53,7 @@ def test_cost_fold_needs_one_timeline_per_robot_of_the_assignment():
     assignment = make_assignment(mission, {(1, (1, 1))}, (1,))
     tls = {1: timeline(1, {(1, 1): 5.0}, 10.0), 2: timeline(2, {}, 4.0)}
     with pytest.raises(ValueError, match="timelines of robots"):
-        compute_time_cost(tls, mission, assignment)
+        compute_time_cost(tls, FoldPlan(mission, assignment))
 
 
 def test_cost_fold_chained_lateness():
@@ -66,7 +66,7 @@ def test_cost_fold_chained_lateness():
         2: timeline(2, {(1, 1): 2.0, (1, 2): 9.0}, 11.0),
         3: timeline(3, {(1, 2): 5.0}, 8.0),
     }
-    report = compute_time_cost(tls, mission, assignment)
+    report = compute_time_cost(tls, FoldPlan(mission, assignment))
     # ct1 fires at max(4, 2) = 4; robot 2 carries delay 2
     # ct2 fires at max(9 + 2, 5) = 11; robot 3 carries delay 6
     assert report.task_times[(1, 1)] == 4.0
@@ -117,7 +117,7 @@ def test_simulation_matches_cost_fold_on_real_plan():
     assignment = make_assignment(
         mission, {(0, (1, 1)), (1, (1, 1)), (1, (1, 2))}, (0, 1))
     tls = {r: compute_timeline(s) for r, s in strategies.items()}
-    report = compute_time_cost(tls, mission, assignment)
+    report = compute_time_cost(tls, FoldPlan(mission, assignment))
     sim = simulate(strategies, mission, assignment)
     assert sim.report.total == report.total
     assert sim.report.task_times == report.task_times
@@ -196,6 +196,6 @@ def test_sync_element_fires_as_one_barrier():
     assert sim.element_sync_ok
     assert sim.fire_times[(1, 1)] == sim.fire_times[(1, 2)] == 3.0
     report = compute_time_cost(
-        {r: compute_timeline(s) for r, s in strategies.items()}, mission, assignment)
+        {r: compute_timeline(s) for r, s in strategies.items()}, FoldPlan(mission, assignment))
     assert sim.report.total == report.total
     assert report.delays == {0: 2.0, 1: 0.0}
