@@ -8,13 +8,14 @@ Formulas are translated to finite automata by syntactic progression: states
 are residual obligations, transitions are labeled by the label sets that
 rewrite one residual into another, and a state accepts when the empty
 remainder of the trace satisfies it.  Each residual is progressed only under
-the valuations of the atoms it mentions, all at once as one labeling table,
-and its guards are built over them.
+the valuations of the atoms it mentions, all at once as one labeling table.
+The automaton keeps each state's table and steps by lookup; its guards are
+built from the tables only when they are read.
 The construction is deterministic and worst-case exponential in the formula
 size, hence the configurable state cap.
 
 Each translation works on bit sets over its own formula's subformulas and
-keeps no table beyond its call.
+keeps no progression table beyond its call.
 
 Conjunction and disjunction are n-ary so that residuals stay shallow no
 matter how wide they grow.
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import FrozenSet, Iterable, NamedTuple, Sequence
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import NextOperatorForbidden, NoPositiveWitness, ParseError, StateLimitExceeded
-from .guards import Guard, guard_from_minterms
+from .guards import FALSE_GUARD, Guard, guard_from_minterms
 
 
 class Formula:
@@ -373,30 +374,72 @@ def simplify(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+class Table(NamedTuple):
+    """One state's labeling table.  ``bits`` maps the state's atoms, ascending, to
+    their bits in a label mask; ``targets[mask]`` is the state that mask leads to
+    (-1: none); ``required`` maps each target, ascending, to the AND of the masks
+    that reach it, the atoms every label leading there contains."""
+
+    bits: Dict[str, int]
+    targets: Tuple[int, ...]
+    required: Dict[int, int]
+
+    def mask(self, labels: FrozenSet[str]) -> int:
+        return sum(bit for atom, bit in self.bits.items() if atom in labels)
+
+
 class Nfa:
     """Finite automaton with guard-labeled transitions.
 
     ``transitions`` maps state pairs to guards; absent pairs have no
-    transition.  Progression construction yields a deterministic automaton,
-    but all consumers treat the structure as a general NFA (pruning can make
-    it partial).
+    transition.  A translated automaton steps by its per-state ``tables`` and
+    builds its guards from them on first read.  One given explicit guards, as
+    pruning's is, steps by the tables and then checks the guard of the pair
+    found, so its guards must imply the tables'.  Progression construction
+    yields a deterministic automaton, but all consumers treat the structure as
+    a general NFA (pruning can make it partial).
     """
 
-    def __init__(self, n_states, initial, accepting, transitions):
+    def __init__(self, n_states, initial, accepting, transitions=None, tables=()):
         self.n_states = n_states
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
-        self.transitions = dict(transitions)
+        self.tables = tables
+        self._checked = transitions is not None
+        self._transitions = dict(transitions) if self._checked else None
+        pairs = sorted(self._transitions) if self._checked else [
+            (a, b) for a, table in enumerate(tables) for b in table.required]
         succ: dict[int, list[int]] = {}
-        for (a, b) in sorted(self.transitions):
+        for (a, b) in pairs:
             succ.setdefault(a, []).append(b)
         self._succ = {a: tuple(bs) for a, bs in succ.items()}
+
+    @property
+    def transitions(self) -> Dict[Tuple[int, int], Guard]:
+        if self._transitions is None:  # one pass over each table, grouped by target
+            self._transitions = {}
+            for i, (bits, targets, _required) in enumerate(self.tables):
+                minterms: dict[int, list[int]] = {}
+                for mask, j in enumerate(targets):
+                    if j >= 0:
+                        minterms.setdefault(j, []).append(mask)
+                for j, masks in sorted(minterms.items()):
+                    self._transitions[(i, j)] = guard_from_minterms(list(bits), masks)
+        return self._transitions
 
     def successors(self, state: int) -> tuple[int, ...]:
         return self._succ.get(state, ())
 
     def guard(self, a: int, b: int) -> Guard | None:
         return self.transitions.get((a, b))
+
+    def step(self, state: int, labels: FrozenSet[str]) -> int:
+        """The state ``labels`` lead to from ``state``, or -1."""
+        table = self.tables[state]
+        j = table.targets[table.mask(labels)]
+        if self._checked and not self._transitions.get((state, j), FALSE_GUARD).satisfied_by(labels):
+            return -1
+        return j
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +622,18 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
     translator = _Translator(root)
     index = {translator.root: 0}
     order = [translator.root]
-    transitions = {}
+    tables = []
     queue = deque(order)
     while queue:
         state = queue.popleft()
-        i = index[state]
         if not state:  # unsatisfiable residual: dead state
+            tables.append(Table({}, (-1,), {}))
             continue
         atom_bits = list(_bits(translator.scope_of(state)))
-        minterms: dict[int, set[int]] = {}
+        targets, required = [], {}
         for mask, target in enumerate(translator.table(state, atom_bits)):
             if not target:
+                targets.append(-1)
                 continue
             if target not in index:
                 if len(index) >= state_cap:
@@ -598,15 +642,16 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
                 index[target] = len(order)
                 order.append(target)
                 queue.append(target)
-            minterms.setdefault(index[target], set()).add(mask)
-        atoms = [translator.names[b.bit_length() - 1] for b in atom_bits]
-        for j, masks in sorted(minterms.items()):
-            transitions[(i, j)] = guard_from_minterms(atoms, masks)
+            j = index[target]
+            targets.append(j)
+            required[j] = required.get(j, mask) & mask
+        bits = {translator.names[b.bit_length() - 1]: 1 << k for k, b in enumerate(atom_bits)}
+        tables.append(Table(bits, tuple(targets), dict(sorted(required.items()))))
     # only G units hold on the empty trace: atoms, eventualities and untils need a position
     always = translator.always_mask
     accepting = frozenset(i for s, i in index.items()
                           if any(pos & ~always == 0 and not neg & always for pos, neg in s))
-    return Nfa(len(order), frozenset((0,)), accepting, transitions)
+    return Nfa(len(order), frozenset((0,)), accepting, tables=tuple(tables))
 
 
 def nfa_accepts(nfa: Nfa, sequence: Sequence[FrozenSet[str]]) -> bool:
@@ -614,12 +659,7 @@ def nfa_accepts(nfa: Nfa, sequence: Sequence[FrozenSet[str]]) -> bool:
     current = set(nfa.initial)
     for labels in sequence:
         labels = frozenset(labels)
-        nxt = set()
-        for q in current:
-            for q2 in nfa.successors(q):
-                if nfa.transitions[(q, q2)].satisfied_by(labels):
-                    nxt.add(q2)
-        current = nxt
+        current = {q2 for q in current if (q2 := nfa.step(q, labels)) >= 0}
         if not current:
             return False
     return bool(current & nfa.accepting)

@@ -42,17 +42,24 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
     """Drop guard disjuncts (and transitions) the fleet can never staff.
 
     State indices are preserved; transitions out of forward-unreachable
-    states are dropped along with the states themselves.
+    states are dropped along with the states themselves.  Each distinct
+    positive set is tested once.  The result keeps its filtered guards and
+    steps by ``nfa``'s tables.
     """
     by_prop = {t.prop: t for t in tasks if t.collaborative}
+    feasible: Dict[FrozenSet[str], bool] = {}
     filtered = {}
     for pair, guard in nfa.transitions.items():
-        cubes = tuple(c for c in guard.cubes if demand_feasible(c[0], fleet, by_prop))
+        for pos, _neg in guard.cubes:
+            if pos not in feasible:
+                feasible[pos] = demand_feasible(pos, fleet, by_prop)
+        cubes = tuple(c for c in guard.cubes if feasible[c[0]])
         if cubes:
             filtered[pair] = Guard(cubes)
     reachable = set(bfs(Nfa(nfa.n_states, nfa.initial, (), filtered).successors, nfa.initial)[0])
     transitions = {(a, b): g for (a, b), g in filtered.items() if a in reachable and b in reachable}
-    pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions)
+    pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions,
+                 nfa.tables)
     if not pruned.accepting:
         raise EmptyLanguage("no accepting state is reachable after capacity pruning")
     return pruned

@@ -10,6 +10,7 @@ position whose incoming guard demands it, which is what makes the layered
 
 Edges are built from a table of moves per (automaton state, region label),
 the only inputs an edge's firing set, label and collaborative marks depend on.
+Moves are looked up in the automaton state's labeling table; no guard is read.
 
 Most of a product is the grid copied once per automaton state: the copy of
 state ``q``.  A copy is *compressed* when its only move into an unlabeled region
@@ -46,7 +47,6 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import FleetplanError, LevelDisconnected, NoAcceptingPath, Unreachable
-from .guards import Guard
 from .ltl import And, Atom, Eventually, Formula, Nfa
 from .mission import Occurrence
 from .world import Hops, Wts
@@ -116,42 +116,23 @@ class ProductPa:
 
     # -- construction -----------------------------------------------------
 
-    def _select_emit(self, guard: Guard, base: FrozenSet[str], optional: FrozenSet[str]):
-        """Cheapest firing set justifying the guard, or None.
-
-        At most one assigned collaborative task fires per step; individual
-        tasks always fire.
-        """
-        best = None
-        for pos, neg in guard.cubes:
-            if base & neg:
-                continue
-            extra = pos - base
-            if not extra <= optional or len(extra) > 1:
-                continue
-            key = (len(extra), tuple(sorted(extra)), len(neg), tuple(sorted(neg)))
-            if best is None or key < best[0]:
-                best = (key, extra)
-        if best is None:
-            return None
-        return best[1]
-
     def _moves(self, f: int, label: FrozenSet[str]) -> tuple:
         """``(f2, fired, emit, collab_props)`` per move out of ``f`` into a region
-        labelled ``label``, in successor order.  ``collab_props`` are the assigned
-        tasks that a state-changing guard requires and the region carries."""
+        labelled ``label``, by ascending ``f2``.  Individual tasks always fire, and at
+        most one assigned collaborative task: none if the rest of the label leads
+        somewhere, else the first by name whose addition leads somewhere new.
+        ``collab_props`` are the assigned tasks that every label leading to a new
+        state contains and the region carries."""
+        bits, targets, required = table = self.nfa.tables[f]
         base, optional = label - self.collab_props, label & self._assigned_props
-        moves = []
-        for f2 in self.nfa.successors(f):
-            guard = self.nfa.guard(f, f2)
-            fired = self._select_emit(guard, base, optional)
-            if fired is None:
-                continue
-            witnesses = guard.minimal_witnesses() if f2 != f else ()
-            required = frozenset.intersection(*witnesses) if witnesses else frozenset()
-            props = tuple(p for _o, p in self.assigned if p in required and p in label)
-            moves.append((f2, fired, base | fired, props))
-        return tuple(moves)
+        mask = table.mask(base)
+        fired = {targets[mask]: frozenset()}
+        for p in sorted(optional):
+            fired.setdefault(targets[mask | bits.get(p, 0)], frozenset((p,)))
+        fired.pop(-1, None)
+        return tuple((f2, fired[f2], base | fired[f2], () if f2 == f else tuple(
+            p for _o, p in self.assigned if p in label and bits.get(p, 0) & required[f2]))
+            for f2 in sorted(fired))
 
     def _table(self, f: int, label: FrozenSet[str]) -> tuple:
         moves = self._tables[f].get(label)

@@ -7,7 +7,8 @@ enumeration.  ``ReferenceAllocator`` keeps the clause-store DPLL that the
 lexicographic allocator replaced, as a reference for its solution order.
 The exceptions are the test-only helpers at the end, which build on the
 production code: ``ReferenceProductPa`` keeps the product's original
-edge-by-edge construction as a reference for the table-driven one,
+edge-by-edge construction, which picks each firing set by scanning the
+guard's cubes (``_select_emit``), as a reference for the table lookups,
 ``ReferencePrunedPa`` the layered pruning by a Dijkstra over every tuple
 state, with eager witness paths, as a reference for the clean-hop search with
 walks rebuilt on demand,
@@ -37,7 +38,7 @@ from collections import deque
 from heapq import heappop, heappush
 from functools import lru_cache
 from itertools import chain, combinations, product
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from fleetplan.alloc import DEADLINE_EVERY, Assignment, check_deadline
 from fleetplan.errors import (
@@ -443,7 +444,25 @@ class ReferenceProductPa:
     """The product built edge by edge over tuple states: guard, label split and
     firing set per edge."""
 
-    _select_emit = ProductPa._select_emit
+    def _select_emit(self, guard: Guard, base: FrozenSet[str], optional: FrozenSet[str]):
+        """Cheapest firing set justifying the guard, or None.
+
+        At most one assigned collaborative task fires per step; individual
+        tasks always fire.
+        """
+        best = None
+        for pos, neg in guard.cubes:
+            if base & neg:
+                continue
+            extra = pos - base
+            if not extra <= optional or len(extra) > 1:
+                continue
+            key = (len(extra), tuple(sorted(extra)), len(neg), tuple(sorted(neg)))
+            if best is None or key < best[0]:
+                best = (key, extra)
+        if best is None:
+            return None
+        return best[1]
 
     def __init__(self, wts: Wts, nfa: Nfa, assigned, collab_props):
         self.wts = wts

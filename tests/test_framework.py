@@ -903,6 +903,25 @@ def test_adjust_off_keeps_the_initial_strategies(tmp_path):
     assert (tmp_path / "protocol_trace.txt").read_text() == ""
 
 
+def test_planning_builds_guards_only_for_the_collaborative_automaton(monkeypatch):
+    """Local automata step by their labeling tables: planning the README scenario
+    builds one guard per transition of the collaborative automaton, the first one
+    translated, and no other."""
+    from fleetplan import ltl
+
+    built, translated = [], []
+    real_guard, real_to_nfa = ltl.guard_from_minterms, framework.to_nfa
+    monkeypatch.setattr(ltl, "guard_from_minterms",
+                        lambda atoms, masks: built.append(atoms) or real_guard(atoms, masks))
+    monkeypatch.setattr(framework, "to_nfa",
+                        lambda *args: translated.append(real_to_nfa(*args)) or translated[-1])
+    report = run_framework(generate(seed=7, robots=5, collab=4, grid=(20, 20)))
+    count = len(built)
+    monkeypatch.undo()
+    assert report.incumbent is not None and len(translated) > 1
+    assert count == len(translated[0].transitions) > 0
+
+
 def test_every_acceptance_check_goes_through_framework_nfa_accepts(monkeypatch):
     """Per evaluated row, one collaborative check and one local check per robot,
     all through the name the framework imports (which is what a tracer wraps)."""

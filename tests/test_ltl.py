@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from fleetplan import framework, ltl
-from fleetplan.errors import NextOperatorForbidden, ParseError, StateLimitExceeded
+from fleetplan.errors import EmptyLanguage, NextOperatorForbidden, ParseError, StateLimitExceeded
 from fleetplan.ltl import (
     FALSE,
     TRUE,
@@ -27,7 +27,9 @@ from fleetplan.ltl import (
     simplify,
     to_nfa,
 )
+from fleetplan.mission import prune_nfa
 from fleetplan.scenario import Scenario, _collab_formula
+from fleetplan.world import Fleet, Robot, TaskReq
 
 from oracles import (
     all_traces,
@@ -244,6 +246,47 @@ def test_no_translation_cache_outlives_a_call():
     to_nfa(parse_formula("F a & G (b | F c)"))
     to_nfa(parse_formula("!(a U b) & F (c & F d)"))
     assert table_sizes() == before
+
+
+def test_table_steps_equal_guard_scans_on_random_formulas():
+    """On random formulas and random labels, props outside the formula included:
+    the table step is the one successor whose guard, built on first read, the label
+    satisfies; each table's required-atom mask is the intersection of the minimal
+    witnesses of the guard into its target; and the pruned automaton's step is
+    the one successor whose kept guard the label satisfies."""
+    rng = random.Random(2323)
+    atoms = ["a", "b", "c", "d"]
+    fleet = Fleet(("c1", "c2"), (Robot(0, frozenset({"c1"}), "q0_0"),
+                                 Robot(1, frozenset({"c1", "c2"}), "q0_0")))
+    tasks = [TaskReq("a", "q0_0", {"c1": 1}), TaskReq("b", "q0_0", {"c1": 2}),
+             TaskReq("c", "q0_0", {"c2": 1}), TaskReq("d", "q0_0", {"c1": 1, "c2": 1})]
+
+    def scan(nfa, q, labels):
+        found = [q2 for q2 in nfa.successors(q) if nfa.guard(q, q2).satisfied_by(labels)]
+        assert len(found) <= 1
+        return found[0] if found else -1
+
+    pruned_steps = 0
+    for _ in range(150):
+        nfa = to_nfa(random_formula(rng, atoms, depth=3))
+        for q, table in enumerate(nfa.tables):
+            for q2, mask in table.required.items():
+                if q2 != q:
+                    witnesses = nfa.guard(q, q2).minimal_witnesses()
+                    assert {a for a, bit in table.bits.items() if mask & bit} == set(
+                        frozenset.intersection(*witnesses))
+        try:
+            pruned = prune_nfa(nfa, fleet, tasks)
+        except EmptyLanguage:
+            pruned = None
+        for _ in range(20):
+            labels = frozenset(p for p in atoms + ["x", "y"] if rng.random() < 0.4)
+            for q in range(nfa.n_states):
+                assert nfa.step(q, labels) == scan(nfa, q, labels)
+                if pruned is not None:
+                    assert pruned.step(q, labels) == scan(pruned, q, labels)
+                    pruned_steps += 1
+    assert pruned_steps > 1000
 
 
 def collab_formula(k, template="auto"):
