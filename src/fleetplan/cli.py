@@ -1,7 +1,7 @@
 """Command line interface: plan a scenario file or generate a random one.
 
-Exit codes for `plan`: 0 success, 2 infeasible mission, 3 budget or caps
-exhausted with no feasible assignment.
+Exit codes for `plan`: 0 success, 1 error, 2 infeasible mission, 3 budget or
+caps exhausted with no feasible assignment.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ def main(argv=None) -> int:
         return cmd_generate(args)
     except FleetplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an unreadable scenario is a ScenarioError, so this is output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
 
 

@@ -79,7 +79,7 @@ class Atom(Formula):
         return (self.name,)
 
 
-class Not(Formula):
+class _Unary(Formula):
     __slots__ = ("child",)
 
     def __init__(self, child: Formula):
@@ -89,7 +89,7 @@ class Not(Formula):
         return (self.child,)
 
 
-class And(Formula):
+class _Nary(Formula):
     __slots__ = ("children",)
 
     def __init__(self, *children: Formula):
@@ -99,34 +99,24 @@ class And(Formula):
         return self.children
 
 
-class Or(Formula):
-    __slots__ = ("children",)
-
-    def __init__(self, *children: Formula):
-        self.children = tuple(children)
-
-    def _parts(self):
-        return self.children
+class Not(_Unary):
+    __slots__ = ()
 
 
-class Eventually(Formula):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Formula):
-        self.child = child
-
-    def _parts(self):
-        return (self.child,)
+class And(_Nary):
+    __slots__ = ()
 
 
-class Always(Formula):
-    __slots__ = ("child",)
+class Or(_Nary):
+    __slots__ = ()
 
-    def __init__(self, child: Formula):
-        self.child = child
 
-    def _parts(self):
-        return (self.child,)
+class Eventually(_Unary):
+    __slots__ = ()
+
+
+class Always(_Unary):
+    __slots__ = ()
 
 
 class Until(Formula):
@@ -292,9 +282,9 @@ def atoms_of(f: Formula) -> FrozenSet[str]:
         g = stack.pop()
         if isinstance(g, Atom):
             out.add(g.name)
-        elif isinstance(g, (Not, Eventually, Always)):
+        elif isinstance(g, _Unary):
             stack.append(g.child)
-        elif isinstance(g, (And, Or)):
+        elif isinstance(g, _Nary):
             stack.extend(g.children)
         elif isinstance(g, Until):
             stack.append(g.left)
@@ -392,23 +382,29 @@ class Nfa:
     """Finite automaton with guard-labeled transitions.
 
     ``transitions`` maps state pairs to guards; absent pairs have no
-    transition.  A translated automaton steps by its per-state ``tables`` and
-    builds its guards from them on first read.  One given explicit guards, as
-    pruning's is, steps by the tables and then checks the guard of the pair
-    found, so its guards must imply the tables'.  Progression construction
-    yields a deterministic automaton, but all consumers treat the structure as
-    a general NFA (pruning can make it partial).
+    transition.  A translated automaton steps by its per-state ``tables``, and
+    builds each pair's guard from its source's table when that pair is first
+    read.  A pruned one keeps a subset of the pairs and a filter ``keep`` on a
+    cube's positive set; its guard of a pair is the table's prime cover less
+    the cubes ``keep`` rejects.  Pruned, or given explicit guards, it steps by
+    the tables and then checks the guard of the pair found, so its guards must
+    imply the tables'.  Progression construction yields a deterministic
+    automaton, but all consumers treat the structure as a general NFA (pruning
+    can make it partial).
     """
 
-    def __init__(self, n_states, initial, accepting, transitions=None, tables=()):
+    def __init__(self, n_states, initial, accepting, transitions=None, tables=(), pairs=None,
+                 keep=None):
         self.n_states = n_states
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
         self.tables = tables
-        self._checked = transitions is not None
-        self._transitions = dict(transitions) if self._checked else None
-        pairs = sorted(self._transitions) if self._checked else [
-            (a, b) for a, table in enumerate(tables) for b in table.required]
+        self._keep = keep
+        self._checked = transitions is not None or keep is not None
+        self._guards = dict(transitions or ())
+        if pairs is None:
+            pairs = sorted(self._guards) if transitions is not None else [
+                (a, b) for a, table in enumerate(tables) for b in table.required]
         succ: dict[int, list[int]] = {}
         for (a, b) in pairs:
             succ.setdefault(a, []).append(b)
@@ -416,28 +412,26 @@ class Nfa:
 
     @property
     def transitions(self) -> Dict[Tuple[int, int], Guard]:
-        if self._transitions is None:  # one pass over each table, grouped by target
-            self._transitions = {}
-            for i, (bits, targets, _required) in enumerate(self.tables):
-                minterms: dict[int, list[int]] = {}
-                for mask, j in enumerate(targets):
-                    if j >= 0:
-                        minterms.setdefault(j, []).append(mask)
-                for j, masks in sorted(minterms.items()):
-                    self._transitions[(i, j)] = guard_from_minterms(list(bits), masks)
-        return self._transitions
+        return {(a, b): self.guard(a, b) for a, bs in self._succ.items() for b in bs}
 
     def successors(self, state: int) -> tuple[int, ...]:
         return self._succ.get(state, ())
 
     def guard(self, a: int, b: int) -> Guard | None:
-        return self.transitions.get((a, b))
+        guard = self._guards.get((a, b))
+        if guard is None and b in self._succ.get(a, ()):
+            bits, targets, _required = self.tables[a]
+            guard = guard_from_minterms(list(bits), [m for m, j in enumerate(targets) if j == b])
+            if self._keep is not None:
+                guard = Guard(tuple(c for c in guard.cubes if self._keep(c[0])))
+            self._guards[(a, b)] = guard
+        return guard
 
     def step(self, state: int, labels: FrozenSet[str]) -> int:
         """The state ``labels`` lead to from ``state``, or -1."""
         table = self.tables[state]
         j = table.targets[table.mask(labels)]
-        if self._checked and not self._transitions.get((state, j), FALSE_GUARD).satisfied_by(labels):
+        if self._checked and not (self.guard(state, j) or FALSE_GUARD).satisfied_by(labels):
             return -1
         return j
 

@@ -8,10 +8,11 @@ synchronization (same element) and precedence (element order) structure.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import combinations
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyLanguage, MissionError
-from .guards import Guard
 from .ltl import Nfa, essential_steps, nfa_accepts
 from .search import bfs
 from .world import Fleet, TaskReq
@@ -42,24 +43,33 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
     """Drop guard disjuncts (and transitions) the fleet can never staff.
 
     State indices are preserved; transitions out of forward-unreachable
-    states are dropped along with the states themselves.  Each distinct
-    positive set is tested once.  The result keeps its filtered guards and
-    steps by ``nfa``'s tables.
+    states are dropped along with the states themselves.  The test is closed
+    under subsets, so a pair keeps a prime cube exactly when some label mask
+    of the source's table leads there with a staffable positive set: pairs
+    are decided on the tables, with one test per distinct positive set, and
+    no guard is built.  The result builds a pair's filtered guard when the
+    pair is first read.
     """
     by_prop = {t.prop: t for t in tasks if t.collaborative}
-    feasible: Dict[FrozenSet[str], bool] = {}
-    filtered = {}
-    for pair, guard in nfa.transitions.items():
-        for pos, _neg in guard.cubes:
-            if pos not in feasible:
-                feasible[pos] = demand_feasible(pos, fleet, by_prop)
-        cubes = tuple(c for c in guard.cubes if feasible[c[0]])
-        if cubes:
-            filtered[pair] = Guard(cubes)
-    reachable = set(bfs(Nfa(nfa.n_states, nfa.initial, (), filtered).successors, nfa.initial)[0])
-    transitions = {(a, b): g for (a, b), g in filtered.items() if a in reachable and b in reachable}
-    pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions,
-                 nfa.tables)
+    index = {prop: 1 << i for i, prop in enumerate(by_prop)}  # task -> its bit in a key
+    staffable = cache(lambda key: demand_feasible([p for p, b in index.items() if key & b],
+                                                  fleet, by_prop))
+    succ: Dict[int, list] = {}
+    for a, (bits, targets, required) in enumerate(nfa.tables):
+        keys = [0]  # label mask -> its positive set over the known tasks
+        for atom, bit in bits.items():
+            if atom not in index and any(
+                    m & bit and j >= 0 and targets[m ^ bit] != j for m, j in enumerate(targets)):
+                raise MissionError(f"guard references unknown collaborative task {atom!r}")
+            keys += [key | index.get(atom, 0) for key in keys]
+        for b, low in required.items():  # every mask leading to b contains low
+            if staffable(keys[low]) and (targets[low] == b or any(
+                    j == b and staffable(keys[m]) for m, j in enumerate(targets))):
+                succ.setdefault(a, []).append(b)
+    reachable = bfs(lambda q: succ.get(q, ()), nfa.initial)[0]
+    pruned = Nfa(nfa.n_states, nfa.initial, nfa.accepting & reachable.keys(), tables=nfa.tables,
+                 pairs=[(a, b) for a, bs in succ.items() if a in reachable for b in bs],
+                 keep=lambda pos: staffable(sum(index[p] for p in pos)))
     if not pruned.accepting:
         raise EmptyLanguage("no accepting state is reachable after capacity pruning")
     return pruned
@@ -74,8 +84,9 @@ def shortest_accepting_run(nfa: Nfa) -> list[int]:
     if accepting_initial:
         return [accepting_initial[0]]
     predecessors: Dict[int, list] = {}
-    for a, b in nfa.transitions:
-        predecessors.setdefault(b, []).append(a)
+    for a in range(nfa.n_states):
+        for b in nfa.successors(a):
+            predecessors.setdefault(b, []).append(a)
     # hop distances; a self-loop never shortens one, so loops need no filtering
     dist_fwd = bfs(nfa.successors, nfa.initial)[0]
     dist_back = bfs(lambda q: predecessors.get(q, ()), nfa.accepting)[0]
@@ -130,19 +141,11 @@ def decomposition_states(nfa: Nfa, run: Sequence[int]) -> set[int]:
 
 
 def _interleavings(left, right):
-    out = []
-
-    def rec(prefix, i, j):
-        if i == len(left) and j == len(right):
-            out.append(tuple(prefix))
-            return
-        if i < len(left):
-            rec(prefix + [left[i]], i + 1, j)
-        if j < len(right):
-            rec(prefix + [right[j]], i, j + 1)
-
-    rec([], 0, 0)
-    return out
+    """Every order-preserving merge of two sequences, left elements first."""
+    n = len(left) + len(right)
+    for picks in combinations(range(n), len(left)):
+        lefts, rights = iter(left), iter(right)
+        yield tuple(next(lefts) if i in picks else next(rights) for i in range(n))
 
 
 class Mission:

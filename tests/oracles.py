@@ -22,7 +22,10 @@ over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
 translator it reuses only ``simplify``.
 ``reference_primes`` finds a truth table's prime implicants by trying all 3^n
-cubes, as a judge of ``guard_from_minterms``.
+cubes, as a judge of ``guard_from_minterms``.  ``reference_prune_nfa`` keeps
+capacity pruning as it was before it decided pairs on the labeling tables: it
+builds every guard and filters each one's cubes, as a reference for the
+pruned pairs and the guards built on demand.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests
 (``TRUE_GUARD`` is its tautology), ``witness`` decodes the
 product path behind a pruned edge, and ``dijkstra`` is the weighted search
@@ -43,6 +46,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from fleetplan.alloc import DEADLINE_EVERY, Assignment, check_deadline
 from fleetplan.errors import (
     BudgetExceeded,
+    EmptyLanguage,
     FleetplanError,
     LevelDisconnected,
     NoAcceptingPath,
@@ -75,11 +79,11 @@ from fleetplan.milp import (
     enumerate_robot_choices,
     least_timeline,
 )
-from fleetplan.mission import Mission
+from fleetplan.mission import Mission, demand_feasible
 from fleetplan.product import ProductPa, PrunedPa, Strategy
 from fleetplan.schedule import CostReport, FoldPlan, Timeline, compute_time_cost
-from fleetplan.search import reconstruct
-from fleetplan.world import World, Wts
+from fleetplan.search import bfs, reconstruct
+from fleetplan.world import Fleet, TaskReq, World, Wts
 
 State = Tuple[str, int]  # a reference product state: (region name, automaton state)
 
@@ -1111,3 +1115,30 @@ def reference_primes(atoms: Sequence[str], minterms: Iterable[int]) -> Guard:
               frozenset(a for i, a in enumerate(atoms) if (care & ~value) >> i & 1))
              for value, care in primes]
     return Guard(tuple(sorted(cubes, key=_cube_key)))
+
+
+def reference_prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
+    """Drop guard disjuncts (and transitions) the fleet can never staff.
+
+    State indices are preserved; transitions out of forward-unreachable
+    states are dropped along with the states themselves.  Each distinct
+    positive set is tested once.  The result keeps its filtered guards and
+    steps by ``nfa``'s tables.
+    """
+    by_prop = {t.prop: t for t in tasks if t.collaborative}
+    feasible: Dict[FrozenSet[str], bool] = {}
+    filtered = {}
+    for pair, guard in nfa.transitions.items():
+        for pos, _neg in guard.cubes:
+            if pos not in feasible:
+                feasible[pos] = demand_feasible(pos, fleet, by_prop)
+        cubes = tuple(c for c in guard.cubes if feasible[c[0]])
+        if cubes:
+            filtered[pair] = Guard(cubes)
+    reachable = set(bfs(Nfa(nfa.n_states, nfa.initial, (), filtered).successors, nfa.initial)[0])
+    transitions = {(a, b): g for (a, b), g in filtered.items() if a in reachable and b in reachable}
+    pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions,
+                 nfa.tables)
+    if not pruned.accepting:
+        raise EmptyLanguage("no accepting state is reachable after capacity pruning")
+    return pruned

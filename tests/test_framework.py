@@ -657,6 +657,38 @@ def test_cli_unreadable_scenario_file_exits_1_naming_it(tmp_path, capsys, conten
     assert capsys.readouterr().err.startswith(f"error: cannot read scenario file {path}: ")
 
 
+def _plan_writing_to(tmp_path, *flags):
+    path = tmp_path / "sc.json"
+    path.write_text(small_scenario().dumps())
+    return cli_main(["plan", str(path), "--max-assignments", "2", *flags])
+
+
+def _one_cannot_write_line(capsys, target):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1, err
+
+
+def test_cli_plan_out_onto_a_file_exits_1_with_one_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert _plan_writing_to(tmp_path, "--out", str(taken)) == 1
+    _one_cannot_write_line(capsys, taken)
+
+
+def test_cli_emit_lp_onto_a_file_exits_1_with_one_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert _plan_writing_to(tmp_path, "--out", str(tmp_path / "o"), "--emit-lp", str(taken)) == 1
+    _one_cannot_write_line(capsys, taken)
+
+
+def test_cli_generate_into_a_missing_directory_exits_1_with_one_error_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "dir" / "x.json"
+    assert cli_main(["generate", "--robots", "2", "--collab", "1", "--grid", "5", "5",
+                     "--out", str(target)]) == 1
+    _one_cannot_write_line(capsys, target)
+
+
 def test_cli_rejects_zero_weight_with_exit_1(tmp_path, capsys):
     data = json.loads(small_scenario().dumps())
     data["world"]["weights"] = [["q0_0", "q1_0", 0]]
@@ -904,22 +936,32 @@ def test_adjust_off_keeps_the_initial_strategies(tmp_path):
 
 
 def test_planning_builds_guards_only_for_the_collaborative_automaton(monkeypatch):
-    """Local automata step by their labeling tables: planning the README scenario
-    builds one guard per transition of the collaborative automaton, the first one
-    translated, and no other."""
+    """Automata step by their labeling tables and pruning decides pairs on them:
+    planning the README scenario builds guards only inside the pruned
+    collaborative automaton's guard reads, one per distinct pair read."""
     from fleetplan import ltl
 
-    built, translated = [], []
-    real_guard, real_to_nfa = ltl.guard_from_minterms, framework.to_nfa
+    built, reads, pruned = [], [], []
+    real_guard, real_read, real_prune = ltl.guard_from_minterms, ltl.Nfa.guard, framework.prune_nfa
+
+    def read(nfa, a, b):
+        before = len(built)
+        guard = real_read(nfa, a, b)
+        reads.append((nfa, (a, b), guard is not None, len(built) - before))
+        return guard
+
     monkeypatch.setattr(ltl, "guard_from_minterms",
                         lambda atoms, masks: built.append(atoms) or real_guard(atoms, masks))
-    monkeypatch.setattr(framework, "to_nfa",
-                        lambda *args: translated.append(real_to_nfa(*args)) or translated[-1])
+    monkeypatch.setattr(ltl.Nfa, "guard", read)
+    monkeypatch.setattr(framework, "prune_nfa",
+                        lambda *args: pruned.append(real_prune(*args)) or pruned[-1])
     report = run_framework(generate(seed=7, robots=5, collab=4, grid=(20, 20)))
-    count = len(built)
     monkeypatch.undo()
-    assert report.incumbent is not None and len(translated) > 1
-    assert count == len(translated[0].transitions) > 0
+    assert report.incumbent is not None and len(pruned) == 1 and built
+    assert {nfa for nfa, _pair, _kept, _builds in reads} == {pruned[0]}
+    assert {builds for _nfa, _pair, _kept, builds in reads} <= {0, 1}
+    assert sum(builds for _nfa, _pair, _kept, builds in reads) == len(built) == \
+        len({pair for _nfa, pair, kept, _builds in reads if kept})
 
 
 def test_every_acceptance_check_goes_through_framework_nfa_accepts(monkeypatch):

@@ -95,6 +95,64 @@ def test_pruned_language_matches_feasible_step_oracle():
                 assert got == expected, (f, seq)
 
 
+def _pruned_or_error(prune, nfa, fleet, tasks):
+    try:
+        return prune(nfa, fleet, tasks)
+    except (EmptyLanguage, MissionError) as exc:
+        return type(exc)
+
+
+def test_table_pruning_equals_the_guard_reference():
+    """Pruning decides each pair on its source's labeling table and builds a
+    pair's filtered guard when it is first read; the reference builds and
+    filters every guard.  Both keep the same pairs, guards (cubes in order),
+    accepting set and steps, give the same run, decomposition and mission,
+    and raise the same errors."""
+    from oracles import reference_prune_nfa
+
+    rng = random.Random(24)
+    atoms = ["ct1", "ct2", "ct3", "ct4"]
+    tasks = [ct("ct1", c1=1), ct("ct2", c2=1), ct("ct3", c1=1, c2=1), ct("ct4", c1=2)]
+    individual = TaskReq("ct4", "q0_0", {"c1": 1}, owner=0)
+    cases = [
+        (fleet_of({"c1"}, {"c1", "c2"}), tasks),  # {ct2, ct3} and ct4 with ct1 or ct3 drop
+        (fleet_of({"c1", "c2"}, {"c1", "c2"}, {"c1"}), tasks),  # only {ct2, ct3, ct4} and up drop
+        (fleet_of({"c2"}), tasks),  # ct2 alone is staffable
+        (fleet_of({"c1"}, {"c1", "c2"}), tasks[:3]),  # ct4 is unknown
+        (fleet_of({"c1"}, {"c1", "c2"}), tasks[:3] + [individual]),  # ct4 is not collaborative
+    ]
+    letters = all_label_sets(atoms + ["x"])
+    seen = {EmptyLanguage: 0, MissionError: 0, "dropped": 0, "pruned": 0}
+    for _ in range(60):
+        nfa = to_nfa(random_formula(rng, atoms, depth=3))
+        states = range(nfa.n_states)
+        for fleet, task_list in cases:
+            ref = _pruned_or_error(reference_prune_nfa, nfa, fleet, task_list)
+            got = _pruned_or_error(prune_nfa, nfa, fleet, task_list)
+            if isinstance(ref, type):
+                assert got is ref
+                seen[ref] += 1
+                continue
+            seen["pruned"] += 1
+            seen["dropped"] += any(g != nfa.guard(*pair) for pair, g in ref.transitions.items())
+            # steps first, so that the guards they check are built on demand
+            assert [[got.step(q, l) for l in letters] for q in states] == \
+                [[ref.step(q, l) for l in letters] for q in states]
+            fresh = prune_nfa(nfa, fleet, task_list)
+            run = shortest_accepting_run(fresh)
+            assert run == shortest_accepting_run(ref)
+            positions = decomposition_states(fresh, run)
+            assert positions == decomposition_states(ref, run)
+            mission, expected = build_mission(fresh, run, positions), build_mission(ref, run, positions)
+            assert (mission.subsequences, mission.negative_obligations) == \
+                (expected.subsequences, expected.negative_obligations)
+            assert (got.n_states, got.initial, got.accepting) == (ref.n_states, ref.initial, ref.accepting)
+            assert [got.successors(q) for q in states] == [ref.successors(q) for q in states]
+            assert [(pair, g.cubes) for pair, g in got.transitions.items()] == \
+                [(pair, g.cubes) for pair, g in ref.transitions.items()]
+    assert min(seen.values()) > 0, seen
+
+
 def _sequences(letters, length):
     if length == 0:
         yield ()
