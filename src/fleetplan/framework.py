@@ -9,7 +9,9 @@ before any synthesis work.
 A robot's local synthesis depends only on the robot and its assigned
 occurrences, and nothing downstream mutates a product, so one cache per run
 keeps each such key's pruned product (which holds the local automaton), or
-the error it raised.  Each evaluated assignment is laid out once, as the
+the error it raised.  A second per-run dict is the translator's memo, so
+local formulas equal up to an order-preserving renaming of their atoms share
+one progression.  Each evaluated assignment is laid out once, as the
 `FoldPlan` that the adjustment, the oracle and the cost report all fold.
 """
 
@@ -128,6 +130,7 @@ def run_framework(scenario: Scenario) -> RunReport:
     incumbent: Optional[PlanOutput] = None
     history_vectors: List[Tuple[bool, ...]] = []
     synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> PrunedPa or error
+    shapes: Dict[str, tuple] = {}  # local formula shape -> its atoms and automaton
     deadline = None if opts.budget_seconds is None else started + opts.budget_seconds
     stopped = "unsat"
     index = 0
@@ -152,7 +155,7 @@ def run_framework(scenario: Scenario) -> RunReport:
         history_vectors.append(assignment.vector)
         try:
             plan = _evaluate_assignment(scenario, mission, assignment, wts, collab_props,
-                                        synthesis, row, deadline)
+                                        synthesis, shapes, row, deadline)
         except (*SYNTHESIS_ERRORS, NegativeObligationViolated) as exc:
             rows[-1] = AssignmentRow(index=row.index, status="infeasible", detail=str(exc))
             continue
@@ -169,13 +172,13 @@ def run_framework(scenario: Scenario) -> RunReport:
 SYNTHESIS_ERRORS = (NoAcceptingPath, LevelDisconnected, StateLimitExceeded)
 
 
-def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthesis):
+def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthesis, shapes):
     """Robot ``r``'s pruned product, built once per key."""
     key = (r, tuple(assigned))
     if key not in synthesis:
         try:
             nfa = to_nfa(build_local_formula(scenario.parsed_individual(r), assigned),
-                         scenario.options.state_cap)
+                         scenario.options.state_cap, shapes)
             synthesis[key] = prune_product(build_product(wts[r], nfa, assigned, collab_props))
         except SYNTHESIS_ERRORS as exc:
             synthesis[key] = exc
@@ -186,7 +189,7 @@ def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthes
 
 
 def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assignment,
-                         wts, collab_props, synthesis, row: AssignmentRow,
+                         wts, collab_props, synthesis, shapes, row: AssignmentRow,
                          deadline: Optional[float]) -> PlanOutput:
     opts = scenario.options
     fleet = scenario.fleet
@@ -197,7 +200,8 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
         check_deadline(deadline)
         assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
         t0 = time.perf_counter()
-        pruned = pruned_map[r] = _synthesize(scenario, r, assigned, wts, collab_props, synthesis)
+        pruned = pruned_map[r] = _synthesize(scenario, r, assigned, wts, collab_props,
+                                             synthesis, shapes)
         prune_times.append(time.perf_counter() - t0)
         timelines[r] = choice_timeline(pruned, pruned.shortest_choice())
     row.wall_prune_avg = sum(prune_times) / len(prune_times)

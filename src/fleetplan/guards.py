@@ -38,23 +38,15 @@ class Guard:
     def minimal_witnesses(self) -> list[FrozenSet[str]]:
         """Inclusion-minimal positive label sets satisfying the guard."""
         candidates = [pos for pos, _neg in self.cubes]
-        out = []
-        for pos in candidates:
-            if not any(other < pos for other in candidates):
-                out.append(pos)
-        return sorted(set(out), key=lambda s: (len(s), sorted(s)))
+        return sorted({pos for pos in candidates if not any(other < pos for other in candidates)},
+                      key=lambda s: (len(s), sorted(s)))
 
     def empty_set_satisfies(self) -> bool:
         return any(not pos for pos, _neg in self.cubes)
 
     def __str__(self) -> str:
-        if not self.cubes:
-            return "false"
-        parts = []
-        for pos, neg in self.cubes:
-            lits = sorted(pos) + [f"!{p}" for p in sorted(neg)]
-            parts.append(" & ".join(lits) if lits else "true")
-        return " | ".join(parts)
+        return " | ".join(" & ".join(sorted(pos) + [f"!{p}" for p in sorted(neg)]) or "true"
+                          for pos, neg in self.cubes) or "false"
 
 
 FALSE_GUARD = Guard(())

@@ -15,7 +15,9 @@ The construction is deterministic and worst-case exponential in the formula
 size, hence the configurable state cap.
 
 Each translation works on bit sets over its own formula's subformulas and
-keeps no progression table beyond its call.
+keeps no progression table beyond its call.  A caller's memo (the framework
+keeps one per run) shares one progression between formulas equal up to an
+order-preserving renaming of their atoms.
 
 Conjunction and disjunction are n-ary so that residuals stay shallow no
 matter how wide they grow.
@@ -133,26 +135,20 @@ class Until(Formula):
 TRUE = TrueF()
 FALSE = FalseF()
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()]))")
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([!&|()])|(\S))")
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        word, sym = m.group(1), m.group(2)
-        if word is not None:
-            tokens.append(("word", word, m.start(1)))
-        else:
-            tokens.append(("sym", sym, m.start(2)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):  # matches are contiguous: each starts where one ended
+        word, sym, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start())
+        tokens.append(("word", word, m.start(1)) if word is not None else ("sym", sym, m.start(2)))
     return tokens
+
+
+MAX_NESTING = 50  # operators and parentheses one inside another; deeper ones are refused
 
 
 class _Parser:
@@ -160,6 +156,17 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse, pos: int) -> Formula:
+        """``parse()`` one level deeper, so that no formula nests past Python's
+        recursion limit here or in the recursive passes over its tree."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        f = parse()
+        self.depth -= 1
+        return f
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -202,7 +209,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[0] == "word" and tok[1] == "U":
             self.next()
-            return Until(f, self.until_expr())  # right-associative
+            return Until(f, self.nested(self.until_expr, tok[2]))  # right-associative
         return f
 
     def unary(self) -> Formula:
@@ -210,18 +217,20 @@ class _Parser:
         kind, value, pos = tok
         if kind == "sym":
             if value == "!":
-                return Not(self.unary())
+                return Not(self.nested(self.unary, pos))
             if value == "(":
-                f = self.or_expr()
+                # "!(", "F (" and "G (" are one level: the printer wraps each such operand
+                after_unary = self.i > 1 and self.tokens[self.i - 2][1] in ("!", "F", "G")
+                f = self.or_expr() if after_unary else self.nested(self.or_expr, pos)
                 self.expect_sym(")")
                 return f
             raise ParseError(f"unexpected symbol {value!r}", pos)
         if value == "true":
             return TRUE
         if value == "F":
-            return Eventually(self.unary())
+            return Eventually(self.nested(self.unary, pos))
         if value == "G":
-            return Always(self.unary())
+            return Always(self.nested(self.unary, pos))
         if value == "X":
             raise NextOperatorForbidden("the next operator is not supported", pos)
         if value == "U":
@@ -379,32 +388,28 @@ class Table(NamedTuple):
 
 
 class Nfa:
-    """Finite automaton with guard-labeled transitions.
+    """Finite automaton over per-state labeling tables.
 
-    ``transitions`` maps state pairs to guards; absent pairs have no
-    transition.  A translated automaton steps by its per-state ``tables``, and
-    builds each pair's guard from its source's table when that pair is first
-    read.  A pruned one keeps a subset of the pairs and a filter ``keep`` on a
-    cube's positive set; its guard of a pair is the table's prime cover less
-    the cubes ``keep`` rejects.  Pruned, or given explicit guards, it steps by
-    the tables and then checks the guard of the pair found, so its guards must
-    imply the tables'.  Progression construction yields a deterministic
+    A translated automaton steps by its ``tables``; its pairs are those the
+    tables lead to, and it builds each pair's guard from its source's table
+    when that pair is first read (``transitions`` maps every pair to its
+    guard).  A pruned one keeps a subset of the pairs and a filter ``keep`` on
+    a cube's positive set; its guard of a pair is the table's prime cover less
+    the cubes ``keep`` rejects, and it steps by the tables and then checks the
+    guard of the pair found.  Progression construction yields a deterministic
     automaton, but all consumers treat the structure as a general NFA (pruning
     can make it partial).
     """
 
-    def __init__(self, n_states, initial, accepting, transitions=None, tables=(), pairs=None,
-                 keep=None):
+    def __init__(self, n_states, initial, accepting, tables, pairs=None, keep=None):
         self.n_states = n_states
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
         self.tables = tables
         self._keep = keep
-        self._checked = transitions is not None or keep is not None
-        self._guards = dict(transitions or ())
+        self._guards = {}
         if pairs is None:
-            pairs = sorted(self._guards) if transitions is not None else [
-                (a, b) for a, table in enumerate(tables) for b in table.required]
+            pairs = [(a, b) for a, table in enumerate(tables) for b in table.required]
         succ: dict[int, list[int]] = {}
         for (a, b) in pairs:
             succ.setdefault(a, []).append(b)
@@ -431,7 +436,7 @@ class Nfa:
         """The state ``labels`` lead to from ``state``, or -1."""
         table = self.tables[state]
         j = table.targets[table.mask(labels)]
-        if self._checked and not (self.guard(state, j) or FALSE_GUARD).satisfied_by(labels):
+        if self._keep and not (self.guard(state, j) or FALSE_GUARD).satisfied_by(labels):
             return -1
         return j
 
@@ -477,8 +482,8 @@ def _dnf_minimize(cubes: set) -> frozenset:
 class _Translator:
     """The unit numbering and progression tables of one ``to_nfa`` call."""
 
-    def __init__(self, root: Formula):
-        self.names = sorted(atoms_of(root))
+    def __init__(self, root: Formula, names: list[str]):
+        self.names = names
         self.bit = {Atom(a): 1 << i for i, a in enumerate(self.names)}
         self.atom_mask = (1 << len(self.names)) - 1
         self.scope = {b: b for b in self.bit.values()}  # unit bit -> bits of its atoms
@@ -606,14 +611,26 @@ def _labelings(atom_bits: list[int]) -> list[int]:
 DEFAULT_STATE_CAP = 20_000
 
 
-def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
+def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP, memo: dict | None = None) -> Nfa:
     """Translate a formula into an automaton accepting exactly its finite models.
 
     Transitions enumerate only the atoms each residual mentions, in sorted
     order, so states are numbered as if the whole alphabet were enumerated.
+    With a ``memo``, a formula of a shape translated before within the cap
+    gets that automaton with its atoms renamed: atoms are numbered in name
+    order and units by structure, so only the names in ``Table.bits`` differ.
     """
     root = simplify(f)
-    translator = _Translator(root)
+    names = sorted(atoms_of(root))
+    key = None if memo is None else _shape(root, names)
+    hit = memo.get(key) if memo else None
+    if hit is not None and hit[1].n_states <= state_cap:
+        first_names, first = hit
+        rename = dict(zip(first_names, names))
+        return Nfa(first.n_states, first.initial, first.accepting, tuple(
+            Table({rename[a]: bit for a, bit in t.bits.items()}, t.targets, t.required)
+            for t in first.tables))
+    translator = _Translator(root, names)
     index = {translator.root: 0}
     order = [translator.root]
     tables = []
@@ -639,13 +656,31 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
             j = index[target]
             targets.append(j)
             required[j] = required.get(j, mask) & mask
-        bits = {translator.names[b.bit_length() - 1]: 1 << k for k, b in enumerate(atom_bits)}
+        bits = {names[b.bit_length() - 1]: 1 << k for k, b in enumerate(atom_bits)}
         tables.append(Table(bits, tuple(targets), dict(sorted(required.items()))))
     # only G units hold on the empty trace: atoms, eventualities and untils need a position
     always = translator.always_mask
     accepting = frozenset(i for s, i in index.items()
                           if any(pos & ~always == 0 and not neg & always for pos, neg in s))
-    return Nfa(len(order), frozenset((0,)), accepting, tables=tuple(tables))
+    nfa = Nfa(len(order), frozenset((0,)), accepting, tuple(tables))
+    if key is not None:
+        memo[key] = (names, nfa)
+    return nfa
+
+
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PRINTED_KEYWORDS = frozenset({"true", "false", "F", "G", "U"})
+
+
+def _shape(root: Formula, names: list[str]) -> str | None:
+    """``root``'s printed form, which re-parses to the same tree, with each atom
+    replaced by its rank in ``names``: equal for trees equal up to an
+    order-preserving renaming.  None when a name is not a plain identifier or
+    is a word the printer writes itself."""
+    rank = {a: f"_{i}" for i, a in enumerate(names)}
+    if not _PRINTED_KEYWORDS.isdisjoint(rank) or not all(map(_WORD_RE.fullmatch, names)):
+        return None
+    return _WORD_RE.sub(lambda m: rank.get(m[0], m[0]), format_formula(root))
 
 
 def nfa_accepts(nfa: Nfa, sequence: Sequence[FrozenSet[str]]) -> bool:

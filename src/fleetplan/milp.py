@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .alloc import DEADLINE_EVERY, Assignment, check_deadline
 from .errors import BudgetExceeded, LevelDisconnected
-from .mission import Mission, Occurrence
+from .mission import Mission
 from .product import PrunedPa
 from .schedule import CostReport, FoldPlan, Timeline, choice_timeline, compute_time_cost
 
@@ -152,14 +152,8 @@ class MilpModel:
 
 
 def _state_index(pruned: PrunedPa) -> Dict[int, int]:
-    states: List[int] = []
-    seen = set()
-    for level in pruned.levels:
-        for s in level:
-            if s not in seen:
-                seen.add(s)
-                states.append(s)
-    return {s: i for i, s in enumerate(states)}
+    """Each state's position in level order, first occurrence kept."""
+    return {s: i for i, s in enumerate(dict.fromkeys(s for level in pruned.levels for s in level))}
 
 
 def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
@@ -168,14 +162,9 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
     rows: List[Row] = []
     objective: List[Tuple[float, str]] = []
     binaries: List[str] = []
-    continuous: List[str] = []
     big_m: Dict[int, float] = {}
-    z_names: Dict[Occurrence, str] = {}
-    for occ in mission.sorted_occurrences:
-        k, l = occ
-        name = f"z_{k}_{l}"
-        z_names[occ] = name
-        continuous.append(name)
+    z_names = {(k, l): f"z_{k}_{l}" for k, l in mission.sorted_occurrences}
+    continuous = list(z_names.values())
 
     for r in sorted(pruned_map):
         pruned = pruned_map[r]
@@ -233,17 +222,11 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
             big_m[r] = max(big_m[r], m_val)
             for s in pruned.levels[li + 1]:
                 for a, w in into.get((li + 1, s), ()):
-                    y = yname(a, s)
-                    base = [(1.0, t_name), (-m_val, y)]
-                    if prev_t is not None:
-                        base.append((-1.0, prev_t))
+                    y, prev = yname(a, s), () if prev_t is None else ((-1.0, prev_t),)
                     rows.append(Row(f"arrlo_{r}_{k}_{l}_{index[a]}_{index[s]}",
-                                    tuple(base), ">=", w - m_val))
-                    base_hi = [(1.0, t_name), (m_val, y)]
-                    if prev_t is not None:
-                        base_hi.append((-1.0, prev_t))
+                                    ((1.0, t_name), (-m_val, y), *prev), ">=", w - m_val))
                     rows.append(Row(f"arrhi_{r}_{k}_{l}_{index[a]}_{index[s]}",
-                                    tuple(base_hi), "<=", w + m_val))
+                                    ((1.0, t_name), (m_val, y), *prev), "<=", w + m_val))
             prev_t = t_name
 
         # objective: last arrival + final delay + the accepting leg's travel
@@ -287,21 +270,12 @@ def build_milp(pruned_map: Mapping[int, PrunedPa], mission: Mission,
 
 def emit_lp(model: MilpModel) -> str:
     """The model in LP text format (minimize; subject to; bounds; binaries)."""
-    lines = []
-    for r in sorted(model.big_m):
-        lines.append(f"\\ big-M robot {r}: {_lp_num(model.big_m[r])}")
-    lines.append("Minimize")
-    lines.append(" obj: " + _terms_str(model.objective))
-    lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: " + _terms_str(row.terms) + f" {row.sense} {_lp_num(row.rhs)}")
-    lines.append("Bounds")
-    for name in model.continuous:
-        lines.append(f" 0 <= {name}")
-    lines.append("Binaries")
-    for name in model.binaries:
-        lines.append(f" {name}")
-    lines.append("End")
+    lines = [f"\\ big-M robot {r}: {_lp_num(model.big_m[r])}" for r in sorted(model.big_m)]
+    lines += ["Minimize", " obj: " + _terms_str(model.objective), "Subject To"]
+    lines += [f" {row.name}: {_terms_str(row.terms)} {row.sense} {_lp_num(row.rhs)}"
+              for row in model.rows]
+    lines += ["Bounds", *(f" 0 <= {name}" for name in model.continuous)]
+    lines += ["Binaries", *(f" {name}" for name in model.binaries), "End"]
     return "\n".join(lines) + "\n"
 
 

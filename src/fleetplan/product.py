@@ -511,17 +511,10 @@ class PrunedPa:
             self._suffix[(last, state)] = (0, None)
         for li in range(last - 1, -1, -1):
             for state in self.levels[li]:
-                best = None
-                for succ in self.levels[li + 1]:
-                    edge = self.edges.get((li, state, succ))
-                    if edge is None:
-                        continue
-                    tail = self._suffix.get((li + 1, succ))
-                    if tail is None:
-                        continue
-                    cand = (edge[0] + tail[0], succ)
-                    if best is None or cand < best:
-                        best = cand
+                best = min(((edge[0] + tail[0], succ) for succ in self.levels[li + 1]
+                            if (edge := self.edges.get((li, state, succ))) is not None
+                            and (tail := self._suffix.get((li + 1, succ))) is not None),
+                           default=None)
                 if best is not None:
                     self._suffix[(li, state)] = best
         if not any((0, s) in self._suffix for s in self.levels[0]):
@@ -554,13 +547,8 @@ class PrunedPa:
 
     def shortest_choice(self) -> List[int]:
         """Level choice of minimal total weight, starting from the best initial state."""
-        best = None
-        for state in self.levels[0]:
-            cost = self.suffix_cost(0, state)
-            if cost is not None:
-                cand = (cost, state)
-                if best is None or cand < best:
-                    best = cand
+        best = min(((cost, state) for state in self.levels[0]
+                    if (cost := self.suffix_cost(0, state)) is not None), default=None)
         if best is None:
             raise LevelDisconnected("no initial state reaches the accepting level")
         return self.best_chain_from(0, best[1])

@@ -20,7 +20,9 @@ the partial fold over floors that ``compute_time_cost`` used to offer, and
 ``reference_to_nfa`` keeps the translator that progresses every residual
 over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
-translator it reuses only ``simplify``.
+translator it reuses only ``simplify``.  Its automaton, and the one
+``reference_prune_nfa`` returns, is a ``GuardNfa``: explicit guards, where the
+planner's ``Nfa`` keeps only labeling tables.
 ``reference_primes`` finds a truth table's prime implicants by trying all 3^n
 cubes, as a judge of ``guard_from_minterms``.  ``reference_prune_nfa`` keeps
 capacity pruning as it was before it decided pairs on the labeling tables: it
@@ -1034,7 +1036,38 @@ class _Translator:
         return _dnf_or(*results) if results else _DNF_FALSE
 
 
-def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
+class GuardNfa:
+    """An automaton given by explicit guards, as the references build it.
+
+    ``transitions`` maps state pairs to guards, in pair order.  ``step``
+    follows ``tables`` when given and then checks the guard of the pair found,
+    so the guards must imply the tables'.
+    """
+
+    def __init__(self, n_states, initial, accepting, transitions, tables=()):
+        self.n_states = n_states
+        self.initial = frozenset(initial)
+        self.accepting = frozenset(accepting)
+        self.transitions = dict(sorted(transitions.items()))
+        self.tables = tables
+        succ: dict[int, list[int]] = {}
+        for a, b in self.transitions:
+            succ.setdefault(a, []).append(b)
+        self._succ = {a: tuple(bs) for a, bs in succ.items()}
+
+    def successors(self, state: int) -> tuple[int, ...]:
+        return self._succ.get(state, ())
+
+    def guard(self, a: int, b: int) -> Optional[Guard]:
+        return self.transitions.get((a, b))
+
+    def step(self, state: int, labels: FrozenSet[str]) -> int:
+        table = self.tables[state]
+        j = table.targets[table.mask(labels)]
+        return j if (self.guard(state, j) or FALSE_GUARD).satisfied_by(labels) else -1
+
+
+def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> GuardNfa:
     """Translate a formula into an automaton accepting exactly its finite models."""
     root = simplify(f)
     atoms = sorted(atoms_of(root))
@@ -1067,7 +1100,7 @@ def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
         pair: guard_from_minterms(atoms, masks) for pair, masks in sorted(minterms.items())
     }
     accepting = frozenset(i for s, i in index.items() if _dnf_eval_empty(s))
-    return Nfa(len(order), frozenset((0,)), accepting, transitions)
+    return GuardNfa(len(order), frozenset((0,)), accepting, transitions)
 
 
 TRUE_GUARD = Guard(((frozenset(), frozenset()),))
@@ -1117,7 +1150,7 @@ def reference_primes(atoms: Sequence[str], minterms: Iterable[int]) -> Guard:
     return Guard(tuple(sorted(cubes, key=_cube_key)))
 
 
-def reference_prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
+def reference_prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> GuardNfa:
     """Drop guard disjuncts (and transitions) the fleet can never staff.
 
     State indices are preserved; transitions out of forward-unreachable
@@ -1135,10 +1168,11 @@ def reference_prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa
         cubes = tuple(c for c in guard.cubes if feasible[c[0]])
         if cubes:
             filtered[pair] = Guard(cubes)
-    reachable = set(bfs(Nfa(nfa.n_states, nfa.initial, (), filtered).successors, nfa.initial)[0])
+    reachable = set(bfs(GuardNfa(nfa.n_states, nfa.initial, (), filtered).successors,
+                        nfa.initial)[0])
     transitions = {(a, b): g for (a, b), g in filtered.items() if a in reachable and b in reachable}
-    pruned = Nfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions,
-                 nfa.tables)
+    pruned = GuardNfa(nfa.n_states, nfa.initial, frozenset(nfa.accepting & reachable), transitions,
+                      nfa.tables)
     if not pruned.accepting:
         raise EmptyLanguage("no accepting state is reachable after capacity pruning")
     return pruned

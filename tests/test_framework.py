@@ -18,6 +18,7 @@ from fleetplan import framework, scenario as scenario_module
 from fleetplan.cli import main as cli_main
 from fleetplan.errors import BudgetExceeded, InfeasibleMission, ScenarioError
 from fleetplan.framework import WALL_COLUMNS, run_framework, write_reports
+from fleetplan.ltl import MAX_NESTING
 from fleetplan.milp import build_milp, emit_lp
 from fleetplan.scenario import Scenario, generate
 
@@ -204,6 +205,21 @@ def test_empty_fleet_exits_1_with_one_error_line(tmp_path, capsys):
     assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: scenario key robots ") and err.count("\n") == 1
+
+
+def test_deeply_nested_formula_exits_1_with_one_error_line(tmp_path, capsys):
+    """A formula nested past the parser's limit is refused by a ParseError, not
+    by a RecursionError traceback."""
+    data = generate(seed=1, robots=2, collab=2, grid=(4, 4), individual_per_robot=1).to_json()
+    robot = sorted(data["individualFormulas"])[0]
+    data["individualFormulas"][robot] = ("F (a & " * 300 + "F a" + ")" * 300
+                                         + " & " + data["individualFormulas"][robot])
+    scenario_path = tmp_path / "sc.json"
+    scenario_path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: formula nests deeper than {MAX_NESTING} levels")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("template", ["mixed", "Auto", ""])
@@ -756,10 +772,10 @@ def test_local_state_limit_becomes_infeasible_row(monkeypatch):
     real_to_nfa = framework.to_nfa
     calls = []
 
-    def capped_to_nfa(phi, state_cap=20_000):
+    def capped_to_nfa(phi, state_cap=20_000, memo=None):
         # the first call translates the collaborative formula, the rest are local
         calls.append(phi)
-        return real_to_nfa(phi, state_cap if len(calls) == 1 else 1)
+        return real_to_nfa(phi, state_cap if len(calls) == 1 else 1, memo)
 
     monkeypatch.setattr(framework, "to_nfa", capped_to_nfa)
     report = run_framework(sc)

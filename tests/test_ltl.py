@@ -11,7 +11,9 @@ from fleetplan import framework, ltl
 from fleetplan.errors import EmptyLanguage, NextOperatorForbidden, ParseError, StateLimitExceeded
 from fleetplan.ltl import (
     FALSE,
+    MAX_NESTING,
     TRUE,
+    Always,
     And,
     Atom,
     Eventually,
@@ -65,6 +67,35 @@ def test_parse_reports_position():
     with pytest.raises(ParseError) as err:
         parse_formula("a & & b")
     assert err.value.position == 4
+
+
+def test_parse_refuses_nesting_past_the_limit():
+    """A formula nested past the limit is a ParseError naming the limit, not a
+    RecursionError; at the limit, the deepest trees of several shapes parse,
+    print and translate."""
+    with pytest.raises(ParseError, match=f"^formula nests deeper than {MAX_NESTING} levels"):
+        parse_formula("F (a & " * 300 + "F a" + ")" * 300)
+    shapes = [
+        lambda d: "F (a & " * d + "F a" + ")" * d,  # two levels per (
+        lambda d: "(x | y & z U " * d + "c" + ")" * d,  # an Or, an And and an Until per (
+        lambda d: "!" * d + "a",
+        lambda d: " U ".join(["a", "b"] * d),
+    ]
+    for shape in shapes:
+        depth = next(d for d in range(MAX_NESTING, 0, -1) if _parses(shape(d)))
+        with pytest.raises(ParseError):
+            parse_formula(shape(depth + 1))
+        f = parse_formula(shape(depth))
+        assert parse_formula(format_formula(f)) == f
+        to_nfa(f)
+
+
+def _parses(text):
+    try:
+        parse_formula(text)
+    except ParseError:
+        return False
+    return True
 
 
 def test_parse_nested_parentheses_and_precedence():
@@ -179,10 +210,13 @@ def test_translation_matches_trace_evaluator():
             assert nfa_accepts(nfa, trace) == eval_trace(f, trace), format_formula(f)
 
 
-def assert_same_nfa(f):
+def assert_same_nfa(f, *received):
+    """``to_nfa(f)``, and each automaton a caller received for ``f``, equal the
+    reference translation."""
     nfa, ref = to_nfa(f), reference_to_nfa(f)
-    got = (nfa.n_states, nfa.initial, nfa.accepting, nfa.transitions)
-    assert got == (ref.n_states, ref.initial, ref.accepting, ref.transitions), format_formula(f)
+    for got in (nfa, *received):
+        assert (got.n_states, got.initial, got.accepting, got.transitions) == \
+            (ref.n_states, ref.initial, ref.accepting, ref.transitions), format_formula(f)
     return nfa
 
 
@@ -204,19 +238,97 @@ def test_alphabet_local_translation_equals_reference_on_planned_formulas(monkeyp
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
     workload = workloads.WORKLOADS["alloc-oracle"]
-    formulas = []
+    received, hits = [], []
     real = framework.to_nfa
 
-    def recording(f, state_cap):
-        formulas.append(f)
-        return real(f, state_cap)
+    def recording(f, state_cap, memo=None):
+        size = None if memo is None else len(memo)
+        nfa = real(f, state_cap, memo)
+        received.append((f, nfa))
+        hits.append(size is not None and len(memo) == size)
+        return nfa
 
     monkeypatch.setattr(framework, "to_nfa", recording)
     for seed in workload.template_seeds:
         framework.run_framework(Scenario.from_json(workloads.scenario_json(workload, seed, 0)))
-    assert len(formulas) > 2 * len(workload.template_seeds)
-    for f in formulas:
-        assert_same_nfa(f)
+    assert len(received) > 2 * len(workload.template_seeds)
+    # most local formulas repeat a shape: the planner receives those automata renamed
+    assert len(received) / 2 < sum(hits) < len(received)
+    for f, nfa in received:
+        assert_same_nfa(f, nfa)
+
+
+# names that are prefixes of one another or sort around digits, "_" and capitals
+RENAMED_ATOMS = ["a", "ab", "a_b", "p1", "p10", "p2", "b", "_a", "Z", "ts1_r0", "ts1_r10"]
+
+
+def renamed(f, names):
+    if isinstance(f, Atom):
+        return Atom(names[f.name])
+    if isinstance(f, Until):
+        return Until(renamed(f.left, names), renamed(f.right, names))
+    if isinstance(f, (And, Or)):
+        return type(f)(*(renamed(c, names) for c in f.children))
+    if isinstance(f, (Not, Eventually, Always)):
+        return type(f)(renamed(f.child, names))
+    return f
+
+
+def assert_same_tables(got, want, f):
+    assert (got.n_states, got.initial, got.accepting) == \
+        (want.n_states, want.initial, want.accepting), format_formula(f)
+    assert [(list(t.bits.items()), t.targets, t.required) for t in got.tables] == \
+        [(list(t.bits.items()), t.targets, t.required) for t in want.tables], format_formula(f)
+    assert list(got.transitions.items()) == list(want.transitions.items()), format_formula(f)
+
+
+def test_memo_tables_equal_direct_translation_under_renamings():
+    """Random formulas under random renamings, order-preserving or not,
+    translated through one shared memo: each automaton, the order of every
+    table's atoms included, is the one a translation without a memo gives."""
+    rng = random.Random(2525)
+    memo = {}
+    hits = 0
+    for _ in range(250):
+        f = random_formula(rng, ["a", "b", "c", "d"], depth=3)
+        atoms = sorted(atoms_of(f))
+        for _ in range(3):
+            g = renamed(f, dict(zip(atoms, rng.sample(RENAMED_ATOMS, len(atoms)))))
+            size = len(memo)
+            assert_same_tables(to_nfa(g, memo=memo), to_nfa(g), g)
+            hits += len(memo) == size
+    assert hits == 750 - len(memo) > 250
+
+
+def test_memo_tables_keep_the_false_constant_apart_from_an_atom_named_false():
+    """``G !true`` simplifies to ``G false``, which prints like ``G`` of an atom
+    named false: a formula naming such an atom shares no progression."""
+    memo = {}
+    for text in ["G !true & F false", "G false & F false", "G !true & F x", "G false & F x"]:
+        f = parse_formula(text)
+        assert_same_tables(to_nfa(f, memo=memo), to_nfa(f), f)
+    assert list(memo) == ["F _0 & G false"]
+
+
+def test_state_cap_on_a_memo_hit_names_each_formula_like_the_reference():
+    """With the memo holding the shape's automaton, a cap below its size raises
+    for each formula of that shape, naming that formula as the reference does;
+    a failed translation is not stored."""
+    memo = {}
+    n_states = to_nfa(parse_formula("F p & F q & (!p U q)"), memo=memo).n_states
+    for text in ["F a & F b & (!a U b)", "F ts1_r3 & F ts2_r3 & (!ts1_r3 U ts2_r3)"]:
+        f = parse_formula(text)
+        with pytest.raises(StateLimitExceeded) as got:
+            to_nfa(f, state_cap=n_states - 1, memo=memo)
+        with pytest.raises(StateLimitExceeded) as ref:
+            reference_to_nfa(f, state_cap=n_states - 1)
+        assert str(got.value) == str(ref.value)
+        assert format_formula(simplify(f)) in str(got.value)
+        assert to_nfa(f, state_cap=n_states, memo=memo).n_states == n_states
+    assert len(memo) == 1
+    with pytest.raises(StateLimitExceeded):
+        to_nfa(parse_formula("F x & F y & G (x | y)"), state_cap=1, memo=memo)
+    assert len(memo) == 1
 
 
 def test_translation_equals_reference_beyond_64_units():
