@@ -20,7 +20,7 @@ class StateLimitExceeded(FleetplanError):
 
 
 class NoPositiveWitness(FleetplanError):
-    """A transition guard admits no positive-literal witness."""
+    """No staffable label set leads along a run step."""
 
 
 class EmptyLanguage(FleetplanError):

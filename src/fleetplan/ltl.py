@@ -9,8 +9,9 @@ are residual obligations, transitions are labeled by the label sets that
 rewrite one residual into another, and a state accepts when the empty
 remainder of the trace satisfies it.  Each residual is progressed only under
 the valuations of the atoms it mentions, all at once as one labeling table.
-The automaton keeps each state's table and steps by lookup; its guards are
-built from the tables only when they are read.
+The automaton keeps each state's table and steps by lookup; the minimal
+positive set and the negative set of a run step are read off the source
+state's table too, so no guard (a DNF over the atoms) is ever built.
 The construction is deterministic and worst-case exponential in the formula
 size, hence the configurable state cap.
 
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import NextOperatorForbidden, NoPositiveWitness, ParseError, StateLimitExceeded
-from .guards import FALSE_GUARD, Guard, guard_from_minterms
 
 
 class Formula:
@@ -387,27 +388,37 @@ class Table(NamedTuple):
         return sum(bit for atom, bit in self.bits.items() if atom in labels)
 
 
+class EssentialStep(NamedTuple):
+    """Minimal positive firing set for one run step, plus the negative
+    obligations of the least prime implicant on it."""
+
+    labels: FrozenSet[str]
+    forbidden: FrozenSet[str]
+
+
 class Nfa:
     """Finite automaton over per-state labeling tables.
 
-    A translated automaton steps by its ``tables``; its pairs are those the
-    tables lead to, and it builds each pair's guard from its source's table
-    when that pair is first read (``transitions`` maps every pair to its
-    guard).  A pruned one keeps a subset of the pairs and a filter ``keep`` on
-    a cube's positive set; its guard of a pair is the table's prime cover less
-    the cubes ``keep`` rejects, and it steps by the tables and then checks the
-    guard of the pair found.  Progression construction yields a deterministic
-    automaton, but all consumers treat the structure as a general NFA (pruning
-    can make it partial).
+    ``tables[a]`` gives the state each label mask leads to from ``a``; the
+    transitions are the ``pairs`` kept, by default every pair a table leads
+    to.  A capacity-pruned automaton also keeps ``staffable(a, mask)``, a
+    predicate closed under subsets on the positive sets its transitions may
+    rest on.  It steps from ``a`` on mask ``m`` to ``j = targets[m]`` only when
+    ``(a, j)`` is kept and some staffable ``P`` within ``m`` has every mask
+    between ``P`` and ``m`` leading to ``j``, that is, when a staffable prime
+    implicant of the masks leading to ``j`` holds on ``m``; each such answer is
+    kept per ``(state, mask)``.  Progression construction yields a
+    deterministic automaton, but all consumers treat the structure as a
+    general NFA (pruning can make it partial).
     """
 
-    def __init__(self, n_states, initial, accepting, tables, pairs=None, keep=None):
+    def __init__(self, n_states, initial, accepting, tables, pairs=None, staffable=None):
         self.n_states = n_states
         self.initial = frozenset(initial)
         self.accepting = frozenset(accepting)
         self.tables = tables
-        self._keep = keep
-        self._guards = {}
+        self.staffable = staffable
+        self._allowed: dict[tuple[int, int], bool] = {}
         if pairs is None:
             pairs = [(a, b) for a, table in enumerate(tables) for b in table.required]
         succ: dict[int, list[int]] = {}
@@ -415,30 +426,70 @@ class Nfa:
             succ.setdefault(a, []).append(b)
         self._succ = {a: tuple(bs) for a, bs in succ.items()}
 
-    @property
-    def transitions(self) -> Dict[Tuple[int, int], Guard]:
-        return {(a, b): self.guard(a, b) for a, bs in self._succ.items() for b in bs}
-
     def successors(self, state: int) -> tuple[int, ...]:
         return self._succ.get(state, ())
-
-    def guard(self, a: int, b: int) -> Guard | None:
-        guard = self._guards.get((a, b))
-        if guard is None and b in self._succ.get(a, ()):
-            bits, targets, _required = self.tables[a]
-            guard = guard_from_minterms(list(bits), [m for m, j in enumerate(targets) if j == b])
-            if self._keep is not None:
-                guard = Guard(tuple(c for c in guard.cubes if self._keep(c[0])))
-            self._guards[(a, b)] = guard
-        return guard
 
     def step(self, state: int, labels: FrozenSet[str]) -> int:
         """The state ``labels`` lead to from ``state``, or -1."""
         table = self.tables[state]
-        j = table.targets[table.mask(labels)]
-        if self._keep and not (self.guard(state, j) or FALSE_GUARD).satisfied_by(labels):
-            return -1
-        return j
+        mask = table.mask(labels)
+        j = table.targets[mask]
+        if self.staffable is None or j < 0:
+            return j
+        allowed = self._allowed.get((state, mask))
+        if allowed is None:
+            allowed = self._allowed[(state, mask)] = (
+                j in self.successors(state) and self._rests_on_staffable(state, mask, j))
+        return j if allowed else -1
+
+    def _rests_on_staffable(self, a: int, m: int, j: int) -> bool:
+        targets = self.tables[a].targets
+        up = {}  # submask P of m -> every mask between P and m leads to j
+        sub = m
+        while True:  # submasks in decreasing order, so each one-bit superset comes first
+            up[sub] = targets[sub] == j and all(up[sub | bit] for bit in _bits(m & ~sub))
+            if up[sub] and self.staffable(a, sub):
+                return True
+            if not sub:
+                return False
+            sub = (sub - 1) & m
+
+    def essential_step(self, a: int, b: int) -> EssentialStep:
+        """The minimal positive set of step ``(a, b)`` and its negative set.
+
+        The positive set ``P`` is the least staffable mask of ``a``'s table
+        leading to ``b``, by size and then by its atoms in name order (the
+        table's bit order), hence the least minimal positive set of the
+        staffable prime implicants of the masks leading to ``b``.  The negative
+        set is the least ``N`` of the other atoms, in the same order, such that
+        every mask containing ``P`` and none of ``N`` leads to ``b``: the least
+        prime implicant on ``P``.  Its search visits at most ``2^k`` masks and
+        tries at most ``2^k`` candidates, ``k`` the number of the table's atoms
+        outside ``P``.
+        """
+        if b not in self.successors(a):
+            raise NoPositiveWitness(f"no transition along run step {a}->{b}")
+        bits, targets, required = self.tables[a]
+        low = required[b]  # every mask leading to b contains it, so it is least if it leads there
+        masks = [low] if targets[low] == b else sorted(
+            (m for m, j in enumerate(targets) if j == b), key=lambda m: (m.bit_count(), list(_bits(m))))
+        pos = next((m for m in masks if self.staffable is None or self.staffable(a, m)), None)
+        if pos is None:
+            raise NoPositiveWitness(f"no staffable label leads along run step {a}->{b}")
+        # N meets every mask beyond pos that, added to it, leads elsewhere: N holds each atom
+        # that does so alone, and the least set meeting the minimal such masks of the others
+        beyond = len(targets) - 1 & ~pos
+        forced = sum(bit for bit in _bits(beyond) if targets[pos | bit] != b)
+        rest = []
+        for m in sorted((m for m in _labelings(list(_bits(beyond & ~forced)))
+                         if targets[pos | m] != b), key=int.bit_count):
+            if all(h & ~m for h in rest):
+                rest.append(m)
+        free = sorted({bit for m in rest for bit in _bits(m)})
+        neg = forced | next(n for size in range(len(free) + 1)
+                            for n in map(sum, combinations(free, size)) if all(m & n for m in rest))
+        return EssentialStep(*(frozenset(atom for atom, bit in bits.items() if s & bit)
+                               for s in (pos, neg)))
 
 
 # ---------------------------------------------------------------------------
@@ -694,33 +745,8 @@ def nfa_accepts(nfa: Nfa, sequence: Sequence[FrozenSet[str]]) -> bool:
     return bool(current & nfa.accepting)
 
 
-class EssentialStep(NamedTuple):
-    """Minimal positive firing set for one run step, plus the negative
-    obligations of the disjunct that justified it."""
-
-    labels: FrozenSet[str]
-    forbidden: FrozenSet[str]
-
-
 def essential_steps(nfa: Nfa, run: Sequence[int]) -> list[EssentialStep]:
-    """Per-step minimal positive witnesses along a run.
-
-    For every consecutive state pair the smallest positive label set that
-    satisfies the guard is chosen (ties broken lexicographically); removing
-    any single proposition falsifies the guard.
-    """
-    steps = []
-    for a, b in zip(run, run[1:]):
-        guard = nfa.guard(a, b)
-        if guard is None or guard.is_unsatisfiable():
-            raise NoPositiveWitness(f"no satisfiable guard on run step {a}->{b}")
-        witnesses = guard.minimal_witnesses()
-        if not witnesses:
-            raise NoPositiveWitness(f"guard {guard} admits no positive witness")
-        chosen = witnesses[0]
-        negs = sorted(
-            (neg for pos, neg in guard.cubes if pos == chosen),
-            key=lambda s: (len(s), sorted(s)),
-        )
-        steps.append(EssentialStep(chosen, negs[0]))
-    return steps
+    """Per-step minimal positive witnesses along a run, with their negative sets
+    (``Nfa.essential_step``); removing any one proposition from a witness
+    leads elsewhere or onto an unstaffable set."""
+    return [nfa.essential_step(a, b) for a, b in zip(run, run[1:])]

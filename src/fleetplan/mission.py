@@ -27,28 +27,29 @@ def demand_feasible(props: FrozenSet[str], fleet: Fleet, tasks: Mapping[str, Tas
 
     Necessary capacity condition: per capability, the summed requirement over
     the simultaneous tasks must not exceed the number of robots holding it
-    (one robot serves at most one of the tasks at a time).
+    (one robot serves at most one of the tasks at a time).  It is closed under
+    subsets, which pruning and the pruned automaton's answers rely on.
     """
     demand: Dict[str, int] = {}
     for prop in props:
         task = tasks.get(prop)
         if task is None:
-            raise MissionError(f"guard references unknown collaborative task {prop!r}")
+            raise MissionError(f"collaborative formula references unknown task {prop!r}")
         for cap, count in task.requirements.items():
             demand[cap] = demand.get(cap, 0) + count
     return all(total <= len(fleet.with_capability(cap)) for cap, total in demand.items())
 
 
 def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
-    """Drop guard disjuncts (and transitions) the fleet can never staff.
+    """Drop the transitions, and the label sets on them, the fleet can never staff.
 
     State indices are preserved; transitions out of forward-unreachable
     states are dropped along with the states themselves.  The test is closed
-    under subsets, so a pair keeps a prime cube exactly when some label mask
-    of the source's table leads there with a staffable positive set: pairs
-    are decided on the tables, with one test per distinct positive set, and
-    no guard is built.  The result builds a pair's filtered guard when the
-    pair is first read.
+    under subsets, so a pair is kept exactly when some label mask of the
+    source's table leads there with a staffable positive set: pairs are
+    decided on the tables, with one test per distinct positive set.  The
+    result keeps that test as its ``staffable`` predicate, from which it
+    answers its steps and essential steps (see ``Nfa``).
     """
     by_prop = {t.prop: t for t in tasks if t.collaborative}
     index = {prop: 1 << i for i, prop in enumerate(by_prop)}  # task -> its bit in a key
@@ -60,7 +61,7 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
         for atom, bit in bits.items():
             if atom not in index and any(
                     m & bit and j >= 0 and targets[m ^ bit] != j for m, j in enumerate(targets)):
-                raise MissionError(f"guard references unknown collaborative task {atom!r}")
+                raise MissionError(f"collaborative formula references unknown task {atom!r}")
             keys += [key | index.get(atom, 0) for key in keys]
         for b, low in required.items():  # every mask leading to b contains low
             if staffable(keys[low]) and (targets[low] == b or any(
@@ -69,7 +70,8 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
     reachable = bfs(lambda q: succ.get(q, ()), nfa.initial)[0]
     pruned = Nfa(nfa.n_states, nfa.initial, nfa.accepting & reachable.keys(), tables=nfa.tables,
                  pairs=[(a, b) for a, bs in succ.items() if a in reachable for b in bs],
-                 keep=lambda pos: staffable(sum(index[p] for p in pos)))
+                 staffable=lambda a, mask: staffable(sum(
+                     index.get(atom, 0) for atom, bit in nfa.tables[a].bits.items() if mask & bit)))
     if not pruned.accepting:
         raise EmptyLanguage("no accepting state is reachable after capacity pruning")
     return pruned
@@ -117,10 +119,10 @@ def decomposition_states(nfa: Nfa, run: Sequence[int]) -> set[int]:
     """Run positions where the essential sequence may be split.
 
     A position qualifies when the state can idle on an empty-label self-loop
-    and every order-preserving interleaving of the prefix and suffix elements
-    stays in the automaton's language (a conservative certificate of the
-    independence and completeness of the split).  Run endpoints always
-    qualify.
+    (its table leads the empty mask back to it) and every order-preserving
+    interleaving of the prefix and suffix elements stays in the automaton's
+    language (a conservative certificate of the independence and
+    completeness of the split).  Run endpoints always qualify.
     """
     positions = {0, len(run) - 1}
     if len(run) < 3:
@@ -128,8 +130,7 @@ def decomposition_states(nfa: Nfa, run: Sequence[int]) -> set[int]:
     steps = essential_steps(nfa, run)
     labels = [s.labels for s in steps]
     for p in range(1, len(run) - 1):
-        guard = nfa.guard(run[p], run[p])
-        if guard is None or not guard.empty_set_satisfies():
+        if nfa.tables[run[p]].targets[0] != run[p]:
             continue
         prefix = [l for l in labels[:p] if l]
         suffix = [l for l in labels[p:] if l]

@@ -13,7 +13,7 @@ import math
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ScenarioError
+from .errors import ParseError, ScenarioError
 from .ltl import DEFAULT_STATE_CAP, Formula, atoms_of, parse_formula
 from .milp import DEFAULT_COMBINATION_CAP
 from .world import Fleet, Robot, TaskReq, World, grid_world
@@ -75,6 +75,14 @@ def _required(data: Mapping, key: str, kind: str, where: str = ""):
 def _optional(data: Mapping, key: str, kind: str, default, where: str = ""):
     """``data[key]`` checked as ``_required`` does, or ``default`` when it is absent."""
     return _required(data, key, kind, where) if key in data else default
+
+
+def _parse(text: str, key: str) -> Formula:
+    """``text`` parsed; a ``ScenarioError`` naming ``key`` if it does not parse."""
+    try:
+        return parse_formula(text)
+    except ParseError as exc:
+        raise ScenarioError(f"{exc} in scenario key {key}") from None
 
 
 # Options attribute -> (JSON key, rule, what the rule asks); defaults live on Options.__init__
@@ -169,7 +177,7 @@ class Scenario:
                     raise ScenarioError(
                         f"robot {task.owner} lacks capability {cap} for task {task.prop}")
         collab = {t.prop for t in self.tasks if t.collaborative}
-        self._collaborative = parse_formula(self.collaborative_formula)
+        self._collaborative = _parse(self.collaborative_formula, "collaborativeFormula")
         used = atoms_of(self._collaborative)
         if not used <= collab:
             raise ScenarioError(
@@ -180,7 +188,8 @@ class Scenario:
         self._individual: Dict[int, Formula] = {}
         for robot in self.fleet.robot_ids():
             mine = {t.prop for t in self.tasks if t.owner == robot}
-            self._individual[robot] = parse_formula(self.individual_formulas.get(robot, "true"))
+            self._individual[robot] = _parse(self.individual_formulas.get(robot, "true"),
+                                             f"individualFormulas.{robot}")
             used = atoms_of(self._individual[robot])
             if not used <= mine:
                 raise ScenarioError(

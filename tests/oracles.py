@@ -22,12 +22,16 @@ over the formula's whole alphabet, with cubes as frozensets of unit formulas,
 as a reference for the alphabet-local one on bit-packed cubes; of the
 translator it reuses only ``simplify``.  Its automaton, and the one
 ``reference_prune_nfa`` returns, is a ``GuardNfa``: explicit guards, where the
-planner's ``Nfa`` keeps only labeling tables.
+planner's ``Nfa`` keeps only labeling tables.  Guards (``Guard``, built as
+prime covers by ``guard_from_minterms``) are the representation the tables
+replaced; ``guard_nfa`` builds them from an ``Nfa``'s tables, and a
+``GuardNfa`` reads its essential steps off them, as a reference for the
+answers the planner reads off the tables.
 ``reference_primes`` finds a truth table's prime implicants by trying all 3^n
 cubes, as a judge of ``guard_from_minterms``.  ``reference_prune_nfa`` keeps
 capacity pruning as it was before it decided pairs on the labeling tables: it
 builds every guard and filters each one's cubes, as a reference for the
-pruned pairs and the guards built on demand.
+pruned pairs, steps, witnesses and negative sets.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests
 (``TRUE_GUARD`` is its tautology), ``witness`` decodes the
 product path behind a pruned edge, and ``dijkstra`` is the weighted search
@@ -52,15 +56,16 @@ from fleetplan.errors import (
     FleetplanError,
     LevelDisconnected,
     NoAcceptingPath,
+    NoPositiveWitness,
     StateLimitExceeded,
     Unreachable,
 )
-from fleetplan.guards import FALSE_GUARD, Cube, Guard, _cube_key, guard_from_minterms
 from fleetplan.ltl import (
     DEFAULT_STATE_CAP,
     And,
     Atom,
     Always,
+    EssentialStep,
     Eventually,
     FalseF,
     Formula,
@@ -72,6 +77,7 @@ from fleetplan.ltl import (
     atoms_of,
     essential_steps,
     format_formula,
+    nfa_accepts,
     simplify,
 )
 from fleetplan.milp import (
@@ -81,7 +87,7 @@ from fleetplan.milp import (
     enumerate_robot_choices,
     least_timeline,
 )
-from fleetplan.mission import Mission, demand_feasible
+from fleetplan.mission import INTERLEAVE_CAP, Mission, demand_feasible
 from fleetplan.product import ProductPa, PrunedPa, Strategy
 from fleetplan.schedule import CostReport, FoldPlan, Timeline, compute_time_cost
 from fleetplan.search import bfs, reconstruct
@@ -487,7 +493,7 @@ class ReferenceProductPa:
 
     def _build(self):
         self._collab_sets = {}
-        nfa = self.nfa
+        nfa = guard_nfa(self.nfa)
         start = self.wts.world.names[self.wts.start_rank]
         neighbours = world_adjacency(self.wts.world)
         base0, optional0 = self._split_label(start)
@@ -1036,12 +1042,114 @@ class _Translator:
         return _dnf_or(*results) if results else _DNF_FALSE
 
 
+# Transition guards, the representation the planner's labeling tables replaced:
+# positive/negative cubes in inclusion-minimal DNF.  A guard is a disjunction of
+# cubes, each a pair of disjoint proposition sets (positive literals, negative
+# literals).  A label set satisfies a cube when it contains every positive
+# literal and none of the negative ones.  A guard is built from a truth table as
+# the complete set of its prime implicants, which is canonical, deduplicated,
+# and free of pairwise subsumption; no prime mentions a proposition the table
+# does not depend on.
+
+Cube = Tuple[FrozenSet[str], FrozenSet[str]]
+
+
+class Guard:
+    """Disjunction of (positive, negative) literal cubes, equal and hashed by them."""
+
+    __slots__ = ("cubes",)
+
+    def __init__(self, cubes: Tuple[Cube, ...]):
+        self.cubes = cubes
+
+    def __eq__(self, other):
+        return self.cubes == other.cubes if type(other) is Guard else NotImplemented
+
+    def __hash__(self):
+        return hash(self.cubes)
+
+    def satisfied_by(self, labels: FrozenSet[str]) -> bool:
+        return any(pos <= labels and not (labels & neg) for pos, neg in self.cubes)
+
+    def is_unsatisfiable(self) -> bool:
+        return not self.cubes
+
+    def minimal_witnesses(self) -> list[FrozenSet[str]]:
+        """Inclusion-minimal positive label sets satisfying the guard."""
+        candidates = [pos for pos, _neg in self.cubes]
+        return sorted({pos for pos in candidates if not any(other < pos for other in candidates)},
+                      key=lambda s: (len(s), sorted(s)))
+
+    def empty_set_satisfies(self) -> bool:
+        return any(not pos for pos, _neg in self.cubes)
+
+    def __str__(self) -> str:
+        return " | ".join(" & ".join(sorted(pos) + [f"!{p}" for p in sorted(neg)]) or "true"
+                          for pos, neg in self.cubes) or "false"
+
+
+FALSE_GUARD = Guard(())
+
+
+def _cube_key(cube: Cube):
+    pos, neg = cube
+    return (len(pos) + len(neg), sorted(pos), sorted(neg))
+
+
+def guard_from_minterms(atoms: Sequence[str], minterms: Iterable[int]) -> Guard:
+    """Build the prime-implicant cover of a truth table.
+
+    ``minterms`` are bitmasks over ``atoms`` (bit i set = atom i true).  The
+    complete prime set is the canonical inclusion-minimal DNF: no prime
+    subsumes another.
+    """
+    minterms = set(minterms)
+    if not minterms:
+        return FALSE_GUARD
+    n = len(atoms)
+    low, high = -1, 0
+    for m in minterms:
+        low &= m
+        high |= m
+    if len(minterms) == 1 << (low ^ high).bit_count():
+        current, primes = set(), {(low, low ^ high)}  # they fill one cube, its only prime
+    else:  # Quine-McCluskey merge: implicants are (value, dontcare-mask) pairs
+        current, primes = {(m, 0) for m in minterms}, set()
+    while current:
+        merged = set()
+        used = set()
+        for v, d in current:
+            for i in range(n):
+                bit = 1 << i
+                if d & bit:
+                    continue
+                partner = (v ^ bit, d)
+                if partner in current:
+                    merged.add((v & ~bit, d | bit))
+                    used.add((v, d))
+                    used.add(partner)
+        primes |= current - used
+        current = merged
+    cubes = []
+    for value, dontcare in primes:
+        pos, neg = [], []
+        care = ((1 << n) - 1) & ~dontcare
+        while care:
+            bit = care & -care
+            (pos if value & bit else neg).append(atoms[bit.bit_length() - 1])
+            care ^= bit
+        cubes.append((frozenset(pos), frozenset(neg)))
+    return Guard(tuple(sorted(cubes, key=_cube_key)))
+
+
 class GuardNfa:
     """An automaton given by explicit guards, as the references build it.
 
     ``transitions`` maps state pairs to guards, in pair order.  ``step``
     follows ``tables`` when given and then checks the guard of the pair found,
-    so the guards must imply the tables'.
+    so the guards must imply the tables'.  ``essential_step`` reads the
+    guards: the least minimal positive set of the pair's cubes, and the least
+    negative set among the cubes with that positive set.
     """
 
     def __init__(self, n_states, initial, accepting, transitions, tables=()):
@@ -1065,6 +1173,51 @@ class GuardNfa:
         table = self.tables[state]
         j = table.targets[table.mask(labels)]
         return j if (self.guard(state, j) or FALSE_GUARD).satisfied_by(labels) else -1
+
+    def essential_step(self, a: int, b: int) -> EssentialStep:
+        guard = self.guard(a, b)
+        if guard is None or guard.is_unsatisfiable():
+            raise NoPositiveWitness(f"no satisfiable guard on run step {a}->{b}")
+        witnesses = guard.minimal_witnesses()
+        if not witnesses:
+            raise NoPositiveWitness(f"guard {guard} admits no positive witness")
+        chosen = witnesses[0]
+        negs = sorted(
+            (neg for pos, neg in guard.cubes if pos == chosen),
+            key=lambda s: (len(s), sorted(s)),
+        )
+        return EssentialStep(chosen, negs[0])
+
+
+def reference_decomposition_states(nfa: GuardNfa, run: Sequence[int]) -> set[int]:
+    """Decomposition positions read off the guards: the run's endpoints, and each
+    interior position whose state's self-loop guard admits the empty label and
+    where the automaton accepts every interleaving of the nonempty essential
+    labels before and after it (at most ``INTERLEAVE_CAP`` on either side)."""
+    positions = {0, len(run) - 1}
+    labels = [step.labels for step in essential_steps(nfa, run)]
+    for p in range(1, len(run) - 1):
+        idle = nfa.guard(run[p], run[p])
+        prefix, suffix = [l for l in labels[:p] if l], [l for l in labels[p:] if l]
+        if idle is not None and idle.empty_set_satisfies() and \
+                max(len(prefix), len(suffix)) <= INTERLEAVE_CAP and \
+                all(nfa_accepts(nfa, merge) for merge in interleavings(prefix, suffix)):
+            positions.add(p)
+    return positions
+
+
+def guard_nfa(nfa: Nfa) -> GuardNfa:
+    """``nfa`` with each kept pair's guard built from its source's table: the
+    prime cover of the masks leading there, less, on a pruned automaton, the
+    cubes whose positive set is not staffable."""
+    transitions = {}
+    for a, (bits, targets, _required) in enumerate(nfa.tables):
+        for b in nfa.successors(a):
+            cubes = guard_from_minterms(list(bits), [m for m, j in enumerate(targets) if j == b]).cubes
+            if nfa.staffable is not None:
+                cubes = tuple(c for c in cubes if nfa.staffable(a, nfa.tables[a].mask(c[0])))
+            transitions[(a, b)] = Guard(cubes)
+    return GuardNfa(nfa.n_states, nfa.initial, nfa.accepting, transitions, nfa.tables)
 
 
 def reference_to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> GuardNfa:
@@ -1161,7 +1314,7 @@ def reference_prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Gua
     by_prop = {t.prop: t for t in tasks if t.collaborative}
     feasible: Dict[FrozenSet[str], bool] = {}
     filtered = {}
-    for pair, guard in nfa.transitions.items():
+    for pair, guard in guard_nfa(nfa).transitions.items():
         for pos, _neg in guard.cubes:
             if pos not in feasible:
                 feasible[pos] = demand_feasible(pos, fleet, by_prop)

@@ -1,5 +1,6 @@
 """Scenario round-trips, the outer loop, report files, and the CLI."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -220,6 +221,23 @@ def test_deeply_nested_formula_exits_1_with_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: formula nests deeper than {MAX_NESTING} levels")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["collaborativeFormula", "individualFormulas"])
+def test_unparsable_formula_exits_1_naming_its_scenario_key(tmp_path, capsys, key):
+    data = generate(seed=1, robots=2, collab=2, grid=(4, 4), individual_per_robot=1).to_json()
+    if key == "collaborativeFormula":
+        data[key] += " &"
+        where = key
+    else:
+        data[key]["1"] = "F (" + data[key]["1"]
+        where = f"{key}.1"
+    scenario_path = tmp_path / "sc.json"
+    scenario_path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unexpected end of formula (at position ")
+    assert err.endswith(f") in scenario key {where}\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("template", ["mixed", "Auto", ""])
@@ -951,33 +969,33 @@ def test_adjust_off_keeps_the_initial_strategies(tmp_path):
     assert (tmp_path / "protocol_trace.txt").read_text() == ""
 
 
-def test_planning_builds_guards_only_for_the_collaborative_automaton(monkeypatch):
-    """Automata step by their labeling tables and pruning decides pairs on them:
-    planning the README scenario builds guards only inside the pruned
-    collaborative automaton's guard reads, one per distinct pair read."""
+def test_planning_builds_no_guard(monkeypatch):
+    """Automata step by their labeling tables, and the pruned collaborative
+    automaton reads its essential steps, self-loops and steps off them: no
+    planner module defines or names a guard, and planning the README scenario
+    reads every essential step off the pruned automaton."""
     from fleetplan import ltl
 
-    built, reads, pruned = [], [], []
-    real_guard, real_read, real_prune = ltl.guard_from_minterms, ltl.Nfa.guard, framework.prune_nfa
+    package = Path(framework.__file__).resolve().parent
+    assert not (package / "guards.py").exists()
+    guard_names = {"Guard", "FALSE_GUARD", "guard_from_minterms", "guard", "transitions"}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, "name", None) for node in ast.walk(tree)}
+        names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
+        names |= {getattr(node, "id", None) for node in ast.walk(tree)}
+        assert not names & guard_names, (path.name, names & guard_names)
 
-    def read(nfa, a, b):
-        before = len(built)
-        guard = real_read(nfa, a, b)
-        reads.append((nfa, (a, b), guard is not None, len(built) - before))
-        return guard
-
-    monkeypatch.setattr(ltl, "guard_from_minterms",
-                        lambda atoms, masks: built.append(atoms) or real_guard(atoms, masks))
-    monkeypatch.setattr(ltl.Nfa, "guard", read)
+    steps, pruned = [], []
+    real_step, real_prune = ltl.Nfa.essential_step, framework.prune_nfa
+    monkeypatch.setattr(ltl.Nfa, "essential_step",
+                        lambda nfa, a, b: steps.append(nfa) or real_step(nfa, a, b))
     monkeypatch.setattr(framework, "prune_nfa",
                         lambda *args: pruned.append(real_prune(*args)) or pruned[-1])
     report = run_framework(generate(seed=7, robots=5, collab=4, grid=(20, 20)))
     monkeypatch.undo()
-    assert report.incumbent is not None and len(pruned) == 1 and built
-    assert {nfa for nfa, _pair, _kept, _builds in reads} == {pruned[0]}
-    assert {builds for _nfa, _pair, _kept, builds in reads} <= {0, 1}
-    assert sum(builds for _nfa, _pair, _kept, builds in reads) == len(built) == \
-        len({pair for _nfa, pair, kept, _builds in reads if kept})
+    assert report.incumbent is not None and len(pruned) == 1 and steps
+    assert set(steps) == {pruned[0]} and pruned[0].staffable is not None
 
 
 def test_every_acceptance_check_goes_through_framework_nfa_accepts(monkeypatch):

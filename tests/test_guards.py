@@ -3,9 +3,14 @@
 import random
 from itertools import combinations, product
 
-from fleetplan.guards import FALSE_GUARD, Guard, guard_from_minterms
-
-from oracles import TRUE_GUARD, guard_from_cubes, reference_primes
+from oracles import (
+    FALSE_GUARD,
+    TRUE_GUARD,
+    Guard,
+    guard_from_cubes,
+    guard_from_minterms,
+    reference_primes,
+)
 
 PROPS = ["p1", "p2", "p3", "p4", "p5", "p6"]
 

@@ -38,6 +38,7 @@ from oracles import (
     essential_sequence,
     eval_trace,
     guard_from_cubes,
+    guard_nfa,
     random_formula,
     reference_to_nfa,
 )
@@ -118,16 +119,17 @@ def test_eventually_automaton_shape():
     assert nfa.n_states == 2
     assert nfa.initial == frozenset({0})
     assert nfa.accepting == frozenset({1})
-    assert nfa.guard(0, 0) is not None and not nfa.guard(0, 0).satisfied_by(lbl("a"))
-    assert nfa.guard(0, 1).satisfied_by(lbl("a"))
-    assert nfa.guard(1, 1).satisfied_by(lbl())
+    guards = guard_nfa(nfa)
+    assert guards.guard(0, 0) is not None and not guards.guard(0, 0).satisfied_by(lbl("a"))
+    assert guards.guard(0, 1).satisfied_by(lbl("a"))
+    assert guards.guard(1, 1).satisfied_by(lbl())
 
 
 def test_true_automaton_is_single_accepting_state():
     nfa = to_nfa(TrueF())
     assert nfa.n_states == 1
     assert nfa.initial == nfa.accepting == frozenset({0})
-    assert nfa.guard(0, 0).satisfied_by(lbl())
+    assert guard_nfa(nfa).guard(0, 0).satisfied_by(lbl())
 
 
 def test_acceptance_basics():
@@ -215,7 +217,7 @@ def assert_same_nfa(f, *received):
     reference translation."""
     nfa, ref = to_nfa(f), reference_to_nfa(f)
     for got in (nfa, *received):
-        assert (got.n_states, got.initial, got.accepting, got.transitions) == \
+        assert (got.n_states, got.initial, got.accepting, guard_nfa(got).transitions) == \
             (ref.n_states, ref.initial, ref.accepting, ref.transitions), format_formula(f)
     return nfa
 
@@ -279,7 +281,8 @@ def assert_same_tables(got, want, f):
         (want.n_states, want.initial, want.accepting), format_formula(f)
     assert [(list(t.bits.items()), t.targets, t.required) for t in got.tables] == \
         [(list(t.bits.items()), t.targets, t.required) for t in want.tables], format_formula(f)
-    assert list(got.transitions.items()) == list(want.transitions.items()), format_formula(f)
+    assert list(guard_nfa(got).transitions.items()) == \
+        list(guard_nfa(want).transitions.items()), format_formula(f)
 
 
 def test_memo_tables_equal_direct_translation_under_renamings():
@@ -362,10 +365,10 @@ def test_no_translation_cache_outlives_a_call():
 
 def test_table_steps_equal_guard_scans_on_random_formulas():
     """On random formulas and random labels, props outside the formula included:
-    the table step is the one successor whose guard, built on first read, the label
-    satisfies; each table's required-atom mask is the intersection of the minimal
-    witnesses of the guard into its target; and the pruned automaton's step is
-    the one successor whose kept guard the label satisfies."""
+    the table step is the one successor whose guard, built from the tables, the
+    label satisfies; each table's required-atom mask is the intersection of the
+    minimal witnesses of the guard into its target; and the pruned automaton's
+    step is the one successor whose kept guard the label satisfies."""
     rng = random.Random(2323)
     atoms = ["a", "b", "c", "d"]
     fleet = Fleet(("c1", "c2"), (Robot(0, frozenset({"c1"}), "q0_0"),
@@ -373,30 +376,32 @@ def test_table_steps_equal_guard_scans_on_random_formulas():
     tasks = [TaskReq("a", "q0_0", {"c1": 1}), TaskReq("b", "q0_0", {"c1": 2}),
              TaskReq("c", "q0_0", {"c2": 1}), TaskReq("d", "q0_0", {"c1": 1, "c2": 1})]
 
-    def scan(nfa, q, labels):
-        found = [q2 for q2 in nfa.successors(q) if nfa.guard(q, q2).satisfied_by(labels)]
+    def scan(guards, q, labels):
+        found = [q2 for q2 in guards.successors(q) if guards.guard(q, q2).satisfied_by(labels)]
         assert len(found) <= 1
         return found[0] if found else -1
 
     pruned_steps = 0
     for _ in range(150):
         nfa = to_nfa(random_formula(rng, atoms, depth=3))
+        guards = guard_nfa(nfa)
         for q, table in enumerate(nfa.tables):
             for q2, mask in table.required.items():
                 if q2 != q:
-                    witnesses = nfa.guard(q, q2).minimal_witnesses()
+                    witnesses = guards.guard(q, q2).minimal_witnesses()
                     assert {a for a, bit in table.bits.items() if mask & bit} == set(
                         frozenset.intersection(*witnesses))
         try:
             pruned = prune_nfa(nfa, fleet, tasks)
+            pruned_guards = guard_nfa(pruned)
         except EmptyLanguage:
             pruned = None
         for _ in range(20):
             labels = frozenset(p for p in atoms + ["x", "y"] if rng.random() < 0.4)
             for q in range(nfa.n_states):
-                assert nfa.step(q, labels) == scan(nfa, q, labels)
+                assert nfa.step(q, labels) == scan(guards, q, labels)
                 if pruned is not None:
-                    assert pruned.step(q, labels) == scan(pruned, q, labels)
+                    assert pruned.step(q, labels) == scan(pruned_guards, q, labels)
                     pruned_steps += 1
     assert pruned_steps > 1000
 
@@ -469,8 +474,9 @@ def test_essential_sequence_describes_run_and_is_minimal():
         if run is None:
             continue
         steps = essential_sequence(nfa, run)
+        guards = guard_nfa(nfa)
         for (a,b2), labels in zip(zip(run, run[1:]), steps):
-            guard = nfa.guard(a, b2)
+            guard = guards.guard(a, b2)
             assert guard.satisfied_by(labels)
             for prop in labels:
                 assert not guard.satisfied_by(labels - {prop})
@@ -479,7 +485,7 @@ def test_essential_sequence_describes_run_and_is_minimal():
 def shortest_two_state_run(nfa):
     for init in sorted(nfa.initial):
         for acc in sorted(nfa.accepting):
-            if nfa.guard(init, acc) is not None:
+            if acc in nfa.successors(init):
                 return [init, acc]
     raise AssertionError("expected a direct initial-to-accepting transition")
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fleetplan.errors import EmptyLanguage, MissionError
-from fleetplan.ltl import nfa_accepts, parse_formula, to_nfa
+from fleetplan.ltl import Nfa, Table, essential_steps, nfa_accepts, parse_formula, to_nfa
 from fleetplan.mission import (
     Mission,
     build_mission,
@@ -13,9 +13,17 @@ from fleetplan.mission import (
     prune_nfa,
     shortest_accepting_run,
 )
+from fleetplan.scenario import generate
 from fleetplan.world import Fleet, Robot, TaskReq
 
-from oracles import all_label_sets, element_of, random_formula
+from oracles import (
+    all_label_sets,
+    element_of,
+    guard_nfa,
+    random_formula,
+    reference_decomposition_states,
+    reference_prune_nfa,
+)
 
 
 def fleet_of(*capability_sets):
@@ -44,7 +52,7 @@ def test_prune_keeps_feasible_disjunct():
     pruned = prune_nfa(nfa, fleet, tasks)
     assert nfa_accepts(pruned, [frozenset({"ct1"})])
     # every surviving disjunct demands a staffable simultaneous task set
-    for guard in pruned.transitions.values():
+    for guard in guard_nfa(pruned).transitions.values():
         for pos, _neg in guard.cubes:
             assert not {"ct1", "ct2"} <= pos
 
@@ -52,6 +60,7 @@ def test_prune_keeps_feasible_disjunct():
 def feasible_step_accepts(nfa, fleet, tasks, seq):
     """Oracle: subset simulation taking a transition only via a feasible disjunct."""
     by_prop = {t.prop: t for t in tasks}
+    guards = guard_nfa(nfa)
 
     def cube_ok(pos):
         demand = {}
@@ -65,7 +74,7 @@ def feasible_step_accepts(nfa, fleet, tasks, seq):
         nxt = set()
         for q in current:
             for q2 in nfa.successors(q):
-                guard = nfa.guard(q, q2)
+                guard = guards.guard(q, q2)
                 for pos, neg in guard.cubes:
                     if pos <= labels and not (labels & neg) and cube_ok(pos):
                         nxt.add(q2)
@@ -102,31 +111,62 @@ def _pruned_or_error(prune, nfa, fleet, tasks):
         return type(exc)
 
 
-def test_table_pruning_equals_the_guard_reference():
-    """Pruning decides each pair on its source's labeling table and builds a
-    pair's filtered guard when it is first read; the reference builds and
-    filters every guard.  Both keep the same pairs, guards (cubes in order),
-    accepting set and steps, give the same run, decomposition and mission,
-    and raise the same errors."""
-    from oracles import reference_prune_nfa
+def assert_same_table_answers(got, ref, rng, exhaustive_atoms=8, sampled=200):
+    """A pruned automaton's table answers equal its guard reference's.
 
+    Both keep the same pairs; kept pairs have the same essential step (witness
+    and negative set), all of them up to ``10 * sampled`` pairs and that many
+    random ones above; every reached state has the same self-loop answer (its
+    table leads the empty mask back to it, against its kept guard admitting the
+    empty label); and every state steps alike on every mask of its table when
+    it has at most ``exhaustive_atoms`` atoms, and on ``sampled`` random masks
+    above that."""
+    states = range(got.n_states)
+    assert (got.n_states, got.initial, got.accepting) == (ref.n_states, ref.initial, ref.accepting)
+    assert [got.successors(q) for q in states] == [ref.successors(q) for q in states]
+    pairs = list(ref.transitions)
+    for a, b in pairs if len(pairs) <= 10 * sampled else rng.sample(pairs, 10 * sampled):
+        assert essential_steps(got, [a, b]) == essential_steps(ref, [a, b]), (a, b)
+    reached = got.initial | {b for _a, b in pairs}
+    for a in states:
+        bits, targets, _required = got.tables[a]
+        if a in reached:
+            idle = ref.guard(a, a)
+            assert (targets[0] == a) == (idle is not None and idle.empty_set_satisfies()), a
+        masks = range(len(targets)) if len(bits) <= exhaustive_atoms else \
+            [rng.randrange(len(targets)) for _ in range(sampled)]
+        for m in masks:
+            labels = frozenset(atom for atom, bit in bits.items() if m & bit)
+            assert got.step(a, labels) == ref.step(a, labels), (a, sorted(labels))
+
+
+TASKS = [ct("ct1", c1=1), ct("ct2", c2=1), ct("ct3", c1=1, c2=1), ct("ct4", c1=2)]
+PRUNING_CASES = [
+    (fleet_of({"c1"}, {"c1", "c2"}), TASKS),  # {ct2, ct3} and ct4 with ct1 or ct3 drop
+    (fleet_of({"c1", "c2"}, {"c1", "c2"}, {"c1"}), TASKS),  # only {ct2, ct3, ct4} and up drop
+    (fleet_of({"c2"}), TASKS),  # ct2 alone is staffable
+    (fleet_of({"c1"}, {"c1", "c2"}), TASKS[:3]),  # ct4 is unknown
+    (fleet_of({"c1"}, {"c1", "c2"}),  # ct4 is not collaborative
+     TASKS[:3] + [TaskReq("ct4", "q0_0", {"c1": 1}, owner=0)]),
+]
+
+
+def test_table_pruning_equals_the_guard_reference():
+    """Pruning decides each pair on its source's labeling table and reads steps,
+    witnesses, negative sets and self-loops off the tables; the reference
+    builds and filters every guard and reads them off the guards.  Both keep
+    the same pairs, guards (cubes in order), accepting set, steps and table
+    answers, give the same run, decomposition and mission, and raise the same
+    errors."""
     rng = random.Random(24)
     atoms = ["ct1", "ct2", "ct3", "ct4"]
-    tasks = [ct("ct1", c1=1), ct("ct2", c2=1), ct("ct3", c1=1, c2=1), ct("ct4", c1=2)]
-    individual = TaskReq("ct4", "q0_0", {"c1": 1}, owner=0)
-    cases = [
-        (fleet_of({"c1"}, {"c1", "c2"}), tasks),  # {ct2, ct3} and ct4 with ct1 or ct3 drop
-        (fleet_of({"c1", "c2"}, {"c1", "c2"}, {"c1"}), tasks),  # only {ct2, ct3, ct4} and up drop
-        (fleet_of({"c2"}), tasks),  # ct2 alone is staffable
-        (fleet_of({"c1"}, {"c1", "c2"}), tasks[:3]),  # ct4 is unknown
-        (fleet_of({"c1"}, {"c1", "c2"}), tasks[:3] + [individual]),  # ct4 is not collaborative
-    ]
     letters = all_label_sets(atoms + ["x"])
-    seen = {EmptyLanguage: 0, MissionError: 0, "dropped": 0, "pruned": 0}
+    seen = {EmptyLanguage: 0, MissionError: 0, "dropped": 0, "pruned": 0, "longer": 0}
     for _ in range(60):
         nfa = to_nfa(random_formula(rng, atoms, depth=3))
         states = range(nfa.n_states)
-        for fleet, task_list in cases:
+        guards = guard_nfa(nfa)
+        for fleet, task_list in PRUNING_CASES:
             ref = _pruned_or_error(reference_prune_nfa, nfa, fleet, task_list)
             got = _pruned_or_error(prune_nfa, nfa, fleet, task_list)
             if isinstance(ref, type):
@@ -134,23 +174,84 @@ def test_table_pruning_equals_the_guard_reference():
                 seen[ref] += 1
                 continue
             seen["pruned"] += 1
-            seen["dropped"] += any(g != nfa.guard(*pair) for pair, g in ref.transitions.items())
-            # steps first, so that the guards they check are built on demand
+            seen["dropped"] += any(g != guards.guard(*pair) for pair, g in ref.transitions.items())
+            # steps first, so that their answers are kept before anything else reads them
             assert [[got.step(q, l) for l in letters] for q in states] == \
                 [[ref.step(q, l) for l in letters] for q in states]
             fresh = prune_nfa(nfa, fleet, task_list)
             run = shortest_accepting_run(fresh)
             assert run == shortest_accepting_run(ref)
             positions = decomposition_states(fresh, run)
-            assert positions == decomposition_states(ref, run)
+            assert positions == reference_decomposition_states(ref, run)
             mission, expected = build_mission(fresh, run, positions), build_mission(ref, run, positions)
             assert (mission.subsequences, mission.negative_obligations) == \
                 (expected.subsequences, expected.negative_obligations)
-            assert (got.n_states, got.initial, got.accepting) == (ref.n_states, ref.initial, ref.accepting)
-            assert [got.successors(q) for q in states] == [ref.successors(q) for q in states]
-            assert [(pair, g.cubes) for pair, g in got.transitions.items()] == \
+            longer = _longest_short_run(fresh, cap=4)
+            if longer is not None:  # interior positions, so self-loops decide
+                assert decomposition_states(fresh, longer) == \
+                    reference_decomposition_states(ref, longer)
+                seen["longer"] += 1
+            assert_same_table_answers(got, ref, rng)
+            assert [(pair, g.cubes) for pair, g in guard_nfa(got).transitions.items()] == \
                 [(pair, g.cubes) for pair, g in ref.transitions.items()]
     assert min(seen.values()) > 0, seen
+
+
+def random_table_nfa(rng, atoms, n_states):
+    """An automaton over random labeling tables: each state's atoms are a random
+    subset, and each of its masks leads to one of a few random states or to none."""
+    tables = []
+    for _ in range(n_states):
+        names = sorted(rng.sample(atoms, rng.randint(0, len(atoms))))
+        choices = [-1] + rng.sample(range(n_states), rng.randint(1, min(3, n_states)))
+        targets = tuple(rng.choice(choices) for _ in range(1 << len(names)))
+        required = {}
+        for m, j in enumerate(targets):
+            if j >= 0:
+                required[j] = required.get(j, m) & m
+        tables.append(Table({a: 1 << k for k, a in enumerate(names)}, targets,
+                            dict(sorted(required.items()))))
+    accepting = rng.sample(range(n_states), rng.randint(1, n_states))
+    return Nfa(n_states, {0}, accepting, tuple(tables))
+
+
+def test_table_answers_equal_the_guard_reference_on_random_tables():
+    """Tables no formula need give: any subset of atoms per state, any mask to
+    any of a few targets."""
+    rng = random.Random(26)
+    atoms = ["ct1", "ct2", "ct3", "ct4"]
+    compared = 0
+    for _ in range(150):
+        nfa = random_table_nfa(rng, atoms, rng.randint(2, 6))
+        for fleet, task_list in PRUNING_CASES:
+            ref = _pruned_or_error(reference_prune_nfa, nfa, fleet, task_list)
+            got = _pruned_or_error(prune_nfa, nfa, fleet, task_list)
+            if isinstance(ref, type):
+                assert got is ref
+                continue
+            assert_same_table_answers(got, ref, rng)
+            compared += 1
+    assert compared > 200
+
+
+@pytest.mark.parametrize("robots,collab", [(5, 4), (10, 6), (10, 7), (40, 6), (20, 10)])
+def test_table_answers_equal_the_guard_reference_on_generated_missions(robots, collab):
+    """The collaborative automata the planner prunes for generated scenarios,
+    up to ``k = 10`` collaborative tasks: every table answer, the chosen run's
+    essential steps, decomposition and mission."""
+    rng = random.Random(robots * 100 + collab)
+    for seed in (7, 8):
+        sc = generate(seed=seed, robots=robots, collab=collab, grid=(30, 30))
+        nfa = to_nfa(sc.parsed_collaborative())
+        got = prune_nfa(nfa, sc.fleet, sc.collaborative_tasks())
+        ref = reference_prune_nfa(nfa, sc.fleet, sc.collaborative_tasks())
+        assert_same_table_answers(got, ref, rng)
+        run = shortest_accepting_run(got)
+        positions = decomposition_states(got, run)
+        assert positions == reference_decomposition_states(ref, run)
+        mission, expected = build_mission(got, run, positions), build_mission(ref, run, positions)
+        assert (mission.subsequences, mission.negative_obligations) == \
+            (expected.subsequences, expected.negative_obligations)
 
 
 def _sequences(letters, length):
@@ -209,10 +310,10 @@ def _run_via_distinct_steps(nfa):
         for init in sorted(nfa.initial):
             if mid in (init,):
                 continue
-            if nfa.guard(init, mid) is None:
+            if mid not in nfa.successors(init):
                 continue
             for acc in sorted(nfa.accepting):
-                if acc != mid and nfa.guard(mid, acc) is not None:
+                if acc != mid and acc in nfa.successors(mid):
                     return [init, mid, acc]
     raise AssertionError("expected a 2-step accepting run")
 

@@ -315,7 +315,7 @@ def test_table_product_matches_edge_by_edge_reference():
         pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
         assert_same_product(pa, trial)
         if pa.n_edges:
-            initial_self_loop += [(f0, f0) in nfa.transitions for f0 in nfa.initial]
+            initial_self_loop += [f0 in nfa.successors(f0) for f0 in nfa.initial]
     assert len(initial_self_loop) >= 15
     assert set(initial_self_loop) == {True, False}
 

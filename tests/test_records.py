@@ -8,13 +8,12 @@ import sys
 from pathlib import Path
 
 from fleetplan.framework import METRIC_COLUMNS, AssignmentRow, RunReport, write_metrics_csv
-from fleetplan.guards import FALSE_GUARD, Guard
 from fleetplan.ltl import DEFAULT_STATE_CAP
 from fleetplan.milp import DEFAULT_COMBINATION_CAP
 from fleetplan.scenario import Options, generate
 from fleetplan.schedule import CostReport, Timeline
 
-from oracles import TRUE_GUARD
+from oracles import FALSE_GUARD, TRUE_GUARD, Guard
 
 LOAD_AND_LIST_MODULES = """
 import sys
