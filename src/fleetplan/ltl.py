@@ -406,10 +406,9 @@ class Nfa:
     rest on.  It steps from ``a`` on mask ``m`` to ``j = targets[m]`` only when
     ``(a, j)`` is kept and some staffable ``P`` within ``m`` has every mask
     between ``P`` and ``m`` leading to ``j``, that is, when a staffable prime
-    implicant of the masks leading to ``j`` holds on ``m``; each such answer is
-    kept per ``(state, mask)``.  Progression construction yields a
-    deterministic automaton, but all consumers treat the structure as a
-    general NFA (pruning can make it partial).
+    implicant of the masks leading to ``j`` holds on ``m``.  Progression
+    construction yields a deterministic automaton, but all consumers treat
+    the structure as a general NFA (pruning can make it partial).
     """
 
     def __init__(self, n_states, initial, accepting, tables, pairs=None, staffable=None):
@@ -418,7 +417,6 @@ class Nfa:
         self.accepting = frozenset(accepting)
         self.tables = tables
         self.staffable = staffable
-        self._allowed: dict[tuple[int, int], bool] = {}
         if pairs is None:
             pairs = [(a, b) for a, table in enumerate(tables) for b in table.required]
         succ: dict[int, list[int]] = {}
@@ -430,29 +428,19 @@ class Nfa:
         return self._succ.get(state, ())
 
     def step(self, state: int, labels: FrozenSet[str]) -> int:
-        """The state ``labels`` lead to from ``state``, or -1."""
+        """The state ``labels`` lead to from ``state``, or -1.  A pruned automaton
+        tries the submasks ``P`` of the label's mask largest first."""
         table = self.tables[state]
         mask = table.mask(labels)
-        j = table.targets[mask]
+        targets = table.targets
+        j = targets[mask]
         if self.staffable is None or j < 0:
             return j
-        allowed = self._allowed.get((state, mask))
-        if allowed is None:
-            allowed = self._allowed[(state, mask)] = (
-                j in self.successors(state) and self._rests_on_staffable(state, mask, j))
-        return j if allowed else -1
-
-    def _rests_on_staffable(self, a: int, m: int, j: int) -> bool:
-        targets = self.tables[a].targets
-        up = {}  # submask P of m -> every mask between P and m leads to j
-        sub = m
-        while True:  # submasks in decreasing order, so each one-bit superset comes first
-            up[sub] = targets[sub] == j and all(up[sub | bit] for bit in _bits(m & ~sub))
-            if up[sub] and self.staffable(a, sub):
-                return True
-            if not sub:
-                return False
-            sub = (sub - 1) & m
+        if j in self.successors(state) and any(
+                all(targets[p | m] == j for m in _labelings(list(_bits(mask & ~p))))
+                and self.staffable(state, p) for p in reversed(_labelings(list(_bits(mask))))):
+            return j
+        return -1
 
     def essential_step(self, a: int, b: int) -> EssentialStep:
         """The minimal positive set of step ``(a, b)`` and its negative set.
@@ -461,33 +449,24 @@ class Nfa:
         leading to ``b``, by size and then by its atoms in name order (the
         table's bit order), hence the least minimal positive set of the
         staffable prime implicants of the masks leading to ``b``.  The negative
-        set is the least ``N`` of the other atoms, in the same order, such that
-        every mask containing ``P`` and none of ``N`` leads to ``b``: the least
-        prime implicant on ``P``.  Its search visits at most ``2^k`` masks and
-        tries at most ``2^k`` candidates, ``k`` the number of the table's atoms
-        outside ``P``.
+        set is the first ``N`` of the other atoms, by size and then in
+        ``combinations`` order, that meets every mask ``m`` of them with
+        ``P | m`` leading elsewhere: the least prime implicant on ``P``.  It
+        tries at most ``2^k`` candidates, each against at most ``2^k`` masks,
+        ``k`` the number of the table's atoms outside ``P``.
         """
         if b not in self.successors(a):
             raise NoPositiveWitness(f"no transition along run step {a}->{b}")
-        bits, targets, required = self.tables[a]
-        low = required[b]  # every mask leading to b contains it, so it is least if it leads there
-        masks = [low] if targets[low] == b else sorted(
-            (m for m, j in enumerate(targets) if j == b), key=lambda m: (m.bit_count(), list(_bits(m))))
-        pos = next((m for m in masks if self.staffable is None or self.staffable(a, m)), None)
+        bits, targets, _required = self.tables[a]
+        pos = min((m for m, j in enumerate(targets)
+                   if j == b and (self.staffable is None or self.staffable(a, m))),
+                  key=lambda m: (m.bit_count(), list(_bits(m))), default=None)
         if pos is None:
             raise NoPositiveWitness(f"no staffable label leads along run step {a}->{b}")
-        # N meets every mask beyond pos that, added to it, leads elsewhere: N holds each atom
-        # that does so alone, and the least set meeting the minimal such masks of the others
-        beyond = len(targets) - 1 & ~pos
-        forced = sum(bit for bit in _bits(beyond) if targets[pos | bit] != b)
-        rest = []
-        for m in sorted((m for m in _labelings(list(_bits(beyond & ~forced)))
-                         if targets[pos | m] != b), key=int.bit_count):
-            if all(h & ~m for h in rest):
-                rest.append(m)
-        free = sorted({bit for m in rest for bit in _bits(m)})
-        neg = forced | next(n for size in range(len(free) + 1)
-                            for n in map(sum, combinations(free, size)) if all(m & n for m in rest))
+        beyond = list(_bits(len(targets) - 1 & ~pos))
+        elsewhere = [m for m in _labelings(beyond) if targets[pos | m] != b]
+        neg = next(n for size in range(len(beyond) + 1)
+                   for n in map(sum, combinations(beyond, size)) if all(m & n for m in elsewhere))
         return EssentialStep(*(frozenset(atom for atom, bit in bits.items() if s & bit)
                                for s in (pos, neg)))
 

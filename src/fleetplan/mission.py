@@ -78,40 +78,22 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
 
 
 def shortest_accepting_run(nfa: Nfa) -> list[int]:
-    """A minimal-transition accepting run; lexicographic state ties.
-
-    Self-loop steps never appear (they cannot shorten a run).
-    """
-    accepting_initial = sorted(nfa.initial & nfa.accepting)
-    if accepting_initial:
-        return [accepting_initial[0]]
+    """A minimal-transition accepting run, by one breadth-first search backward
+    from the accepting states: it starts at the least initial state of least
+    distance and steps to the first successor one hop nearer (never a self-loop)."""
     predecessors: Dict[int, list] = {}
     for a in range(nfa.n_states):
         for b in nfa.successors(a):
             predecessors.setdefault(b, []).append(a)
-    # hop distances; a self-loop never shortens one, so loops need no filtering
-    dist_fwd = bfs(nfa.successors, nfa.initial)[0]
-    dist_back = bfs(lambda q: predecessors.get(q, ()), nfa.accepting)[0]
-    candidates = [
-        (dist_fwd[q] + dist_back[q], q)
-        for q in dist_fwd
-        if q in dist_back
-    ]
-    if not candidates:
+    dist = bfs(lambda q: predecessors.get(q, ()), nfa.accepting)[0]
+    starts = [(dist[q], q) for q in nfa.initial if q in dist]
+    if not starts:
         raise EmptyLanguage("no accepting state reachable from an initial state")
-    best = min(c for c, _ in candidates)
-    start = min(q for q in sorted(nfa.initial) if dist_back.get(q) == best)
+    remaining, start = min(starts)
     run = [start]
-    remaining = best
     while remaining:
-        current = run[-1]
-        for q2 in nfa.successors(current):
-            if q2 != current and dist_back.get(q2) == remaining - 1:
-                run.append(q2)
-                remaining -= 1
-                break
-        else:
-            raise EmptyLanguage("backward distances are inconsistent")
+        remaining -= 1
+        run.append(next(q for q in nfa.successors(run[-1]) if dist.get(q) == remaining))
     return run
 
 
@@ -125,8 +107,6 @@ def decomposition_states(nfa: Nfa, run: Sequence[int]) -> set[int]:
     completeness of the split).  Run endpoints always qualify.
     """
     positions = {0, len(run) - 1}
-    if len(run) < 3:
-        return positions
     steps = essential_steps(nfa, run)
     labels = [s.labels for s in steps]
     for p in range(1, len(run) - 1):

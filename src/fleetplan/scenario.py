@@ -288,8 +288,13 @@ class Scenario:
             requirements = _required(t, "requirements", "an object of capability counts", where)
             tasks.append(TaskReq(_required(t, "prop", "a string", where),
                                  _required(t, "region", "a string", where), dict(requirements)))
-        formulas = {int(r): f for r, f in _optional(
-            data, "individualFormulas", "an object of robot ids to formula strings", {}).items()}
+        formulas = {}
+        for key, text in _optional(data, "individualFormulas",
+                                   "an object of robot ids to formula strings", {}).items():
+            robot = int(key)  # "1", "01" and an Arabic-Indic "1" all name robot 1
+            if robot in formulas:
+                raise ScenarioError(f"scenario key individualFormulas.{key} repeats robot {robot}")
+            formulas[robot] = text
         return Scenario(
             name=data.get("name", "scenario"),
             world=world,

@@ -26,7 +26,10 @@ planner's ``Nfa`` keeps only labeling tables.  Guards (``Guard``, built as
 prime covers by ``guard_from_minterms``) are the representation the tables
 replaced; ``guard_nfa`` builds them from an ``Nfa``'s tables, and a
 ``GuardNfa`` reads its essential steps off them, as a reference for the
-answers the planner reads off the tables.
+answers the planner reads off the tables.  ``reference_shortest_accepting_run``
+keeps the run selection that searched forward from the initial states and
+backward from the accepting ones and took the least total over every state
+both reached, as a reference for the one backward search.
 ``reference_primes`` finds a truth table's prime implicants by trying all 3^n
 cubes, as a judge of ``guard_from_minterms``.  ``reference_prune_nfa`` keeps
 capacity pruning as it was before it decided pairs on the labeling tables: it
@@ -1204,6 +1207,44 @@ def reference_decomposition_states(nfa: GuardNfa, run: Sequence[int]) -> set[int
                 all(nfa_accepts(nfa, merge) for merge in interleavings(prefix, suffix)):
             positions.add(p)
     return positions
+
+
+def reference_shortest_accepting_run(nfa) -> list[int]:
+    """A minimal-transition accepting run; lexicographic state ties.
+
+    Self-loop steps never appear (they cannot shorten a run).
+    """
+    accepting_initial = sorted(nfa.initial & nfa.accepting)
+    if accepting_initial:
+        return [accepting_initial[0]]
+    predecessors: Dict[int, list] = {}
+    for a in range(nfa.n_states):
+        for b in nfa.successors(a):
+            predecessors.setdefault(b, []).append(a)
+    # hop distances; a self-loop never shortens one, so loops need no filtering
+    dist_fwd = bfs(nfa.successors, nfa.initial)[0]
+    dist_back = bfs(lambda q: predecessors.get(q, ()), nfa.accepting)[0]
+    candidates = [
+        (dist_fwd[q] + dist_back[q], q)
+        for q in dist_fwd
+        if q in dist_back
+    ]
+    if not candidates:
+        raise EmptyLanguage("no accepting state reachable from an initial state")
+    best = min(c for c, _ in candidates)
+    start = min(q for q in sorted(nfa.initial) if dist_back.get(q) == best)
+    run = [start]
+    remaining = best
+    while remaining:
+        current = run[-1]
+        for q2 in nfa.successors(current):
+            if q2 != current and dist_back.get(q2) == remaining - 1:
+                run.append(q2)
+                remaining -= 1
+                break
+        else:
+            raise EmptyLanguage("backward distances are inconsistent")
+    return run
 
 
 def guard_nfa(nfa: Nfa) -> GuardNfa:

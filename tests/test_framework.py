@@ -163,6 +163,8 @@ MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new v
      [["q0_0", "q1_0", 2], ["q1_1", "q1_2", 3], ["q0_0", "q1_0", 5]]),
     ("individualFormulas", False, ["individualFormulas", "x"], "true"),
     ("individualFormulas.99", False, ["individualFormulas", "99"], "F nosuch & G"),
+    ("individualFormulas.01", False, ["individualFormulas", "01"], "true"),  # robot 1 again
+    ("individualFormulas.\u0661", False, ["individualFormulas", "\u0661"], "true"),  # Arabic-Indic 1
     ("collaborativeTasks[0].requirements", False, ["collaborativeTasks", 0, "requirements"],
      ["c1"]),
     ("world.regions[1]", True, ["world", "regions", 1], "q0_0"),
@@ -192,7 +194,8 @@ def test_malformed_structural_key_exits_1_naming_it(tmp_path, capsys, key, expli
     scenario_path = tmp_path / "sc.json"
     scenario_path.write_text(json.dumps(data))
     assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: scenario key {key} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario key {key} ") and err.count("\n") == 1
 
 
 def test_empty_fleet_exits_1_with_one_error_line(tmp_path, capsys):

@@ -23,6 +23,7 @@ from oracles import (
     random_formula,
     reference_decomposition_states,
     reference_prune_nfa,
+    reference_shortest_accepting_run,
 )
 
 
@@ -175,20 +176,18 @@ def test_table_pruning_equals_the_guard_reference():
                 continue
             seen["pruned"] += 1
             seen["dropped"] += any(g != guards.guard(*pair) for pair, g in ref.transitions.items())
-            # steps first, so that their answers are kept before anything else reads them
             assert [[got.step(q, l) for l in letters] for q in states] == \
                 [[ref.step(q, l) for l in letters] for q in states]
-            fresh = prune_nfa(nfa, fleet, task_list)
-            run = shortest_accepting_run(fresh)
+            run = shortest_accepting_run(got)
             assert run == shortest_accepting_run(ref)
-            positions = decomposition_states(fresh, run)
+            positions = decomposition_states(got, run)
             assert positions == reference_decomposition_states(ref, run)
-            mission, expected = build_mission(fresh, run, positions), build_mission(ref, run, positions)
+            mission, expected = build_mission(got, run, positions), build_mission(ref, run, positions)
             assert (mission.subsequences, mission.negative_obligations) == \
                 (expected.subsequences, expected.negative_obligations)
-            longer = _longest_short_run(fresh, cap=4)
+            longer = _longest_short_run(got, cap=4)
             if longer is not None:  # interior positions, so self-loops decide
-                assert decomposition_states(fresh, longer) == \
+                assert decomposition_states(got, longer) == \
                     reference_decomposition_states(ref, longer)
                 seen["longer"] += 1
             assert_same_table_answers(got, ref, rng)
@@ -215,12 +214,35 @@ def random_table_nfa(rng, atoms, n_states):
     return Nfa(n_states, {0}, accepting, tuple(tables))
 
 
+def tally_searches_past_the_first_candidate(nfa, seen):
+    """Count, on a pruned automaton, the answers whose search goes past its first
+    candidate: negative sets holding an atom that does not lead elsewhere alone,
+    steps allowed only through a staffable ``P`` strictly inside the label, and
+    steps refused though some staffable ``P`` inside the label leads to the same
+    target, because a mask between the two leads elsewhere."""
+    for a, (bits, targets, _required) in enumerate(nfa.tables):
+        for b in nfa.successors(a):
+            pos, neg = (nfa.tables[a].mask(s) for s in nfa.essential_step(a, b))
+            alone = sum(bit for bit in bits.values() if not bit & pos and targets[pos | bit] != b)
+            seen["wider negative set"] += bool(neg & ~alone)
+        for m, j in enumerate(targets):
+            if j not in nfa.successors(a) or nfa.staffable(a, m):
+                continue
+            if nfa.step(a, frozenset(atom for atom, bit in bits.items() if m & bit)) == j:
+                seen["smaller P"] += 1
+            elif any(p & ~m == 0 and targets[p] == j and nfa.staffable(a, p)
+                     for p in range(len(targets))):
+                seen["refused between P and label"] += 1
+
+
 def test_table_answers_equal_the_guard_reference_on_random_tables():
     """Tables no formula need give: any subset of atoms per state, any mask to
-    any of a few targets."""
+    any of a few targets.  They reach the searches' later candidates, which the
+    planned automata never do."""
     rng = random.Random(26)
     atoms = ["ct1", "ct2", "ct3", "ct4"]
     compared = 0
+    seen = {"wider negative set": 0, "smaller P": 0, "refused between P and label": 0}
     for _ in range(150):
         nfa = random_table_nfa(rng, atoms, rng.randint(2, 6))
         for fleet, task_list in PRUNING_CASES:
@@ -230,8 +252,10 @@ def test_table_answers_equal_the_guard_reference_on_random_tables():
                 assert got is ref
                 continue
             assert_same_table_answers(got, ref, rng)
+            tally_searches_past_the_first_candidate(got, seen)
             compared += 1
     assert compared > 200
+    assert min(seen.values()) > 0, seen
 
 
 @pytest.mark.parametrize("robots,collab", [(5, 4), (10, 6), (10, 7), (40, 6), (20, 10)])
@@ -279,6 +303,39 @@ def test_shortest_run_prefers_simultaneous_crossing():
     assert len(run) == 2  # one transition firing both tasks beats two transitions
     # oracle: breadth-first search over the explicit graph
     assert _bfs_shortest_len(nfa) == 1
+
+
+def _run_or_message(select, nfa):
+    try:
+        return select(nfa)
+    except EmptyLanguage as exc:
+        return str(exc)
+
+
+def test_shortest_run_equals_the_reference_on_random_automata():
+    """One backward search picks the run that the reference's forward and
+    backward searches pick, or fails with its message, on random automata:
+    several initial states, states no initial one reaches, self-loops,
+    successors listed in random order, and sometimes no accepting state."""
+    rng = random.Random(27)
+    seen = {"empty": 0, "accepting initial": 0, "tied initial": 0, "long": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        pairs = rng.sample([(a, b) for a in range(n) for b in range(n)],
+                           rng.randint(0, min(n * n, 2 * n)))
+        initial = rng.sample(range(n), rng.randint(1, min(3, n)))
+        nfa = Nfa(n, initial, rng.sample(range(n), rng.randint(0, min(2, n))), (), pairs)
+        expected = _run_or_message(reference_shortest_accepting_run, nfa)
+        assert _run_or_message(shortest_accepting_run, nfa) == expected, (initial, pairs)
+        if isinstance(expected, str):
+            seen["empty"] += 1
+            continue
+        seen["accepting initial"] += len(expected) == 1
+        seen["long"] += len(expected) > 3
+        alone = [_run_or_message(reference_shortest_accepting_run,
+                                 Nfa(n, [q], nfa.accepting, (), pairs)) for q in initial]
+        seen["tied initial"] += [len(r) for r in alone if isinstance(r, list)].count(len(expected)) > 1
+    assert min(seen.values()) > 0, seen
 
 
 def _bfs_shortest_len(nfa):
