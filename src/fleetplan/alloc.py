@@ -1,15 +1,17 @@
 """Collaborative task allocation: every solution once, in lexicographic order.
 
-The assignment variables are robot-major, ``x[r_i * n_occ + o_i]``, and an
-element's occurrences are consecutive.  For each robot in id order and each
-element in (k, m) order, the search decides which occurrence of the element
-the robot serves, if any: none first, then the occurrences from last to
-first.  That is increasing lexicographic order of the robot's variables
-(false < true), and no robot serves two occurrences of one element.  One
-generator per robot drives a chain of generators over the robot's elements,
-so the search is robots + elements deep.  It keeps its state between calls,
-and successive calls return the satisfying vectors in increasing
-lexicographic order, each exactly once.
+A vector is one int, its bit ``q`` the variable ``x[q]``.  The variables are
+robot-major, ``x[r_i * n_occ + o_i]``, and an element's occurrences are
+consecutive.  For each robot in id order and each element in (k, m) order,
+the search decides which occurrence of the element the robot serves, if
+any: none first, then the occurrences from last to first.  That is
+increasing lexicographic order of the robot's variables (false < true), and
+no robot serves two occurrences of one element.  One generator per robot
+drives a chain of generators over the robot's elements, so the search is
+robots + elements deep.  It keeps its state between calls, and successive
+calls return the satisfying vectors in increasing lexicographic order, each
+exactly once.  The judge reads the bits, the dominance filter compares
+ints, and only evaluated vectors are indexed.
 
 A branch is cut as soon as one element can no longer be staffed: each later
 robot serves at most one occurrence of it and counts toward every required
@@ -23,6 +25,7 @@ coordinator pair, which is exact once the pair's later element is decided.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, FleetplanError
@@ -33,36 +36,37 @@ DEADLINE_EVERY = 256  # options tried between deadline checks
 
 
 class Assignment:
-    """One satisfying allocation: which robot serves which task occurrence."""
+    """One allocation: bit ``i * len(occurrences) + j`` of ``vector`` is set when
+    ``robots[i]`` serves ``occurrences[j]``.  Its indexes are built on first read."""
 
-    def __init__(self, robots: Sequence[int], occurrences: Sequence[Occurrence],
-                 vector: Sequence[bool]):
+    def __init__(self, robots: Sequence[int], occurrences: Sequence[Occurrence], vector: int):
         self.robots = tuple(robots)
         self.occurrences = tuple(occurrences)
-        self.vector = tuple(vector)
+        self.vector = vector
+
+    @cached_property
+    def _index(self):
+        """Per robot its occurrences, per occurrence its robots, per pair the one before."""
         n_occ = len(self.occurrences)
-        self._by_robot: Dict[int, Tuple[Occurrence, ...]] = {}
-        self._previous: Dict[Tuple[int, Occurrence], Optional[Occurrence]] = {}
-        by_occ: Dict[Occurrence, list] = {occ: [] for occ in self.occurrences}
+        by_robot, previous, by_occ = {}, {}, {occ: [] for occ in self.occurrences}
         for i, robot in enumerate(self.robots):
-            mine = tuple(sorted(occ for j, occ in enumerate(self.occurrences)
-                                if self.vector[i * n_occ + j]))
-            self._by_robot[robot] = mine
+            mine = by_robot[robot] = tuple(sorted(occ for j, occ in enumerate(self.occurrences)
+                                                  if self.vector >> (i * n_occ + j) & 1))
             for prev, occ in zip((None,) + mine, mine):
                 by_occ[occ].append(robot)
-                self._previous[(robot, occ)] = prev
-        self._by_occ = {occ: frozenset(rs) for occ, rs in by_occ.items()}
+                previous[(robot, occ)] = prev
+        return by_robot, {occ: frozenset(rs) for occ, rs in by_occ.items()}, previous
 
     def tasks_of(self, robot: int) -> Tuple[Occurrence, ...]:
         """The robot's occurrences in increasing (k, l) order."""
-        return self._by_robot.get(robot, ())
+        return self._index[0].get(robot, ())
 
     def robots_for(self, occ: Occurrence) -> FrozenSet[int]:
-        return self._by_occ[occ]
+        return self._index[1][occ]
 
     def previous(self, robot: int, occ: Occurrence) -> Optional[Occurrence]:
         """The robot's occurrence just before ``occ`` (which it serves), or None."""
-        return self._previous[(robot, occ)]
+        return self._index[2][(robot, occ)]
 
     def __eq__(self, other):
         return isinstance(other, Assignment) and self.vector == other.vector
@@ -115,6 +119,15 @@ class AllocModel:
                 [sum(cap in rb.capabilities for rb in fleet_robots[i:])
                  for i in range(len(fleet_robots) + 1)]
                 for _a, cap in slots])
+        # the judge's, on an occurrence's column of the vector (bit i * n_occ is robot i):
+        # every robot, and per occurrence its (capability, count, holders) in name order
+        n_occ = len(self.occurrences)
+        self._all_robots = sum(1 << i * n_occ for i in range(len(self.robots)))
+        self._needs = {occ: [(cap, count, sum(1 << i * n_occ for i, r in enumerate(self.robots)
+                                              if r in fleet.with_capability(cap)))
+                             for cap, count in sorted(self.tasks[mission.task_of(occ)]
+                                                      .requirements.items())]
+                       for occ in self.occurrences}
         position = {elem: e for e, elem in enumerate(elements)}
         # (earlier, later) element positions, as elements are in (k, m) order
         self._pairs = [(position[(k, m)], position[(k, m + 1)]) for k, m in self.comm_pairs]
@@ -148,18 +161,16 @@ class AllocModel:
         """Generator of the satisfying vectors in lexicographic order."""
         n_occ, n_elements, last = len(self.occurrences), len(self._demand), len(self.robots) - 1
         feasible, pairs = self._feasible, self._pairs
-        resid = list(self._demand)
+        resid, tried = list(self._demand), 0
         members = [0] * n_elements  # per element, a bit per robot serving it
-        x = [False] * self.n_x
-        tried = 0
         if not all(feasible(e, d, 0) for e, d in enumerate(self._demand)):
             return
 
-        def place(r, e):
+        def place(r, e, vector):
             """Robot ``r``'s choices for elements ``e..``, in lexicographic order."""
             nonlocal tried
             if e == n_elements:
-                yield
+                yield vector
                 return
             row, masks, bit = resid[e], self._hits[e][r], 1 << r
             cols, base = self._columns[e], r * n_occ
@@ -169,25 +180,22 @@ class AllocModel:
                     check_deadline(self.deadline)
                 if a is not None:
                     resid[e] = tuple([n - (n and m) for n, m in zip(row, masks[a])])
-                    q = base + cols[a]
-                    x[q] = True
                     members[e] |= bit
                 # the last robot can still join every element after e
                 if feasible(e, resid[e], r + 1) and (r < last or all(
                         members[f] & (members[g] | (bit if g > e else 0))
                         for f, g in pairs if f <= e)):
-                    yield from place(r, e + 1)
-                if a is not None:
-                    x[q] = False
+                    yield from place(r, e + 1, vector if a is None else
+                                     vector | 1 << (base + cols[a]))
             resid[e] = row
             members[e] &= ~bit
 
-        def robot(r):
+        def robot(r, vector):
             """Every choice of robots ``r..`` that completes the fixed ones."""
-            for _ in place(r, 0):
-                yield from robot(r + 1) if r < last else (tuple(x),)
+            for vector in place(r, 0, vector):
+                yield from robot(r + 1, vector) if r < last else (vector,)
 
-        yield from robot(0)
+        yield from robot(0, 0)
 
 
 def check_deadline(deadline: Optional[float]) -> None:
@@ -214,42 +222,38 @@ def next_assignment(model: AllocModel, deadline: Optional[float] = None) -> Opti
     if vector is None:
         return None
     assignment = Assignment(model.robots, model.occurrences, vector)
-    problems = check_assignment(model, assignment)
-    if problems:
+    if problems := check_assignment(model, assignment):
         raise FleetplanError(f"solver returned an invalid assignment: {problems}")
     return assignment
 
 
 def check_assignment(model: AllocModel, assignment: Assignment) -> list[str]:
-    """Semantic re-verification of the allocation constraints (solver-independent)."""
-    problems = []
-    for occ in model.occurrences:
-        task = model.tasks[model.mission.task_of(occ)]
-        staffed = assignment.robots_for(occ)
-        for cap, count in sorted(task.requirements.items()):
-            holders = model.fleet.with_capability(cap)
-            if len(staffed & holders) < count:
+    """Solver-independent re-verification of the allocation constraints on the vector's bits."""
+    n_occ, vector, served, problems = len(model.occurrences), assignment.vector, {}, []
+    staff = {occ: vector >> j & model._all_robots for j, occ in enumerate(model.occurrences)}
+    for occ, needs in model._needs.items():
+        for cap, count, holders in needs:
+            if (staff[occ] & holders).bit_count() < count:
                 problems.append(f"occurrence {occ} lacks {count} robots with {cap}")
     for elem in model.mission.elements():
         occs = model.mission.element_occurrences(elem)
-        for r in model.robots:
-            hits = [occ for occ in occs if r in assignment.robots_for(occ)]
-            if len(hits) > 1:
-                problems.append(f"robot {r} doubly booked in element {elem}: {hits}")
+        seen = twice = 0
+        for occ in occs:
+            twice |= seen & staff[occ]
+            seen |= staff[occ]
+        served[elem] = seen
+        for i in range(twice.bit_length()):
+            if twice >> i & 1:
+                hits = [occ for occ in occs if staff[occ] >> i & 1]
+                problems.append(f"robot {model.robots[i // n_occ]} doubly booked in element "
+                                f"{elem}: {hits}")
     for k, m in model.comm_pairs:
-        first = model.mission.element_occurrences((k, m))
-        second = model.mission.element_occurrences((k, m + 1))
-        lhs = set().union(*(assignment.robots_for(o) for o in first))
-        rhs = set().union(*(assignment.robots_for(o) for o in second))
-        if not lhs & rhs:
+        if not served[(k, m)] & served[(k, m + 1)]:
             problems.append(f"no coordinator between elements {(k, m)} and {(k, m + 1)}")
     return problems
 
 
-def dominated(candidate: Sequence[bool], history: Iterable[Sequence[bool]]) -> bool:
-    """Componentwise dominance: the candidate assigns a superset to every robot."""
-    cand = tuple(candidate)
-    for past in history:
-        if all(c >= p for c, p in zip(cand, past)):
-            return True
-    return False
+def dominated(candidate: int, history: Iterable[int]) -> bool:
+    """Componentwise dominance on int vectors: every bit of some past vector is
+    set in the candidate, so it assigns every robot a superset."""
+    return any(past & candidate == past for past in history)

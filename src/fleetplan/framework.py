@@ -3,8 +3,8 @@
 Per feasible assignment the loop synthesizes each robot's initial strategy on
 its pruned layered automaton, optionally runs the distributed adjustment and
 the exact optimizer, and keeps the best adjusted plan as incumbent.
-Previously returned assignments dominate later supersets, which are filtered
-before any synthesis work.
+Each kept vector (an int) dominates later supersets, which are filtered on
+their bits before any synthesis work and are never indexed.
 
 A robot's local synthesis depends only on the robot and its assigned
 occurrences, and nothing downstream mutates a product, so one cache per run
@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .alloc import AllocModel, Assignment, check_deadline, dominated, next_assignment
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     NoAcceptingPath,
     StateLimitExceeded,
 )
-from .ltl import nfa_accepts, to_nfa
+from .ltl import essential_steps, nfa_accepts, to_nfa
 from .milp import solve_exact
 from .mission import Mission, build_mission, decomposition_states, prune_nfa, shortest_accepting_run
 from .product import PrunedPa, Strategy, build_local_formula, build_product, prune_product
@@ -121,14 +121,14 @@ def run_framework(scenario: Scenario) -> RunReport:
     except EmptyLanguage as exc:
         raise InfeasibleMission(str(exc)) from None
     run = shortest_accepting_run(pruned_nfa)
-    positions = decomposition_states(pruned_nfa, run)
-    mission = build_mission(pruned_nfa, run, positions)
+    steps = essential_steps(pruned_nfa, run)
+    mission = build_mission(steps, decomposition_states(pruned_nfa, run, steps))
     comm_pairs = _resolve_comm_pairs(opts.comm_pairs, mission)
 
     model = AllocModel(mission, fleet, collab_tasks, comm_pairs)
     rows: List[AssignmentRow] = []
     incumbent: Optional[PlanOutput] = None
-    history_vectors: List[Tuple[bool, ...]] = []
+    history_vectors: List[int] = []
     synthesis: Dict[tuple, object] = {}  # (robot, assigned) -> PrunedPa or error
     shapes: Dict[str, tuple] = {}  # local formula shape -> its atoms and automaton
     deadline = None if opts.budget_seconds is None else started + opts.budget_seconds

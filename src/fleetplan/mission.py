@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyLanguage, MissionError
-from .ltl import Nfa, essential_steps, nfa_accepts
+from .ltl import EssentialStep, Nfa, nfa_accepts
 from .search import bfs
 from .world import Fleet, TaskReq
 
@@ -97,8 +97,8 @@ def shortest_accepting_run(nfa: Nfa) -> list[int]:
     return run
 
 
-def decomposition_states(nfa: Nfa, run: Sequence[int]) -> set[int]:
-    """Run positions where the essential sequence may be split.
+def decomposition_states(nfa: Nfa, run: Sequence[int], steps: Sequence[EssentialStep]) -> set[int]:
+    """Run positions where the run's essential sequence (its ``steps``) may be split.
 
     A position qualifies when the state can idle on an empty-label self-loop
     (its table leads the empty mask back to it) and every order-preserving
@@ -107,7 +107,6 @@ def decomposition_states(nfa: Nfa, run: Sequence[int]) -> set[int]:
     completeness of the split).  Run endpoints always qualify.
     """
     positions = {0, len(run) - 1}
-    steps = essential_steps(nfa, run)
     labels = [s.labels for s in steps]
     for p in range(1, len(run) - 1):
         if nfa.tables[run[p]].targets[0] != run[p]:
@@ -193,18 +192,14 @@ class Mission:
         return self.negative_obligations.get(elem, frozenset())
 
 
-def build_mission(nfa: Nfa, run: Sequence[int], positions: set[int]) -> Mission:
-    """Assemble the mission from a run and its decomposition positions."""
-    if 0 not in positions or (len(run) - 1) not in positions:
+def build_mission(steps: Sequence[EssentialStep], positions: set[int]) -> Mission:
+    """Assemble the mission from a run's essential steps and its decomposition positions."""
+    if 0 not in positions or len(steps) not in positions:
         raise MissionError("decomposition positions must include the run endpoints")
-    steps = essential_steps(nfa, run)
     cuts = sorted(positions)
-    segments = [(a, b) for a, b in zip(cuts, cuts[1:])]
-    subsequences = []
-    negatives = {}
-    for a, b in segments:
-        elements = []
-        element_negs = []
+    subsequences, negatives = [], {}
+    for a, b in zip(cuts, cuts[1:]):
+        elements, element_negs = [], []
         for step in steps[a:b]:
             if not step.labels:
                 continue  # no positive obligation, nothing to schedule

@@ -4,7 +4,10 @@ Everything here deliberately avoids the production code paths: trace
 satisfaction is evaluated directly on the formula tree, shortest paths use
 Bellman-Ford, and combinatorial questions are settled by exhaustive
 enumeration.  ``ReferenceAllocator`` keeps the clause-store DPLL that the
-lexicographic allocator replaced, as a reference for its solution order.
+lexicographic allocator replaced, as a reference for its solution order, and
+``reference_check_assignment`` the allocator's judge on frozensets of robots,
+as a reference for the one that reads the vector's bits (``as_bits`` turns a
+tuple of bools into such a vector).
 The exceptions are the test-only helpers at the end, which build on the
 production code: ``ReferenceProductPa`` keeps the product's original
 edge-by-edge construction, which picks each firing set by scanning the
@@ -378,6 +381,38 @@ def _dpll_search(clauses, atleasts, assign) -> Optional[list]:
         if result is not None:
             return result
     return None
+
+
+def as_bits(vector: Sequence[bool]) -> int:
+    """The allocator's int vector for a sequence of bools: bit ``q`` is ``vector[q]``."""
+    return sum(1 << q for q, value in enumerate(vector) if value)
+
+
+def reference_check_assignment(model, assignment: Assignment) -> list[str]:
+    """The allocator's judge as it was on frozensets of robots (``robots_for``),
+    as a reference for the problem list ``check_assignment`` reads off the bits."""
+    problems = []
+    for occ in model.occurrences:
+        task = model.tasks[model.mission.task_of(occ)]
+        staffed = assignment.robots_for(occ)
+        for cap, count in sorted(task.requirements.items()):
+            holders = model.fleet.with_capability(cap)
+            if len(staffed & holders) < count:
+                problems.append(f"occurrence {occ} lacks {count} robots with {cap}")
+    for elem in model.mission.elements():
+        occs = model.mission.element_occurrences(elem)
+        for r in model.robots:
+            hits = [occ for occ in occs if r in assignment.robots_for(occ)]
+            if len(hits) > 1:
+                problems.append(f"robot {r} doubly booked in element {elem}: {hits}")
+    for k, m in model.comm_pairs:
+        first = model.mission.element_occurrences((k, m))
+        second = model.mission.element_occurrences((k, m + 1))
+        lhs = set().union(*(assignment.robots_for(o) for o in first))
+        rhs = set().union(*(assignment.robots_for(o) for o in second))
+        if not lhs & rhs:
+            problems.append(f"no coordinator between elements {(k, m)} and {(k, m + 1)}")
+    return problems
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fleetplan.product import build_local_formula, build_product, prune_product
 from fleetplan.scenario import generate
 from fleetplan.world import build_wts
 
-from oracles import all_traces, choice_weight, eval_trace, initial_run, random_formula
+from oracles import all_traces, as_bits, choice_weight, eval_trace, initial_run, random_formula
 from test_alloc import brute_force_solutions, enumerate_all, make_fleet, make_tasks
 
 
@@ -267,12 +267,12 @@ def test_criterion_8_allocator_completeness():
         cases += 1
         got = {a.vector for a in enumerate_all(model)}
         expected = brute_force_solutions(AllocModel(mission, fleet, tasks))
-        if got != expected:
+        if got != {as_bits(bits) for bits in expected}:
             enum_mismatches += 1
         history = [tuple(rng.random() < 0.5 for _ in range(8)) for _ in range(3)]
         cand = tuple(rng.random() < 0.5 for _ in range(8))
         oracle = any(all(c >= h for c, h in zip(cand, hist)) for hist in history)
-        if dominated(cand, history) != oracle:
+        if dominated(as_bits(cand), [as_bits(hist) for hist in history]) != oracle:
             filter_mismatches += 1
     announce(8, "allocator-completeness",
              cases > 0 and enum_mismatches == 0 and filter_mismatches == 0,

@@ -7,9 +7,9 @@ from itertools import product
 import pytest
 
 from fleetplan import alloc
-from fleetplan.alloc import AllocModel, check_assignment, dominated, next_assignment
+from fleetplan.alloc import AllocModel, Assignment, check_assignment, dominated, next_assignment
 from fleetplan.errors import BudgetExceeded, FleetplanError
-from fleetplan.ltl import to_nfa
+from fleetplan.ltl import essential_steps, to_nfa
 from fleetplan.mission import (
     Mission,
     build_mission,
@@ -20,7 +20,7 @@ from fleetplan.mission import (
 from fleetplan.scenario import generate
 from fleetplan.world import Fleet, Robot, TaskReq
 
-from oracles import ReferenceAllocator
+from oracles import ReferenceAllocator, as_bits, reference_check_assignment
 
 
 def make_fleet(*capability_sets):
@@ -35,12 +35,10 @@ def make_tasks(reqs):
 
 def brute_force_solutions(model):
     """All valuations of the assignment variables satisfying constraints (semantic check)."""
-    from fleetplan.alloc import Assignment
-
     solutions = set()
     n = model.n_x
     for bits in product([False, True], repeat=n):
-        assignment = Assignment(model.robots, model.occurrences, bits)
+        assignment = Assignment(model.robots, model.occurrences, as_bits(bits))
         if not check_assignment(model, assignment):
             solutions.add(bits)
     return solutions
@@ -133,7 +131,7 @@ def test_enumeration_matches_brute_force():
             continue
         got = {a.vector for a in enumerate_all(model)}
         expected = brute_force_solutions(AllocModel(mission, fleet, tasks, comm_pairs=comm))
-        assert got == expected
+        assert got == {as_bits(bits) for bits in expected}
 
 
 def test_no_assignment_returned_twice():
@@ -147,10 +145,10 @@ def test_no_assignment_returned_twice():
 
 
 def test_dominance_filter_discards_supersets():
-    history = [(True, False, False, True)]
-    assert dominated((True, False, True, True), history)
-    assert dominated((True, False, False, True), history)  # identical counts as dominated
-    assert not dominated((False, True, False, True), history)
+    history = [as_bits((True, False, False, True))]
+    assert dominated(as_bits((True, False, True, True)), history)
+    assert dominated(as_bits((True, False, False, True)), history)  # identical counts as dominated
+    assert not dominated(as_bits((False, True, False, True)), history)
 
 
 def test_dominance_filter_matches_componentwise_oracle():
@@ -160,7 +158,7 @@ def test_dominance_filter_matches_componentwise_oracle():
         history = [tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(rng.randint(1, 4))]
         cand = tuple(rng.random() < 0.5 for _ in range(n))
         oracle = any(all(c >= h for c, h in zip(cand, hist)) for hist in history)
-        assert dominated(cand, history) == oracle
+        assert dominated(as_bits(cand), [as_bits(hist) for hist in history]) == oracle
 
 
 def random_model(rng):
@@ -187,14 +185,40 @@ def test_enumeration_is_lexicographic():
             continue
         checked += 1
         got = [a.vector for a in enumerate_all(model)]
-        assert got == sorted(brute_force_solutions(model))
+        assert got == [as_bits(bits) for bits in sorted(brute_force_solutions(model))]
 
 
 def _mission_of(scenario):
     nfa = prune_nfa(to_nfa(scenario.parsed_collaborative()), scenario.fleet,
                     scenario.collaborative_tasks())
     run = shortest_accepting_run(nfa)
-    return build_mission(nfa, run, decomposition_states(nfa, run))
+    steps = essential_steps(nfa, run)
+    return build_mission(steps, decomposition_states(nfa, run, steps))
+
+
+def test_check_assignment_matches_reference_on_random_vectors():
+    """The judge reads bits; its problems, their messages and their order are
+    the frozenset judge's, on valid, random and one-bit-off vectors."""
+    rng = random.Random(23)
+    models = [random_model(rng) for _ in range(40)]
+    for seed in range(1000, 1006):
+        scenario = generate(seed=seed, robots=4, collab=3, grid=(6, 6), individual_per_robot=1)
+        mission, tasks = _mission_of(scenario), scenario.collaborative_tasks()
+        for comm in ((), mission.consecutive_element_pairs()):
+            models.append(AllocModel(mission, scenario.fleet, tasks, comm))
+    kinds = {"lacks": 0, "doubly booked": 0, "no coordinator": 0}
+    for model in models:
+        valid = [a.vector for a in enumerate_all(model, cap=20)]
+        vectors = valid + [rng.getrandbits(model.n_x) for _ in range(20)]
+        vectors += [v ^ 1 << rng.randrange(model.n_x) for v in valid]
+        for vector in vectors:
+            assignment = Assignment(model.robots, model.occurrences, vector)
+            expected = reference_check_assignment(model, assignment)
+            assert check_assignment(model, assignment) == expected, (model.comm_pairs, vector)
+            for kind in kinds:
+                kinds[kind] += any(kind in problem for problem in expected)
+    assert any(model.comm_pairs for model in models) and any(not m.comm_pairs for m in models)
+    assert all(kinds.values()), kinds
 
 
 def _sequences(scenario, comm_pairs, limit):
@@ -206,7 +230,8 @@ def _sequences(scenario, comm_pairs, limit):
     for _ in range(limit):
         a = next_assignment(model)
         got.append(None if a is None else a.vector)
-        expected.append(reference.next_vector())
+        vector = reference.next_vector()
+        expected.append(None if vector is None else as_bits(vector))
         if a is None:
             break
     return got, expected

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from fleetplan import framework, scenario as scenario_module
+from fleetplan.alloc import next_assignment
 from fleetplan.cli import main as cli_main
 from fleetplan.errors import BudgetExceeded, InfeasibleMission, ScenarioError
 from fleetplan.framework import WALL_COLUMNS, run_framework, write_reports
@@ -271,6 +272,24 @@ def test_framework_filters_supersets_without_synthesis():
     for row in report.rows:
         if row.status == "filtered":
             assert row.t_init is None  # no synthesis work recorded
+
+
+def test_framework_indexes_only_the_assignments_it_evaluates(monkeypatch):
+    """A filtered vector is judged on its bits and compared as an int, never indexed."""
+    returned = []
+
+    def recording(model, deadline=None):
+        returned.append(next_assignment(model, deadline))
+        return returned[-1]
+
+    monkeypatch.setattr(framework, "next_assignment", recording)
+    sc = small_scenario(seed=3)
+    sc.options.max_assignments = 12
+    report = run_framework(sc)
+    statuses = [r.status for r in report.rows]
+    indexed = [a for a in returned if a is not None and "_index" in vars(a)]
+    assert statuses.count("filtered") > 0
+    assert len(indexed) == statuses.count("evaluated") + statuses.count("infeasible")
 
 
 def test_framework_infeasible_mission_raises():

@@ -20,6 +20,7 @@ from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
 from oracles import (
     ReferencePrunedPa,
+    as_bits,
     partial_time_cost,
     reference_solve_exact,
     refold_solve_exact,
@@ -41,7 +42,7 @@ def build_instance(width, height, ct_regions, starts, individual=None, formulas=
     mission = Mission((tuple((p,) for p in props),))
     occs = mission.sorted_occurrences
     vector = [True] * (len(robots) * len(occs))
-    assignment = Assignment(robots, occs, vector)
+    assignment = Assignment(robots, occs, as_bits(vector))
     collab = frozenset(props)
     pruned = {}
     for r in robots:
@@ -279,7 +280,7 @@ def test_lp_round_trip_is_exact_for_non_unit_weights():
 
 def test_empty_model_emits_trivial_objective():
     mission = Mission(())
-    assignment = Assignment((), (), ())
+    assignment = Assignment((), (), 0)
     model = build_milp({}, mission, assignment)
     text = emit_lp(model)
     assert " obj: 0" in text
@@ -347,6 +348,7 @@ def test_external_solver_agrees_on_generated_instances():
     pytest.importorskip("scipy")
     from fleetplan.alloc import AllocModel, next_assignment
     from fleetplan.errors import EmptyLanguage, LevelDisconnected, NoAcceptingPath
+    from fleetplan.ltl import essential_steps
     from fleetplan.mission import (
         build_mission,
         decomposition_states,
@@ -366,7 +368,8 @@ def test_external_solver_agrees_on_generated_instances():
         except EmptyLanguage:
             continue
         run = shortest_accepting_run(pruned_nfa)
-        mission = build_mission(pruned_nfa, run, decomposition_states(pruned_nfa, run))
+        steps = essential_steps(pruned_nfa, run)
+        mission = build_mission(steps, decomposition_states(pruned_nfa, run, steps))
         model = AllocModel(mission, sc.fleet, sc.collaborative_tasks())
         assignment = next_assignment(model)
         if assignment is None:
@@ -646,7 +649,7 @@ def test_resumed_fold_equals_the_full_fold_at_every_node():
 def test_partial_fold_carries_no_delay_for_free_robots():
     """A free robot's floor is not a timeline: it must not carry a wait forward."""
     mission = Mission(((("a",), ("b",)),))
-    assignment = Assignment((0, 1), mission.sorted_occurrences, [True] * 4)
+    assignment = Assignment((0, 1), mission.sorted_occurrences, as_bits([True] * 4))
     plan = FoldPlan(mission, assignment)
     fixed = {0: Timeline(0, {(1, 1): 10.0, (1, 2): 11.0}, 12.0, None)}
     choices = [Timeline(1, {(1, 1): 10.0, (1, 2): 11.0}, 12.0, None),

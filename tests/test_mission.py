@@ -180,14 +180,16 @@ def test_table_pruning_equals_the_guard_reference():
                 [[ref.step(q, l) for l in letters] for q in states]
             run = shortest_accepting_run(got)
             assert run == shortest_accepting_run(ref)
-            positions = decomposition_states(got, run)
+            steps = essential_steps(got, run)
+            positions = decomposition_states(got, run, steps)
             assert positions == reference_decomposition_states(ref, run)
-            mission, expected = build_mission(got, run, positions), build_mission(ref, run, positions)
+            mission = build_mission(steps, positions)
+            expected = build_mission(essential_steps(ref, run), positions)
             assert (mission.subsequences, mission.negative_obligations) == \
                 (expected.subsequences, expected.negative_obligations)
             longer = _longest_short_run(got, cap=4)
             if longer is not None:  # interior positions, so self-loops decide
-                assert decomposition_states(got, longer) == \
+                assert decomposition_states(got, longer, essential_steps(got, longer)) == \
                     reference_decomposition_states(ref, longer)
                 seen["longer"] += 1
             assert_same_table_answers(got, ref, rng)
@@ -271,9 +273,11 @@ def test_table_answers_equal_the_guard_reference_on_generated_missions(robots, c
         ref = reference_prune_nfa(nfa, sc.fleet, sc.collaborative_tasks())
         assert_same_table_answers(got, ref, rng)
         run = shortest_accepting_run(got)
-        positions = decomposition_states(got, run)
+        steps = essential_steps(got, run)
+        positions = decomposition_states(got, run, steps)
         assert positions == reference_decomposition_states(ref, run)
-        mission, expected = build_mission(got, run, positions), build_mission(ref, run, positions)
+        mission = build_mission(steps, positions)
+        expected = build_mission(essential_steps(ref, run), positions)
         assert (mission.subsequences, mission.negative_obligations) == \
             (expected.subsequences, expected.negative_obligations)
 
@@ -355,9 +359,9 @@ def _bfs_shortest_len(nfa):
 def test_decomposition_of_independent_tasks():
     nfa = to_nfa(parse_formula("F ct1 & F ct2"))
     run = _run_via_distinct_steps(nfa)
-    positions = decomposition_states(nfa, run)
+    positions = decomposition_states(nfa, run, essential_steps(nfa, run))
     assert positions == {0, 1, 2}
-    mission = build_mission(nfa, run, positions)
+    mission = build_mission(essential_steps(nfa, run), positions)
     assert len(mission.subsequences) == 2
 
 
@@ -380,17 +384,17 @@ def test_ordering_blocks_decomposition():
     run = shortest_accepting_run(nfa)
     if len(run) < 3:
         run = _run_via_distinct_steps(nfa)
-    positions = decomposition_states(nfa, run)
+    positions = decomposition_states(nfa, run, essential_steps(nfa, run))
     # interleaving the suffix (ct2) before the prefix (ct1) violates the until
     assert positions == {0, len(run) - 1}
-    mission = build_mission(nfa, run, positions)
+    mission = build_mission(essential_steps(nfa, run), positions)
     assert len(mission.subsequences) == 1
 
 
 def test_single_step_run_has_endpoints_only():
     nfa = to_nfa(parse_formula("F ct1"))
     run = shortest_accepting_run(nfa)
-    assert decomposition_states(nfa, run) == {0, 1}
+    assert decomposition_states(nfa, run, essential_steps(nfa, run)) == {0, 1}
 
 
 def test_mission_indexing_and_sync_groups():
@@ -414,14 +418,14 @@ def test_empty_steps_emit_no_elements():
     nfa = to_nfa(parse_formula("F ct1"))
     # run with an explicit empty-label self-loop step at position 0
     run = [0, 0, 1]
-    mission = build_mission(nfa, run, {0, 2})
+    mission = build_mission(essential_steps(nfa, run), {0, 2})
     assert mission.subsequences == ((("ct1",),),)
 
 
 def test_decomposition_positions_validated():
     nfa = to_nfa(parse_formula("F ct1"))
     with pytest.raises(MissionError):
-        build_mission(nfa, [0, 1], {0})
+        build_mission(essential_steps(nfa, [0, 1]), {0})
 
 
 def test_reported_decompositions_survive_oracle_interleaving():
@@ -450,7 +454,7 @@ def test_reported_decompositions_survive_oracle_interleaving():
                 continue
             run = longer
         labels = essential_sequence(nfa, run)
-        positions = decomposition_states(nfa, run)
+        positions = decomposition_states(nfa, run, essential_steps(nfa, run))
         for p in sorted(positions - {0, len(run) - 1}):
             prefix = [l for l in labels[:p] if l]
             suffix = [l for l in labels[p:] if l]

@@ -17,11 +17,13 @@ from fleetplan.protocol import (
 from fleetplan.schedule import FoldPlan, Timeline, choice_timeline, compute_time_cost, simulate
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
+from oracles import as_bits
+
 
 def make_assignment(mission, pairs, robots):
     occs = mission.sorted_occurrences
     vector = [(r, occ) in pairs for r in robots for occ in occs]
-    return Assignment(robots, occs, vector)
+    return Assignment(robots, occs, as_bits(vector))
 
 
 def fold_of(ctx):

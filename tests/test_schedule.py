@@ -10,7 +10,7 @@ from fleetplan.product import build_local_formula, build_product
 from fleetplan.schedule import FoldPlan, Timeline, compute_time_cost, simulate
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import compute_timeline, initial_run
+from oracles import as_bits, compute_timeline, initial_run
 
 
 def make_assignment(mission, robot_occ_pairs, robots):
@@ -19,7 +19,7 @@ def make_assignment(mission, robot_occ_pairs, robots):
     for r in robots:
         for occ in occurrences:
             vector.append((r, occ) in robot_occ_pairs)
-    return Assignment(robots, occurrences, vector)
+    return Assignment(robots, occurrences, as_bits(vector))
 
 
 def timeline(robot, arrivals, completion):
