@@ -32,7 +32,7 @@ from .errors import (
     NoAcceptingPath,
     StateLimitExceeded,
 )
-from .ltl import essential_steps, nfa_accepts, to_nfa
+from .ltl import essential_steps, nfa_accepts, on_demand_nfa, to_nfa
 from .milp import solve_exact
 from .mission import Mission, build_mission, decomposition_states, prune_nfa, shortest_accepting_run
 from .product import PrunedPa, Strategy, build_local_formula, build_product, prune_product
@@ -115,7 +115,7 @@ def run_framework(scenario: Scenario) -> RunReport:
     collab_props = frozenset(t.prop for t in collab_tasks)
     wts = {r: build_wts(scenario.world, fleet, tasks, r) for r in fleet.robot_ids()}
 
-    collab_nfa = to_nfa(scenario.parsed_collaborative(), opts.state_cap)
+    collab_nfa = on_demand_nfa(scenario.parsed_collaborative(), opts.state_cap)
     try:
         pruned_nfa = prune_nfa(collab_nfa, fleet, collab_tasks)
     except EmptyLanguage as exc:

@@ -13,7 +13,10 @@ The automaton keeps each state's table and steps by lookup; the minimal
 positive set and the negative set of a run step are read off the source
 state's table too, so no guard (a DNF over the atoms) is ever built.
 The construction is deterministic and worst-case exponential in the formula
-size, hence the configurable state cap.
+size, hence the configurable cap on the states a translation finds.  It is
+breadth-first and progresses a state when its table is first read:
+``to_nfa`` drives it to completion, and ``on_demand_nfa`` leaves it to its
+reader, as the planner does with the collaborative automaton.
 
 Each translation works on bit sets over its own formula's subformulas and
 keeps no progression table beyond its call.  A caller's memo (the framework
@@ -27,7 +30,6 @@ matter how wide they grow.
 from __future__ import annotations
 
 import re
-from collections import deque
 from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, NamedTuple, Sequence, Tuple
 
@@ -399,33 +401,36 @@ class EssentialStep(NamedTuple):
 class Nfa:
     """Finite automaton over per-state labeling tables.
 
-    ``tables[a]`` gives the state each label mask leads to from ``a``; the
-    transitions are the ``pairs`` kept, by default every pair a table leads
-    to.  A capacity-pruned automaton also keeps ``staffable(a, mask)``, a
-    predicate closed under subsets on the positive sets its transitions may
-    rest on.  It steps from ``a`` on mask ``m`` to ``j = targets[m]`` only when
-    ``(a, j)`` is kept and some staffable ``P`` within ``m`` has every mask
-    between ``P`` and ``m`` leading to ``j``, that is, when a staffable prime
-    implicant of the masks leading to ``j`` holds on ``m``.  Progression
-    construction yields a deterministic automaton, but all consumers treat
-    the structure as a general NFA (pruning can make it partial).
+    ``tables[a]`` gives the state each label mask leads to from ``a``, and
+    ``successors(a)`` the targets of the ``pairs`` kept from ``a``: by default
+    every pair a table leads to, else the pairs listed or a function's
+    answer.  An automaton read on demand (``on_demand_nfa``) has no
+    ``n_states``: it translates its tables as they are read, and its
+    ``accepting`` set grows with the states found.  A capacity-pruned
+    automaton also keeps ``staffable(a, mask)``, a predicate closed under
+    subsets on the positive sets its transitions may rest on.  It steps from
+    ``a`` on mask ``m`` to ``j = targets[m]`` only when ``(a, j)`` is kept and
+    some staffable ``P`` within ``m`` has every mask between ``P`` and ``m``
+    leading to ``j``, that is, when a staffable prime implicant of the masks
+    leading to ``j`` holds on ``m``.  Progression construction yields a
+    deterministic automaton, but all consumers treat the structure as a
+    general NFA (pruning can make it partial).
     """
 
     def __init__(self, n_states, initial, accepting, tables, pairs=None, staffable=None):
         self.n_states = n_states
         self.initial = frozenset(initial)
-        self.accepting = frozenset(accepting)
+        self.accepting = accepting if isinstance(accepting, set) else frozenset(accepting)
         self.tables = tables
         self.staffable = staffable
         if pairs is None:
-            pairs = [(a, b) for a, table in enumerate(tables) for b in table.required]
-        succ: dict[int, list[int]] = {}
-        for (a, b) in pairs:
-            succ.setdefault(a, []).append(b)
-        self._succ = {a: tuple(bs) for a, bs in succ.items()}
-
-    def successors(self, state: int) -> tuple[int, ...]:
-        return self._succ.get(state, ())
+            pairs = lambda a: tuple(tables[a].required)
+        elif not callable(pairs):
+            succ: dict[int, tuple[int, ...]] = {}
+            for (a, b) in pairs:
+                succ[a] = succ.get(a, ()) + (b,)
+            pairs = lambda a: succ.get(a, ())
+        self.successors = pairs
 
     def step(self, state: int, labels: FrozenSet[str]) -> int:
         """The state ``labels`` lead to from ``state``, or -1.  A pruned automaton
@@ -641,9 +646,72 @@ def _labelings(atom_bits: list[int]) -> list[int]:
 DEFAULT_STATE_CAP = 20_000
 
 
+class _Translation:
+    """One formula's breadth-first translation, progressed as far as its tables
+    are read.  States are numbered as they are found, and reading table ``q``
+    progresses the states before it first, so each keeps the number a complete
+    translation gives it; iterating reads every table."""
+
+    def __init__(self, root: Formula, names: list[str], state_cap: int):
+        self.root, self.names, self.state_cap = root, names, state_cap
+        self.translator = _Translator(root, names)
+        self.numbers: dict[frozenset, int] = {}  # residual -> its state
+        self.residuals: list[frozenset] = []
+        self.accepting: set[int] = set()
+        self.progressed: list[Table] = []
+        self._number(self.translator.root)
+
+    def __getitem__(self, q: int) -> Table:
+        progressed = self.progressed
+        while len(progressed) <= q:
+            if len(progressed) == len(self.residuals):
+                raise IndexError(q)
+            progressed.append(self._progress(self.residuals[len(progressed)]))
+        return progressed[q]
+
+    def _number(self, residual: frozenset) -> int:
+        j = self.numbers[residual] = len(self.residuals)
+        self.residuals.append(residual)
+        # only G units hold on the empty trace: atoms, eventualities and untils need a position
+        always = self.translator.always_mask
+        if any(pos & ~always == 0 and not neg & always for pos, neg in residual):
+            self.accepting.add(j)
+        return j
+
+    def _progress(self, state: frozenset) -> Table:
+        if not state:  # unsatisfiable residual: dead state
+            return Table({}, (-1,), {})
+        translator, numbers = self.translator, self.numbers
+        atom_bits = list(_bits(translator.scope_of(state)))
+        targets, required = [], {}
+        for mask, target in enumerate(translator.table(state, atom_bits)):
+            if not target:
+                targets.append(-1)
+                continue
+            j = numbers.get(target)
+            if j is None:
+                if len(numbers) >= self.state_cap:
+                    raise StateLimitExceeded(f"automaton for {format_formula(self.root)!r} "
+                                             f"exceeds {self.state_cap} states")
+                j = self._number(target)
+            targets.append(j)
+            required[j] = required.get(j, mask) & mask
+        bits = {self.names[b.bit_length() - 1]: 1 << k for k, b in enumerate(atom_bits)}
+        return Table(bits, tuple(targets), dict(sorted(required.items())))
+
+
+def on_demand_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Nfa:
+    """``to_nfa(f, state_cap)`` with each state's table progressed when first
+    read (see ``Nfa``).  The cap fires only once a read finds more states."""
+    root = simplify(f)
+    translation = _Translation(root, sorted(atoms_of(root)), state_cap)
+    return Nfa(None, (0,), translation.accepting, translation)
+
+
 def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP, memo: dict | None = None) -> Nfa:
     """Translate a formula into an automaton accepting exactly its finite models.
 
+    The breadth-first translation of ``on_demand_nfa``, driven to completion.
     Transitions enumerate only the atoms each residual mentions, in sorted
     order, so states are numbered as if the whole alphabet were enumerated.
     With a ``memo``, a formula of a shape translated before within the cap
@@ -660,39 +728,9 @@ def to_nfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP, memo: dict | None = N
         return Nfa(first.n_states, first.initial, first.accepting, tuple(
             Table({rename[a]: bit for a, bit in t.bits.items()}, t.targets, t.required)
             for t in first.tables))
-    translator = _Translator(root, names)
-    index = {translator.root: 0}
-    order = [translator.root]
-    tables = []
-    queue = deque(order)
-    while queue:
-        state = queue.popleft()
-        if not state:  # unsatisfiable residual: dead state
-            tables.append(Table({}, (-1,), {}))
-            continue
-        atom_bits = list(_bits(translator.scope_of(state)))
-        targets, required = [], {}
-        for mask, target in enumerate(translator.table(state, atom_bits)):
-            if not target:
-                targets.append(-1)
-                continue
-            if target not in index:
-                if len(index) >= state_cap:
-                    raise StateLimitExceeded(
-                        f"automaton for {format_formula(root)!r} exceeds {state_cap} states")
-                index[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            j = index[target]
-            targets.append(j)
-            required[j] = required.get(j, mask) & mask
-        bits = {names[b.bit_length() - 1]: 1 << k for k, b in enumerate(atom_bits)}
-        tables.append(Table(bits, tuple(targets), dict(sorted(required.items()))))
-    # only G units hold on the empty trace: atoms, eventualities and untils need a position
-    always = translator.always_mask
-    accepting = frozenset(i for s, i in index.items()
-                          if any(pos & ~always == 0 and not neg & always for pos, neg in s))
-    nfa = Nfa(len(order), frozenset((0,)), accepting, tuple(tables))
+    translation = _Translation(root, names, state_cap)
+    tables = tuple(translation)
+    nfa = Nfa(len(tables), (0,), frozenset(translation.accepting), tables)
     if key is not None:
         memo[key] = (names, nfa)
     return nfa

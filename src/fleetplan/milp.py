@@ -88,12 +88,14 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], plan: FoldPlan,
     less, and the node is pruned when the bound cannot beat the incumbent.
     At a leaf the bound is the exact fold, so ``explored`` counts the leaves
     that improved the incumbent.  ``deadline`` is checked on entry and every
-    ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).
+    ``DEADLINE_EVERY`` search nodes (see ``alloc.check_deadline``).  Robots are
+    enumerated in order, up to the first whose choices take the joint count
+    past ``combination_cap``, which raises ``BudgetExceeded``.
     """
-    options = [enumerate_robot_choices(pruned_map[r]) for r in plan.robots]
-    count = 1
-    for choices in options:
-        count *= len(choices)
+    options, count = [], 1
+    for r in plan.robots:
+        options.append(enumerate_robot_choices(pruned_map[r]))
+        count *= len(options[-1])
         if count > combination_cap:
             raise BudgetExceeded(f"joint choice count exceeds cap ({combination_cap})")
     # each free robot's floor, replaced by its choice while the robot is fixed

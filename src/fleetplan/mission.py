@@ -4,6 +4,8 @@ The collaborative automaton is pruned against fleet capacity, a shortest
 accepting run is selected, its essential sequence extracted, and the sequence
 split at decomposition states into independently executable subsequences with
 synchronization (same element) and precedence (element order) structure.
+Pruning and run selection search forward only to the first layer holding an
+accepting state, so an automaton read on demand is translated no further.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyLanguage, MissionError
 from .ltl import EssentialStep, Nfa, nfa_accepts
-from .search import bfs
 from .world import Fleet, TaskReq
 
 Occurrence = Tuple[int, int]  # (subsequence index k, flat index l), both 1-based
@@ -43,57 +44,84 @@ def demand_feasible(props: FrozenSet[str], fleet: Fleet, tasks: Mapping[str, Tas
 def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
     """Drop the transitions, and the label sets on them, the fleet can never staff.
 
-    State indices are preserved; transitions out of forward-unreachable
-    states are dropped along with the states themselves.  The test is closed
-    under subsets, so a pair is kept exactly when some label mask of the
-    source's table leads there with a staffable positive set: pairs are
-    decided on the tables, with one test per distinct positive set.  The
-    result keeps that test as its ``staffable`` predicate, from which it
-    answers its steps and essential steps (see ``Nfa``).
+    State indices are preserved.  A state's pairs are decided when the state
+    is first reached, in one pass over its table: a pair is kept when some
+    mask with a staffable positive set leads there (one test per distinct
+    positive set; the test is closed under subsets).  The result keeps the
+    test as its ``staffable`` predicate, from which it answers its steps and
+    essential steps (see ``Nfa``); unreached states have no pairs, and
+    ``accepting`` holds the accepting states reached.  The search forward
+    stops at the first layer holding an accepting state, so an automaton read
+    on demand is translated only that far; on one translated whole, it
+    reaches every reachable state, and every state is checked for unknown tasks.
     """
     by_prop = {t.prop: t for t in tasks if t.collaborative}
     index = {prop: 1 << i for i, prop in enumerate(by_prop)}  # task -> its bit in a key
     staffable = cache(lambda key: demand_feasible([p for p, b in index.items() if key & b],
                                                   fleet, by_prop))
-    succ: Dict[int, list] = {}
-    for a, (bits, targets, required) in enumerate(nfa.tables):
-        keys = [0]  # label mask -> its positive set over the known tasks
+
+    @cache
+    def keys(a: int) -> list:  # state a's label masks -> their positive sets over the known tasks
+        bits, targets, _required = nfa.tables[a]
+        out = [0]
         for atom, bit in bits.items():
             if atom not in index and any(
                     m & bit and j >= 0 and targets[m ^ bit] != j for m, j in enumerate(targets)):
                 raise MissionError(f"collaborative formula references unknown task {atom!r}")
-            keys += [key | index.get(atom, 0) for key in keys]
-        for b, low in required.items():  # every mask leading to b contains low
-            if staffable(keys[low]) and (targets[low] == b or any(
-                    j == b and staffable(keys[m]) for m, j in enumerate(targets))):
-                succ.setdefault(a, []).append(b)
-    reachable = bfs(lambda q: succ.get(q, ()), nfa.initial)[0]
-    pruned = Nfa(nfa.n_states, nfa.initial, nfa.accepting & reachable.keys(), tables=nfa.tables,
-                 pairs=[(a, b) for a, bs in succ.items() if a in reachable for b in bs],
-                 staffable=lambda a, mask: staffable(sum(
-                     index.get(atom, 0) for atom, bit in nfa.tables[a].bits.items() if mask & bit)))
-    if not pruned.accepting:
+            out += [key | index.get(atom, 0) for key in out]
+        return out
+
+    reached = set(nfa.initial)
+    accepting = reached & nfa.accepting
+
+    @cache
+    def decide(a: int) -> tuple:
+        _bits, targets, required = nfa.tables[a]
+        kept = set()
+        for j, key in zip(targets, keys(a)):
+            if j >= 0 and j not in kept and staffable(key):
+                kept.add(j)
+        reached.update(kept)
+        accepting.update(kept & nfa.accepting)
+        return tuple(b for b in required if b in kept)
+
+    whole = nfa.n_states is not None
+    if whole:
+        for a in range(nfa.n_states):
+            keys(a)
+    layer = set(nfa.initial)
+    while layer and (whole or not accepting):
+        known = set(reached)
+        layer = {b for a in layer for b in decide(a)} - known
+    if not accepting:
         raise EmptyLanguage("no accepting state is reachable after capacity pruning")
-    return pruned
+    return Nfa(nfa.n_states, nfa.initial, accepting, nfa.tables,
+               pairs=lambda a: decide(a) if a in reached else (),
+               staffable=lambda a, mask: staffable(keys(a)[mask]))
 
 
 def shortest_accepting_run(nfa: Nfa) -> list[int]:
-    """A minimal-transition accepting run, by one breadth-first search backward
-    from the accepting states: it starts at the least initial state of least
-    distance and steps to the first successor one hop nearer (never a self-loop)."""
-    predecessors: Dict[int, list] = {}
-    for a in range(nfa.n_states):
-        for b in nfa.successors(a):
-            predecessors.setdefault(b, []).append(a)
-    dist = bfs(lambda q: predecessors.get(q, ()), nfa.accepting)[0]
-    starts = [(dist[q], q) for q in nfa.initial if q in dist]
-    if not starts:
-        raise EmptyLanguage("no accepting state reachable from an initial state")
-    remaining, start = min(starts)
-    run = [start]
-    while remaining:
-        remaining -= 1
-        run.append(next(q for q in nfa.successors(run[-1]) if dist.get(q) == remaining))
+    """A minimal-transition accepting run.  A breadth-first search forward stops
+    at the first layer holding an accepting state, at depth ``D``; a search
+    backward inside the layers marks the states at depth ``k`` that are
+    ``D - k`` steps from acceptance, whose shortest paths stay within depth
+    ``D``.  The run starts at the least marked initial state and steps to the
+    first marked successor (never a self-loop)."""
+    layers = [set(nfa.initial)]
+    seen = set(nfa.initial)
+    while not layers[-1] & nfa.accepting:
+        layer = {b for a in layers[-1] for b in nfa.successors(a)} - seen
+        if not layer:
+            raise EmptyLanguage("no accepting state reachable from an initial state")
+        seen |= layer
+        layers.append(layer)
+    marked = [layers.pop() & nfa.accepting]
+    for layer in reversed(layers):
+        marked.append({a for a in layer if not marked[-1].isdisjoint(nfa.successors(a))})
+    marked.reverse()
+    run = [min(marked[0])]
+    for good in marked[1:]:
+        run.append(next(b for b in nfa.successors(run[-1]) if b in good))
     return run
 
 

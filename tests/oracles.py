@@ -32,7 +32,9 @@ replaced; ``guard_nfa`` builds them from an ``Nfa``'s tables, and a
 answers the planner reads off the tables.  ``reference_shortest_accepting_run``
 keeps the run selection that searched forward from the initial states and
 backward from the accepting ones and took the least total over every state
-both reached, as a reference for the one backward search.
+both reached, as a reference for the forward layered search; and
+``reference_tables_read`` counts the tables of an automaton read on demand
+that its pruning and run selection need, from the reference pruning's layers.
 ``reference_primes`` finds a truth table's prime implicants by trying all 3^n
 cubes, as a judge of ``guard_from_minterms``.  ``reference_prune_nfa`` keeps
 capacity pruning as it was before it decided pairs on the labeling tables: it
@@ -1280,6 +1282,20 @@ def reference_shortest_accepting_run(nfa) -> list[int]:
         else:
             raise EmptyLanguage("backward distances are inconsistent")
     return run
+
+
+def reference_tables_read(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> int:
+    """The tables an on-demand copy of the whole automaton ``nfa`` translates to be
+    pruned and to give its shortest run: states are progressed in number order,
+    up to the greatest state that the reference pruning's forward layers expand
+    before the first layer holding an accepting state."""
+    ref = reference_prune_nfa(nfa, fleet, tasks)
+    layer, seen, expanded = set(ref.initial), set(ref.initial), set()
+    while not layer & ref.accepting:
+        expanded |= layer
+        layer = {b for a in layer for b in ref.successors(a)} - seen
+        seen |= layer
+    return max(expanded, default=-1) + 1
 
 
 def guard_nfa(nfa: Nfa) -> GuardNfa:

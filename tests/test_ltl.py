@@ -1,13 +1,15 @@
 """Parser, automaton translation, and essential-sequence behavior."""
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from fleetplan import framework, ltl
+from fleetplan import framework, generate, ltl
+from fleetplan.cli import main as cli_main
 from fleetplan.errors import EmptyLanguage, NextOperatorForbidden, ParseError, StateLimitExceeded
 from fleetplan.ltl import (
     FALSE,
@@ -25,6 +27,7 @@ from fleetplan.ltl import (
     essential_steps,
     format_formula,
     nfa_accepts,
+    on_demand_nfa,
     parse_formula,
     simplify,
     to_nfa,
@@ -40,6 +43,7 @@ from oracles import (
     guard_from_cubes,
     guard_nfa,
     random_formula,
+    reference_tables_read,
     reference_to_nfa,
 )
 
@@ -233,8 +237,9 @@ def test_alphabet_local_translation_equals_reference(n_atoms, depth, count):
 
 
 def test_alphabet_local_translation_equals_reference_on_planned_formulas(monkeypatch):
-    """Every collaborative and local formula the planner translates for the
-    alloc-oracle benchmark structures (template seeds 6001-6010)."""
+    """Every local formula the planner translates for the alloc-oracle benchmark
+    structures (template seeds 6001-6010), and each collaborative automaton it
+    reads on demand, completed after the run."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
@@ -250,14 +255,136 @@ def test_alphabet_local_translation_equals_reference_on_planned_formulas(monkeyp
         hits.append(size is not None and len(memo) == size)
         return nfa
 
+    collaborative = []
+    real_on_demand = framework.on_demand_nfa
+
+    def recording_on_demand(f, state_cap):
+        nfa = real_on_demand(f, state_cap)
+        collaborative.append((f, nfa))
+        return nfa
+
     monkeypatch.setattr(framework, "to_nfa", recording)
-    for seed in workload.template_seeds:
-        framework.run_framework(Scenario.from_json(workloads.scenario_json(workload, seed, 0)))
+    monkeypatch.setattr(framework, "on_demand_nfa", recording_on_demand)
+    scenarios = [Scenario.from_json(workloads.scenario_json(workload, seed, 0))
+                 for seed in workload.template_seeds]
+    for scenario in scenarios:
+        framework.run_framework(scenario)
     assert len(received) > 2 * len(workload.template_seeds)
     # most local formulas repeat a shape: the planner receives those automata renamed
     assert len(received) / 2 < sum(hits) < len(received)
     for f, nfa in received:
         assert_same_nfa(f, nfa)
+    # the collaborative automaton, read on demand while planning: to its shortest
+    # staffable run's depth, one table where that run is one step (all but 6009)
+    read = [len(nfa.tables.progressed) for _f, nfa in collaborative]
+    assert read == [1] * 8 + [38, 1]
+    for (f, nfa), scenario, count in zip(collaborative, scenarios, read):
+        assert count == reference_tables_read(to_nfa(f), scenario.fleet,
+                                              scenario.collaborative_tasks())
+        tables = tuple(nfa.tables)
+        assert_same_nfa(f, ltl.Nfa(len(tables), nfa.initial, nfa.accepting, tables))
+
+
+def test_on_demand_translation_read_in_any_order_equals_the_reference():
+    """An automaton read on demand, its tables read in random state order, then
+    completed: each table read, the numbering, the tables and the accepting
+    set equal the complete translation's and the reference's.  Between reads
+    it accepts what the formula does, for traces that reach only states found
+    so far and for traces that read further."""
+    rng = random.Random(2929)
+    atoms = ["p0", "p1", "p2", "p3"]
+    partial = 0
+    for _ in range(200):
+        f = random_formula(rng, atoms, depth=3)
+        whole = assert_same_nfa(f)
+        nfa = on_demand_nfa(f)
+        assert nfa.n_states is None
+        order = rng.sample(range(whole.n_states), rng.randint(1, whole.n_states))
+        for q in order:
+            assert nfa.tables[q] == whole.tables[q], format_formula(f)
+            assert nfa.accepting == whole.accepting & set(range(len(nfa.tables.residuals)))
+            trace = [frozenset(a for a in atoms if rng.random() < 0.5)
+                     for _ in range(rng.randint(0, 3))]
+            assert nfa_accepts(nfa, trace) == eval_trace(f, trace), (format_formula(f), trace)
+        partial += len(nfa.tables.progressed) < whole.n_states
+        tables = tuple(nfa.tables)
+        completed = ltl.Nfa(len(tables), nfa.initial, nfa.accepting, tables)
+        assert_same_tables(completed, whole, f)
+        assert_same_nfa(f, completed)
+    assert partial > 30
+
+
+def test_on_demand_state_cap_fires_like_the_reference():
+    """A cap below the state count raises, with the reference's message, only
+    once a read finds one state more than the cap.  A generated collaborative
+    formula numbers every state when its first table is read, so its cap fires
+    there, as on a complete translation."""
+    f = parse_formula("F ct1 | (F (ct2 & F (ct3 & F (ct4 & F ct5)))"
+                      " & G !(ct2 & ct3) & G !(ct3 & ct4) & G !(ct4 & ct5))")
+    n_states = to_nfa(f).n_states
+    for cap in range(1, n_states):
+        with pytest.raises(StateLimitExceeded) as ref:
+            reference_to_nfa(f, state_cap=cap)
+        nfa = on_demand_nfa(f, state_cap=cap)
+        found = 1
+        while found <= cap:
+            try:
+                nfa.tables[len(nfa.tables.progressed)]
+            except StateLimitExceeded as exc:
+                assert str(exc) == str(ref.value)
+                break
+            found = len(nfa.tables.residuals)
+        else:
+            raise AssertionError("the cap did not fire")
+        assert len(nfa.tables.residuals) == cap
+    nfa = on_demand_nfa(f)
+    nfa.tables[0]
+    assert len(nfa.tables.residuals) == 4 < n_states
+    for k in (4, 6, 7):
+        g = parse_formula(collab_formula(k))
+        n_states = to_nfa(g).n_states
+        nfa = on_demand_nfa(g)
+        nfa.tables[0]
+        assert len(nfa.tables.residuals) == n_states
+        with pytest.raises(StateLimitExceeded) as got:
+            on_demand_nfa(g, state_cap=n_states - 1).tables[0]
+        with pytest.raises(StateLimitExceeded) as ref:
+            reference_to_nfa(g, state_cap=n_states - 1)
+        assert str(got.value) == str(ref.value)
+
+
+def test_plan_stops_at_the_collaborative_state_cap_with_the_reference_message(tmp_path, capsys):
+    """``stateCap`` bounds the states each automaton translates.  A generated
+    collaborative formula finds every state on its first read, so a cap below
+    its size stops ``fleetplan plan`` there, with the reference's message.  A
+    formula whose automaton passes the cap only beyond its shortest staffable
+    run is planned, as with a cap above its size; the complete translation
+    would stop."""
+    data = generate(seed=3, robots=2, collab=5, grid=(5, 5), individual_per_robot=1).to_json()
+    data["options"]["maxAssignments"] = 4
+    deep = ("F ct1 | (F (ct2 & F (ct3 & F (ct4 & F ct5)))"
+            " & G !(ct2 & ct3) & G !(ct3 & ct4) & G !(ct4 & ct5))")
+    for text, cap in [(data["collaborativeFormula"], None), (deep, 4)]:
+        f = parse_formula(text)
+        cap = cap or to_nfa(f).n_states - 1
+        with pytest.raises(StateLimitExceeded) as ref:
+            reference_to_nfa(f, state_cap=cap)
+        data.update(collaborativeFormula=text)
+        data["options"]["stateCap"] = cap
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(data))
+        code = cli_main(["plan", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if text != deep:
+            assert (code, err) == (1, f"error: {ref.value}\n")
+            continue
+        assert (code, err) == (0, "")
+        capped = framework.run_framework(Scenario.from_json(data))
+        data["options"]["stateCap"] = 20_000
+        whole = framework.run_framework(Scenario.from_json(data))
+        assert [(r.status, r.t_init, r.collab_accepted) for r in capped.rows] == \
+            [(r.status, r.t_init, r.collab_accepted) for r in whole.rows]
+        assert capped.incumbent.total == whole.incumbent.total
 
 
 # names that are prefixes of one another or sort around digits, "_" and capitals

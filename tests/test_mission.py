@@ -5,7 +5,16 @@ import random
 import pytest
 
 from fleetplan.errors import EmptyLanguage, MissionError
-from fleetplan.ltl import Nfa, Table, essential_steps, nfa_accepts, parse_formula, to_nfa
+from fleetplan import framework
+from fleetplan.ltl import (
+    Nfa,
+    Table,
+    essential_steps,
+    nfa_accepts,
+    on_demand_nfa,
+    parse_formula,
+    to_nfa,
+)
 from fleetplan.mission import (
     Mission,
     build_mission,
@@ -24,6 +33,7 @@ from oracles import (
     reference_decomposition_states,
     reference_prune_nfa,
     reference_shortest_accepting_run,
+    reference_tables_read,
 )
 
 
@@ -340,6 +350,85 @@ def test_shortest_run_equals_the_reference_on_random_automata():
                                  Nfa(n, [q], nfa.accepting, (), pairs)) for q in initial]
         seen["tied initial"] += [len(r) for r in alone if isinstance(r, list)].count(len(expected)) > 1
     assert min(seen.values()) > 0, seen
+
+
+def test_on_demand_pruning_and_forward_run_equal_the_reference():
+    """Pruning an automaton read on demand, searching forward only to the first
+    layer holding an accepting state, gives the reference's run on the whole
+    automaton's reference pruning, with the same essential steps and mission,
+    or fails as the reference does.  The exception is a task unknown to the
+    fleet that no state within the run's depth mentions: the reference raises
+    MissionError, having checked every state.  Afterwards the pruned automaton
+    answers label sequences of any length as the reference does, deciding
+    further states as they are reached."""
+    rng = random.Random(29)
+    atoms = ["ct1", "ct2", "ct3", "ct4"]
+    letters = all_label_sets(atoms)
+    seen = {EmptyLanguage: 0, MissionError: 0, "unknown beyond the run": 0, "run": 0,
+            "run of 2 or more steps": 0, "tables left": 0}
+    for _ in range(80):
+        f = random_formula(rng, atoms, depth=3)
+        whole = to_nfa(f)
+        for fleet, task_list in PRUNING_CASES:
+            ref = _pruned_or_error(reference_prune_nfa, whole, fleet, task_list)
+            nfa = on_demand_nfa(f)
+            got = _pruned_or_error(prune_nfa, nfa, fleet, task_list)
+            if ref is MissionError and got is not MissionError:
+                seen["unknown beyond the run"] += 1
+                continue
+            if isinstance(ref, type):
+                assert got is ref
+                seen[ref] += 1
+                continue
+            run = shortest_accepting_run(got)
+            assert run == reference_shortest_accepting_run(ref)
+            assert essential_steps(got, run) == essential_steps(ref, run)
+            assert len(nfa.tables.progressed) == reference_tables_read(whole, fleet, task_list)
+            seen["run"] += 1
+            seen["run of 2 or more steps"] += len(run) > 2
+            seen["tables left"] += len(nfa.tables.progressed) < whole.n_states
+            assert got.accepting <= ref.accepting
+            for _ in range(20):
+                seq = [rng.choice(letters) for _ in range(rng.randint(0, 4))]
+                assert nfa_accepts(got, seq) == nfa_accepts(ref, seq), (f, seq)
+    assert min(seen.values()) > 0, seen
+    for robots, collab in [(5, 4), (10, 6), (10, 7)]:
+        for seed in (7, 8):
+            sc = generate(seed=seed, robots=robots, collab=collab, grid=(30, 30))
+            ref = reference_prune_nfa(to_nfa(sc.parsed_collaborative()), sc.fleet,
+                                      sc.collaborative_tasks())
+            got = prune_nfa(on_demand_nfa(sc.parsed_collaborative()), sc.fleet,
+                            sc.collaborative_tasks())
+            run = shortest_accepting_run(got)
+            assert run == reference_shortest_accepting_run(ref)
+            steps = essential_steps(got, run)
+            assert steps == essential_steps(ref, run)
+            mission = build_mission(steps, decomposition_states(got, run, steps))
+            expected = build_mission(steps, reference_decomposition_states(ref, run))
+            assert (mission.subsequences, mission.negative_obligations) == \
+                (expected.subsequences, expected.negative_obligations)
+
+
+def test_planning_at_20_robots_and_10_tasks_reads_the_reference_count_of_tables(monkeypatch):
+    """At 20 robots and 10 collaborative tasks the automaton has 640 states and
+    the shortest staffable run is one step: planning translates and prunes the
+    initial state alone, the count the reference pruning's layers give."""
+    sc = generate(seed=7, robots=20, collab=10, grid=(30, 30))
+    sc.options.max_assignments = 1
+    collaborative = []
+    real = framework.on_demand_nfa
+
+    def recording(f, state_cap):
+        collaborative.append(real(f, state_cap))
+        return collaborative[-1]
+
+    monkeypatch.setattr(framework, "on_demand_nfa", recording)
+    report = framework.run_framework(sc)
+    assert [row.collab_accepted for row in report.rows] == [True]
+    (nfa,) = collaborative
+    assert (len(nfa.tables.progressed), len(nfa.tables.residuals)) == (1, 640)
+    assert reference_tables_read(to_nfa(sc.parsed_collaborative()), sc.fleet,
+                                 sc.collaborative_tasks()) == 1
 
 
 def _bfs_shortest_len(nfa):
