@@ -403,8 +403,8 @@ class Nfa:
 
     ``tables[a]`` gives the state each label mask leads to from ``a``, and
     ``successors(a)`` the targets of the ``pairs`` kept from ``a``: by default
-    every pair a table leads to, else the pairs listed or a function's
-    answer.  An automaton read on demand (``on_demand_nfa``) has no
+    every pair a table leads to, else what the function ``pairs``
+    answers.  An automaton read on demand (``on_demand_nfa``) has no
     ``n_states``: it translates its tables as they are read, and its
     ``accepting`` set grows with the states found.  A capacity-pruned
     automaton also keeps ``staffable(a, mask)``, a predicate closed under
@@ -425,11 +425,6 @@ class Nfa:
         self.staffable = staffable
         if pairs is None:
             pairs = lambda a: tuple(tables[a].required)
-        elif not callable(pairs):
-            succ: dict[int, tuple[int, ...]] = {}
-            for (a, b) in pairs:
-                succ[a] = succ.get(a, ()) + (b,)
-            pairs = lambda a: succ.get(a, ())
         self.successors = pairs
 
     def step(self, state: int, labels: FrozenSet[str]) -> int:

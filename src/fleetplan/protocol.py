@@ -10,56 +10,46 @@ improvement terminates the protocol.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import LevelDisconnected, ProtocolStuck
 from .mission import Occurrence
 from .product import PrunedPa, Strategy
 from .schedule import CostReport, FoldPlan, Timeline, choice_timeline, compute_time_cost
-from .search import bfs, reconstruct
 
 
 class NetSim:
-    """Connected robot network with deterministic flooding and relaying.
+    """Complete robot network with deterministic flooding and relaying.
 
     Messages are counted and traced, not delivered: every robot reads the
     shared planning state, so a message needs only the fields its trace line
-    prints.  Each robot's breadth-first search runs once (the topology is fixed).
+    prints.  Every robot is one hop from every other.
     """
 
-    def __init__(self, robot_ids: Sequence[int], topology: Optional[Mapping[int, Sequence[int]]] = None):
+    def __init__(self, robot_ids: Iterable[int]):
         self.robots = tuple(sorted(robot_ids))
-        if topology is None:
-            topology = {r: tuple(x for x in self.robots if x != r) for r in self.robots}
-        self.topology = {r: tuple(sorted(topology[r])) for r in self.robots}
-        self.searched = {r: bfs(self.topology.__getitem__, [r]) for r in self.robots}
-        if self.robots and len(self.searched[self.robots[0]][0]) != len(self.robots):
-            raise ProtocolStuck("communication topology is not connected")
         self.messages = 0
         self.hops = 0
         self.trace: List[str] = []
 
     def flood(self, sender: int, current: Optional[Occurrence], count: int, kind: str = "MSG"):
-        """Breadth-first flood from the sender; every robot is informed once,
-        by the first neighbor that reaches it."""
-        dist, parent = self.searched[sender]
+        """Send to every other robot, in id order, one hop away."""
         occ = _occ_str(current)
-        for receiver, via in parent.items():
-            if via is not None:
+        for receiver in self.robots:
+            if receiver != sender:
                 self.messages += 1
-                self.trace.append(f"{self.hops + dist[receiver]} {via}->{receiver} {kind} "
+                self.trace.append(f"{self.hops + 1} {sender}->{receiver} {kind} "
                                   f"{occ} count={count}")
         # the hop clock also ticks for the last round, which finds no receiver
-        self.hops += max(dist.values()) + 1
+        self.hops += 2 if len(self.robots) > 1 else 1
 
-    def route(self, source: int, target: int, current: Occurrence, count: int) -> List[int]:
-        """Relay a token along a shortest hop path to its target."""
-        path = reconstruct(self.searched[source][1], target)
-        for a, b in zip(path, path[1:]):
+    def route(self, source: int, target: int, current: Occurrence, count: int):
+        """Relay a token straight to its target (no message when the source holds it)."""
+        if source != target:
             self.messages += 1
             self.hops += 1
-            self.trace.append(f"{self.hops} {a}->{b} TOKEN {_occ_str(current)} count={count}")
-        return path
+            self.trace.append(f"{self.hops} {source}->{target} TOKEN "
+                              f"{_occ_str(current)} count={count}")
 
 
 def _occ_str(occ) -> str:
@@ -160,7 +150,7 @@ class ProtocolResult:
         self.trace = trace
 
 
-def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> ProtocolResult:
+def run_protocol(ctx: ProtocolContext) -> ProtocolResult:
     """Execute the adjustment protocol to termination.
 
     Walks the mission's occurrences in global order; per occurrence the
@@ -169,8 +159,7 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
     bounded by the total slack over the smallest edge weight (total cost
     strictly decreases per accepted adjustment).
     """
-    if net is None:
-        net = NetSim(sorted(ctx.timelines))
+    net = NetSim(ctx.timelines)
     plan = ctx.plan
     order = plan.mission.sorted_occurrences
     # the fold of the current timelines: an accepted trial's fold replaces it
@@ -182,10 +171,9 @@ def run_protocol(ctx: ProtocolContext, net: Optional[NetSim] = None) -> Protocol
         min_edge = min(ctx.pruned[r].pa.wts.world.min_weight for r in ctx.pruned)
         bound = int((history[0] - ideal_total) / min_edge) + 2
 
-        robots = sorted(ctx.timelines)
-        for r in robots:
+        for r in net.robots:
             net.flood(r, None, 0)  # initialization: every robot announces its timeline
-        net.flood(robots[0], order[0], 0)  # kick-off
+        net.flood(net.robots[0], order[0], 0)  # kick-off
 
         count = position = 0
         terminate = False

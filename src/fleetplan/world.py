@@ -7,7 +7,6 @@ from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ScenarioError
-from .search import bfs
 
 
 class World:
@@ -52,7 +51,14 @@ class World:
             pairs[rank[a]].add((rank[b], w))
             pairs[rank[b]].add((rank[a], w))
         self.neighbours = neighbours = tuple(tuple(sorted(p)) for p in pairs)
-        if not names or len(bfs(lambda x: [y for y, _w in neighbours[x]], [0])[0]) != len(names):
+        stack = [0] if names else []
+        reached = set(stack)
+        while stack:
+            for y, _w in neighbours[stack.pop()]:
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        if not names or len(reached) != len(names):
             raise ScenarioError("world graph is not connected")
         weights = self.weights.values()
         self.exact = len(set(map(type, weights))) <= 1 and all(w == int(w) for w in weights)

@@ -42,10 +42,12 @@ builds every guard and filters each one's cubes, as a reference for the
 pruned pairs, steps, witnesses and negative sets.
 ``guard_from_cubes`` normalizes hand-written cube lists for the guard tests
 (``TRUE_GUARD`` is its tautology), ``witness`` decodes the
-product path behind a pruned edge, and ``dijkstra`` is the weighted search
-those references run.  The references key product states by ``(region, f)``
-and regions by name (``world_adjacency``), where the planner uses integer ids
-and ranks; ``state_id`` and ``decoded`` translate between the two.
+product path behind a pruned edge, ``dijkstra`` is the weighted search
+those references run and ``bfs`` their breadth-first search in layers, and
+``reconstruct`` reads a path off either one's parent map.  The references key
+product states by ``(region, f)`` and regions by name (``world_adjacency``),
+where the planner uses integer ids and ranks; ``state_id`` and ``decoded``
+translate between the two.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ from collections import deque
 from heapq import heappop, heappush
 from functools import lru_cache
 from itertools import chain, combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from fleetplan.alloc import DEADLINE_EVERY, Assignment, check_deadline
 from fleetplan.errors import (
@@ -98,7 +101,6 @@ from fleetplan.milp import (
 from fleetplan.mission import INTERLEAVE_CAP, Mission, demand_feasible
 from fleetplan.product import ProductPa, PrunedPa, Strategy
 from fleetplan.schedule import CostReport, FoldPlan, Timeline, compute_time_cost
-from fleetplan.search import bfs, reconstruct
 from fleetplan.world import Fleet, TaskReq, World, Wts
 
 State = Tuple[str, int]  # a reference product state: (region name, automaton state)
@@ -746,6 +748,42 @@ class ReferencePrunedPa:
 # ---------------------------------------------------------------------------
 # Test-only helpers over the production modules
 # ---------------------------------------------------------------------------
+
+
+Node = Hashable
+
+
+def reconstruct(parent: Mapping, node: Node) -> list:
+    path = [node]
+    while parent[node] is not None:
+        node = parent[node]
+        path.append(node)
+    path.reverse()
+    return path
+
+
+def bfs(successors: Callable[[Node], Iterable[Node]], sources: Iterable[Node]):
+    """Breadth-first search in layers: ``(dist, parent)`` hop maps.
+
+    Each layer is expanded in key order and a node keeps the first parent
+    found, so ``parent`` lists nodes in discovery order (sources first, with
+    parent ``None``).
+    """
+    layer = sorted(sources)
+    dist = dict.fromkeys(layer, 0)
+    parent = dict.fromkeys(layer)
+    depth = 0
+    while layer:
+        depth += 1
+        found = []
+        for node in layer:
+            for succ in successors(node):
+                if succ not in dist:
+                    dist[succ] = depth
+                    parent[succ] = node
+                    found.append(succ)
+        layer = sorted(found)
+    return dist, parent
 
 
 def dijkstra(adjacency: Mapping, sources: Iterable):

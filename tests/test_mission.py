@@ -326,6 +326,15 @@ def _run_or_message(select, nfa):
         return str(exc)
 
 
+def listed_successors(pairs):
+    """The successor function of a list of pairs: each state's targets in the
+    order the list gives them."""
+    succ = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    return lambda a: succ.get(a, ())
+
+
 def test_shortest_run_equals_the_reference_on_random_automata():
     """One backward search picks the run that the reference's forward and
     backward searches pick, or fails with its message, on random automata:
@@ -338,7 +347,8 @@ def test_shortest_run_equals_the_reference_on_random_automata():
         pairs = rng.sample([(a, b) for a in range(n) for b in range(n)],
                            rng.randint(0, min(n * n, 2 * n)))
         initial = rng.sample(range(n), rng.randint(1, min(3, n)))
-        nfa = Nfa(n, initial, rng.sample(range(n), rng.randint(0, min(2, n))), (), pairs)
+        successors = listed_successors(pairs)
+        nfa = Nfa(n, initial, rng.sample(range(n), rng.randint(0, min(2, n))), (), successors)
         expected = _run_or_message(reference_shortest_accepting_run, nfa)
         assert _run_or_message(shortest_accepting_run, nfa) == expected, (initial, pairs)
         if isinstance(expected, str):
@@ -347,7 +357,7 @@ def test_shortest_run_equals_the_reference_on_random_automata():
         seen["accepting initial"] += len(expected) == 1
         seen["long"] += len(expected) > 3
         alone = [_run_or_message(reference_shortest_accepting_run,
-                                 Nfa(n, [q], nfa.accepting, (), pairs)) for q in initial]
+                                 Nfa(n, [q], nfa.accepting, (), successors)) for q in initial]
         seen["tied initial"] += [len(r) for r in alone if isinstance(r, list)].count(len(expected)) > 1
     assert min(seen.values()) > 0, seen
 

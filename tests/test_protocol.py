@@ -1,9 +1,6 @@
 """Latest/earliest selection, greedy adjustment, and the full message protocol."""
 
-import pytest
-
 from fleetplan.alloc import Assignment
-from fleetplan.errors import ProtocolStuck
 from fleetplan.ltl import parse_formula, to_nfa
 from fleetplan.mission import Mission
 from fleetplan.product import build_local_formula, build_product, prune_product
@@ -163,72 +160,36 @@ def test_protocol_result_matches_simulation():
     assert abs(sim.report.total - result.report.total) < 1e-9
 
 
-def test_netsim_requires_connected_topology():
-    with pytest.raises(ProtocolStuck):
-        NetSim([0, 1, 2], topology={0: [1], 1: [0], 2: []})
-
-
-def test_protocol_trace_on_line_topology():
-    """Exact trace lines: floods branch by layer, the token walks the line."""
-    ctx = two_robot_corridor({"ct1": 2}, ["q0_0", "q0_1"])
-    net = NetSim([0, 1, 2, 3], topology={2: [0], 0: [2, 3], 3: [0, 1], 1: [3]})
-    result = run_protocol(ctx, net)
-    assert result.messages == 14
-    assert result.trace == [
-        "1 0->2 MSG - count=0",
-        "1 0->3 MSG - count=0",
-        "2 3->1 MSG - count=0",
-        "4 1->3 MSG - count=0",
-        "5 3->0 MSG - count=0",
-        "6 0->2 MSG - count=0",
-        "8 0->2 MSG ct(1,1) count=0",
-        "8 0->3 MSG ct(1,1) count=0",
-        "9 3->1 MSG ct(1,1) count=0",
-        "11 1->3 TOKEN ct(1,1) count=0",
-        "12 3->0 TOKEN ct(1,1) count=0",
-        "13 0->2 TERM - count=0",
-        "13 0->3 TERM - count=0",
-        "14 3->1 TERM - count=0",
-    ]
-
-
 def test_protocol_trace_on_complete_topology():
-    """Exact trace lines of an adjusting run over the default topology."""
+    """Exact trace lines of an adjusting run over the complete network of its
+    two robots."""
     ctx = two_robot_corridor(
         {"ct1": 2, "ct2": 5},
         ["q6_1", "q0_1"],
         extra_tasks=[("ts1", "q3_1", 1)],
         formulas={1: "F ts1"},
     )
-    result = run_protocol(ctx, NetSim([0, 1, 2]))
+    result = run_protocol(ctx)
     assert result.history == [20.0, 16.0]
     assert result.trace == [
         "1 0->1 MSG - count=0",
-        "1 0->2 MSG - count=0",
         "3 1->0 MSG - count=0",
-        "3 1->2 MSG - count=0",
         "5 0->1 MSG ct(1,1) count=0",
-        "5 0->2 MSG ct(1,1) count=0",
         "7 0->1 TOKEN ct(1,1) count=0",
         "8 1->0 MSG ct(1,2) count=1",
-        "8 1->2 MSG ct(1,2) count=1",
         "10 0->1 MSG ct(1,1) count=0",
-        "10 0->2 MSG ct(1,1) count=0",
         "12 0->1 MSG ct(1,2) count=0",
-        "12 0->2 MSG ct(1,2) count=0",
         "14 0->1 TERM - count=0",
-        "14 0->2 TERM - count=0",
     ]
 
 
 def test_protocol_searches_each_robot_once_and_reports_once(monkeypatch):
-    """The adjusting run above searches the network once from each robot,
-    builds no fold plan (it folds the context's), and builds its cost report
-    once, at the end, on that plan."""
+    """The adjusting run above builds no fold plan (it folds the context's),
+    and builds its cost report once, at the end, on that plan."""
     from fleetplan import protocol, schedule
 
-    sources, plans, reports = [], [], []
-    real_bfs, real_report = protocol.bfs, protocol.compute_time_cost
+    plans, reports = [], []
+    real_report = protocol.compute_time_cost
     real_init = schedule.FoldPlan.__init__
     ctx = two_robot_corridor(
         {"ct1": 2, "ct2": 5},
@@ -236,29 +197,38 @@ def test_protocol_searches_each_robot_once_and_reports_once(monkeypatch):
         extra_tasks=[("ts1", "q3_1", 1)],
         formulas={1: "F ts1"},
     )
-    monkeypatch.setattr(protocol, "bfs",
-                        lambda successors, starts: sources.extend(starts) or real_bfs(successors, starts))
     monkeypatch.setattr(schedule.FoldPlan, "__init__",
                         lambda self, *args: plans.append(args) or real_init(self, *args))
     monkeypatch.setattr(protocol, "compute_time_cost",
                         lambda *args: reports.append(args) or real_report(*args))
-    result = run_protocol(ctx, NetSim([0, 1, 2]))
-    assert result.history == [20.0, 16.0] and len(result.trace) == 15
-    assert sorted(sources) == [0, 1, 2]
+    result = run_protocol(ctx)
+    assert result.history == [20.0, 16.0] and len(result.trace) == 8
     assert plans == [] and len(reports) == 1 and reports[0][1] is ctx.plan
     assert result.report.total == result.history[-1]
 
 
 def test_netsim_flood_and_route_count_messages():
-    net = NetSim([0, 1, 2, 3], topology={0: [1], 1: [0, 2], 2: [1, 3], 3: [2]})
-    net.flood(0, (1, 1), 0)
-    assert {line.split()[1] for line in net.trace} == {"0->1", "1->2", "2->3"}
-    assert net.messages == 3
-    path = net.route(0, 3, (1, 1), 0)
-    assert path == [0, 1, 2, 3]
-    assert net.messages == 6
-    assert all("->" in line for line in net.trace)
-    assert all("ct(1,1)" in line for line in net.trace)
+    """A flood sends one message to every other robot, in id order, at the next
+    hop and ticks the hop clock twice (once for a lone robot); a token goes
+    straight to its target, and with no message to the robot holding it."""
+    net = NetSim([3, 0, 2, 1])
+    net.flood(2, (1, 1), 0)
+    assert net.trace == ["1 2->0 MSG ct(1,1) count=0", "1 2->1 MSG ct(1,1) count=0",
+                         "1 2->3 MSG ct(1,1) count=0"]
+    assert (net.messages, net.hops) == (3, 2)
+    net.route(3, 0, (1, 1), 1)
+    assert net.trace[3:] == ["3 3->0 TOKEN ct(1,1) count=1"]
+    assert (net.messages, net.hops) == (4, 3)
+    net.route(1, 1, (1, 2), 1)
+    assert (net.messages, net.hops, len(net.trace)) == (4, 3, 4)
+    net.flood(0, None, 2, "TERM")
+    assert net.trace[4:] == ["4 0->1 TERM - count=2", "4 0->2 TERM - count=2",
+                             "4 0->3 TERM - count=2"]
+    assert (net.messages, net.hops) == (7, 5)
+    lone = NetSim([5])
+    lone.flood(5, None, 0)
+    lone.flood(5, (1, 1), 0)
+    assert (lone.messages, lone.hops, lone.trace) == (0, 2, [])
 
 
 def test_protocol_timelines_match_expanded_strategies():

@@ -1,8 +1,9 @@
-"""The reference Dijkstra of the test oracles against repeated relaxation."""
+"""The reference searches of the test oracles, Dijkstra and breadth-first,
+against repeated relaxation."""
 
 import random
 
-from oracles import dijkstra
+from oracles import bfs, dijkstra
 
 
 def random_graphs(count=200):
@@ -38,3 +39,20 @@ def test_dijkstra_without_stop_searches_every_reachable_node():
                 assert node in sources
             else:
                 assert dist[p] + dict(adjacency[p])[node] == dist[node]
+
+
+def test_bfs_hop_distances_and_least_parents():
+    """Hop distances equal unit-weight relaxation, and each node's parent is the
+    least node of the previous layer with an edge to it."""
+    for adjacency, sources in random_graphs():
+        successors = {a: [b for b, _w in succs] for a, succs in adjacency.items()}
+        dist, parent = bfs(successors.__getitem__, sources)
+        unit = {a: [(b, 1) for b in succs] for a, succs in successors.items()}
+        assert dist == relaxed_distances(unit, sources)
+        assert list(parent) == list(dist)
+        for node, p in parent.items():
+            if node in sources:
+                assert p is None
+            else:
+                assert p == min(a for a in dist
+                                if dist[a] == dist[node] - 1 and node in successors[a])

@@ -1,5 +1,6 @@
 """World graph, transition systems, and travel distances."""
 
+import math
 import random
 
 import pytest
@@ -34,6 +35,12 @@ def test_world_requires_connectivity():
         World(("c", "b", "a"), (("b", "c"),), {("b", "c"): 1})
     with pytest.raises(ScenarioError, match="not connected"):
         World((), (), {})
+
+
+def test_one_region_world_without_edges_is_connected():
+    world = World(("a",), (), {})
+    assert (world.names, world.neighbours) == (("a",), ((),))
+    assert (world.min_weight, world.exact) == (math.inf, True)
 
 
 def test_world_indexes_regions_by_rank_on_construction():
