@@ -11,6 +11,10 @@ position whose incoming guard demands it, which is what makes the layered
 Edges are built from a table of moves per (automaton state, region label),
 the only inputs an edge's firing set, label and collaborative marks depend on.
 Moves are looked up in the automaton state's labeling table; no guard is read.
+A region's label is its interned id in the robot's ``Wts`` (``label_ids``), so
+each copy keeps one move row, a list indexed by label id.  A move keeps no
+emitted label: it is always the label without its collaborative tasks plus the
+tasks fired, and is formed only where it is read.
 
 Most of a product is the grid copied once per automaton state: the copy of
 state ``q``.  A copy is *compressed* when its only move into an unlabeled region
@@ -98,15 +102,19 @@ class ProductPa:
         self.nfa = nfa
         self.assigned = tuple(assigned)
         self.collab_props = collab_props
-        self._assigned_props = frozenset(p for _o, p in self.assigned)
+        # per label id: the label without collaborative props, its assigned props
+        # in name order and in assignment order
+        self._parts = tuple((label - collab_props, sorted(label & {p for _o, p in self.assigned}),
+                             tuple(p for _o, p in self.assigned if p in label))
+                            for label in wts.labels)
         self.initial: Tuple[int, ...] = ()
         self.accepting: FrozenSet[int] = frozenset()
         self.entry_info: Dict[int, Tuple[FrozenSet[str], FrozenSet[str]]] = {}
         self.collab: Dict[str, FrozenSet[int]] = {}
         n = nfa.n_states
-        self._tables: List[Dict[FrozenSet[str], tuple]] = [{} for _f in range(n)]
-        self._sources: Dict[FrozenSet[str], Dict[int, list]] = {}  # label: {f2: quiet f}
-        self._compressed: List[Optional[bool]] = [None if wts.world.exact else False] * n
+        self._rows: List[Optional[List[tuple]]] = [None] * n
+        self._sources: Dict[int, Dict[int, list]] = {}  # label id: {f2: quiet f}
+        self._compressed: List[bool] = [False] * n
         # per compressed copy, the unlabeled ranks whose states are search nodes
         self._node_cells: Dict[int, Tuple[int, ...]] = {}
         self._outs: Dict[int, Tuple[Tuple[float, int], ...]] = {}
@@ -116,141 +124,109 @@ class ProductPa:
 
     # -- construction -----------------------------------------------------
 
-    def _moves(self, f: int, label: FrozenSet[str]) -> tuple:
-        """``(f2, fired, emit, collab_props)`` per move out of ``f`` into a region
-        labelled ``label``, by ascending ``f2``.  Individual tasks always fire, and at
-        most one assigned collaborative task: none if the rest of the label leads
-        somewhere, else the first by name whose addition leads somewhere new.
-        ``collab_props`` are the assigned tasks that every label leading to a new
-        state contains and the region carries."""
-        bits, targets, required = table = self.nfa.tables[f]
-        base, optional = label - self.collab_props, label & self._assigned_props
-        mask = table.mask(base)
+    def _moves(self, f: int, lid: int) -> tuple:
+        """``(f2, fired, collab_props)`` per move out of ``f`` into a region of label id
+        ``lid``, by ascending ``f2``.  Individual tasks always fire, and at most one
+        assigned collaborative task: none if the rest of the label leads somewhere, else
+        the first by name whose addition leads somewhere new.  The move emits the label
+        without its collaborative tasks plus ``fired``.  ``collab_props`` are the assigned
+        tasks that every label leading to a new state contains and the region carries."""
+        bits, targets, required = self.nfa.tables[f]
+        base, optional, ordered = self._parts[lid]
+        mask = sum(map(bits.get, base & bits.keys()))
         fired = {targets[mask]: frozenset()}
-        for p in sorted(optional):
+        for p in optional:
             fired.setdefault(targets[mask | bits.get(p, 0)], frozenset((p,)))
         fired.pop(-1, None)
-        return tuple((f2, fired[f2], base | fired[f2], () if f2 == f else tuple(
-            p for _o, p in self.assigned if p in label and bits.get(p, 0) & required[f2]))
-            for f2 in sorted(fired))
+        return tuple((f2, fired[f2], () if f2 == f else tuple(
+            p for p in ordered if bits.get(p, 0) & required[f2])) for f2 in sorted(fired))
 
-    def _table(self, f: int, label: FrozenSet[str]) -> tuple:
-        moves = self._tables[f].get(label)
-        if moves is None:
-            moves = self._tables[f][label] = self._moves(f, label)
-        return moves
+    def _row(self, f: int) -> List[tuple]:
+        """Copy ``f``'s move row, its moves into each label id, built on first request (a
+        reached copy meets nearly every label of its robot) with the copy's flag in
+        ``_compressed``: whether its one move into an unlabeled region is a plain self-loop."""
+        row = self._rows[f]
+        if row is None:
+            row = self._rows[f] = [self._moves(f, lid) for lid in range(len(self._parts))]
+            self._compressed[f] = self.wts.world.exact and row[0] == ((f, frozenset(), ()),)
+        return row
 
     def _is_compressed(self, f: int) -> bool:
-        compressed = self._compressed[f]
-        if compressed is None:
-            moves = self._table(f, frozenset())
-            compressed = self._compressed[f] = (
-                len(moves) == 1 and moves[0][0] == f and not moves[0][1] and not moves[0][3])
-        return compressed
+        self._row(f)
+        return self._compressed[f]
 
     def _build(self):
-        wts, n = self.wts, self.nfa.n_states
-        labels, neighbours, start_rank = wts.ranked_labels, wts.world.neighbours, wts.start_rank
+        wts, n, parts = self.wts, self.nfa.n_states, self._parts
+        label_ids, neighbours, start_rank = wts.label_ids, wts.world.neighbours, wts.start_rank
         collab_sets: Dict[str, set] = {}
+        start_id = label_ids[start_rank]
         for f0 in sorted(self.nfa.initial):
-            for f, fired, emit, props in self._table(f0, labels[start_rank]):
+            for f, fired, props in self._row(f0)[start_id]:
                 s = start_rank * n + f
                 if s not in self.entry_info:
-                    self.entry_info[s] = (fired, emit)
+                    self.entry_info[s] = (fired, parts[start_id][0] | fired)
                     for prop in props:
                         collab_sets.setdefault(prop, set()).add(s)
         self.initial = tuple(sorted(self.entry_info))
-        # reachability over single states and (component, compressed copy) blocks
-        component, parts = wts.components()
-        states, blocks, copies = set(), set(), set()
-        entered: Dict[int, set] = {}  # compressed copy: unlabeled ranks entered from another
-        queue: deque = deque()
-
-        def visit(rank: int, f: int):
-            copies.add(f)
-            if not self._is_compressed(f) or labels[rank]:
-                s = rank * n + f
-                if s not in states:
-                    states.add(s)
-                    queue.append((s, None))
-            else:
-                block = component[rank] * n + f
-                if block not in blocks:
-                    blocks.add(block)
-                    queue.append((None, block))
-
-        for s in self.initial:
-            visit(start_rank, s % n)
+        # reachability over single states and (component, compressed copy) blocks, each
+        # expanded when first dequeued
+        component, blocks_of = wts.components()
+        states, blocks = set(), set()
+        entered: Dict[int, set] = {}  # copy: unlabeled ranks entered from another
+        queue = deque((start_rank, s % n) for s in self.initial)
         while queue:
-            s, block = queue.popleft()
-            if block is not None:  # every state of the component, in copy f
-                k, f = divmod(block, n)
-                ranks, inner, steps = parts[k]
-                self.n_states += len(ranks)
-                self.n_edges += inner
-            else:
-                rank, f = divmod(s, n)
+            rank, f = queue.popleft()
+            row = self._row(f)
+            if label_ids[rank] or not self._compressed[f]:
+                if rank * n + f in states:
+                    continue
+                states.add(rank * n + f)
                 self.n_states += 1
                 steps = [(y, 1) for y, _w in neighbours[rank]]
+            else:  # every state of the component, in copy f
+                if component[rank] * n + f in blocks:
+                    continue
+                blocks.add(component[rank] * n + f)
+                ranks, inner, steps = blocks_of[component[rank]]
+                self.n_states += len(ranks)
+                self.n_edges += inner
             for y, m in steps:
-                moves = self._table(f, labels[y])
+                lid = label_ids[y]
+                moves = row[lid]
                 self.n_edges += m * len(moves)
-                for f2, _fired, _emit, props in moves:
+                for f2, _fired, props in moves:
                     for prop in props:
                         collab_sets.setdefault(prop, set()).add(y * n + f2)
-                    if f2 != f and not labels[y] and self._is_compressed(f2):
+                    if f2 != f and not lid:
                         entered.setdefault(f2, set()).add(y)
-                    visit(y, f2)
-        self._copies = tuple(sorted(copies))
-        start_cell = set() if labels[start_rank] else {start_rank}
+                    queue.append((y, f2))
+        self._copies = tuple(sorted({s % n for s in states} | {b % n for b in blocks}))
+        start_cell = set() if start_id else {start_rank}
         self._node_cells = {f: tuple(sorted(start_cell | entered.get(f, set())))
-                            for f in copies if self._compressed[f]}
+                            for f in self._copies if self._compressed[f]}
         accepting = self.nfa.accepting
         reached = [s for s in states if s % n in accepting]
         reached += [rank * n + block % n for block in blocks if block % n in accepting
-                    for rank in parts[block // n][0]]
+                    for rank in blocks_of[block // n][0]]
         self.accepting = frozenset(reached)
         self.collab = {prop: frozenset(collab_sets.get(prop, ())) for _occ, prop in self.assigned}
-
-    def _walk(self):
-        """Breadth-first walk of the reachable product, filling the move tables:
-        ``(s, steps)`` per state in discovery order, one ``(base, weight, moves)``
-        step per neighbour in name order, so the targets ``base + f2`` ascend."""
-        n, labels, neighbours = self.nfa.n_states, self.wts.ranked_labels, self.wts.world.neighbours
-        queue = deque(self.initial)
-        seen = set(queue)
-        while queue:
-            s = queue.popleft()
-            rank, f = divmod(s, n)
-            steps = []
-            for y, weight in neighbours[rank]:
-                moves = self._table(f, labels[y])
-                steps.append((y * n, weight, moves))
-                for move in moves:
-                    t = y * n + move[0]
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-            yield s, steps
 
     # -- clean-hop search ---------------------------------------------------
 
     def _out(self, s: int) -> Tuple[Tuple[float, int], ...]:
-        """``(hop, target)`` per non-firing hop out of node ``s``."""
-        out = self._outs.get(s)
-        if out is None:
-            n, wts, table = self.nfa.n_states, self.wts, self._table
-            rank, f = divmod(s, n)
-            if self._compressed[f]:
-                hops = wts.hops(rank)
-                steps = hops.border.items()
-                out = [(hops.dist[c], c * n + f) for c in self._node_cells[f]
-                       if hops.dist[c] < INF and c != rank]
-            else:
-                steps, out = wts.world.neighbours[rank], []
-            out += [(h, y * n + g) for y, h in steps
-                    for g, fired, _e, _p in table(f, wts.ranked_labels[y]) if not fired]
-            out = self._outs[s] = tuple(out)
+        """``(hop, target)`` per non-firing hop out of node ``s``, kept in ``_outs``."""
+        n, wts = self.nfa.n_states, self.wts
+        rank, f = divmod(s, n)
+        row, label_ids = self._row(f), wts.label_ids
+        if self._compressed[f]:
+            hops = wts.hops(rank)
+            steps = hops.border.items()
+            out = [(hops.dist[c], c * n + f) for c in self._node_cells[f]
+                   if hops.dist[c] < INF and c != rank]
+        else:
+            steps, out = wts.world.neighbours[rank], []
+        out += [(h, y * n + g) for y, h in steps for g, fired, _p in row[label_ids[y]] if not fired]
+        out = self._outs[s] = tuple(out)
         return out
 
     def search(self, source: int, stop: bool = False) -> Tuple[Tree, Optional[int]]:
@@ -258,6 +234,7 @@ class ProductPa:
         ``(dist, state)`` order.  With ``stop`` it ends on the first settled
         accepting state, which is the full product's first, and returns it."""
         n, accepting, compressed = self.nfa.n_states, self.nfa.accepting, self._compressed
+        outs, hop_tables = self._outs, self.wts.hop_tables
         tree = Tree(source, {}, {})
         settled = tree.dist
         best = {source: 0}
@@ -270,9 +247,11 @@ class ProductPa:
             rank, f = divmod(s, n)
             if stop and f in accepting:
                 return tree, s
-            out = self._out(s)
+            out = outs.get(s)
+            if out is None:
+                out = self._out(s)
             if compressed[f]:
-                tree.expanded.setdefault(f, []).append((self.wts.hop_tables[rank], d))
+                tree.expanded.setdefault(f, []).append((hop_tables[rank], d))
             for h, t in out:
                 nd = d + h
                 if nd < best.get(t, INF):
@@ -296,13 +275,13 @@ class ProductPa:
             best = min(best, do + hops.dist[rank])
         return None if best == INF else best
 
-    def _quiet_sources(self, label: FrozenSet[str], f2: int) -> list:
-        """The reached copies with a non-firing move into ``label`` that ends in ``f2``."""
-        sources = self._sources.get(label)
+    def _quiet_sources(self, lid: int, f2: int) -> list:
+        """The reached copies with a non-firing move into label id ``lid`` ending in ``f2``."""
+        sources = self._sources.get(lid)
         if sources is None:
-            sources = self._sources[label] = {}
+            sources = self._sources[lid] = {}
             for f in self._copies:
-                for g, fired, _e, _p in self._table(f, label):
+                for g, fired, _p in self._row(f)[lid]:
                     if not fired:
                         sources.setdefault(g, []).append(f)
         return sources.get(f2, [])
@@ -315,15 +294,15 @@ class ProductPa:
         from the expanded nodes of ``g`` whose hops reach ``s`` at its distance: every
         predecessor of ``s`` at ``dist(s) - w`` lies on such a hop.  When one node
         alone reaches an unlabeled region, the walk follows its hop parents back to it."""
-        n, labels, neighbours = self.nfa.n_states, self.wts.ranked_labels, self.wts.world.neighbours
+        n, label_ids, neighbours = self.nfa.n_states, self.wts.label_ids, self.wts.world.neighbours
         settled, expanded, compressed = tree.dist, tree.expanded, self._compressed
         path = [s]
         d = self.distance(tree, s)
         while s != tree.source:
             rank, f = divmod(s, n)
-            label = labels[rank]
+            lid = label_ids[rank]
             candidates, owners = [], []
-            for g in self._quiet_sources(label, f):
+            for g in self._quiet_sources(lid, f):
                 if not compressed[g]:  # every state of the copy is a node
                     for y, w in neighbours[rank]:
                         dp = settled.get(y * n + g)
@@ -333,9 +312,9 @@ class ProductPa:
                 for hops, do in expanded.get(g, ()):
                     if do >= d:
                         break
-                    if do + (hops.border.get(rank, INF) if label else hops.dist[rank]) == d:
+                    if do + (hops.border.get(rank, INF) if lid else hops.dist[rank]) == d:
                         owners.append((g, hops, do))
-            if not candidates and len(owners) == 1 and not label:
+            if not candidates and len(owners) == 1 and not lid:
                 g, hops, d = owners[0]
                 rank = hops.parent[rank]
                 while rank is not None:
@@ -344,7 +323,7 @@ class ProductPa:
                 s = path[-1]
                 continue
             for g, hops, do in owners:
-                y = (hops.border_parent if label else hops.parent)[rank]
+                y = (hops.border_parent if lid else hops.parent)[rank]
                 candidates.append((do + hops.dist[y], y * n + g))
             d, s = min(candidates)
             path.append(s)
@@ -354,9 +333,9 @@ class ProductPa:
     def firing_into(self, t: int, prop: str) -> List[Tuple[int, float]]:
         """``(u, w)`` per edge ``u -> t`` of a reached copy that fires ``prop``."""
         rank, f2 = divmod(t, self.nfa.n_states)
-        label = self.wts.ranked_labels[rank]
+        lid = self.wts.label_ids[rank]
         copies = [f for f in self._copies
-                  if any(g == f2 and prop in fired for g, fired, _e, _p in self._table(f, label))]
+                  if any(g == f2 and prop in fired for g, fired, _p in self._row(f)[lid])]
         return [(y * self.nfa.n_states + f, w) for y, w in self.wts.world.neighbours[rank]
                 for f in copies]
 
@@ -371,21 +350,31 @@ class ProductPa:
         (ra, fa), (rb, fb) = divmod(a, self.nfa.n_states), divmod(b, self.nfa.n_states)
         for y, weight in self.wts.world.neighbours[ra]:
             if y == rb:
-                for f2, fired, emit, _p in self._table(fa, self.wts.ranked_labels[rb]):
+                lid = self.wts.label_ids[rb]
+                for f2, fired, _p in self._row(fa)[lid]:
                     if f2 == fb:
-                        return weight, fired, emit
+                        return weight, fired, self._parts[lid][0] | fired
                 break
         return None
 
     @property
     def adjacency(self) -> Mapping[Tuple[str, int], tuple]:
-        """``{state: ((target, weight, fired, emit), ...)}`` by target, re-walked from
-        the move tables on each access (for tests and tracing)."""
-        decode = self.state_of
-        return MappingProxyType({
-            decode(s): tuple((decode(base + f2), w, fired, emit)
-                             for base, w, moves in steps for f2, fired, emit, _p in moves)
-            for s, steps in self._walk()})
+        """``{state: ((target, weight, fired, emit), ...)}`` by target, re-walked breadth-first
+        from the move rows on each access (for tests and tracing)."""
+        n, label_ids, decode = self.nfa.n_states, self.wts.label_ids, self.state_of
+        adjacency, queue, seen = {}, deque(self.initial), set(self.initial)
+        while queue:
+            rank, f = divmod(queue.popleft(), n)
+            row, out = self._row(f), []
+            for y, weight in self.wts.world.neighbours[rank]:  # in name order: targets ascend
+                base = self._parts[label_ids[y]][0]
+                for f2, fired, _p in row[label_ids[y]]:
+                    out.append((decode(y * n + f2), weight, fired, base | fired))
+                    if y * n + f2 not in seen:
+                        seen.add(y * n + f2)
+                        queue.append(y * n + f2)
+            adjacency[decode(rank * n + f)] = tuple(out)
+        return MappingProxyType(adjacency)
 
     @property
     def edge_info(self) -> Mapping[Tuple[Tuple[str, int], Tuple[str, int]], tuple]:

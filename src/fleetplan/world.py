@@ -172,8 +172,9 @@ class Hops(NamedTuple):
     """Clean hops from one origin region.  ``dist`` and ``parent``, indexed by
     region rank, cover the origin and the unlabeled regions reached (inf and None
     elsewhere); ``border`` and ``border_parent`` map the labeled regions reached
-    (the origin too when a path returns to it).  A parent is the first found, so
-    it is the ``(dist, rank)`` least predecessor on a shortest hop."""
+    (the origin too when a path returns to it).  Regions are settled in
+    ``(dist, rank)`` order and a parent is the first found, so it is the
+    ``(dist, rank)`` least predecessor on a shortest hop."""
 
     dist: List[float]
     parent: List[Optional[int]]
@@ -185,18 +186,23 @@ class Wts:
     """A robot's weighted transition system over the shared region graph.
 
     By region rank it has ``ranked_labels`` (frozenset() on unlabeled regions),
-    ``start_rank`` and, built on first request and shared by every product of the
-    robot, the unlabeled components and one clean-hop table per origin
-    (``hop_tables``).
+    their interned ids ``label_ids`` (0 unlabeled, the others dense in order of
+    first rank; ``labels[id]`` is the label), ``start_rank`` and, built on first
+    request and shared by every product of the robot, the unlabeled components
+    and one clean-hop table per origin (``hop_tables``).
     """
 
-    __slots__ = ("robot_id", "world", "ranked_labels", "start_rank", "_components", "hop_tables")
+    __slots__ = ("robot_id", "world", "ranked_labels", "label_ids", "labels", "start_rank",
+                 "_components", "hop_tables")
 
     def __init__(self, robot_id: int, world: World, ranked_labels: Tuple[FrozenSet[str], ...],
                  start_rank: int):
         self.robot_id = robot_id
         self.world = world
         self.ranked_labels = ranked_labels
+        ids = {frozenset(): 0}
+        self.label_ids = tuple(ids.setdefault(label, len(ids)) for label in ranked_labels)
+        self.labels = tuple(ids)
         self.start_rank = start_rank
         self._components = None
         self.hop_tables: Dict[int, Hops] = {}
@@ -233,27 +239,34 @@ class Wts:
 
     def hops(self, origin: int) -> Hops:
         """Clean hops from region rank ``origin``: a grid Dijkstra that reaches
-        labeled regions but expands only the origin and unlabeled ones."""
+        labeled regions but expands only the origin and unlabeled ones.  It keeps
+        the regions pending at each distance in one layer and settles a layer in
+        rank order, so its heap holds one entry per distance, not per region."""
         hops = self.hop_tables.get(origin)
         if hops is None:
-            labels, neighbours = self.ranked_labels, self.world.neighbours
-            inner, parent = [math.inf] * len(labels), [None] * len(labels)
+            inf, labels, neighbours = math.inf, self.ranked_labels, self.world.neighbours
+            inner, parent = [inf] * len(labels), [None] * len(labels)
             inner[origin], border, border_parent = 0, {}, {}
-            heap = [(0, origin)]
-            while heap:
-                d, x = heappop(heap)
-                if d > inner[x]:
-                    continue
-                for y, w in neighbours[x]:
-                    nd = d + w
-                    if labels[y]:
-                        if nd < border.get(y, math.inf):
-                            border[y] = nd
-                            border_parent[y] = x
-                    elif nd < inner[y]:
-                        inner[y] = nd
-                        parent[y] = x
-                        heappush(heap, (nd, y))
+            layers, pending = {0: [origin]}, [0]
+            while pending:
+                d = heappop(pending)
+                for x in sorted(layers.pop(d)):
+                    if inner[x] < d:  # reached closer since it was queued here
+                        continue
+                    for y, w in neighbours[x]:
+                        nd = d + w
+                        if labels[y]:
+                            if nd < border.get(y, inf):
+                                border[y] = nd
+                                border_parent[y] = x
+                        elif nd < inner[y]:
+                            inner[y] = nd
+                            parent[y] = x
+                            if nd in layers:
+                                layers[nd].append(y)
+                            else:
+                                layers[nd] = [y]
+                                heappush(pending, nd)
             hops = self.hop_tables[origin] = Hops(inner, parent, border, border_parent)
         return hops
 

@@ -44,7 +44,9 @@ pruned pairs, steps, witnesses and negative sets.
 (``TRUE_GUARD`` is its tautology), ``witness`` decodes the
 product path behind a pruned edge, ``dijkstra`` is the weighted search
 those references run and ``bfs`` their breadth-first search in layers, and
-``reconstruct`` reads a path off either one's parent map.  The references key
+``reconstruct`` reads a path off either one's parent map.  ``reference_hops``
+keeps the clean-hop tables' heap Dijkstra, one entry per improved region, as a
+reference for ``Wts.hops``, which settles regions in distance layers.  The references key
 product states by ``(region, f)`` and regions by name (``world_adjacency``),
 where the planner uses integer ids and ranks; ``state_id`` and ``decoded``
 translate between the two.
@@ -52,6 +54,7 @@ translate between the two.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from heapq import heappop, heappush
@@ -101,7 +104,7 @@ from fleetplan.milp import (
 from fleetplan.mission import INTERLEAVE_CAP, Mission, demand_feasible
 from fleetplan.product import ProductPa, PrunedPa, Strategy
 from fleetplan.schedule import CostReport, FoldPlan, Timeline, compute_time_cost
-from fleetplan.world import Fleet, TaskReq, World, Wts
+from fleetplan.world import Fleet, Hops, TaskReq, World, Wts
 
 State = Tuple[str, int]  # a reference product state: (region name, automaton state)
 
@@ -832,6 +835,31 @@ def shortest_travel(wts: Wts, origin: str, destination: str) -> float:
     if destination not in dist:
         raise Unreachable(f"{destination} unreachable from {origin}")
     return dist[destination]
+
+
+def reference_hops(wts: Wts, origin: int) -> Hops:
+    """Clean hops from region rank ``origin`` by the heap Dijkstra that ``Wts.hops``
+    ran before it settled regions in distance layers: one heap entry per improved
+    region, popped in ``(dist, rank)`` order."""
+    labels, neighbours = wts.ranked_labels, wts.world.neighbours
+    inner, parent = [math.inf] * len(labels), [None] * len(labels)
+    inner[origin], border, border_parent = 0, {}, {}
+    heap = [(0, origin)]
+    while heap:
+        d, x = heappop(heap)
+        if d > inner[x]:
+            continue
+        for y, w in neighbours[x]:
+            nd = d + w
+            if labels[y]:
+                if nd < border.get(y, math.inf):
+                    border[y] = nd
+                    border_parent[y] = x
+            elif nd < inner[y]:
+                inner[y] = nd
+                parent[y] = x
+                heappush(heap, (nd, y))
+    return Hops(inner, parent, border, border_parent)
 
 
 def essential_sequence(nfa, run: Sequence[int]) -> List[frozenset]:

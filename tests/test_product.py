@@ -422,6 +422,18 @@ def test_products_over_one_transition_system_share_its_hop_tables():
     assert all(second[origin] is first[origin] for origin in shared)
 
 
+def test_transition_system_labels_are_interned_by_first_rank():
+    """On the random and grid products' transition systems each rank's label id reads
+    back its label, id 0 is the empty label, and the other ids are dense, numbered in
+    the order of the first rank carrying each label."""
+    for trial, wts, _nfa, _assigned in [*random_products(), *random_grid_products()]:
+        ranks = range(len(wts.ranked_labels))
+        assert all(wts.labels[wts.label_ids[r]] == wts.ranked_labels[r] for r in ranks), trial
+        first_seen = [label for label in dict.fromkeys(wts.ranked_labels) if label]
+        assert wts.labels == (frozenset(), *first_seen), trial
+        assert set(wts.label_ids) | {0} == set(range(len(wts.labels))), trial
+
+
 def test_pruning_keeps_no_search_graph_and_can_repeat():
     pruned_any = 0
     for trial, wts, nfa, assigned in random_products():

@@ -183,7 +183,7 @@ def test_protocol_trace_on_complete_topology():
     ]
 
 
-def test_protocol_searches_each_robot_once_and_reports_once(monkeypatch):
+def test_protocol_builds_no_fold_plan_and_one_cost_report(monkeypatch):
     """The adjusting run above builds no fold plan (it folds the context's),
     and builds its cost report once, at the end, on that plan."""
     from fleetplan import protocol, schedule

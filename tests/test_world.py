@@ -6,9 +6,9 @@ import random
 import pytest
 
 from fleetplan.errors import ScenarioError
-from fleetplan.world import Fleet, Robot, TaskReq, World, build_wts, grid_world
+from fleetplan.world import Fleet, Hops, Robot, TaskReq, World, Wts, build_wts, grid_world
 
-from oracles import bellman_ford, shortest_travel, world_adjacency
+from oracles import bellman_ford, reference_hops, shortest_travel, world_adjacency
 
 
 def small_fleet():
@@ -148,6 +148,34 @@ def test_travel_symmetry_and_triangle_inequality():
     for a, b, c in zip(picks, picks[1:], picks[2:]):
         assert shortest_travel(wts, a, b) == shortest_travel(wts, b, a)
         assert shortest_travel(wts, a, c) <= shortest_travel(wts, a, b) + shortest_travel(wts, b, c)
+
+
+def test_hop_tables_equal_the_heap_reference_on_random_exact_worlds():
+    """Every clean-hop table, settled in distance layers, equals the heap Dijkstra's
+    field by field, dict order included, on random exact worlds: non-unit integer
+    weights, float-typed integral weights, and unit weights with many ties, from
+    origins on labeled and unlabeled regions alike."""
+    rng = random.Random(15)
+    cases = set()
+    for trial in range(60):
+        width, height = rng.randint(1, 7), rng.randint(2, 7)
+        kind = ("integer", "float", "unit")[trial % 3]
+        edges = grid_world(width, height).edges
+        weights = {"integer": {e: rng.choice([1, 2, 3, 5]) for e in edges},
+                   "float": {e: rng.choice([2.0, 3.0]) for e in edges}, "unit": {}}[kind]
+        world = grid_world(width, height, weights)
+        assert world.exact
+        ranked = tuple(frozenset(rng.sample(["a", "b", "c"], rng.randint(1, 2)))
+                       if rng.random() < 0.3 else frozenset() for _r in world.names)
+        wts = Wts(0, world, ranked, rng.randrange(len(ranked)))
+        for origin in range(len(ranked)):
+            got, want = wts.hops(origin), reference_hops(wts, origin)
+            for field in Hops._fields:
+                assert repr(getattr(got, field)) == repr(getattr(want, field)), (trial, origin)
+            assert wts.hops(origin) is got
+            cases.add((kind, bool(ranked[origin])))
+    assert cases == {(kind, labeled) for kind in ("integer", "float", "unit")
+                     for labeled in (True, False)}
 
 
 def test_individual_task_must_be_solo():
