@@ -90,7 +90,6 @@ class AllocModel:
         self.comm_pairs = tuple(sorted(comm_pairs))
         self.robots = tuple(sorted(fleet.robot_ids()))
         self.occurrences = mission.sorted_occurrences
-        self.n_x = len(self.robots) * len(self.occurrences)
         self.deadline: Optional[float] = None
         elements = list(mission.elements())
         index = {occ: j for j, occ in enumerate(self.occurrences)}

@@ -13,7 +13,7 @@ import sys
 from .errors import FleetplanError, InfeasibleMission
 from .framework import run_framework, write_reports
 from .milp import build_milp, emit_lp
-from .scenario import TEMPLATES, Scenario, generate
+from .scenario import Scenario, generate
 
 
 def _onoff(value: str) -> bool:
@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--individual", type=int, default=4,
                      help="individual tasks per robot")
-    gen.add_argument("--template", default="auto", choices=TEMPLATES)
     gen.add_argument("--out", default=None, metavar="FILE",
                      help="output path (default: stdout)")
     return parser
@@ -86,14 +85,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    scenario = generate(
-        seed=args.seed,
-        robots=args.robots,
-        collab=args.collab,
-        grid=tuple(args.grid),
-        individual_per_robot=args.individual,
-        template=args.template,
-    )
+    scenario = generate(seed=args.seed, robots=args.robots, collab=args.collab,
+                        grid=tuple(args.grid), individual_per_robot=args.individual)
     text = scenario.dumps()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -191,6 +191,8 @@ def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthes
 def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assignment,
                          wts, collab_props, synthesis, shapes, row: AssignmentRow,
                          deadline: Optional[float]) -> PlanOutput:
+    """Synthesize, adjust when asked (the protocol updates ``timelines`` in place),
+    expand the final choices into strategies once, simulate, and run the oracle."""
     opts = scenario.options
     fleet = scenario.fleet
     pruned_map: Dict[int, PrunedPa] = {}
@@ -223,14 +225,13 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
         row.cycles = result.cycles
         row.messages = result.messages
         row.trace_lines = result.trace
-        strategies = result.strategies
         final_report = result.report
     else:
-        strategies = {r: pruned_map[r].expand(timelines[r].choice) for r in pruned_map}
         final_report = compute_time_cost(timelines, plan)
         row.t_init = final_report.total
         row.history = [final_report.total]
     row.t_adjusted = final_report.total
+    strategies = {r: pruned_map[r].expand(timelines[r].choice) for r in pruned_map}
 
     check_deadline(deadline)
     sim = simulate(strategies, mission, assignment)
@@ -311,7 +312,7 @@ def write_schedule_json(report: RunReport, path):
                 "completion": _num(plan.sim.report.per_robot[r]),
                 "collaborations": [
                     {"occurrence": list(occ), "position": pos,
-                     "time": _num(plan.sim.fire_times[occ])}
+                     "time": _num(plan.sim.report.task_times[occ])}
                     for occ, pos in sorted(strategy.collab_positions.items())
                 ],
             }

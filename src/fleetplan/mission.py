@@ -4,8 +4,8 @@ The collaborative automaton is pruned against fleet capacity, a shortest
 accepting run is selected, its essential sequence extracted, and the sequence
 split at decomposition states into independently executable subsequences with
 synchronization (same element) and precedence (element order) structure.
-Pruning and run selection search forward only to the first layer holding an
-accepting state, so an automaton read on demand is translated no further.
+Pruning and run selection search any automaton forward only to the first layer
+holding an accepting state, so one read on demand is translated no further.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
     essential steps (see ``Nfa``); unreached states have no pairs, and
     ``accepting`` holds the accepting states reached.  The search forward
     stops at the first layer holding an accepting state, so an automaton read
-    on demand is translated only that far; on one translated whole, it
-    reaches every reachable state, and every state is checked for unknown tasks.
+    on demand is translated only that far; reading a reached state's successors
+    decides it, so walking them checks each state reached for unknown tasks.
     """
     by_prop = {t.prop: t for t in tasks if t.collaborative}
     index = {prop: 1 << i for i, prop in enumerate(by_prop)}  # task -> its bit in a key
@@ -85,12 +85,8 @@ def prune_nfa(nfa: Nfa, fleet: Fleet, tasks: Sequence[TaskReq]) -> Nfa:
         accepting.update(kept & nfa.accepting)
         return tuple(b for b in required if b in kept)
 
-    whole = nfa.n_states is not None
-    if whole:
-        for a in range(nfa.n_states):
-            keys(a)
     layer = set(nfa.initial)
-    while layer and (whole or not accepting):
+    while layer and not accepting:
         known = set(reached)
         layer = {b for a in layer for b in decide(a)} - known
     if not accepting:

@@ -151,10 +151,6 @@ class ProductPa:
             self._compressed[f] = self.wts.world.exact and row[0] == ((f, frozenset(), ()),)
         return row
 
-    def _is_compressed(self, f: int) -> bool:
-        self._row(f)
-        return self._compressed[f]
-
     def _build(self):
         wts, n, parts = self.wts, self.nfa.n_states, self._parts
         label_ids, neighbours, start_rank = wts.label_ids, wts.world.neighbours, wts.start_rank

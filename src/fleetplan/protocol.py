@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import LevelDisconnected, ProtocolStuck
 from .mission import Occurrence
-from .product import PrunedPa, Strategy
+from .product import PrunedPa
 from .schedule import CostReport, FoldPlan, Timeline, choice_timeline, compute_time_cost
 
 
@@ -139,9 +139,10 @@ def adjust_strategy(ctx: ProtocolContext, fold: tuple, robot: int, occ: Occurren
 
 
 class ProtocolResult:
-    def __init__(self, strategies: Dict[int, Strategy], report: CostReport, history: List[float],
-                 cycles: int, adjustments: int, messages: int, trace: List[str]):
-        self.strategies = strategies
+    """Cost report, cost history, counts and trace; the choices stay in ``ctx.timelines``."""
+
+    def __init__(self, report: CostReport, history: List[float], cycles: int, adjustments: int,
+                 messages: int, trace: List[str]):
         self.report = report
         self.history = history
         self.cycles = cycles
@@ -157,7 +158,8 @@ def run_protocol(ctx: ProtocolContext) -> ProtocolResult:
     latest robot (then, on failure, the earliest) tries to adjust.  A cycle
     boundary with no accepted adjustment terminates.  The cycle count is
     bounded by the total slack over the smallest edge weight (total cost
-    strictly decreases per accepted adjustment).
+    strictly decreases per accepted adjustment).  It updates ``ctx.timelines``
+    in place; the caller expands the final choices into strategies.
     """
     net = NetSim(ctx.timelines)
     plan = ctx.plan
@@ -203,7 +205,5 @@ def run_protocol(ctx: ProtocolContext) -> ProtocolResult:
                         f"protocol exceeded its cycle bound ({bound}); cost history: {history}")
             net.flood(actor, None if terminate else order[position], count,
                       "TERM" if terminate else "MSG")
-    strategies = {r: ctx.pruned[r].expand(ctx.timelines[r].choice) for r in ctx.pruned}
     report = compute_time_cost(ctx.timelines, plan)
-    return ProtocolResult(strategies, report, history, cycles, adjustments,
-                          net.messages, net.trace)
+    return ProtocolResult(report, history, cycles, adjustments, net.messages, net.trace)

@@ -316,18 +316,15 @@ class Scenario:
         return Scenario.from_json(data)
 
 
-TEMPLATES = ("auto", "plain")
+def _collab_formula(props: Sequence[str]) -> str:
+    """The generated collaborative formula over ``props``.
 
-
-def _collab_formula(props: Sequence[str], template: str) -> str:
-    """Collaborative formula templates.
-
-    With four or more tasks the auto template combines plain eventualities,
-    one until-ordering, and one nested chain; smaller task sets get the
-    eventualities plus a single ordering constraint.
+    With four or more tasks it combines plain eventualities, one until-ordering
+    and one nested chain; two or three get the eventualities plus a single
+    ordering constraint, and one task its eventuality alone.
     """
     evs = [f"(F {p})" for p in props]
-    if template == "plain" or len(props) == 1:
+    if len(props) == 1:
         return " & ".join(evs)
     if len(props) >= 4:
         parts = [f"(F {props[0]})", f"(F {props[1]})", f"(F {props[3]})",
@@ -344,7 +341,7 @@ CAPABILITIES = ("c1", "c2", "c3")  # the capabilities a generated fleet draws fr
 
 
 def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 30),
-             individual_per_robot: int = 4, template: str = "auto") -> Scenario:
+             individual_per_robot: int = 4) -> Scenario:
     """Reproducible random scenario on a grid map.
 
     Starts and task regions occupy distinct cells; collaborative requirements
@@ -355,8 +352,6 @@ def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 3
     width, height = grid
     if width < 1 or height < 1:
         raise ScenarioError(f"grid {width}x{height} must be at least 1x1")
-    if template not in TEMPLATES:
-        raise ScenarioError(f"template must be one of {TEMPLATES}, not {template!r}")
     rng = random.Random(seed)
     world = grid_world(width, height)
     cells_needed = robots + collab + robots * individual_per_robot
@@ -407,7 +402,7 @@ def generate(seed: int, robots: int, collab: int, grid: Tuple[int, int] = (30, 3
         tasks.append(TaskReq(prop, next(cursor), requirements))
         collab_props.append(prop)
 
-    formula = _collab_formula(collab_props, template) if collab_props else "true"
+    formula = _collab_formula(collab_props) if collab_props else "true"
     return Scenario(
         name=f"random-{seed}-n{robots}-k{collab}-{width}x{height}",
         world=world,

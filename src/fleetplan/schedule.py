@@ -151,12 +151,13 @@ def _fmt(value: float) -> str:
 
 
 class SimResult:
+    """Events, cost report (``report.task_times`` are the firing times), label sequence, checks."""
+
     def __init__(self, events: List[SimEvent], report: CostReport,
-                 fire_times: Dict[Occurrence, float], global_sequence: List[FrozenSet[str]],
+                 global_sequence: List[FrozenSet[str]],
                  element_sync_ok: bool, element_order_ok: bool):
         self.events = events
         self.report = report
-        self.fire_times = fire_times
         self.global_sequence = global_sequence
         self.element_sync_ok = element_sync_ok
         self.element_order_ok = element_order_ok
@@ -180,7 +181,7 @@ def simulate(strategies: Mapping[int, Strategy], mission: Mission,
     next_pos = {r: 0 for r in robots}  # next run position to arrive at
     clock = {r: 0.0 for r in robots}
     waiting: Dict[int, Occurrence] = {}
-    fire_times: Dict[Occurrence, float] = {}
+    task_times: Dict[Occurrence, float] = {}
     events: List[SimEvent] = []
     elements = mission.elements()
     members = {
@@ -236,7 +237,7 @@ def simulate(strategies: Mapping[int, Strategy], mission: Mission,
         pairs = members[elem]
         props = mission.element_tasks(elem)
         for occ in mission.element_occurrences(elem):
-            fire_times[occ] = t
+            task_times[occ] = t
         events.append(SimEvent(t, "TASK", None, (tuple(props), tuple(r for r, _o in pairs))))
         for r, _occ in pairs:
             clock[r] = t
@@ -247,28 +248,28 @@ def simulate(strategies: Mapping[int, Strategy], mission: Mission,
     # negative obligations: a forbidden proposition must not fire at the same
     # instant as the element that forbids it
     by_time: Dict[float, set] = {}
-    for occ, t in fire_times.items():
+    for occ, t in task_times.items():
         by_time.setdefault(t, set()).add(mission.task_of(occ))
     for elem in mission.elements():
         forbidden = mission.forbidden_at(elem)
         if not forbidden:
             continue
         for occ in mission.element_occurrences(elem):
-            simultaneous = by_time[fire_times[occ]]
+            simultaneous = by_time[task_times[occ]]
             hit = sorted(forbidden & (simultaneous - {mission.task_of(occ)}))
             if hit:
-                raise NegativeObligationViolated(hit[0], fire_times[occ], elem)
+                raise NegativeObligationViolated(hit[0], task_times[occ], elem)
 
     # element synchrony / ordering verification (reported, not raised)
     sync_ok = True
     order_ok = True
     for elem in mission.elements():
-        times = [fire_times[occ] for occ in mission.element_occurrences(elem)]
+        times = [task_times[occ] for occ in mission.element_occurrences(elem)]
         if max(times) != min(times):
             sync_ok = False
     for k, m in mission.consecutive_element_pairs():
-        before = max(fire_times[o] for o in mission.element_occurrences((k, m)))
-        after = min(fire_times[o] for o in mission.element_occurrences((k, m + 1)))
+        before = max(task_times[o] for o in mission.element_occurrences((k, m)))
+        after = min(task_times[o] for o in mission.element_occurrences((k, m + 1)))
         if after < before:
             order_ok = False
 
@@ -277,6 +278,5 @@ def simulate(strategies: Mapping[int, Strategy], mission: Mission,
     ]
     per_robot = {r: clock[r] for r in robots}
     delays = {r: clock[r] - strategies[r].weight for r in robots}
-    task_times = dict(fire_times)
     report = CostReport(task_times, delays, per_robot, sum(per_robot.values()))
-    return SimResult(events, report, fire_times, global_sequence, sync_ok, order_ok)
+    return SimResult(events, report, global_sequence, sync_ok, order_ok)

@@ -185,21 +185,20 @@ class Hops(NamedTuple):
 class Wts:
     """A robot's weighted transition system over the shared region graph.
 
-    By region rank it has ``ranked_labels`` (frozenset() on unlabeled regions),
-    their interned ids ``label_ids`` (0 unlabeled, the others dense in order of
-    first rank; ``labels[id]`` is the label), ``start_rank`` and, built on first
+    By region rank it interns the given ``ranked_labels`` (frozenset() unlabeled)
+    as ids ``label_ids`` (0 unlabeled, the others dense in order of first rank;
+    ``labels[id]`` is the label).  It has ``start_rank`` and, built on first
     request and shared by every product of the robot, the unlabeled components
     and one clean-hop table per origin (``hop_tables``).
     """
 
-    __slots__ = ("robot_id", "world", "ranked_labels", "label_ids", "labels", "start_rank",
+    __slots__ = ("robot_id", "world", "label_ids", "labels", "start_rank",
                  "_components", "hop_tables")
 
     def __init__(self, robot_id: int, world: World, ranked_labels: Tuple[FrozenSet[str], ...],
                  start_rank: int):
         self.robot_id = robot_id
         self.world = world
-        self.ranked_labels = ranked_labels
         ids = {frozenset(): 0}
         self.label_ids = tuple(ids.setdefault(label, len(ids)) for label in ranked_labels)
         self.labels = tuple(ids)
@@ -213,11 +212,11 @@ class Wts:
         between unlabeled regions, and its edge multiplicity into each labeled
         neighbour."""
         if self._components is None:
-            labels, neighbours = self.ranked_labels, self.world.neighbours
-            component: List[Optional[int]] = [None] * len(labels)
+            label_ids, neighbours = self.label_ids, self.world.neighbours
+            component: List[Optional[int]] = [None] * len(label_ids)
             parts = []
-            for rank, label in enumerate(labels):
-                if label or component[rank] is not None:
+            for rank, label_id in enumerate(label_ids):
+                if label_id or component[rank] is not None:
                     continue
                 k = len(parts)
                 component[rank] = k
@@ -226,7 +225,7 @@ class Wts:
                     x = stack.pop()
                     ranks.append(x)
                     for y, _w in neighbours[x]:
-                        if labels[y]:
+                        if label_ids[y]:
                             border[y] = border.get(y, 0) + 1
                             continue
                         inner += 1
@@ -244,8 +243,8 @@ class Wts:
         rank order, so its heap holds one entry per distance, not per region."""
         hops = self.hop_tables.get(origin)
         if hops is None:
-            inf, labels, neighbours = math.inf, self.ranked_labels, self.world.neighbours
-            inner, parent = [inf] * len(labels), [None] * len(labels)
+            inf, label_ids, neighbours = math.inf, self.label_ids, self.world.neighbours
+            inner, parent = [inf] * len(label_ids), [None] * len(label_ids)
             inner[origin], border, border_parent = 0, {}, {}
             layers, pending = {0: [origin]}, [0]
             while pending:
@@ -255,7 +254,7 @@ class Wts:
                         continue
                     for y, w in neighbours[x]:
                         nd = d + w
-                        if labels[y]:
+                        if label_ids[y]:
                             if nd < border.get(y, inf):
                                 border[y] = nd
                                 border_parent[y] = x

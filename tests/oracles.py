@@ -477,6 +477,12 @@ def initial_strategy(pruned: PrunedPa) -> Tuple[List[int], Strategy]:
     return choice, pruned.expand(choice)
 
 
+def expanded_strategies(ctx) -> Dict[int, Strategy]:
+    """Each robot's strategy expanded from its choice in a protocol context, as the
+    framework expands the final choices after the protocol."""
+    return {r: ctx.pruned[r].expand(ctx.timelines[r].choice) for r in ctx.pruned}
+
+
 def initial_run(pa: ProductPa) -> Strategy:
     """Weight-minimal accepting run found by Dijkstra on the product."""
     if not pa.accepting:
@@ -529,7 +535,7 @@ class ReferenceProductPa:
         self._assigned_props = frozenset(p for _o, p in self.assigned)
         self.entry_info: Dict[State, tuple] = {}
         self.edge_info: Dict[Tuple[State, State], tuple] = {}
-        self.labels = dict(zip(wts.world.names, wts.ranked_labels))
+        self.labels = {name: wts.labels[i] for name, i in zip(wts.world.names, wts.label_ids)}
         self._build()
 
     def _split_label(self, region: str):
@@ -841,7 +847,7 @@ def reference_hops(wts: Wts, origin: int) -> Hops:
     """Clean hops from region rank ``origin`` by the heap Dijkstra that ``Wts.hops``
     ran before it settled regions in distance layers: one heap entry per improved
     region, popped in ``(dist, rank)`` order."""
-    labels, neighbours = wts.ranked_labels, wts.world.neighbours
+    labels, neighbours = [wts.labels[i] for i in wts.label_ids], wts.world.neighbours
     inner, parent = [math.inf] * len(labels), [None] * len(labels)
     inner[origin], border, border_parent = 0, {}, {}
     heap = [(0, origin)]

@@ -262,7 +262,7 @@ def test_criterion_8_allocator_completeness():
             "ct2": {rng.choice(["c1", "c2"]): 1},
         })
         model = AllocModel(mission, fleet, tasks)
-        if model.n_x > 12:
+        if len(model.robots) * len(model.occurrences) > 12:
             continue
         cases += 1
         got = {a.vector for a in enumerate_all(model)}

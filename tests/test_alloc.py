@@ -36,7 +36,7 @@ def make_tasks(reqs):
 def brute_force_solutions(model):
     """All valuations of the assignment variables satisfying constraints (semantic check)."""
     solutions = set()
-    n = model.n_x
+    n = len(model.robots) * len(model.occurrences)
     for bits in product([False, True], repeat=n):
         assignment = Assignment(model.robots, model.occurrences, as_bits(bits))
         if not check_assignment(model, assignment):
@@ -127,7 +127,7 @@ def test_enumeration_matches_brute_force():
         })
         comm = [(1, 1)] if rng.random() < 0.4 and mission.consecutive_element_pairs() else []
         model = AllocModel(mission, fleet, tasks, comm_pairs=comm)
-        if model.n_x > 12:
+        if len(model.robots) * len(model.occurrences) > 12:
             continue
         got = {a.vector for a in enumerate_all(model)}
         expected = brute_force_solutions(AllocModel(mission, fleet, tasks, comm_pairs=comm))
@@ -181,7 +181,7 @@ def test_enumeration_is_lexicographic():
     checked = 0
     while checked < 30:
         model = random_model(rng)
-        if model.n_x > 12:
+        if len(model.robots) * len(model.occurrences) > 12:
             continue
         checked += 1
         got = [a.vector for a in enumerate_all(model)]
@@ -209,8 +209,9 @@ def test_check_assignment_matches_reference_on_random_vectors():
     kinds = {"lacks": 0, "doubly booked": 0, "no coordinator": 0}
     for model in models:
         valid = [a.vector for a in enumerate_all(model, cap=20)]
-        vectors = valid + [rng.getrandbits(model.n_x) for _ in range(20)]
-        vectors += [v ^ 1 << rng.randrange(model.n_x) for v in valid]
+        n_x = len(model.robots) * len(model.occurrences)
+        vectors = valid + [rng.getrandbits(n_x) for _ in range(20)]
+        vectors += [v ^ 1 << rng.randrange(n_x) for v in valid]
         for vector in vectors:
             assignment = Assignment(model.robots, model.occurrences, vector)
             expected = reference_check_assignment(model, assignment)

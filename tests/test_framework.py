@@ -244,15 +244,6 @@ def test_unparsable_formula_exits_1_naming_its_scenario_key(tmp_path, capsys, ke
     assert err.endswith(f") in scenario key {where}\n") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("template", ["mixed", "Auto", ""])
-def test_generate_rejects_unknown_template(template, capsys):
-    with pytest.raises(ScenarioError, match="template"):
-        generate(seed=0, robots=2, collab=4, grid=(8, 8), template=template)
-    assert cli_main(["generate", "--robots", "2", "--collab", "4", "--grid", "8", "8",
-                     "--template", template]) == 1
-    assert "--template" in capsys.readouterr().err
-
-
 def test_framework_single_assignment_is_incumbent():
     sc = small_scenario(seed=21, robots=1, collab=1)
     sc.options.max_assignments = 5

@@ -534,7 +534,10 @@ def test_table_steps_equal_guard_scans_on_random_formulas():
 
 
 def collab_formula(k, template="auto"):
-    return _collab_formula([f"ct{i}" for i in range(1, k + 1)], template)
+    """The formula ``generate`` writes over ct1..ctk, or ("plain") the conjunction
+    of their eventualities alone."""
+    props = [f"ct{i}" for i in range(1, k + 1)]
+    return _collab_formula(props) if template == "auto" else " & ".join(f"(F {p})" for p in props)
 
 
 @pytest.mark.parametrize("template", ["auto", "plain"])

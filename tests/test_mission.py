@@ -19,6 +19,7 @@ from fleetplan.mission import (
     Mission,
     build_mission,
     decomposition_states,
+    demand_feasible,
     prune_nfa,
     shortest_accepting_run,
 )
@@ -27,6 +28,7 @@ from fleetplan.world import Fleet, Robot, TaskReq
 
 from oracles import (
     all_label_sets,
+    bfs,
     element_of,
     guard_nfa,
     random_formula,
@@ -115,9 +117,16 @@ def test_pruned_language_matches_feasible_step_oracle():
                 assert got == expected, (f, seq)
 
 
-def _pruned_or_error(prune, nfa, fleet, tasks):
+def _pruned_or_error(prune, nfa, fleet, tasks, walk=True):
+    """``prune``'s result, or the type of the error it raises.  With ``walk`` a
+    search over its successors first decides every state it keeps reachable (the
+    pruning decides a state when its successors are first read), and an unknown
+    task found on the way is the pruning's error."""
     try:
-        return prune(nfa, fleet, tasks)
+        pruned = prune(nfa, fleet, tasks)
+        if walk:
+            bfs(pruned.successors, pruned.initial)
+        return pruned
     except (EmptyLanguage, MissionError) as exc:
         return type(exc)
 
@@ -247,19 +256,44 @@ def tally_searches_past_the_first_candidate(nfa, seen):
                 seen["refused between P and label"] += 1
 
 
+def staffed_reach(nfa, fleet, known):
+    """The states reachable from the initial ones by masks whose atoms among the
+    ``known`` tasks the fleet can staff together; other atoms are ignored."""
+    def targets_of(a):
+        bits, targets, _required = nfa.tables[a]
+        return {j for m, j in enumerate(targets) if j >= 0 and demand_feasible(
+            [atom for atom, bit in bits.items() if m & bit and atom in known], fleet, known)}
+    return bfs(targets_of, nfa.initial)[0].keys()
+
+
 def test_table_answers_equal_the_guard_reference_on_random_tables():
     """Tables no formula need give: any subset of atoms per state, any mask to
     any of a few targets.  They reach the searches' later candidates, which the
-    planned automata never do."""
+    planned automata never do.  They also have states that no staffable step
+    reaches: a task unknown to the fleet only there is an error to the reference,
+    which reads every guard, and not to the pruning."""
     rng = random.Random(26)
     atoms = ["ct1", "ct2", "ct3", "ct4"]
     compared = 0
-    seen = {"wider negative set": 0, "smaller P": 0, "refused between P and label": 0}
+    seen = {"wider negative set": 0, "smaller P": 0, "refused between P and label": 0,
+            "unknown only where the pruning never reaches": 0}
     for _ in range(150):
         nfa = random_table_nfa(rng, atoms, rng.randint(2, 6))
         for fleet, task_list in PRUNING_CASES:
             ref = _pruned_or_error(reference_prune_nfa, nfa, fleet, task_list)
             got = _pruned_or_error(prune_nfa, nfa, fleet, task_list)
+            if ref is MissionError and got is not MissionError:
+                known = {t.prop: t for t in task_list if t.collaborative}
+                reached = staffed_reach(nfa, fleet, known)
+                if got is not EmptyLanguage:
+                    assert reached == bfs(got.successors, got.initial)[0].keys()
+                for a in reached:
+                    bits, targets, _required = nfa.tables[a]
+                    assert not any(m & bit and j >= 0 and targets[m ^ bit] != j
+                                   for atom, bit in bits.items() if atom not in known
+                                   for m, j in enumerate(targets)), a
+                seen["unknown only where the pruning never reaches"] += 1
+                continue
             if isinstance(ref, type):
                 assert got is ref
                 continue
@@ -279,7 +313,7 @@ def test_table_answers_equal_the_guard_reference_on_generated_missions(robots, c
     for seed in (7, 8):
         sc = generate(seed=seed, robots=robots, collab=collab, grid=(30, 30))
         nfa = to_nfa(sc.parsed_collaborative())
-        got = prune_nfa(nfa, sc.fleet, sc.collaborative_tasks())
+        got = _pruned_or_error(prune_nfa, nfa, sc.fleet, sc.collaborative_tasks())
         ref = reference_prune_nfa(nfa, sc.fleet, sc.collaborative_tasks())
         assert_same_table_answers(got, ref, rng)
         run = shortest_accepting_run(got)
@@ -382,7 +416,7 @@ def test_on_demand_pruning_and_forward_run_equal_the_reference():
         for fleet, task_list in PRUNING_CASES:
             ref = _pruned_or_error(reference_prune_nfa, whole, fleet, task_list)
             nfa = on_demand_nfa(f)
-            got = _pruned_or_error(prune_nfa, nfa, fleet, task_list)
+            got = _pruned_or_error(prune_nfa, nfa, fleet, task_list, walk=False)
             if ref is MissionError and got is not MissionError:
                 seen["unknown beyond the run"] += 1
                 continue
@@ -417,6 +451,49 @@ def test_on_demand_pruning_and_forward_run_equal_the_reference():
             expected = build_mission(steps, reference_decomposition_states(ref, run))
             assert (mission.subsequences, mission.negative_obligations) == \
                 (expected.subsequences, expected.negative_obligations)
+
+
+def _run_and_steps_or_error(nfa, fleet, tasks):
+    """The shortest accepting run of ``nfa``'s pruning and its essential steps,
+    or the type of the error the pruning raises."""
+    try:
+        pruned = prune_nfa(nfa, fleet, tasks)
+    except (EmptyLanguage, MissionError) as exc:
+        return type(exc)
+    run = shortest_accepting_run(pruned)
+    return run, essential_steps(pruned, run)
+
+
+def test_whole_and_on_demand_pruning_equal_the_reference_run():
+    """Pruning has one contract, whether the automaton was translated whole or
+    is read on demand: it decides a state when its search forward first reaches
+    it and stops at the first layer holding an accepting state.  Both give the
+    run and essential steps that the reference run selection gives on the
+    reference pruning, or fail as the reference does.  The exception is a task
+    unknown to the fleet only in states that search never decides: the
+    reference, reading every guard, raises MissionError."""
+    rng = random.Random(33)
+    atoms = ["ct1", "ct2", "ct3", "ct4"]
+    seen = {EmptyLanguage: 0, MissionError: 0, "unknown only beyond the search": 0, "run": 0,
+            "run of 2 or more steps": 0}
+    for _ in range(80):
+        f = random_formula(rng, atoms, depth=3)
+        for fleet, task_list in PRUNING_CASES:
+            whole = _run_and_steps_or_error(to_nfa(f), fleet, task_list)
+            assert _run_and_steps_or_error(on_demand_nfa(f), fleet, task_list) == whole, f
+            ref = _pruned_or_error(reference_prune_nfa, to_nfa(f), fleet, task_list)
+            if ref is MissionError and whole is not MissionError:
+                seen["unknown only beyond the search"] += 1
+                continue
+            if isinstance(ref, type):
+                assert whole is ref, f
+                seen[ref] += 1
+                continue
+            run = reference_shortest_accepting_run(ref)
+            assert whole == (run, essential_steps(ref, run)), f
+            seen["run"] += 1
+            seen["run of 2 or more steps"] += len(run) > 2
+    assert min(seen.values()) > 0, seen
 
 
 def test_planning_at_20_robots_and_10_tasks_reads_the_reference_count_of_tables(monkeypatch):

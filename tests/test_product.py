@@ -389,7 +389,9 @@ def test_grid_products_match_the_reference_with_both_kinds_of_copy():
     for trial, wts, nfa, assigned in random_grid_products():
         pa = ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS)
         ref = assert_same_product(pa, trial)
-        kinds |= {pa._is_compressed(f) for _region, f in ref.adjacency}
+        for _region, f in ref.adjacency:
+            pa._row(f)  # builds copy f's move row, which sets its compressed flag
+            kinds.add(pa._compressed[f])
         pruned.append(assert_same_pruning(pa))
     assert kinds == {True, False}
     assert pruned.count(True) >= 10 and False in pruned
@@ -422,14 +424,29 @@ def test_products_over_one_transition_system_share_its_hop_tables():
     assert all(second[origin] is first[origin] for origin in shared)
 
 
-def test_transition_system_labels_are_interned_by_first_rank():
+def test_transition_system_labels_are_interned_by_first_rank(monkeypatch):
     """On the random and grid products' transition systems each rank's label id reads
-    back its label, id 0 is the empty label, and the other ids are dense, numbered in
-    the order of the first rank carrying each label."""
-    for trial, wts, _nfa, _assigned in [*random_products(), *random_grid_products()]:
-        ranks = range(len(wts.ranked_labels))
-        assert all(wts.labels[wts.label_ids[r]] == wts.ranked_labels[r] for r in ranks), trial
-        first_seen = [label for label in dict.fromkeys(wts.ranked_labels) if label]
+    back the label that ``build_wts``'s rule gives the rank (a collaborative task
+    labels its region for a robot holding a capability it requires, an individual
+    task for its owner), id 0 is the empty label, and the other ids are dense,
+    numbered in the order of the first rank carrying each label."""
+    real, expected = build_wts, []
+
+    def recording(world, fleet, tasks, robot_id):
+        ranked = [set() for _name in world.names]
+        for t in tasks:
+            if t.owner == robot_id if t.owner is not None else \
+                    any(robot_id in fleet.with_capability(c) for c in t.requirements):
+                ranked[world.rank[t.region]].add(t.prop)
+        expected.append([frozenset(label) for label in ranked])
+        return real(world, fleet, tasks, robot_id)
+
+    monkeypatch.setattr(sys.modules[__name__], "build_wts", recording)
+    products = [*random_products(), *random_grid_products()]
+    assert len(expected) == len(products)
+    for (trial, wts, _nfa, _assigned), ranked in zip(products, expected):
+        assert [wts.labels[i] for i in wts.label_ids] == ranked, trial
+        first_seen = [label for label in dict.fromkeys(ranked) if label]
         assert wts.labels == (frozenset(), *first_seen), trial
         assert set(wts.label_ids) | {0} == set(range(len(wts.labels))), trial
 

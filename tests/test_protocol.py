@@ -14,7 +14,7 @@ from fleetplan.protocol import (
 from fleetplan.schedule import FoldPlan, Timeline, choice_timeline, compute_time_cost, simulate
 from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
 
-from oracles import as_bits
+from oracles import as_bits, expanded_strategies
 
 
 def make_assignment(mission, pairs, robots):
@@ -130,7 +130,7 @@ def test_protocol_stops_after_clean_cycle():
     assert result.cycles >= 1
     assert result.history[-1] == result.report.total
     # final strategies still satisfy their local automatons
-    for r, strategy in result.strategies.items():
+    for r, strategy in expanded_strategies(ctx).items():
         sim_positions = strategy.collab_positions
         assert set(sim_positions) == set(ctx.plan.assignment.tasks_of(r))
 
@@ -156,7 +156,7 @@ def test_protocol_result_matches_simulation():
         formulas={0: "F ts1"},
     )
     result = run_protocol(ctx)
-    sim = simulate(result.strategies, ctx.plan.mission, ctx.plan.assignment)
+    sim = simulate(expanded_strategies(ctx), ctx.plan.mission, ctx.plan.assignment)
     assert abs(sim.report.total - result.report.total) < 1e-9
 
 
@@ -241,8 +241,8 @@ def test_protocol_timelines_match_expanded_strategies():
         extra_tasks=[("ts1", "q1_1", 0)],
         formulas={0: "F ts1"},
     )
-    result = run_protocol(ctx)
-    for r, strategy in result.strategies.items():
+    run_protocol(ctx)
+    for r, strategy in expanded_strategies(ctx).items():
         measured = compute_timeline(strategy)
         claimed = ctx.timelines[r]
         assert ctx.pruned[r].expand(claimed.choice) is strategy
@@ -259,9 +259,9 @@ def test_protocol_deterministic_across_runs():
             formulas={0: "F ts1"},
         )
 
-    r1 = run_protocol(build())
-    r2 = run_protocol(build())
+    ctx1, ctx2 = build(), build()
+    r1, r2 = run_protocol(ctx1), run_protocol(ctx2)
     assert r1.history == r2.history
     assert r1.messages == r2.messages
-    assert {r: s.walk for r, s in r1.strategies.items()} == \
-        {r: s.walk for r, s in r2.strategies.items()}
+    assert {r: s.walk for r, s in expanded_strategies(ctx1).items()} == \
+        {r: s.walk for r, s in expanded_strategies(ctx2).items()}

@@ -194,7 +194,7 @@ def test_sync_element_fires_as_one_barrier():
     assignment = make_assignment(mission, {(0, (1, 1)), (1, (1, 2))}, (0, 1))
     sim = simulate(strategies, mission, assignment)
     assert sim.element_sync_ok
-    assert sim.fire_times[(1, 1)] == sim.fire_times[(1, 2)] == 3.0
+    assert sim.report.task_times[(1, 1)] == sim.report.task_times[(1, 2)] == 3.0
     report = compute_time_cost(
         {r: compute_timeline(s) for r, s in strategies.items()}, FoldPlan(mission, assignment))
     assert sim.report.total == report.total

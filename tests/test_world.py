@@ -95,9 +95,9 @@ def test_collaborative_label_requires_capability():
     wts0 = build_wts(world, fleet, [task], 0)
     wts1 = build_wts(world, fleet, [task], 1)
     rank = world.rank["q2_1"]
-    assert "ct1" not in wts0.ranked_labels[rank]
-    assert wts1.ranked_labels[rank] == frozenset({"ct1"})
-    assert sum(map(bool, wts0.ranked_labels + wts1.ranked_labels)) == 1
+    assert "ct1" not in wts0.labels[wts0.label_ids[rank]]
+    assert wts1.labels[wts1.label_ids[rank]] == frozenset({"ct1"})
+    assert sum(bool(w.labels[i]) for w in (wts0, wts1) for i in w.label_ids) == 1
 
 
 def test_individual_label_only_for_owner():
@@ -106,9 +106,9 @@ def test_individual_label_only_for_owner():
     task = TaskReq("ts1", "q1_1", {"c1": 1}, owner=0)
     rank = world.rank["q1_1"]
     owner, other = build_wts(world, fleet, [task], 0), build_wts(world, fleet, [task], 1)
-    assert owner.ranked_labels[rank] == frozenset({"ts1"})
+    assert owner.labels[owner.label_ids[rank]] == frozenset({"ts1"})
     assert owner.start_rank == world.rank["q0_0"]
-    assert not any(other.ranked_labels)
+    assert not any(other.labels[i] for i in other.label_ids)
     assert other.start_rank == world.rank["q1_0"]
 
 
