@@ -68,16 +68,6 @@ class Assignment:
         """The robot's occurrence just before ``occ`` (which it serves), or None."""
         return self._index[2][(robot, occ)]
 
-    def __eq__(self, other):
-        return isinstance(other, Assignment) and self.vector == other.vector
-
-    def __hash__(self):
-        return hash(self.vector)
-
-    def __repr__(self):
-        pairs = [f"r{r}:{list(self.tasks_of(r))}" for r in self.robots if self.tasks_of(r)]
-        return "Assignment(" + ", ".join(pairs) + ")"
-
 
 class AllocModel:
     """The allocation constraints and the state of their resumable enumeration."""

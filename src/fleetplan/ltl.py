@@ -146,7 +146,7 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     for m in _TOKEN_RE.finditer(text):  # matches are contiguous: each starts where one ended
         word, sym, bad = m.groups()
         if bad is not None:
-            raise ParseError(f"unexpected character {bad!r}", m.start())
+            raise ParseError(f"unexpected character {bad!r}", m.start(3))
         tokens.append(("word", word, m.start(1)) if word is not None else ("sym", sym, m.start(2)))
     return tokens
 

@@ -41,6 +41,12 @@ accepting and collaborative states, levels, pruned edges, choices and
 ``Strategy.walk`` names the regions of a run.  The ids order like the tuples, and
 every search breaks ties by state, so walks and costs are those of a tuple-keyed
 product.
+
+A ``Strategy`` is a plain record built once per level choice, in the pass of
+``PrunedPa.expand`` that joins the choice's witness walks: what each step fires
+and emits is known from the kind of step it is (a non-firing walk step, the one
+firing step into a collaborative level, or an entry firing), so no step is looked
+up in the product again.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from heapq import heappop, heappush
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import FleetplanError, LevelDisconnected, NoAcceptingPath, Unreachable
+from .errors import LevelDisconnected, NoAcceptingPath
 from .ltl import And, Atom, Eventually, Formula, Nfa
 from .mission import Occurrence
 from .world import Hops, Wts
@@ -341,18 +347,6 @@ class ProductPa:
         rank, f = divmod(sid, self.nfa.n_states)
         return self.wts.world.names[rank], f
 
-    def step(self, a: int, b: int) -> Optional[Tuple[float, FrozenSet[str], FrozenSet[str]]]:
-        """``(weight, fired, emit)`` of the product edge ``a -> b``, or None."""
-        (ra, fa), (rb, fb) = divmod(a, self.nfa.n_states), divmod(b, self.nfa.n_states)
-        for y, weight in self.wts.world.neighbours[ra]:
-            if y == rb:
-                lid = self.wts.label_ids[rb]
-                for f2, fired, _p in self._row(fa)[lid]:
-                    if f2 == fb:
-                        return weight, fired, self._parts[lid][0] | fired
-                break
-        return None
-
     @property
     def adjacency(self) -> Mapping[Tuple[str, int], tuple]:
         """``{state: ((target, weight, fired, emit), ...)}`` by target, re-walked breadth-first
@@ -389,47 +383,24 @@ def build_product(wts: Wts, nfa: Nfa, assigned: Sequence[Tuple[Occurrence, str]]
 
 
 class Strategy:
-    """An accepting product run, given by its state ids, with its firing bookkeeping."""
+    """An accepting product run, given by its state ids, with per position the tasks
+    fired and the label emitted, per step its world weight, the regions walked and
+    each assigned occurrence's firing position."""
 
-    def __init__(self, pa: ProductPa, ids: Sequence[int]):
-        self.pa = pa
-        self.robot_id = pa.wts.robot_id
-        self.run = tuple(ids)
-        first = self.run[0]
-        if first not in pa.entry_info:
-            raise FleetplanError(f"run does not start at an initial state: {pa.state_of(first)}")
-        steps = []
-        for a, b in zip(ids, ids[1:]):
-            steps.append(pa.step(a, b))
-            if steps[-1] is None:
-                raise FleetplanError(f"run uses a non-edge {pa.state_of(a)}->{pa.state_of(b)}")
-        fired0, emit0 = pa.entry_info[first]
-        self.fired = (fired0, *(fired for _w, fired, _e in steps))
-        self.emits = (emit0, *(emit for _w, _f, emit in steps))
-        self.step_weights = tuple(w for w, _f, _e in steps)
-        self.walk = tuple(pa.state_of(s)[0] for s in self.run)
-        self.collab_positions = self._locate_firings()
+    __slots__ = ("robot_id", "run", "fired", "emits", "step_weights", "walk",
+                 "collab_positions", "weight")
 
-    def _locate_firings(self) -> Dict[Occurrence, int]:
-        positions: Dict[Occurrence, int] = {}
-        events = [(i, prop) for i, f in enumerate(self.fired) for prop in sorted(f)]
-        expected = list(self.pa.assigned)
-        if len(events) != len(expected):
-            raise FleetplanError(
-                f"robot {self.robot_id}: fired {len(events)} tasks, expected {len(expected)}")
-        for (i, prop), (occ, want) in zip(events, expected):
-            if prop != want:
-                raise FleetplanError(
-                    f"robot {self.robot_id}: fired {prop} out of order (expected {want})")
-            if self.run[i] not in self.pa.collab[prop]:
-                raise FleetplanError(
-                    f"robot {self.robot_id}: fired {prop} outside its collaborative states")
-            positions[occ] = i
-        return positions
-
-    @property
-    def weight(self) -> float:
-        return sum(self.step_weights)
+    def __init__(self, robot_id: int, run: Tuple[int, ...], fired: Tuple[FrozenSet[str], ...],
+                 emits: Tuple[FrozenSet[str], ...], step_weights: Tuple[float, ...],
+                 walk: Tuple[str, ...], collab_positions: Dict[Occurrence, int]):
+        self.robot_id = robot_id
+        self.run = run
+        self.fired = fired
+        self.emits = emits
+        self.step_weights = step_weights
+        self.walk = walk
+        self.collab_positions = collab_positions
+        self.weight = sum(step_weights)
 
 
 class PrunedPa:
@@ -538,30 +509,36 @@ class PrunedPa:
             raise LevelDisconnected("no initial state reaches the accepting level")
         return self.best_chain_from(0, best[1])
 
-    def _path(self, li: int, a: int, b: int) -> List[int]:
-        _cost, u = self.edges[(li, a, b)]
-        if u is None:
-            return [a]
-        path = self.pa.walk(self._trees[li][a], u)
-        if li < len(self.levels) - 2:
-            path.append(b)
-        return path
-
     def expand(self, choice: Sequence[int]) -> Strategy:
-        """Expand a level choice into a concrete strategy via edge witnesses, once per
-        choice: assignments sharing this product often settle on the same one."""
+        """Join the witness walks of a level choice's edges into a strategy, once per
+        choice: assignments sharing this product often settle on the same one.
+
+        A walk follows non-firing moves, so each of its steps fires nothing and emits
+        the target region's label without its collaborative tasks.  The step ``u -> b``
+        into a collaborative level fires that level's task, and an entry firing stays
+        at position 0.  Each step weighs its world edge."""
         key = tuple(choice)
         if key not in self._expanded:
-            if len(choice) != len(self.levels):
-                raise FleetplanError(
-                    f"choice length {len(choice)} != level count {len(self.levels)}")
-            ids = [choice[0]]
+            pa, final = self.pa, len(self.levels) - 2
+            n, world = pa.nfa.n_states, pa.wts.world
+            fired0, emit0 = pa.entry_info[choice[0]]
+            run, firings, positions = [choice[0]], {0: fired0}, {}
             for li, (a, b) in enumerate(zip(choice, choice[1:])):
-                if (li, a, b) not in self.edges:
-                    raise Unreachable(f"missing pruned edge at level {li}: "
-                                      f"{self.pa.state_of(a)}->{self.pa.state_of(b)}")
-                ids.extend(self._path(li, a, b)[1:])
-            self._expanded[key] = Strategy(self.pa, ids)
+                _cost, u = self.edges[(li, a, b)]
+                if u is not None:  # None: an entry firing, at position 0
+                    run += pa.walk(self._trees[li][a], u)[1:]
+                    if li < final:
+                        run.append(b)
+                        firings[len(run) - 1] = frozenset((self.assigned[li][1],))
+                if li < final:
+                    positions[self.assigned[li][0]] = len(run) - 1
+            fired = tuple(firings.get(i, frozenset()) for i in range(len(run)))
+            emits = (emit0, *(pa._parts[pa.wts.label_ids[s // n]][0] | f
+                              for s, f in zip(run[1:], fired[1:])))
+            regions = tuple(world.names[s // n] for s in run)
+            self._expanded[key] = Strategy(
+                pa.wts.robot_id, tuple(run), fired, emits,
+                tuple(map(world.edge_weight, regions, regions[1:])), regions, positions)
         return self._expanded[key]
 
     def size_stats(self) -> Dict[str, int]:

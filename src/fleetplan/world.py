@@ -279,9 +279,7 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
     robot = fleet.robot(robot_id)
     labels: Dict[int, set] = {}
     for task in tasks:
-        rank = world.rank.get(task.region)
-        if rank is None:
-            raise ScenarioError(f"task {task.prop} placed on unknown region {task.region}")
+        rank = world.rank[task.region]
         if task.collaborative:
             capable = any(robot_id in fleet.with_capability(c) for c in task.requirements)
             if capable:

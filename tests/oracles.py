@@ -14,7 +14,9 @@ edge-by-edge construction, which picks each firing set by scanning the
 guard's cubes (``_select_emit``), as a reference for the table lookups,
 ``ReferencePrunedPa`` the layered pruning by a Dijkstra over every tuple
 state, with eager witness paths, as a reference for the clean-hop search with
-walks rebuilt on demand,
+walks rebuilt on demand, ``strategy_of`` a strategy of any run, read off the
+product's edge table and checked to fire the assigned tasks in order, as a
+reference for the strategy ``PrunedPa.expand`` builds from the kinds of its steps,
 ``reference_solve_exact`` keeps the exact oracle's branch-and-bound on the
 sum of ideal completions as a reference for the wait-aware bound,
 ``refold_solve_exact`` the wait-aware search that refolds every node from the
@@ -492,7 +494,26 @@ def initial_run(pa: ProductPa) -> Strategy:
                                     decoded(pa, pa.accepting))
     except Unreachable as exc:
         raise NoAcceptingPath(str(exc)) from None
-    return Strategy(pa, [state_id(pa, s) for s in path])
+    return strategy_of(pa, [state_id(pa, s) for s in path], pa.edge_info)
+
+
+def strategy_of(pa: ProductPa, ids: Sequence[int], edge_info) -> Strategy:
+    """The strategy of the run ``ids`` of ``pa``, each step read off ``pa.edge_info``
+    (passed in, as it is re-walked on each access) and its first position off
+    ``pa.entry_info``; the reference for ``PrunedPa.expand``, which knows each step's
+    firing from its kind.  The run fires the assigned tasks, in order, each in its
+    collaborative states."""
+    run = decoded(pa, ids)
+    steps = [edge_info[edge] for edge in zip(run, run[1:])]
+    fired0, emit0 = pa.entry_info[ids[0]]
+    fired = (fired0, *(f for _w, f, _e in steps))
+    events = [(i, prop) for i, f in enumerate(fired) for prop in sorted(f)]
+    assert len(events) == len(pa.assigned), (pa.wts.robot_id, events)
+    assert [prop for _i, prop in events] == [prop for _occ, prop in pa.assigned], events
+    assert all(ids[i] in pa.collab[prop] for i, prop in events), events
+    return Strategy(pa.wts.robot_id, tuple(ids), fired, (emit0, *(e for _w, _f, e in steps)),
+                    tuple(w for w, _f, _e in steps), tuple(region for region, _f in run),
+                    {occ: i for (occ, _p), (i, _q) in zip(pa.assigned, events)})
 
 
 def path_through(pa: ProductPa, anchor: State, via: State) -> List[State]:
@@ -631,7 +652,7 @@ class ReferencePrunedPa:
         pa = self.pa
         nonfiring = {s: tuple((t, w) for t, w, fired, _e in edges if not fired)
                      for s, edges in pa.adjacency.items()}
-        edge_info = pa.edge_info
+        edge_info = self.edge_info = pa.edge_info
         for li in range(len(self.levels) - 1):
             sources = self.levels[li]
             targets = self.levels[li + 1]
@@ -743,7 +764,7 @@ class ReferencePrunedPa:
             if edge is None:
                 raise Unreachable(f"missing pruned edge at level {li}: {a}->{b}")
             run.extend(edge[1][1:])
-        return Strategy(self.pa, [state_id(self.pa, s) for s in run])
+        return strategy_of(self.pa, [state_id(self.pa, s) for s in run], self.edge_info)
 
     def size_stats(self) -> Dict[str, int]:
         return {
@@ -879,8 +900,13 @@ def element_of(mission: Mission, occ) -> Tuple[int, int]:
 
 
 def witness(pruned: PrunedPa, li: int, a: int, b: int) -> Tuple[State, ...]:
-    """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``, decoded."""
-    return decoded(pruned.pa, pruned._path(li, a, b))
+    """The product path behind pruned edge ``(li, a, b)``, from ``a`` to ``b``, decoded:
+    the walk to the edge's ``u`` in ``a``'s search tree, then ``b`` below the final level."""
+    _cost, u = pruned.edges[(li, a, b)]
+    if u is None:
+        return decoded(pruned.pa, [a])
+    path = pruned.pa.walk(pruned._trees[li][a], u)
+    return decoded(pruned.pa, path + [b] * (li < len(pruned.levels) - 2))
 
 
 def variable_names(model: MilpModel) -> Tuple[str, ...]:

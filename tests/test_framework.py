@@ -145,6 +145,29 @@ def test_scenario_rejects_unknown_schema_version():
 
 
 MISSING = object()
+
+
+def edited_scenario(explicit_world, path, value):
+    """``small_scenario``'s JSON, its world as regions and edges if asked, with the
+    key at ``path`` set to ``value`` (deleted if MISSING; the whole scenario if
+    ``path`` is empty)."""
+    sc = small_scenario()
+    if explicit_world:
+        sc.grid = None
+    data = sc.to_json()
+    if not path:
+        return value
+    *parents, last = path
+    target = data
+    for step in parents:
+        target = target[step]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return data
+
+
 MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new value)
     ("world", False, ["world"], MISSING),
     ("world.grid.width", False, ["world", "grid", "width"], "5"),
@@ -178,18 +201,7 @@ MALFORMED_STRUCTURE = [  # (key, world as regions and edges, path to edit, new v
                          ids=[case[0] for case in MALFORMED_STRUCTURE])
 def test_malformed_structural_key_exits_1_naming_it(tmp_path, capsys, key, explicit_world,
                                                     path, value):
-    sc = small_scenario()
-    if explicit_world:
-        sc.grid = None
-    data = sc.to_json()
-    *parents, last = path
-    target = data
-    for step in parents:
-        target = target[step]
-    if value is MISSING:
-        del target[last]
-    else:
-        target[last] = value
+    data = edited_scenario(explicit_world, path, value)
     with pytest.raises(ScenarioError, match=re.escape(f"scenario key {key} ")):
         Scenario.from_json(data)
     scenario_path = tmp_path / "sc.json"
@@ -197,6 +209,43 @@ def test_malformed_structural_key_exits_1_naming_it(tmp_path, capsys, key, expli
     assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: scenario key {key} ") and err.count("\n") == 1
+
+
+INVALID_SCENARIO = [  # (id, world as regions and edges, path to edit, new value, message)
+    ("duplicate-prop", False, ["collaborativeTasks", 1, "prop"], "ct1",
+     "duplicate task proposition 'ct1'"),
+    ("task-on-unknown-region", False, ["collaborativeTasks", 0, "region"], "q9_9",
+     "task ct1 on unknown region q9_9"),
+    ("owner-lacks-capability", False, ["individualTasks", 0, "capability"], "c1",
+     "robot 0 lacks capability c1 for task ts1_r0"),
+    ("formula-names-another-robots-task", False, ["individualFormulas", "0"], "F ts1_r1",
+     "robot 0's formula references tasks it does not own: ['ts1_r1']"),
+    ("not-an-object", False, [], ["robots"], "a scenario must be an object, not ['robots']"),
+    ("edge-to-unknown-region", True, ["world", "edges", 0], ["q0_0", "zz", 1],
+     "edge (q0_0, zz) references unknown region"),
+    ("robot-without-capability", False, ["robots", 0, "capabilities"], [],
+     "robot 0 has no capability"),
+    ("robot-with-unknown-capability", False, ["robots", 0, "capabilities"], ["c9"],
+     "robot 0 has unknown capabilities ['c9']"),
+    ("task-owned-by-no-robot", False, ["individualTasks", 0, "owner"], 99, "unknown robot 99"),
+    ("task-requiring-nothing", False, ["collaborativeTasks", 0, "requirements"], {},
+     "task ct1 requires no capability"),
+]
+
+
+@pytest.mark.parametrize("explicit_world, path, value, message",
+                         [case[1:] for case in INVALID_SCENARIO],
+                         ids=[case[0] for case in INVALID_SCENARIO])
+def test_invalid_scenario_exits_1_with_its_message(tmp_path, capsys, explicit_world, path,
+                                                   value, message):
+    data = edited_scenario(explicit_world, path, value)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        Scenario.from_json(data)
+    scenario_path = tmp_path / "sc.json"
+    scenario_path.write_text(json.dumps(data))
+    assert cli_main(["plan", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_fleet_exits_1_with_one_error_line(tmp_path, capsys):

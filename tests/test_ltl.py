@@ -74,6 +74,19 @@ def test_parse_reports_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("a $ b", "unexpected character '$'", 2),
+    ("(a b", "expected ')'", 3),
+    ("a )", "unexpected trailing input ')'", 2),
+    ("U a", "until operator needs a left operand", 0),
+])
+def test_parse_error_names_its_token_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
 def test_parse_refuses_nesting_past_the_limit():
     """A formula nested past the limit is a ParseError naming the limit, not a
     RecursionError; at the limit, the deepest trees of several shapes parse,

@@ -355,19 +355,22 @@ def assert_same_pruning(pa):
     return True
 
 
+STRATEGY_FIELDS = ("robot_id", "run", "fired", "emits", "step_weights", "walk",
+                   "collab_positions", "weight")
+
+
 def assert_same_expansions(pruned, ref):
-    """Every choice ``enumerate_robot_choices`` yields expands as the reference's
-    witnesses do, with the firing sets, labels and weights of the edge-by-edge
-    reference product along the run."""
+    """Every choice ``enumerate_robot_choices`` yields expands, field by field, as the
+    reference's witnesses do under the reference rule (``strategy_of``), with the
+    firing sets, labels and weights of the edge-by-edge reference product along the run."""
     pa = pruned.pa
     ref_pa = ReferenceProductPa(pa.wts, pa.nfa, pa.assigned, pa.collab_props)
     for timeline in enumerate_robot_choices(pruned):
         choice = timeline.choice
         got, want = pruned.expand(choice), ref.expand(decoded(pa, choice))
-        assert (got.run, got.fired, got.emits, got.step_weights) == (
-            want.run, want.fired, want.emits, want.step_weights), choice
+        assert [getattr(got, field) for field in STRATEGY_FIELDS] == [
+            getattr(want, field) for field in STRATEGY_FIELDS], choice
         run = decoded(pa, got.run)
-        assert got.walk == tuple(region for region, _f in run)
         steps = [ref_pa.edge_info[edge] for edge in zip(run, run[1:])]
         assert got.step_weights == tuple(w for w, _f, _e in steps)
         entry = [ref_pa.entry_info[run[0]]] + [(f, e) for _w, f, e in steps]

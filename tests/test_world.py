@@ -112,12 +112,6 @@ def test_individual_label_only_for_owner():
     assert other.start_rank == world.rank["q1_0"]
 
 
-def test_unknown_task_region_rejected():
-    world = grid_world(2, 2)
-    with pytest.raises(ScenarioError):
-        build_wts(world, small_fleet(), [TaskReq("ct1", "q9_9", {"c1": 1})], 0)
-
-
 def test_travel_identity_and_corridor():
     world = grid_world(3, 1)
     wts = build_wts(world, small_fleet(), [], 0)
