@@ -184,7 +184,10 @@ class AllocModel:
             for vector in place(r, 0, vector):
                 yield from robot(r + 1, vector) if r < last else (vector,)
 
-        yield from robot(0, 0)
+        try:
+            yield from robot(0, 0)
+        finally:  # each closure refers to itself: break the cycles when the search ends
+            del place, robot
 
 
 def check_deadline(deadline: Optional[float]) -> None:

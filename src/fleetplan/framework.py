@@ -8,11 +8,13 @@ their bits before any synthesis work and are never indexed.
 
 A robot's local synthesis depends only on the robot and its assigned
 occurrences, and nothing downstream mutates a product, so one cache per run
-keeps each such key's pruned product (which holds the local automaton), or
-the error it raised.  A second per-run dict is the translator's memo, so
-local formulas equal up to an order-preserving renaming of their atoms share
-one progression.  Each evaluated assignment is laid out once, as the
-`FoldPlan` that the adjustment, the oracle and the cost report all fold.
+keeps each such key's pruned product (which holds the local automaton and its
+own transition system, labeled with the robot's individual and assigned
+collaborative tasks only), or the error it raised.  A second per-run dict is
+the translator's memo, so local formulas equal up to an order-preserving
+renaming of their atoms share one progression.  Each evaluated assignment is
+laid out once, as the `FoldPlan` that the adjustment, the oracle and the cost
+report all fold.
 """
 
 from __future__ import annotations
@@ -110,10 +112,8 @@ def run_framework(scenario: Scenario) -> RunReport:
     started = time.perf_counter()
     opts.validate()
     fleet = scenario.fleet
-    tasks = list(scenario.tasks)
     collab_tasks = scenario.collaborative_tasks()
     collab_props = frozenset(t.prop for t in collab_tasks)
-    wts = {r: build_wts(scenario.world, fleet, tasks, r) for r in fleet.robot_ids()}
 
     collab_nfa = on_demand_nfa(scenario.parsed_collaborative(), opts.state_cap)
     try:
@@ -154,7 +154,7 @@ def run_framework(scenario: Scenario) -> RunReport:
             continue
         history_vectors.append(assignment.vector)
         try:
-            plan = _evaluate_assignment(scenario, mission, assignment, wts, collab_props,
+            plan = _evaluate_assignment(scenario, mission, assignment, collab_props,
                                         synthesis, shapes, row, deadline)
         except (*SYNTHESIS_ERRORS, NegativeObligationViolated) as exc:
             rows[-1] = AssignmentRow(index=row.index, status="infeasible", detail=str(exc))
@@ -166,30 +166,35 @@ def run_framework(scenario: Scenario) -> RunReport:
         row.collab_accepted = nfa_accepts(collab_nfa, plan.sim.global_sequence)
         if incumbent is None or plan.total < incumbent.total:
             incumbent = plan
+    model._solutions.close()  # a search the cap stopped holds the model: end it
     return RunReport(scenario.name, mission, rows, incumbent, stopped)
 
 
 SYNTHESIS_ERRORS = (NoAcceptingPath, LevelDisconnected, StateLimitExceeded)
 
 
-def _synthesize(scenario: Scenario, r: int, assigned, wts, collab_props, synthesis, shapes):
-    """Robot ``r``'s pruned product, built once per key."""
+def _synthesize(scenario: Scenario, r: int, assigned, collab_props, synthesis, shapes):
+    """Robot ``r``'s pruned product, built once per key, over its own transition system."""
     key = (r, tuple(assigned))
     if key not in synthesis:
+        props = {prop for _occ, prop in assigned}
+        wts = build_wts(scenario.world, scenario.fleet,
+                        [t for t in scenario.tasks if t.owner == r or t.prop in props], r)
         try:
             nfa = to_nfa(build_local_formula(scenario.parsed_individual(r), assigned),
                          scenario.options.state_cap, shapes)
-            synthesis[key] = prune_product(build_product(wts[r], nfa, assigned, collab_props))
+            synthesis[key] = prune_product(build_product(wts, nfa, assigned, collab_props))
         except SYNTHESIS_ERRORS as exc:
-            synthesis[key] = exc
-    if isinstance(synthesis[key], Exception):
-        # a fresh traceback each time: the stored one would keep frames alive
-        raise synthesis[key].with_traceback(None)
-    return synthesis[key]
+            synthesis[key] = exc.with_traceback(None)
+    found = synthesis[key]
+    if isinstance(found, Exception):
+        # a copy: a raised error's traceback holds the frames that hold this cache
+        raise type(found)(*found.args)
+    return found
 
 
 def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assignment,
-                         wts, collab_props, synthesis, shapes, row: AssignmentRow,
+                         collab_props, synthesis, shapes, row: AssignmentRow,
                          deadline: Optional[float]) -> PlanOutput:
     """Synthesize, adjust when asked (the protocol updates ``timelines`` in place),
     expand the final choices into strategies once, simulate, and run the oracle."""
@@ -202,8 +207,8 @@ def _evaluate_assignment(scenario: Scenario, mission: Mission, assignment: Assig
         check_deadline(deadline)
         assigned = [(occ, mission.task_of(occ)) for occ in assignment.tasks_of(r)]
         t0 = time.perf_counter()
-        pruned = pruned_map[r] = _synthesize(scenario, r, assigned, wts, collab_props,
-                                             synthesis, shapes)
+        pruned = pruned_map[r] = _synthesize(scenario, r, assigned, collab_props, synthesis,
+                                             shapes)
         prune_times.append(time.perf_counter() - t0)
         timelines[r] = choice_timeline(pruned, pruned.shortest_choice())
     row.wall_prune_avg = sum(prune_times) / len(prune_times)

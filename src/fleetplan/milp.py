@@ -120,7 +120,10 @@ def solve_exact(pruned_map: Mapping[int, PrunedPa], plan: FoldPlan,
             dfs(idx + 1, plan.fold(timelines, idx + 1, start, fold))
         timelines[idx] = floor
 
-    dfs(0, plan.fold(timelines, 0))
+    try:
+        dfs(0, plan.fold(timelines, 0))
+    finally:
+        del dfs  # it refers to itself: break the cycle that would keep every timeline
     if best is None:
         raise LevelDisconnected("no joint feasible placement")
     found = dict(zip(plan.robots, best[1]))

@@ -32,7 +32,9 @@ state ``c``, the ``(dist, state)`` least predecessor ``p`` with ``dist(p) + w(p,
 dist(c)``; witness walks are rebuilt by that local rule, so they are the walks a
 search over every product state finds.  State and edge counts sum over the
 connected components of unlabeled regions each compressed copy reaches.  Both
-these and the hop tables belong to the robot's ``Wts``, shared by its products.
+these and the hop tables belong to the product's ``Wts``, labeled with the robot's
+individual and assigned collaborative tasks only: an unassigned task never fires,
+so a region carrying only such tasks is unlabeled, crossed by hops.
 
 A product state ``(region, f)`` is the integer id ``rank(region) * nfa.n_states + f``,
 ``rank`` being the region's position in name order (``World.rank``).  Initial,

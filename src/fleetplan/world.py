@@ -188,8 +188,8 @@ class Wts:
     By region rank it interns the given ``ranked_labels`` (frozenset() unlabeled)
     as ids ``label_ids`` (0 unlabeled, the others dense in order of first rank;
     ``labels[id]`` is the label).  It has ``start_rank`` and, built on first
-    request and shared by every product of the robot, the unlabeled components
-    and one clean-hop table per origin (``hop_tables``).
+    request and shared by every product over it (the planner builds one per
+    product), the unlabeled components and one clean-hop table per origin (``hop_tables``).
     """
 
     __slots__ = ("robot_id", "world", "label_ids", "labels", "start_rank",
@@ -274,7 +274,8 @@ def build_wts(world: World, fleet: Fleet, tasks: Sequence[TaskReq], robot_id: in
     """Construct a robot's transition system with task labeling.
 
     The robot sees its own individual task propositions and the proposition
-    of every collaborative task it could contribute a required capability to.
+    of every collaborative task it could contribute a required capability to;
+    the planner passes only its individual tasks and assigned collaborative ones.
     """
     robot = fleet.robot(robot_id)
     labels: Dict[int, set] = {}

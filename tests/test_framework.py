@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -835,8 +836,8 @@ def test_synthesis_cache_builds_each_key_once(tmp_path, monkeypatch):
     # reference: every assignment synthesizes its robots from scratch
     real_evaluate = framework._evaluate_assignment
 
-    def fresh_evaluate(scenario, mission, assignment, wts, collab_props, _cache, *rest):
-        return real_evaluate(scenario, mission, assignment, wts, collab_props, {}, *rest)
+    def fresh_evaluate(scenario, mission, assignment, collab_props, _cache, *rest):
+        return real_evaluate(scenario, mission, assignment, collab_props, {}, *rest)
 
     monkeypatch.setattr(framework, "_evaluate_assignment", fresh_evaluate)
     keys.clear()
@@ -844,6 +845,54 @@ def test_synthesis_cache_builds_each_key_once(tmp_path, monkeypatch):
     assert len(keys) > len(cached_keys)
     assert set(keys) == set(cached_keys)
     assert cached == fresh
+
+
+def test_runs_leave_no_planner_object_to_the_cyclic_collector():
+    """A run frees what it made by reference counting.  With the cyclic collector off,
+    a run stopped by the assignment cap, one with the oracle on and one where robot 0's
+    synthesis fails on the same key twice leave no planner object alive once the
+    report is dropped, and none for ``gc.collect()`` to find.  Both checks are needed:
+    the collector finalizes a suspended generator, which can free a cycle through it
+    without saving it in ``gc.garbage``."""
+    capped = generate(seed=7, robots=6, collab=3, grid=(10, 10))
+    capped.options.max_assignments = 4
+    oracle = generate(seed=7, robots=6, collab=3, grid=(10, 10))
+    oracle.options.max_assignments = 4
+    oracle.options.oracle = True
+    data = json.loads(generate(seed=2, robots=3, collab=2, grid=(5, 5),
+                               individual_per_robot=1).dumps())
+    data["individualFormulas"]["0"] = "(F ts1_r0) & (G !ts1_r0)"
+    failing = Scenario.from_json(data)
+
+    def planner_objects(objects, known=frozenset()):
+        return [type(o).__qualname__ for o in objects if id(o) not in known and (
+            o.__module__ if isinstance(o, type(run_framework)) else type(o).__module__
+        ).startswith("fleetplan")]
+
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for sc in (capped, oracle, failing):
+            known = frozenset(map(id, gc.get_objects()))
+            report = run_framework(sc)
+            if sc is capped:
+                assert report.stopped_because == "assignment-cap"
+            elif sc is oracle:
+                assert any(row.oracle_j is not None for row in report.rows)
+            else:
+                assert [row.status for row in report.rows] == ["infeasible", "infeasible"]
+            del report
+            assert not planner_objects(gc.get_objects(), known), sc.name
+            gc.collect()
+            assert not planner_objects(gc.garbage), sc.name
+            gc.garbage.clear()
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(flags)
+        if enabled:
+            gc.enable()
 
 
 def test_local_state_limit_becomes_infeasible_row(monkeypatch):

@@ -1,6 +1,7 @@
 """Local formula construction, product automata, and layered pruning."""
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ from fleetplan.product import (
     build_product,
     prune_product,
 )
-from fleetplan.scenario import Scenario
-from fleetplan.world import Fleet, Robot, TaskReq, build_wts, grid_world
+from fleetplan.scenario import Scenario, generate
+from fleetplan.world import Fleet, Robot, TaskReq, Wts, build_wts, grid_world
 
 from oracles import (
     ReferenceProductPa,
@@ -493,3 +494,94 @@ def test_pruning_matches_tuple_state_reference_on_planned_products(monkeypatch):
     framework.run_framework(Scenario.from_json(data))
     assert len(calls) >= 10
     assert all(assert_same_pruning(build_product(*args)) for args in calls)
+
+
+def assigned_labeling(wts, assigned, collab_props):
+    """``wts`` labeled as the planner labels a product: without the collaborative
+    tasks that are not assigned."""
+    dropped = collab_props - {prop for _occ, prop in assigned}
+    return Wts(wts.robot_id, wts.world, tuple(wts.labels[i] - dropped for i in wts.label_ids),
+               wts.start_rank)
+
+
+def assert_same_as_all_task_labeling(pa, ref):
+    """``pa``, over its assignment's labeling, equals ``ref``, the same product over
+    the reference labeling of every task the robot could serve: edges, counts,
+    levels, pruned edges with their witnesses, suffix costs and every expansion,
+    field by field, or the same ``LevelDisconnected``.  Returns whether it pruned."""
+    for name in ("initial", "accepting", "entry_info", "collab", "n_states", "n_edges"):
+        assert getattr(pa, name) == getattr(ref, name), name
+    assert list(pa.adjacency.items()) == list(ref.adjacency.items())
+    assert list(pa.edge_info.items()) == list(ref.edge_info.items())
+    try:
+        want = prune_product(ref)
+    except LevelDisconnected as exc:
+        with pytest.raises(LevelDisconnected) as got:
+            prune_product(pa)
+        assert str(got.value) == str(exc)
+        return False
+    got = prune_product(pa)
+    assert got.levels == want.levels
+    assert list(got.edges.items()) == list(want.edges.items())
+    assert got._suffix == want._suffix
+    assert got.size_stats() == want.size_stats()
+    for timeline in enumerate_robot_choices(want):
+        mine, theirs = got.expand(timeline.choice), want.expand(timeline.choice)
+        assert [getattr(mine, field) for field in STRATEGY_FIELDS] == [
+            getattr(theirs, field) for field in STRATEGY_FIELDS], timeline.choice
+    return True
+
+
+def labeled_regions(wts):
+    return sum(1 for label_id in wts.label_ids if label_id)
+
+
+def test_assigned_task_labeling_matches_the_all_task_labeling_reference():
+    """A region whose label holds only unassigned collaborative tasks moves like an
+    unlabeled one, so labeling a product with the assigned tasks alone changes no
+    edge, count, pruning or strategy, while it searches fewer hop tables."""
+    transparent = tables = ref_tables = pruned = 0
+    for _trial, wts, nfa, assigned in [*random_products(), *random_grid_products()]:
+        mine = assigned_labeling(wts, assigned, RANDOM_COLLAB_PROPS)  # wts: every task
+        pruned += assert_same_as_all_task_labeling(
+            ProductPa(mine, nfa, assigned, RANDOM_COLLAB_PROPS),
+            ProductPa(wts, nfa, assigned, RANDOM_COLLAB_PROPS))
+        assert len(mine.hop_tables) <= len(wts.hop_tables)
+        if labeled_regions(mine) < labeled_regions(wts):
+            transparent += 1
+            tables += len(mine.hop_tables)
+            ref_tables += len(wts.hop_tables)
+    assert pruned >= 20 and transparent >= 20
+    assert tables < ref_tables
+
+
+def test_planned_products_match_the_all_task_labeling_reference(monkeypatch):
+    """Every product the planner builds on generated scenarios, with unit, integer and
+    non-integer weights, equals the same product over ``build_wts`` of every task."""
+    calls = []
+    real = framework.build_product
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(framework, "build_product", recording)
+    rng = random.Random(5)
+    for seed, weights in enumerate((None, [1, 2, 3], [0.5, 1.25, 2.0])):
+        data = json.loads(generate(seed=seed, robots=4, collab=3, grid=(6, 6),
+                                   individual_per_robot=1).dumps())
+        if weights:
+            world = grid_world(6, 6)
+            data["world"]["weights"] = [[a, b, rng.choice(weights)] for a, b in world.edges]
+        data["options"]["maxAssignments"] = 8
+        sc = Scenario.from_json(data)
+        calls.clear()
+        framework.run_framework(sc)
+        assert len(calls) >= 5
+        transparent = 0
+        for wts, nfa, assigned, collab_props in calls:
+            ref = build_wts(sc.world, sc.fleet, list(sc.tasks), wts.robot_id)
+            assert_same_as_all_task_labeling(ProductPa(wts, nfa, assigned, collab_props),
+                                             ProductPa(ref, nfa, assigned, collab_props))
+            transparent += labeled_regions(wts) < labeled_regions(ref)
+        assert transparent, seed
